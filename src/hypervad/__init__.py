@@ -22,7 +22,6 @@ from .core import (
 from .evaluate import EvalReport, auc_roc, average_precision, expand_to_frames
 from .hyperbolic import (
     KarcherResult,
-    PoincarePoint,
     distance,
     exp_map_origin,
     log_map_origin,

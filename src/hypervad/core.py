@@ -212,6 +212,11 @@ class Dataset:
     def has_audio(self) -> bool:
         return Modality.AUDIO in self.embeddings
 
+    @property
+    def audio_rows(self) -> np.ndarray:
+        """Boolean mask of the segments that carry an audio caption."""
+        return np.array([seg.has_audio for seg in self.segments], dtype=bool)
+
     def matrix(self, modality: Modality) -> EmbeddingMatrix:
         return self.embeddings[modality]
 
@@ -222,6 +227,9 @@ def validate_dataset(segments, embeddings) -> Dataset:
     Raises ValidationError listing all violations at once: shape mismatches,
     non-finite entries (with row index), and segment contiguity breaks (with
     segment index). Visual and text matrices are required; audio is optional.
+    Visual and audio rows must have the text rows' dimension: caption
+    cleaning and refinement compare visual with text rows, and fusion merges
+    text with audio rows.
     """
     issues = []
     segments = tuple(segments)
@@ -250,6 +258,16 @@ def validate_dataset(segments, embeddings) -> Dataset:
             rows = np.unique(np.nonzero(bad)[0])
             shown = ", ".join(str(r) for r in rows[:5])
             issues.append(f"{modality.value}: non-finite entry in row(s) {shown}")
+
+    text = embeddings.get(Modality.TEXT)
+    if isinstance(text, EmbeddingMatrix):
+        for modality in (Modality.VISUAL, Modality.AUDIO):
+            mat = embeddings.get(modality)
+            if isinstance(mat, EmbeddingMatrix) and mat.dim != text.dim:
+                issues.append(
+                    f"{modality.value}: dimension mismatch, rows have dim {mat.dim} "
+                    f"but text rows have dim {text.dim}"
+                )
 
     expected_start = 0
     for i, seg in enumerate(segments):

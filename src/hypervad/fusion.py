@@ -1,118 +1,47 @@
 """Project caption embeddings into the Poincare ball and fuse modalities.
 
-Each embedding is L2-normalized and scaled by ``tangent_scale`` before the
-exponential map so tangent norms stay well inside tanh's non-saturating
+Each embedding row is L2-normalized and scaled by ``tangent_scale`` before
+the exponential map so tangent norms stay well inside tanh's non-saturating
 range. A segment without audio takes the unimodal branch, which is exactly
-exp_0 of the visual tangent with no iteration.
+exp_0 of the visual tangent. A segment with audio takes the weighted
+geodesic mean of its visual and audio points, which for two points is the
+closed form exp_x(w_aud log_x(y)). Neither iterates, and both run on the
+(n, d) arrays of all segments at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .core import Dataset, Modality, PipelineConfig
-from .hyperbolic import KarcherResult, exp_map_origin, weighted_geodesic_mean
-
-
-@dataclass(frozen=True)
-class FusedSequence:
-    """One fused ball point per segment plus which modalities fed it."""
-
-    points: tuple
-    modality_mask: tuple  # per segment: frozenset of Modality
-    karcher_failures: tuple = ()  # segment indices whose mean did not converge
-
-    def __post_init__(self):
-        if len(self.points) != len(self.modality_mask):
-            raise ValueError("one modality mask entry per point required")
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.points)
-
-    def coords_matrix(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 0))
-        return np.stack([p.coords for p in self.points])
+from .hyperbolic import exp_map_origin, geodesic_point, weighted_geodesic_mean
 
 
 def prepare_tangent(e: np.ndarray, tangent_scale: float) -> np.ndarray:
-    """L2-normalize then scale; zero vectors stay zero."""
+    """L2-normalize rows then scale; zero rows stay zero."""
     e = np.asarray(e, dtype=np.float64)
-    norm = float(np.linalg.norm(e))
-    if norm == 0.0:
-        return np.zeros_like(e)
-    return e * (tangent_scale / norm)
+    norm = np.linalg.norm(e, axis=-1, keepdims=True)
+    return e * (tangent_scale / np.where(norm == 0.0, 1.0, norm))
 
 
-def fuse_segment(
-    e_vis: np.ndarray,
-    e_aud: Optional[np.ndarray],
-    weights: tuple,
-    curvature: float,
-    tangent_scale: float = 0.5,
-    ball_eps: float = 1e-5,
-    karcher_tol: float = 1e-10,
-    karcher_max_iter: int = 200,
-):
-    """Fuse one segment's modalities into a single ball point.
-
-    Returns (point, converged). Without audio the result is
-    exp_0(prepare_tangent(e_vis)) exactly and converged is always True.
-    """
-    e_vis = np.asarray(e_vis, dtype=np.float64)
-    if not np.all(np.isfinite(e_vis)):
-        raise ValueError("visual embedding must be finite")
-    z_vis = exp_map_origin(prepare_tangent(e_vis, tangent_scale), curvature, ball_eps)
-    if e_aud is None:
-        return z_vis, True
-
-    e_aud = np.asarray(e_aud, dtype=np.float64)
-    if not np.all(np.isfinite(e_aud)):
-        raise ValueError("audio embedding must be finite")
-    if e_aud.shape != e_vis.shape:
-        raise ValueError(f"dimension mismatch: visual {e_vis.shape} vs audio {e_aud.shape}")
-    w_vis, w_aud = weights
-    if w_vis < 0 or w_aud < 0 or abs(w_vis + w_aud - 1.0) > 1e-9:
-        raise ValueError("fusion weights must be non-negative and sum to 1")
-    z_aud = exp_map_origin(prepare_tangent(e_aud, tangent_scale), curvature, ball_eps)
-    result: KarcherResult = weighted_geodesic_mean(
-        [z_vis, z_aud], [w_vis, w_aud], tol=karcher_tol, max_iter=karcher_max_iter, ball_eps=ball_eps
+def fuse_sequence(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
+    """One fused ball point per segment of a validated dataset, as an (n, d) array."""
+    points = exp_map_origin(
+        prepare_tangent(dataset.matrix(Modality.TEXT).data, config.tangent_scale),
+        config.curvature,
+        config.ball_eps,
     )
-    return result.point, result.converged
-
-
-def fuse_sequence(dataset: Dataset, config: PipelineConfig) -> FusedSequence:
-    """Apply fuse_segment to every segment of a validated dataset."""
-    text = dataset.matrix(Modality.TEXT).data
-    audio = dataset.matrix(Modality.AUDIO).data if dataset.has_audio else None
-    points = []
-    masks = []
-    failures = []
-    for seg in dataset.segments:
-        e_vis = text[seg.index]
-        use_audio = audio is not None and seg.has_audio
-        e_aud = audio[seg.index] if use_audio else None
-        point, converged = fuse_segment(
-            e_vis,
-            e_aud,
-            (config.visual_weight, config.audio_weight),
+    if dataset.has_audio:
+        rows = dataset.audio_rows
+        audio = exp_map_origin(
+            prepare_tangent(dataset.matrix(Modality.AUDIO).data[rows], config.tangent_scale),
             config.curvature,
-            tangent_scale=config.tangent_scale,
-            ball_eps=config.ball_eps,
-            karcher_tol=config.karcher_tol,
-            karcher_max_iter=config.karcher_max_iter,
+            config.ball_eps,
         )
-        if not converged:
-            failures.append(seg.index)
-        points.append(point)
-        masks.append(
-            frozenset({Modality.VISUAL, Modality.AUDIO}) if use_audio else frozenset({Modality.VISUAL})
+        points[rows] = geodesic_point(
+            points[rows], audio, config.audio_weight, config.curvature, config.ball_eps
         )
-    return FusedSequence(points=tuple(points), modality_mask=tuple(masks), karcher_failures=tuple(failures))
+    return points
 
 
 def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
@@ -120,39 +49,42 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
 
     Matches the hyperbolic path in the flat limit (curvature -> 0).
     """
-    text = dataset.matrix(Modality.TEXT).data
-    audio = dataset.matrix(Modality.AUDIO).data if dataset.has_audio else None
-    out = np.zeros((dataset.n_segments, text.shape[1] if text.size else 0))
-    for seg in dataset.segments:
-        v = prepare_tangent(text[seg.index], config.tangent_scale)
-        if audio is not None and seg.has_audio:
-            a = prepare_tangent(audio[seg.index], config.tangent_scale)
-            out[seg.index] = config.visual_weight * v + config.audio_weight * a
-        else:
-            out[seg.index] = v
+    out = prepare_tangent(dataset.matrix(Modality.TEXT).data, config.tangent_scale)
+    if dataset.has_audio:
+        rows = dataset.audio_rows
+        audio = prepare_tangent(dataset.matrix(Modality.AUDIO).data[rows], config.tangent_scale)
+        out[rows] = config.visual_weight * out[rows] + config.audio_weight * audio
     return out
 
 
-def window_fused_points(fused_points, segment_to_window: np.ndarray, n_windows: int, config: PipelineConfig):
-    """Aggregate per-segment fused points to one point per summary window.
+def window_fused_points(
+    fused: np.ndarray, segment_to_window: np.ndarray, n_windows: int, config: PipelineConfig
+):
+    """Aggregate per-segment fused points (n, d) to one point per summary window.
 
-    Single-segment windows pass their point through untouched; larger windows
-    take the equal-weight geodesic mean of their members.
+    Returns the (n_windows, d) points and the list of windows whose mean did
+    not converge. Single-segment windows pass their point through untouched;
+    larger windows take the equal-weight geodesic mean of their members,
+    exact for two and iterated for more.
     """
-    out = []
-    for k in range(n_windows):
-        members = [fused_points[t] for t in np.nonzero(segment_to_window == k)[0]]
-        if not members:
-            raise ValueError(f"window {k} has no member segments")
-        if len(members) == 1:
-            out.append(members[0])
-            continue
+    order = np.argsort(segment_to_window, kind="stable")
+    counts = np.bincount(segment_to_window, minlength=n_windows)
+    if np.any(counts == 0):
+        raise ValueError(f"window {int(np.argmin(counts))} has no member segments")
+    starts = np.cumsum(counts) - counts
+    out = fused[order[starts]]
+    failures = []
+    for k in np.flatnonzero(counts > 1):
+        members = fused[order[starts[k]:starts[k] + counts[k]]]
         result = weighted_geodesic_mean(
             members,
             np.full(len(members), 1.0 / len(members)),
+            config.curvature,
             tol=config.karcher_tol,
             max_iter=config.karcher_max_iter,
             ball_eps=config.ball_eps,
         )
-        out.append(result.point)
-    return out
+        out[k] = result.point
+        if not result.converged:
+            failures.append(int(k))
+    return out, failures

@@ -1,8 +1,11 @@
-"""Poincare-ball geometry: exp/log maps, Mobius addition, geodesic distance,
-and the weighted geodesic (Karcher) mean used for modality fusion.
+"""Poincare-ball geometry on plain float64 arrays: exp/log maps, Mobius
+addition, geodesic distance, and the weighted geodesic (Karcher) mean used
+for modality fusion.
 
-Convention: the ball of curvature c > 0 is {x : c * ||x||^2 < 1}, radius
-1/sqrt(c). All operations project their outputs to radius
+Points and tangent vectors are ``(..., d)`` arrays; every map works row-wise
+and broadcasts over the leading axes, and the curvature c > 0 is an
+argument. The ball of curvature c is {x : c * ||x||^2 < 1}, radius
+1/sqrt(c). Maps that return points project them to radius
 (1 - ball_eps) / sqrt(c) because artanh blows up at the boundary.
 
 Formulas follow the standard gyrovector-space treatment (Ungar; Ganea et al.,
@@ -18,16 +21,20 @@ Formulas follow the standard gyrovector-space treatment (Ungar; Ganea et al.,
     log_x(p)  = (2 / (sqrt(c) lambda_x)) artanh(sqrt(c) |u|) u / |u|,
                 u = (-x) (+) p
 
-The basepoint maps are the origin maps transported by Mobius translation,
-which is what the Karcher loop needs.
+The basepoint maps are the origin maps transported by Mobius translation.
+A row of a batched result is computed by the same elementwise code as a call
+on that row alone.
+
+Inputs are checked at the entry points that take them from outside:
+exp_map_origin (finite tangents), log_map_origin and weighted_geodesic_mean
+(finite points strictly inside the ball), all three for positive curvature.
+The other maps assume valid ball points, so the Karcher iteration does not
+re-check its own iterates.
 """
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,177 +45,162 @@ DEFAULT_KARCHER_MAX_ITER = 200
 _MIN_NORM = 1e-15
 
 
-def project_to_ball(coords: np.ndarray, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
-    """Scale ``coords`` radially so that sqrt(c)*||x|| <= 1 - ball_eps."""
-    coords = np.asarray(coords, dtype=np.float64)
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Row norms, keeping the reduced axis so they broadcast against ``x``."""
+    return np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sum(x * y, axis=-1, keepdims=True)
+
+
+def _check_curvature(curvature: float) -> None:
+    if not curvature > 0:
+        raise ValueError(f"curvature must be positive, got {curvature}")
+
+
+def _checked_points(x, curvature: float) -> np.ndarray:
+    _check_curvature(curvature)
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("point coordinates must be finite")
+    if np.any(np.sqrt(curvature) * _norm(x) >= 1.0):
+        raise ValueError("point lies on or outside the ball boundary")
+    return x
+
+
+def project_to_ball(x, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+    """Scale rows radially so that sqrt(c)*||x|| <= 1 - ball_eps; rows already
+    inside are returned unchanged."""
+    x = np.asarray(x, dtype=np.float64)
     max_radius = (1.0 - ball_eps) / np.sqrt(curvature)
-    norm = np.linalg.norm(coords)
-    if norm > max_radius:
-        coords = coords * (max_radius / norm)
-    return coords
+    norm = _norm(x)
+    return np.where(norm > max_radius, x * (max_radius / np.maximum(norm, _MIN_NORM)), x)
 
 
-@dataclass(frozen=True)
-class PoincarePoint:
-    """A point strictly inside the curvature-c Poincare ball.
-
-    Direct construction validates containment; use :meth:`project` to build
-    from arbitrary coordinates with the standard margin projection.
-    """
-
-    coords: np.ndarray
-    curvature: float
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.coords, dtype=np.float64))
-        if arr.ndim != 1:
-            raise ValueError(f"point coordinates must be a 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("point coordinates must be finite")
-        if self.curvature <= 0:
-            raise ValueError(f"curvature must be positive, got {self.curvature}")
-        if np.sqrt(self.curvature) * np.linalg.norm(arr) >= 1.0:
-            raise ValueError("point lies on or outside the ball boundary")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coords", arr)
-
-    @classmethod
-    def project(cls, coords, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> "PoincarePoint":
-        return cls(project_to_ball(coords, curvature, ball_eps), curvature)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
-def _check_pair(x: PoincarePoint, y: PoincarePoint):
-    if x.curvature != y.curvature:
-        raise ValueError(f"curvature mismatch: {x.curvature} vs {y.curvature}")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-
-
-def mobius_add_coords(x: np.ndarray, y: np.ndarray, curvature: float) -> np.ndarray:
-    """Mobius addition on raw coordinate arrays (no projection)."""
+def mobius_add(x, y, curvature: float, ball_eps: float | None = DEFAULT_BALL_EPS) -> np.ndarray:
+    """Mobius addition x (+) y, projected to the margin. ``ball_eps=None``
+    returns the raw sum, which the log map and the distance use."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     c = curvature
-    x2 = float(np.dot(x, x))
-    y2 = float(np.dot(y, y))
-    xy = float(np.dot(x, y))
+    x2, y2, xy = _dot(x, x), _dot(y, y), _dot(x, y)
     num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
     denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return num / max(denom, _MIN_NORM)
+    out = num / np.maximum(denom, _MIN_NORM)
+    return out if ball_eps is None else project_to_ball(out, c, ball_eps)
 
 
-def mobius_add(x: PoincarePoint, y: PoincarePoint, ball_eps: float = DEFAULT_BALL_EPS) -> PoincarePoint:
-    """Mobius addition x (+) y on the shared curvature ball."""
-    _check_pair(x, y)
-    out = mobius_add_coords(x.coords, y.coords, x.curvature)
-    return PoincarePoint.project(out, x.curvature, ball_eps)
+def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+    """Map tangent vectors at the origin onto the ball.
 
-
-def mobius_neg(x: PoincarePoint) -> PoincarePoint:
-    return PoincarePoint(-x.coords, x.curvature)
-
-
-def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> PoincarePoint:
-    """Map a tangent vector at the origin onto the ball.
-
-    exp_0(0) is the origin exactly; other inputs land strictly inside the
-    ball after the margin projection.
+    exp_0(0) is the origin exactly; other rows land strictly inside the ball
+    after the margin projection.
     """
+    _check_curvature(curvature)
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("tangent vector must be finite")
     sqrt_c = np.sqrt(curvature)
-    norm = float(np.linalg.norm(v))
-    if norm < _MIN_NORM:
-        return PoincarePoint(np.zeros_like(v), curvature)
+    norm = _norm(v)
+    zero = norm < _MIN_NORM
+    norm = np.maximum(norm, _MIN_NORM)
     coords = np.tanh(sqrt_c * norm) * v / (sqrt_c * norm)
-    return PoincarePoint.project(coords, curvature, ball_eps)
+    return np.where(zero, 0.0, project_to_ball(coords, curvature, ball_eps))
 
 
-def log_map_origin(p: PoincarePoint) -> np.ndarray:
-    """Inverse of exp_map_origin: tangent vector at the origin reaching p."""
-    sqrt_c = np.sqrt(p.curvature)
-    norm = float(np.linalg.norm(p.coords))
-    if norm < _MIN_NORM:
-        return np.zeros_like(p.coords)
-    scaled = sqrt_c * norm
-    if scaled >= 1.0:
-        raise ValueError("point lies on or outside the ball boundary")
-    return np.arctanh(scaled) * p.coords / (sqrt_c * norm)
+def log_map_origin(p, curvature: float) -> np.ndarray:
+    """Inverse of exp_map_origin: tangent vectors at the origin reaching p."""
+    p = _checked_points(p, curvature)
+    sqrt_c = np.sqrt(curvature)
+    norm = _norm(p)
+    zero = norm < _MIN_NORM
+    norm = np.maximum(norm, _MIN_NORM)
+    return np.where(zero, 0.0, np.arctanh(sqrt_c * norm) * p / (sqrt_c * norm))
 
 
-def _conformal_factor(x: np.ndarray, c: float) -> float:
-    return 2.0 / max(1.0 - c * float(np.dot(x, x)), _MIN_NORM)
+def _conformal_factor(x: np.ndarray, c: float) -> np.ndarray:
+    return 2.0 / np.maximum(1.0 - c * _dot(x, x), _MIN_NORM)
 
 
-def exp_map(base: PoincarePoint, v: np.ndarray, ball_eps: float = DEFAULT_BALL_EPS) -> PoincarePoint:
-    """Exponential map at an arbitrary basepoint, via Mobius translation."""
+def exp_map(base, v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+    """Exponential map at basepoints, via Mobius translation. A zero tangent
+    returns its basepoint exactly."""
+    base = np.asarray(base, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("tangent vector must be finite")
-    c = base.curvature
-    sqrt_c = np.sqrt(c)
-    norm = float(np.linalg.norm(v))
-    if norm < _MIN_NORM:
-        return base
-    lam = _conformal_factor(base.coords, c)
+    sqrt_c = np.sqrt(curvature)
+    norm = _norm(v)
+    zero = norm < _MIN_NORM
+    norm = np.maximum(norm, _MIN_NORM)
+    lam = _conformal_factor(base, curvature)
     second = np.tanh(sqrt_c * lam * norm / 2.0) * v / (sqrt_c * norm)
-    out = mobius_add_coords(base.coords, second, c)
-    return PoincarePoint.project(out, c, ball_eps)
+    return np.where(zero, base, mobius_add(base, second, curvature, ball_eps))
 
 
-def log_map(base: PoincarePoint, p: PoincarePoint) -> np.ndarray:
-    """Logarithmic map at an arbitrary basepoint, via Mobius translation."""
-    _check_pair(base, p)
-    c = base.curvature
-    sqrt_c = np.sqrt(c)
-    u = mobius_add_coords(-base.coords, p.coords, c)
-    norm = float(np.linalg.norm(u))
-    if norm < _MIN_NORM:
-        return np.zeros_like(u)
-    lam = _conformal_factor(base.coords, c)
-    scaled = min(sqrt_c * norm, 1.0 - 1e-15)
-    return (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm
+def log_map(base, p, curvature: float) -> np.ndarray:
+    """Logarithmic map at basepoints, via Mobius translation."""
+    base = np.asarray(base, dtype=np.float64)
+    sqrt_c = np.sqrt(curvature)
+    u = mobius_add(-base, p, curvature, ball_eps=None)
+    norm = _norm(u)
+    zero = norm < _MIN_NORM
+    norm = np.maximum(norm, _MIN_NORM)
+    lam = _conformal_factor(base, curvature)
+    scaled = np.minimum(sqrt_c * norm, 1.0 - 1e-15)
+    return np.where(zero, 0.0, (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm)
 
 
-def distance(x: PoincarePoint, y: PoincarePoint) -> float:
+def distance(x, y, curvature: float) -> np.ndarray:
     """Geodesic distance d(x, y) = (2/sqrt(c)) artanh(sqrt(c) |(-x) (+) y|)."""
-    _check_pair(x, y)
-    sqrt_c = np.sqrt(x.curvature)
-    diff = mobius_add_coords(-x.coords, y.coords, x.curvature)
-    norm = float(np.linalg.norm(diff))
-    scaled = min(sqrt_c * norm, 1.0 - 1e-15)
-    return float(2.0 / sqrt_c * np.arctanh(scaled))
+    sqrt_c = np.sqrt(curvature)
+    diff = mobius_add(-np.asarray(x, dtype=np.float64), y, curvature, ball_eps=None)
+    scaled = np.minimum(sqrt_c * np.linalg.norm(diff, axis=-1), 1.0 - 1e-15)
+    return 2.0 / sqrt_c * np.arctanh(scaled)
+
+
+def geodesic_point(x, y, t, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+    """The point a fraction ``t`` of the way along the geodesic from x to y,
+    exp_x(t log_x(y)).
+
+    It is the exact weighted Karcher mean of the pair for t = w_y / (w_x + w_y):
+    at that point log_m(x) and log_m(y) are antiparallel with norms t d and
+    (1 - t) d, so w_x log_m(x) + w_y log_m(y) = 0.
+    """
+    return exp_map(x, t * log_map(x, y, curvature), curvature, ball_eps)
 
 
 @dataclass(frozen=True)
 class KarcherResult:
-    """Outcome of the weighted geodesic mean iteration.
+    """Outcome of the weighted geodesic mean.
 
     ``converged`` is False when max_iter was exhausted; the point is then the
-    best effort found, never a silent success.
+    best effort found, never a silent success. The closed-form cases (one
+    point of full weight, two points) report 0 iterations and residual 0.
     """
 
-    point: PoincarePoint
+    point: np.ndarray
     residual: float
     iterations: int
     converged: bool
 
 
 def weighted_geodesic_mean(
-    points: Sequence[PoincarePoint],
-    weights: Sequence[float],
+    points,
+    weights,
+    curvature: float,
     tol: float = DEFAULT_KARCHER_TOL,
     max_iter: int = DEFAULT_KARCHER_MAX_ITER,
     ball_eps: float = DEFAULT_BALL_EPS,
 ) -> KarcherResult:
-    """Weighted Karcher mean: the point minimizing sum_i w_i d(m, x_i)^2.
+    """Weighted Karcher mean of the rows of ``points`` (m, d): the point
+    minimizing sum_i w_i d(m, x_i)^2.
 
-    Iterates m <- exp_m(step * u) with u = sum_i w_i log_m(x_i) / sum_i w_i,
-    starting from the weight-normalized Euclidean average of the coordinates
-    (projected into the ball) and stopping when ||u|| drops below ``tol``.
+    Points of zero weight are dropped. A single remaining point of full
+    weight is the mean exactly, and two remaining points have the closed
+    form :func:`geodesic_point`. More points iterate m <- exp_m(step * u)
+    with u = sum_i w_i log_m(x_i) / sum_i w_i, starting from the
+    weight-normalized Euclidean average of the coordinates (projected into
+    the ball) and stopping when ||u|| drops below ``tol``.
 
     The raw fixed-point iteration (step 1) oscillates once points sit more
     than about two units of geodesic distance from the mean: the squared
@@ -217,18 +209,11 @@ def weighted_geodesic_mean(
     largest such factor over the support, which restores guaranteed descent
     while keeping the same fixed point and the same residual definition.
     """
-    points = list(points)
-    if not points:
-        raise ValueError("need at least one point")
-    c = points[0].curvature
-    dim = points[0].dim
-    for p in points:
-        if p.curvature != c:
-            raise ValueError("all points must share one curvature")
-        if p.dim != dim:
-            raise ValueError("all points must share one dimension")
+    points = _checked_points(points, curvature)
+    if points.ndim != 2 or points.shape[0] == 0:
+        raise ValueError(f"need at least one point as an (m, d) array, got shape {points.shape}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(points),):
+    if w.shape != (points.shape[0],):
         raise ValueError("one weight per point required")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
@@ -237,36 +222,27 @@ def weighted_geodesic_mean(
         raise ValueError("weights must sum to a positive value")
     w = w / total
 
-    single = max(range(len(points)), key=lambda i: w[i])
-    if w[single] == 1.0:
+    support = w > 0
+    points, w = points[support], w[support]
+    top = int(np.argmax(w))
+    if w[top] == 1.0:
         # degenerate weighting: the mean is that point exactly
-        return KarcherResult(points[single], 0.0, 0, True)
+        return KarcherResult(points[top], 0.0, 0, True)
+    if len(w) == 2:
+        return KarcherResult(geodesic_point(points[0], points[1], w[1], curvature, ball_eps), 0.0, 0, True)
 
-    coords = np.stack([p.coords for p in points])
-    mean = PoincarePoint.project(w @ coords, c, ball_eps)
-    sqrt_c = np.sqrt(c)
-
+    mean = project_to_ball(w @ points, curvature, ball_eps)
+    sqrt_c = np.sqrt(curvature)
     residual = np.inf
     for it in range(1, max_iter + 1):
-        update = np.zeros(dim)
-        smoothness = 1.0
-        for wi, p in zip(w, points):
-            if wi == 0.0:
-                continue
-            tangent = log_map(mean, p)
-            update += wi * tangent
-            # the log map norm is the geodesic distance to p
-            t = sqrt_c * float(np.linalg.norm(tangent))
-            if t > 1e-8:
-                smoothness = max(smoothness, t / math.tanh(t))
+        tangents = log_map(mean, points, curvature)
+        update = w @ tangents
         residual = float(np.linalg.norm(update))
         if residual < tol:
             return KarcherResult(mean, residual, it, True)
-        mean = exp_map(mean, update / smoothness, ball_eps)
+        # the log map norms are the geodesic distances to the points
+        t = sqrt_c * np.linalg.norm(tangents, axis=-1)
+        t = t[t > 1e-8]
+        smoothness = float(np.max(t / np.tanh(t), initial=1.0))
+        mean = exp_map(mean, update / smoothness, curvature, ball_eps)
     return KarcherResult(mean, residual, max_iter, False)
-
-
-def karcher_objective(m: PoincarePoint, points: Sequence[PoincarePoint], weights: Sequence[float]) -> float:
-    """Weighted sum of squared geodesic distances, the quantity the mean minimizes."""
-    w = np.asarray(weights, dtype=np.float64)
-    return float(sum(wi * distance(m, p) ** 2 for wi, p in zip(w, points)))

@@ -153,22 +153,21 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             caption_set = cap.identity_captions(raw_captions)
 
     with _stage("fuse"):
-        fused_seq = None
-        euclidean_fused = None
+        fused = None
         if manifest.fusion_mode == "hyperbolic":
-            fused_seq = fusion.fuse_sequence(dataset, config)
+            fused = fusion.fuse_sequence(dataset, config)
         else:
-            euclidean_fused = fusion.fuse_sequence_euclidean(dataset, config)
+            fusion.fuse_sequence_euclidean(dataset, config)  # no scorer reads it yet
 
     with _stage("summarize"):
         audio_caps = [seg.audio_caption for seg in dataset.segments] if dataset.has_audio else None
         summaries = cap.build_summaries(
             caption_set, dataset.matrix(Modality.TEXT), audio_caps, config.window
         )
-        fused_windows = None
-        if fused_seq is not None and n > 0:
-            fused_windows = fusion.window_fused_points(
-                fused_seq.points, summaries.segment_to_window, summaries.n_windows, config
+        fused_windows, karcher_failures = None, []
+        if fused is not None and n > 0:
+            fused_windows, karcher_failures = fusion.window_fused_points(
+                fused, summaries.segment_to_window, summaries.n_windows, config
             )
 
     with _stage("score"):
@@ -188,11 +187,6 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
     with _stage("refine"):
         if manifest.refinement and summaries.n_windows > 0:
             stats = refine.fit_visual_stats(dataset.matrix(Modality.VISUAL), config.shrinkage)
-            if summaries.embeddings.dim != stats.dim:
-                raise ValidationError(
-                    f"refinement needs matching text/visual dims, got "
-                    f"{summaries.embeddings.dim} vs {stats.dim}"
-                )
             k = min(config.neighbors, summaries.n_windows)
             refined = refine.refine_scores(window_scores, summaries.embeddings, stats, k)
         else:
@@ -243,7 +237,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             "target_mass": resolve_target_mass(config.target_mass, summaries.n_windows),
         },
         "fusion": {
-            "karcher_failures": list(fused_seq.karcher_failures) if fused_seq is not None else [],
+            "karcher_failures": karcher_failures,
         },
         "metrics": eval_report.as_dict() if eval_report is not None else None,
     }

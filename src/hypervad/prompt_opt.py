@@ -224,40 +224,3 @@ def optimize_prompt(
     state = PromptState(q=q, iteration=opt_iters, loss_history=history)
     return state, scores
 
-
-def analytic_total_gradient(
-    q: np.ndarray,
-    embs: np.ndarray,
-    scorer: Scorer,
-    target_mass: float,
-    sparsity_weight: float,
-) -> np.ndarray:
-    """Closed-form gradient of the objective for gradient checking."""
-    scores = np.array([scorer.score(q, e) for e in embs])
-    coeff = loss_score_gradient(scores, target_mass, sparsity_weight)
-    grad = np.zeros_like(q)
-    for t, e in enumerate(embs):
-        grad += coeff[t] * scorer.grad_q(q, e)
-    return grad
-
-
-def finite_difference_total_gradient(
-    q: np.ndarray,
-    embs: np.ndarray,
-    scorer: Scorer,
-    target_mass: float,
-    sparsity_weight: float,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient of the objective, one loss per probe."""
-
-    def loss_at(qq: np.ndarray) -> float:
-        scores = np.array([scorer.score(qq, e) for e in embs])
-        return total_loss(scores, target_mass, sparsity_weight)
-
-    grad = np.zeros_like(q, dtype=np.float64)
-    for i in range(q.size):
-        probe = np.zeros_like(q)
-        probe[i] = step
-        grad[i] = (loss_at(q + probe) - loss_at(q - probe)) / (2.0 * step)
-    return grad

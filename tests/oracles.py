@@ -1,12 +1,18 @@
 """Independent brute-force oracles used to check the package implementations.
 
 Everything here is deliberately written as plain loops over definitions, with
-no code shared with the package paths it checks.
+no code shared with the package paths it checks. The exception is the pair
+of prompt-gradient oracles: they call the package's objective (``total_loss``)
+and its derivative in the scores (``loss_score_gradient``), because comparing
+the analytic gradient with central differences of the objective is what
+checks that derivative.
 """
 
 import math
 
 import numpy as np
+
+from hypervad.prompt_opt import loss_score_gradient, total_loss
 
 
 def cosine_argmax_oracle(frame_rows: np.ndarray, caption_rows: np.ndarray) -> np.ndarray:
@@ -96,3 +102,60 @@ def inverse_2x2(m: np.ndarray) -> np.ndarray:
     (a, b), (c, d) = m
     det = a * d - b * c
     return np.array([[d, -b], [-c, a]]) / det
+
+
+def mobius_neg(x) -> np.ndarray:
+    """Gyrogroup inverse of a ball point; on plain coordinates it is -x."""
+    return -np.asarray(x, dtype=np.float64)
+
+
+def poincare_distance(x, y, c: float) -> float:
+    """Geodesic distance from the arcosh form
+    d = arcosh(1 + 2c|x - y|^2 / ((1 - c|x|^2)(1 - c|y|^2))) / sqrt(c),
+    independent of the Mobius-addition form the package uses."""
+    diff = float(np.dot(x - y, x - y))
+    den = (1.0 - c * float(np.dot(x, x))) * (1.0 - c * float(np.dot(y, y)))
+    return math.acosh(1.0 + 2.0 * c * diff / den) / math.sqrt(c)
+
+
+def karcher_objective(m, points, weights, c: float) -> float:
+    """Weighted sum of squared geodesic distances, the quantity the mean minimizes."""
+    return float(sum(w * poincare_distance(m, p, c) ** 2 for w, p in zip(weights, points)))
+
+
+def analytic_total_gradient(
+    q: np.ndarray,
+    embs: np.ndarray,
+    scorer,
+    target_mass: float,
+    sparsity_weight: float,
+) -> np.ndarray:
+    """Closed-form gradient of the objective for gradient checking."""
+    scores = np.array([scorer.score(q, e) for e in embs])
+    coeff = loss_score_gradient(scores, target_mass, sparsity_weight)
+    grad = np.zeros_like(q)
+    for t, e in enumerate(embs):
+        grad += coeff[t] * scorer.grad_q(q, e)
+    return grad
+
+
+def finite_difference_total_gradient(
+    q: np.ndarray,
+    embs: np.ndarray,
+    scorer,
+    target_mass: float,
+    sparsity_weight: float,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference gradient of the objective, one loss per probe."""
+
+    def loss_at(qq: np.ndarray) -> float:
+        scores = np.array([scorer.score(qq, e) for e in embs])
+        return total_loss(scores, target_mass, sparsity_weight)
+
+    grad = np.zeros_like(q, dtype=np.float64)
+    for i in range(q.size):
+        probe = np.zeros_like(q)
+        probe[i] = step
+        grad[i] = (loss_at(q + probe) - loss_at(q - probe)) / (2.0 * step)
+    return grad

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from hypervad.core import Modality, PipelineConfig, validate_dataset
+from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError, validate_dataset
 from hypervad.fusion import (
-    fuse_segment,
     fuse_sequence,
     fuse_sequence_euclidean,
     prepare_tangent,
     window_fused_points,
 )
-from hypervad.hyperbolic import exp_map_origin
+from hypervad.hyperbolic import exp_map_origin, weighted_geodesic_mean
 
 from conftest import make_matrix, make_segments
 
@@ -19,8 +18,6 @@ def make_dataset(rng, n=6, dim=4, audio="all"):
     if audio in ("all", "mixed"):
         segs = make_segments(n, audio=True)
         if audio == "mixed":
-            from hypervad.core import SegmentRecord
-
             s = segs[2]
             segs[2] = SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
     embs = {
@@ -32,86 +29,112 @@ def make_dataset(rng, n=6, dim=4, audio="all"):
     return validate_dataset(segs, embs)
 
 
+def one_segment(e_vis, e_aud):
+    """A validated one-segment dataset: text row e_vis, audio row e_aud or none."""
+    e_vis = np.asarray(e_vis, dtype=np.float64)
+    embs = {
+        Modality.VISUAL: make_matrix([np.ones_like(e_vis)], Modality.VISUAL),
+        Modality.TEXT: make_matrix([e_vis], Modality.TEXT),
+    }
+    if e_aud is not None:
+        embs[Modality.AUDIO] = make_matrix([e_aud], Modality.AUDIO)
+    return validate_dataset(make_segments(1, audio=e_aud is not None), embs)
+
+
+def fuse_one(e_vis, e_aud, weights, curvature):
+    config = PipelineConfig(visual_weight=weights[0], audio_weight=weights[1], curvature=curvature)
+    return fuse_sequence(one_segment(e_vis, e_aud), config)[0]
+
+
 class TestFuseSegment:
+    """One segment through fuse_sequence."""
+
     def test_audio_absent_is_exact_exp_map(self, rng):
         e = rng.normal(size=5)
-        point, converged = fuse_segment(e, None, (0.5, 0.5), 1.0)
-        expected = exp_map_origin(prepare_tangent(e, 0.5), 1.0)
-        assert converged
-        assert np.array_equal(point.coords, expected.coords)
+        point = fuse_one(e, None, (0.5, 0.5), 1.0)
+        assert np.array_equal(point, exp_map_origin(prepare_tangent(e, 0.5), 1.0))
 
     def test_identical_modalities_collapse(self, rng):
         e = rng.normal(size=4)
-        point, converged = fuse_segment(e, e.copy(), (0.5, 0.5), 1.0)
+        point = fuse_one(e, e.copy(), (0.5, 0.5), 1.0)
         expected = exp_map_origin(prepare_tangent(e, 0.5), 1.0)
-        assert converged
-        assert np.max(np.abs(point.coords - expected.coords)) < 1e-12
+        assert np.max(np.abs(point - expected)) < 1e-12
 
     def test_symmetric_inputs_fuse_to_origin(self):
-        point, converged = fuse_segment(
-            np.array([0.4, 0.0]), np.array([-0.4, 0.0]), (0.5, 0.5), 1.0
-        )
-        assert converged
-        assert np.max(np.abs(point.coords)) < 1e-9
+        point = fuse_one(np.array([0.4, 0.0]), np.array([-0.4, 0.0]), (0.5, 0.5), 1.0)
+        assert np.max(np.abs(point)) < 1e-9
 
     def test_weight_degeneracy(self, rng):
         e_vis, e_aud = rng.normal(size=3), rng.normal(size=3)
-        point, _ = fuse_segment(e_vis, e_aud, (1.0, 0.0), 1.0)
+        point = fuse_one(e_vis, e_aud, (1.0, 0.0), 1.0)
         expected = exp_map_origin(prepare_tangent(e_vis, 0.5), 1.0)
-        assert np.max(np.abs(point.coords - expected.coords)) < 1e-10
+        assert np.max(np.abs(point - expected)) < 1e-10
 
     def test_order_independence(self, rng):
         e_vis, e_aud = rng.normal(size=4), rng.normal(size=4)
-        a, _ = fuse_segment(e_vis, e_aud, (0.3, 0.7), 1.0)
-        b, _ = fuse_segment(e_aud, e_vis, (0.7, 0.3), 1.0)
-        assert np.max(np.abs(a.coords - b.coords)) < 1e-10
+        a = fuse_one(e_vis, e_aud, (0.3, 0.7), 1.0)
+        b = fuse_one(e_aud, e_vis, (0.7, 0.3), 1.0)
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_flat_limit_matches_arithmetic_mean(self, rng):
         c = 1e-8
         for _ in range(10):
             e_vis, e_aud = rng.normal(size=4), rng.normal(size=4)
-            point, _ = fuse_segment(e_vis, e_aud, (0.5, 0.5), c)
+            point = fuse_one(e_vis, e_aud, (0.5, 0.5), c)
             mean = 0.5 * prepare_tangent(e_vis, 0.5) + 0.5 * prepare_tangent(e_aud, 0.5)
-            assert np.max(np.abs(point.coords - mean)) < 1e-5
+            assert np.max(np.abs(point - mean)) < 1e-5
 
+    def test_matches_iterated_two_point_mean(self, rng):
+        # the closed form agrees with iterating the Karcher update on the pair
+        for c in (0.1, 1.0, 4.0):
+            config = PipelineConfig(curvature=c, visual_weight=0.35, audio_weight=0.65)
+            ds = make_dataset(rng, n=20, dim=8)
+            fused = fuse_sequence(ds, config)
+            vis = exp_map_origin(prepare_tangent(ds.matrix(Modality.TEXT).data, 0.5), c)
+            aud = exp_map_origin(prepare_tangent(ds.matrix(Modality.AUDIO).data, 0.5), c)
+            for t in range(20):
+                # a third copy of the visual point keeps the mean iterative
+                pts = np.stack([vis[t], vis[t], aud[t]])
+                iterated = weighted_geodesic_mean(pts, [0.175, 0.175, 0.65], c)
+                assert iterated.iterations > 0
+                assert np.max(np.abs(fused[t] - iterated.point)) < 1e-9
+
+    # The checks that guarded the per-segment fusion now run when the
+    # dataset and the config are built, before any compute.
     def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            fuse_segment(rng.normal(size=3), rng.normal(size=4), (0.5, 0.5), 1.0)
+        with pytest.raises(ValidationError, match="audio: dimension mismatch"):
+            one_segment(rng.normal(size=3), rng.normal(size=4))
 
     def test_non_finite_input(self):
-        with pytest.raises(ValueError, match="finite"):
-            fuse_segment(np.array([np.inf, 0.0]), None, (0.5, 0.5), 1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            one_segment(np.array([np.inf, 0.0]), None)
 
-    def test_bad_weights(self, rng):
-        with pytest.raises(ValueError, match="weights"):
-            fuse_segment(rng.normal(size=3), rng.normal(size=3), (0.8, 0.8), 1.0)
+    def test_bad_weights(self):
+        with pytest.raises(ValidationError, match="weights"):
+            PipelineConfig(visual_weight=0.8, audio_weight=0.8)
 
 
 class TestFuseSequence:
     def test_all_visual_dataset_is_pointwise_exp(self, rng):
         ds = make_dataset(rng, audio="none")
-        config = PipelineConfig()
-        fused = fuse_sequence(ds, config)
+        fused = fuse_sequence(ds, PipelineConfig())
         text = ds.matrix(Modality.TEXT).data
-        for t, point in enumerate(fused.points):
-            expected = exp_map_origin(prepare_tangent(text[t], 0.5), 1.0)
-            assert np.array_equal(point.coords, expected.coords)
-            assert fused.modality_mask[t] == frozenset({Modality.VISUAL})
+        assert fused.shape == text.shape
+        for t, point in enumerate(fused):
+            assert np.array_equal(point, exp_map_origin(prepare_tangent(text[t], 0.5), 1.0))
 
     def test_mixed_dataset_per_segment_rule(self, rng):
         ds = make_dataset(rng, audio="mixed")
         fused = fuse_sequence(ds, PipelineConfig())
-        assert fused.modality_mask[2] == frozenset({Modality.VISUAL})
-        assert fused.modality_mask[0] == frozenset({Modality.VISUAL, Modality.AUDIO})
         text = ds.matrix(Modality.TEXT).data
-        expected = exp_map_origin(prepare_tangent(text[2], 0.5), 1.0)
-        assert np.array_equal(fused.points[2].coords, expected.coords)
+        unimodal = exp_map_origin(prepare_tangent(text, 0.5), 1.0)
+        assert np.array_equal(fused[2], unimodal[2])
+        others = np.arange(6) != 2
+        assert np.all(np.abs(fused[others] - unimodal[others]).max(axis=1) > 1e-6)
 
     def test_modality_deletion_invariance(self, rng):
         ds_with = make_dataset(rng, audio="all")
         embs = {m: ds_with.embeddings[m] for m in (Modality.VISUAL, Modality.TEXT)}
-        from hypervad.core import SegmentRecord
-
         segs_mono = [
             SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
             for s in ds_with.segments
@@ -120,16 +143,25 @@ class TestFuseSequence:
         config = PipelineConfig()
         mono = fuse_sequence(ds_without, config)
         text = ds_without.matrix(Modality.TEXT).data
-        for t, point in enumerate(mono.points):
+        for t, point in enumerate(mono):
             expected = exp_map_origin(prepare_tangent(text[t], config.tangent_scale), config.curvature)
-            assert np.array_equal(point.coords, expected.coords)
+            assert np.array_equal(point, expected)
 
     def test_flat_limit_sequence_matches_euclidean(self, rng):
         ds = make_dataset(rng, audio="all")
         config = PipelineConfig(curvature=1e-8)
-        hyperbolic = fuse_sequence(ds, config).coords_matrix()
+        hyperbolic = fuse_sequence(ds, config)
         euclidean = fuse_sequence_euclidean(ds, config)
         assert np.max(np.abs(hyperbolic - euclidean)) < 1e-5
+
+    def test_empty_dataset(self):
+        ds = validate_dataset([], {
+            Modality.VISUAL: make_matrix(np.zeros((0, 4)), Modality.VISUAL),
+            Modality.TEXT: make_matrix(np.zeros((0, 4)), Modality.TEXT),
+            Modality.AUDIO: make_matrix(np.zeros((0, 4)), Modality.AUDIO),
+        })
+        assert fuse_sequence(ds, PipelineConfig()).shape == (0, 4)
+        assert fuse_sequence_euclidean(ds, PipelineConfig()).shape == (0, 4)
 
 
 class TestWindowFusedPoints:
@@ -137,18 +169,30 @@ class TestWindowFusedPoints:
         ds = make_dataset(rng, n=4, audio="none")
         config = PipelineConfig(window=1)
         fused = fuse_sequence(ds, config)
-        mapping = np.arange(4)
-        points = window_fused_points(fused.points, mapping, 4, config)
-        for a, b in zip(points, fused.points):
-            assert np.array_equal(a.coords, b.coords)
+        points, failures = window_fused_points(fused, np.arange(4), 4, config)
+        assert np.array_equal(points, fused)
+        assert failures == []
 
     def test_multi_segment_window_is_geodesic_mean(self, rng):
-        ds = make_dataset(rng, n=4, audio="none")
+        ds = make_dataset(rng, n=5, audio="none")
         config = PipelineConfig(window=2)
         fused = fuse_sequence(ds, config)
-        mapping = np.array([0, 0, 1, 1])
-        points = window_fused_points(fused.points, mapping, 2, config)
-        from hypervad.hyperbolic import weighted_geodesic_mean
+        points, failures = window_fused_points(fused, np.array([0, 0, 1, 1, 1]), 2, config)
+        assert points.shape == (2, 4) and failures == []
+        for k, members in enumerate((fused[:2], fused[2:])):
+            expected = weighted_geodesic_mean(members, np.full(len(members), 1.0 / len(members)), 1.0)
+            assert np.max(np.abs(points[k] - expected.point)) < 1e-12
 
-        expected = weighted_geodesic_mean(fused.points[:2], [0.5, 0.5])
-        assert np.max(np.abs(points[0].coords - expected.point.coords)) < 1e-12
+    def test_failed_window_means_reported(self, rng):
+        ds = make_dataset(rng, n=7, audio="none")
+        config = PipelineConfig(window=3, karcher_max_iter=1)
+        fused = fuse_sequence(ds, config)
+        # windows of 3, 2 and 2 segments: only the three-point mean iterates
+        _, failures = window_fused_points(fused, np.array([0, 0, 0, 1, 1, 2, 2]), 3, config)
+        assert failures == [0]
+
+    def test_empty_window_rejected(self, rng):
+        ds = make_dataset(rng, n=2, audio="none")
+        config = PipelineConfig()
+        with pytest.raises(ValueError, match="window 1 has no member"):
+            window_fused_points(fuse_sequence(ds, config), np.array([0, 2]), 3, config)

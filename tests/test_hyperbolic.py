@@ -7,57 +7,60 @@ from hypothesis import strategies as st
 
 from hypervad.hyperbolic import (
     DEFAULT_BALL_EPS,
-    PoincarePoint,
     distance,
     exp_map,
     exp_map_origin,
-    karcher_objective,
+    geodesic_point,
     log_map,
     log_map_origin,
     mobius_add,
-    mobius_neg,
     project_to_ball,
     weighted_geodesic_mean,
 )
 
+from oracles import karcher_objective, mobius_neg, poincare_distance
+
 
 def random_point(rng, dim=3, c=1.0, radius=0.8):
     v = rng.normal(size=dim)
-    v = v / np.linalg.norm(v) * rng.uniform(0, radius) / math.sqrt(c)
-    return PoincarePoint(v, c)
+    return v / np.linalg.norm(v) * rng.uniform(0, radius) / math.sqrt(c)
+
+
+def random_points(rng, n, dim, c=1.0, radius=0.8):
+    v = rng.normal(size=(n, dim))
+    return v / np.linalg.norm(v, axis=1, keepdims=True) * rng.uniform(0, radius, size=(n, 1)) / math.sqrt(c)
 
 
 class TestExpLogOrigin:
     def test_exp_of_zero_is_origin(self):
         p = exp_map_origin(np.zeros(4), 1.0)
-        assert np.array_equal(p.coords, np.zeros(4))
+        assert np.array_equal(p, np.zeros(4))
 
     def test_exp_closed_form(self):
         # independent oracle: exp_0(v) = tanh(sqrt(c)|v|) v / (sqrt(c)|v|)
         p = exp_map_origin(np.array([0.5, 0.0]), 1.0)
-        assert p.coords[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
-        assert p.coords[1] == 0.0
-        assert p.coords[0] == pytest.approx(0.46212, abs=1e-5)
+        assert p[0] == pytest.approx(math.tanh(0.5), abs=1e-12)
+        assert p[1] == 0.0
+        assert p[0] == pytest.approx(0.46212, abs=1e-5)
 
     def test_exp_flat_limit_is_identity(self, rng):
         for _ in range(20):
             v = rng.normal(size=5)
             v = v / np.linalg.norm(v) * rng.uniform(0, 1.0)
             p = exp_map_origin(v, 1e-8)
-            assert np.max(np.abs(p.coords - v)) < 1e-6
+            assert np.max(np.abs(p - v)) < 1e-6
 
     def test_log_of_origin_is_zero(self):
-        assert np.array_equal(log_map_origin(PoincarePoint(np.zeros(3), 1.0)), np.zeros(3))
+        assert np.array_equal(log_map_origin(np.zeros(3), 1.0), np.zeros(3))
 
     def test_log_closed_form(self):
         # artanh oracle on the exp example point
-        p = PoincarePoint(np.array([math.tanh(0.5), 0.0]), 1.0)
-        v = log_map_origin(p)
+        v = log_map_origin(np.array([math.tanh(0.5), 0.0]), 1.0)
         assert v[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_roundtrip_small(self):
         v = np.array([0.3, -0.2])
-        back = log_map_origin(exp_map_origin(v, 1.0))
+        back = log_map_origin(exp_map_origin(v, 1.0), 1.0)
         assert np.max(np.abs(back - v)) < 1e-9
 
     @settings(max_examples=50, deadline=None)
@@ -71,7 +74,7 @@ class TestExpLogOrigin:
         rng = np.random.default_rng(seed)
         v = rng.normal(size=dim)
         v = v / np.linalg.norm(v) * norm / math.sqrt(c)
-        back = log_map_origin(exp_map_origin(v, c))
+        back = log_map_origin(exp_map_origin(v, c), c)
         assert np.max(np.abs(back - v)) < 1e-9
 
     def test_non_finite_input_rejected(self):
@@ -80,58 +83,52 @@ class TestExpLogOrigin:
 
     def test_boundary_point_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
-            PoincarePoint(np.array([1.0, 0.0]), 1.0)
+            log_map_origin(np.array([1.0, 0.0]), 1.0)
 
 
 class TestMobius:
     def test_right_identity(self, rng):
         x = random_point(rng)
-        zero = PoincarePoint(np.zeros(3), 1.0)
-        assert np.max(np.abs(mobius_add(x, zero).coords - x.coords)) < 1e-15
+        assert np.max(np.abs(mobius_add(x, np.zeros(3), 1.0) - x)) < 1e-15
 
     def test_left_identity(self, rng):
         y = random_point(rng)
-        zero = PoincarePoint(np.zeros(3), 1.0)
-        assert np.max(np.abs(mobius_add(zero, y).coords - y.coords)) < 1e-15
+        assert np.max(np.abs(mobius_add(np.zeros(3), y, 1.0) - y)) < 1e-15
 
     def test_left_inverse(self, rng):
-        for _ in range(50):
-            x = random_point(rng)
-            out = mobius_add(mobius_neg(x), x)
-            assert np.max(np.abs(out.coords)) < 1e-12
+        x = random_points(rng, 50, 3)
+        assert np.max(np.abs(mobius_add(mobius_neg(x), x, 1.0))) < 1e-12
 
-    def test_mismatched_curvature(self, rng):
-        x = random_point(rng, c=1.0)
-        y = random_point(rng, c=2.0)
-        with pytest.raises(ValueError, match="curvature"):
-            mobius_add(x, y)
+    def test_rejects_non_positive_curvature(self, rng):
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError, match="curvature"):
+                exp_map_origin(random_point(rng), c)
+            with pytest.raises(ValueError, match="curvature"):
+                weighted_geodesic_mean(random_points(rng, 3, 3), np.ones(3), c)
 
     def test_mismatched_dim(self, rng):
-        with pytest.raises(ValueError, match="dimension"):
-            mobius_add(random_point(rng, dim=2), random_point(rng, dim=3))
+        with pytest.raises(ValueError, match="broadcast"):
+            mobius_add(random_point(rng, dim=2), random_point(rng, dim=3), 1.0)
 
 
 class TestDistance:
     def test_zero_at_identical(self, rng):
         x = random_point(rng)
-        assert distance(x, x) == 0.0
+        assert distance(x, x, 1.0) == 0.0
 
     def test_scalar_closed_form(self):
         # 1-D oracle: d(0, y) = (2/sqrt(c)) artanh(sqrt(c) y)
-        x = PoincarePoint(np.array([0.0]), 1.0)
-        y = PoincarePoint(np.array([0.5]), 1.0)
-        assert distance(x, y) == pytest.approx(2.0 * math.atanh(0.5), abs=1e-12)
-        assert distance(x, y) == pytest.approx(1.09861, abs=1e-5)
+        d = distance(np.array([0.0]), np.array([0.5]), 1.0)
+        assert d == pytest.approx(2.0 * math.atanh(0.5), abs=1e-12)
+        assert d == pytest.approx(1.09861, abs=1e-5)
 
     def test_symmetry(self, rng):
-        for _ in range(100):
-            x, y = random_point(rng), random_point(rng)
-            assert distance(x, y) == pytest.approx(distance(y, x), abs=1e-12)
+        x, y = random_points(rng, 100, 3), random_points(rng, 100, 3)
+        assert np.max(np.abs(distance(x, y, 1.0) - distance(y, x, 1.0))) < 1e-12
 
     def test_triangle_inequality(self, rng):
-        for _ in range(500):
-            x, y, z = (random_point(rng, c=1.3, radius=0.95) for _ in range(3))
-            assert distance(x, z) <= distance(x, y) + distance(y, z) + 1e-9
+        x, y, z = (random_points(rng, 500, 3, c=1.3, radius=0.95) for _ in range(3))
+        assert np.all(distance(x, z, 1.3) <= distance(x, y, 1.3) + distance(y, z, 1.3) + 1e-9)
 
     def test_flat_limit_matches_scaled_euclidean(self, rng):
         c = 1e-8
@@ -140,9 +137,16 @@ class TestDistance:
             a = a / np.linalg.norm(a) * rng.uniform(0.01, 0.1)
             b = rng.normal(size=4)
             b = b / np.linalg.norm(b) * rng.uniform(0.01, 0.1)
-            d = distance(PoincarePoint(a, c), PoincarePoint(b, c))
+            d = distance(a, b, c)
             euclid = 2.0 * np.linalg.norm(a - b)
             assert abs(d - euclid) / euclid < 1e-4
+
+    def test_matches_arcosh_oracle(self, rng):
+        for c in (0.1, 1.0, 4.0):
+            x, y = random_points(rng, 20, 5, c=c), random_points(rng, 20, 5, c=c)
+            batched = distance(x, y, c)
+            for i in range(20):
+                assert batched[i] == pytest.approx(poincare_distance(x[i], y[i], c), rel=1e-9)
 
 
 class TestBallContainment:
@@ -152,99 +156,152 @@ class TestBallContainment:
 
     def test_ops_stay_inside(self, rng):
         c = 2.0
-        for _ in range(50):
-            x = random_point(rng, c=c, radius=0.999)
-            y = random_point(rng, c=c, radius=0.999)
-            for p in (mobius_add(x, y), exp_map(x, rng.normal(size=3) * 3)):
-                assert math.sqrt(c) * np.linalg.norm(p.coords) <= 1.0 - DEFAULT_BALL_EPS + 1e-12
+        x = random_points(rng, 50, 3, c=c, radius=0.999)
+        y = random_points(rng, 50, 3, c=c, radius=0.999)
+        for p in (mobius_add(x, y, c), exp_map(x, rng.normal(size=(50, 3)) * 3, c)):
+            assert np.all(math.sqrt(c) * np.linalg.norm(p, axis=1) <= 1.0 - DEFAULT_BALL_EPS + 1e-12)
 
     def test_exp_of_huge_tangent_projected(self):
         p = exp_map_origin(np.array([50.0, 0.0]), 1.0)
-        assert np.linalg.norm(p.coords) <= 1.0 - DEFAULT_BALL_EPS + 1e-15
+        assert np.linalg.norm(p) <= 1.0 - DEFAULT_BALL_EPS + 1e-15
 
 
 class TestExpLogBasepoint:
     def test_roundtrip_at_basepoint(self, rng):
-        for _ in range(30):
-            base = random_point(rng, dim=4, radius=0.7)
-            target = random_point(rng, dim=4, radius=0.7)
-            v = log_map(base, target)
-            back = exp_map(base, v)
-            assert np.max(np.abs(back.coords - target.coords)) < 1e-10
+        base = random_points(rng, 30, 4, radius=0.7)
+        target = random_points(rng, 30, 4, radius=0.7)
+        back = exp_map(base, log_map(base, target, 1.0), 1.0)
+        assert np.max(np.abs(back - target)) < 1e-10
 
     def test_log_at_self_is_zero(self, rng):
         base = random_point(rng)
-        assert np.max(np.abs(log_map(base, base))) < 1e-15
+        assert np.max(np.abs(log_map(base, base, 1.0))) < 1e-15
+
+
+class TestBatchedRows:
+    """A row of a batched call is bit-identical to the call on that row alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.sampled_from([1, 2, 3, 8, 16, 64, 512]),
+        c=st.sampled_from([0.1, 1.0, 4.0]),
+        seed=st.integers(0, 2**31),
+    )
+    def test_rows_match_single_calls(self, n, dim, c, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=(n, dim)) * rng.uniform(0.0, 3.0, size=(n, 1))
+        v[rng.random(n) < 0.1] = 0.0  # zero tangents take their own branch
+        base = random_points(rng, n, dim, c=c)
+        target = random_points(rng, n, dim, c=c)
+        batched = {
+            "exp_map_origin": exp_map_origin(v, c),
+            "log_map": log_map(base, target, c),
+            "exp_map": exp_map(base, v, c),
+        }
+        for i in range(n):
+            assert np.array_equal(batched["exp_map_origin"][i], exp_map_origin(v[i], c))
+            assert np.array_equal(batched["log_map"][i], log_map(base[i], target[i], c))
+            assert np.array_equal(batched["exp_map"][i], exp_map(base[i], v[i], c))
 
 
 class TestKarcherMean:
     def test_single_point(self, rng):
         x = random_point(rng)
-        result = weighted_geodesic_mean([x], [1.0])
+        result = weighted_geodesic_mean([x], [1.0], 1.0)
         assert result.converged
-        assert np.array_equal(result.point.coords, x.coords)
+        assert np.array_equal(result.point, x)
 
     def test_identical_points_any_weights(self, rng):
         x = random_point(rng)
-        result = weighted_geodesic_mean([x, x, x], [0.2, 0.5, 0.3])
+        result = weighted_geodesic_mean([x, x, x], [0.2, 0.5, 0.3], 1.0)
         assert result.converged
-        assert np.max(np.abs(result.point.coords - x.coords)) < 1e-12
+        assert np.max(np.abs(result.point - x)) < 1e-12
 
     def test_symmetric_pair_mean_at_origin(self, rng):
         for _ in range(10):
             x = random_point(rng, dim=5)
-            result = weighted_geodesic_mean([x, mobius_neg(x)], [0.5, 0.5])
+            result = weighted_geodesic_mean([x, mobius_neg(x)], [0.5, 0.5], 1.0)
             assert result.converged
-            assert np.max(np.abs(result.point.coords)) < 1e-9
-            assert distance(result.point, x) == pytest.approx(
-                distance(result.point, mobius_neg(x)), abs=1e-9
+            assert np.max(np.abs(result.point)) < 1e-9
+            assert distance(result.point, x, 1.0) == pytest.approx(
+                distance(result.point, mobius_neg(x), 1.0), abs=1e-9
             )
 
     def test_weight_degeneracy(self, rng):
         x, y = random_point(rng), random_point(rng)
-        result = weighted_geodesic_mean([x, y], [1.0, 0.0])
+        result = weighted_geodesic_mean([x, y], [1.0, 0.0], 1.0)
         assert result.converged
-        assert np.array_equal(result.point.coords, x.coords)
+        assert np.array_equal(result.point, x)
 
     def test_flat_limit_matches_euclidean_weighted_mean(self, rng):
         c = 1e-8
         for _ in range(10):
-            pts = [PoincarePoint(rng.uniform(-0.3, 0.3, size=3), c) for _ in range(4)]
+            pts = rng.uniform(-0.3, 0.3, size=(4, 3))
             w = rng.uniform(0.1, 1.0, size=4)
-            result = weighted_geodesic_mean(pts, w)
-            euclid = (w / w.sum()) @ np.stack([p.coords for p in pts])
-            assert np.max(np.abs(result.point.coords - euclid)) < 1e-5
+            result = weighted_geodesic_mean(pts, w, c)
+            euclid = (w / w.sum()) @ pts
+            assert np.max(np.abs(result.point - euclid)) < 1e-5
 
     def test_local_minimum_perturbation(self, rng):
         tol = 1e-10
         for _ in range(20):
             n, dim = int(rng.integers(2, 8)), int(rng.integers(2, 16))
-            pts = [random_point(rng, dim=dim, radius=0.9) for _ in range(n)]
+            pts = random_points(rng, n, dim, radius=0.9)
             w = rng.uniform(0.1, 1.0, size=n)
-            result = weighted_geodesic_mean(pts, w, tol=tol)
+            result = weighted_geodesic_mean(pts, w, 1.0, tol=tol)
             assert result.converged
-            base = karcher_objective(result.point, pts, w)
+            base = karcher_objective(result.point, pts, w, 1.0)
             for _ in range(5):
                 noise = rng.normal(size=dim)
                 noise = noise / np.linalg.norm(noise) * (10 * tol)
-                perturbed = exp_map(result.point, noise)
-                assert karcher_objective(perturbed, pts, w) >= base - 1e-9
+                perturbed = exp_map(result.point, noise, 1.0)
+                assert karcher_objective(perturbed, pts, w, 1.0) >= base - 1e-9
+
+    def test_two_points_first_order_condition(self, rng):
+        # the closed form zeroes the Riemannian gradient without iterating
+        for c in (0.1, 1.0, 4.0):
+            for _ in range(50):
+                dim = int(rng.integers(1, 33))
+                x, y = random_point(rng, dim, c, 0.95), random_point(rng, dim, c, 0.95)
+                w = rng.uniform(0.05, 1.0, size=2)
+                result = weighted_geodesic_mean([x, y], w, c)
+                assert result.converged and result.iterations == 0
+                grad = w[0] * log_map(result.point, x, c) + w[1] * log_map(result.point, y, c)
+                assert np.linalg.norm(grad) < 1e-9
+
+    def test_two_points_is_geodesic_point(self, rng):
+        x, y = random_points(rng, 2, 6, radius=0.9)
+        result = weighted_geodesic_mean([x, y], [0.25, 0.75], 1.0)
+        assert np.array_equal(result.point, geodesic_point(x, y, 0.75, 1.0))
+        swapped = weighted_geodesic_mean([y, x], [0.75, 0.25], 1.0)
+        assert np.max(np.abs(swapped.point - result.point)) < 1e-12
+
+    def test_zero_weight_points_dropped(self, rng):
+        pts = random_points(rng, 3, 4, radius=0.9)
+        result = weighted_geodesic_mean(pts, [0.5, 0.0, 0.5], 1.0)
+        assert result.iterations == 0
+        assert np.array_equal(result.point, weighted_geodesic_mean(pts[[0, 2]], [0.5, 0.5], 1.0).point)
 
     def test_non_convergence_flagged(self, rng):
-        pts = [random_point(rng, radius=0.9) for _ in range(5)]
-        result = weighted_geodesic_mean(pts, np.ones(5), tol=1e-16, max_iter=1)
+        pts = random_points(rng, 5, 3, radius=0.9)
+        result = weighted_geodesic_mean(pts, np.ones(5), 1.0, tol=1e-16, max_iter=1)
         assert not result.converged
         assert result.residual > 0
+        assert type(result.iterations) is int and type(result.converged) is bool
 
     def test_rejects_bad_weights(self, rng):
         x = random_point(rng)
         with pytest.raises(ValueError, match="non-negative"):
-            weighted_geodesic_mean([x, x], [0.5, -0.5])
+            weighted_geodesic_mean([x, x], [0.5, -0.5], 1.0)
         with pytest.raises(ValueError, match="positive"):
-            weighted_geodesic_mean([x, x], [0.0, 0.0])
+            weighted_geodesic_mean([x, x], [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="at least one"):
-            weighted_geodesic_mean([], [])
+            weighted_geodesic_mean([], [], 1.0)
 
-    def test_rejects_mixed_curvature(self, rng):
-        with pytest.raises(ValueError, match="curvature"):
-            weighted_geodesic_mean([random_point(rng, c=1.0), random_point(rng, c=2.0)], [0.5, 0.5])
+    def test_rejects_points_outside_ball(self, rng):
+        x = random_point(rng)
+        with pytest.raises(ValueError, match="boundary"):
+            weighted_geodesic_mean([x, np.array([1.0, 0.0, 0.0])], [0.5, 0.5], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            weighted_geodesic_mean([x, np.array([np.nan, 0.0, 0.0])], [0.5, 0.5], 1.0)

@@ -70,7 +70,7 @@ class TestRunPipeline:
 
         dataset, _ = load_dataset(manifest_for(synth_dir, tmp_path / "x"))
         config = PipelineConfig(curvature=1e-8)
-        hyp = fuse_sequence(dataset, config).coords_matrix()
+        hyp = fuse_sequence(dataset, config)
         euc = fuse_sequence_euclidean(dataset, config)
         assert np.max(np.abs(hyp - euc)) < 1e-5
 
@@ -89,8 +89,8 @@ class TestRunPipeline:
         assert not out.exists()
 
     def test_refinement_dim_mismatch_aborts(self, synth_dir, tmp_path, rng):
-        # text embeddings of a different dim than visual: fusion works but
-        # refinement must fail with a clear error
+        # text embeddings of a different dim than visual: refinement could
+        # not compare them, so loading rejects the dataset before any stage
         from hypervad.core import EmbeddingMatrix
         from hypervad.dataio import write_embeddings
 
@@ -99,9 +99,19 @@ class TestRunPipeline:
         m = manifest_for(
             synth_dir, tmp_path / "mm", text_path=alt, audio_path=None, cleaning=False
         )
-        with pytest.raises(ValidationError, match="matching text/visual dims"):
+        with pytest.raises(ValidationError, match="visual: dimension mismatch"):
             run_pipeline(m)
-        assert not (tmp_path / "mm" / "scores.csv").exists()
+        assert not (tmp_path / "mm").exists()
+
+    def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path):
+        # 40 segments in windows of 3: windows 0-12 hold three segments and
+        # iterate, window 13 holds one and passes its point through
+        config = PipelineConfig(seed=5, window=3, karcher_max_iter=1)
+        result = run_pipeline(manifest_for(synth_dir, tmp_path / "k", config=config))
+        assert result.report["fusion"]["karcher_failures"] == list(range(13))
+        config = PipelineConfig(seed=5, window=3)
+        converged = run_pipeline(manifest_for(synth_dir, tmp_path / "k2", config=config))
+        assert converged.report["fusion"]["karcher_failures"] == []
 
     def test_report_toggle_labels(self, synth_dir, tmp_path):
         result = run_pipeline(
@@ -189,6 +199,29 @@ class TestCli:
                     "--text", str(data / "visual.emb"),  # wrong modality tag
                     "--captions", str(data / "captions.jsonl")])
         assert bad == 1
+
+    @pytest.mark.parametrize("modality", ["visual", "audio"])
+    def test_validate_rejects_dim_mismatch_with_text(self, tmp_path, capsys, modality):
+        # a mismatch against the text dim used to pass validate and fail
+        # only inside run (refine for visual, fuse for audio)
+        from hypervad.core import EmbeddingMatrix
+        from hypervad.dataio import write_embeddings
+
+        data = tmp_path / "data"
+        main(self._synth_args(data) + ["--with-audio"])
+        alt = tmp_path / f"{modality}8.emb"
+        rows = np.random.default_rng(0).normal(size=(20, 8))
+        write_embeddings(alt, EmbeddingMatrix(rows, Modality(modality)))
+        paths = {"visual": data / "visual.emb", "audio": data / "audio.emb", modality: alt}
+        inputs = ["--visual", str(paths["visual"]), "--text", str(data / "text.emb"),
+                  "--audio", str(paths["audio"]), "--captions", str(data / "captions.jsonl")]
+        capsys.readouterr()
+        assert main(["validate"] + inputs) == 1
+        err = capsys.readouterr().err
+        assert f"{modality}: dimension mismatch, rows have dim 8 but text rows have dim 6" in err
+        out = tmp_path / "run"
+        assert main(["run"] + inputs + ["--no-clean", "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_run_missing_file_exit_1_no_outputs(self, tmp_path):
         data = tmp_path / "data"

@@ -11,13 +11,13 @@ from hypervad.prompt_opt import (
     EPS_P,
     PromptState,
     StubScorer,
-    analytic_total_gradient,
     binary_entropy,
-    finite_difference_total_gradient,
     optimize_prompt,
     resolve_target_mass,
     total_loss,
 )
+
+from oracles import analytic_total_gradient, finite_difference_total_gradient
 
 
 def make_summaries(embs: np.ndarray) -> SummarySet:
