@@ -1,9 +1,10 @@
-"""Frame-level evaluation: score expansion, rank-based AUC-ROC, and AP.
+"""Frame-level evaluation: score expansion, AUC-ROC, and AP.
 
-AUC uses the Mann-Whitney statistic with ties contributing half credit; AP
-sweeps descending-score thresholds with tied scores grouped into a single
-step. Metrics are reported as explicitly undefined when a class is missing,
-never defaulted to 0 or NaN.
+Both read one descending-score threshold sweep, tied scores grouped into a
+single step: AUC is its trapezoidal ROC area, the Mann-Whitney statistic with
+ties at half credit; AP sums precision times the recall gained per step.
+Metrics are reported as explicitly undefined when a class is missing, never
+defaulted to 0 or NaN.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class UndefinedMetricError(ValueError):
@@ -78,20 +78,32 @@ def _check_binary(scores, labels):
     return scores, labels.astype(np.int64)
 
 
-def auc_roc(scores, labels) -> float:
-    """Rank-based AUC: P(score+ > score-) + 0.5 * P(score+ = score-).
+def _threshold_sweep(scores: np.ndarray, labels: np.ndarray):
+    """Cumulative (tp, fp) counts of frames scoring at or above each distinct
+    score, highest first: each step ends at the last of a tied-score group."""
+    order = np.argsort(-scores, kind="stable")
+    sorted_labels = labels[order]
+    tp = np.cumsum(sorted_labels)
+    fp = np.cumsum(1 - sorted_labels)
+    idx = np.append(np.nonzero(np.diff(scores[order]))[0], scores.size - 1)
+    return tp[idx], fp[idx]
 
-    Computed from average ranks, which reproduces the pairwise tie-aware
-    statistic exactly.
+
+def auc_roc(scores, labels) -> float:
+    """Tie-aware AUC: P(score+ > score-) + 0.5 * P(score+ = score-).
+
+    Twice the trapezoidal ROC area over the threshold steps is the integer
+    2U = sum_k (fp_k - fp_{k-1}) (tp_k + tp_{k-1}); one correctly rounded
+    division by 2 n_pos n_neg makes it equal the pairwise statistic exactly.
     """
     scores, labels = _check_binary(scores, labels)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC-ROC needs both classes present")
-    ranks = rankdata(scores, method="average")
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    tp, fp = _threshold_sweep(scores, labels)
+    two_u = int(np.dot(np.diff(fp, prepend=0), tp + np.append(0, tp[:-1])))
+    return two_u / (2 * n_pos * n_neg)
 
 
 def average_precision(scores, labels) -> float:
@@ -100,25 +112,17 @@ def average_precision(scores, labels) -> float:
     n_pos = int(labels.sum())
     if n_pos == 0:
         raise UndefinedMetricError("average precision needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(1 - sorted_labels)
-    # last position of each tied-score group marks one threshold step
-    boundaries = np.nonzero(np.diff(sorted_scores))[0]
-    idx = np.concatenate([boundaries, [scores.size - 1]])
-    precision = tp[idx] / (tp[idx] + fp[idx])
-    recall = tp[idx] / n_pos
+    tp, fp = _threshold_sweep(scores, labels)
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
     prev_recall = np.concatenate([[0.0], recall[:-1]])
     return float(((recall - prev_recall) * precision).sum())
 
 
 def build_report(scores, labels) -> EvalReport:
     """Evaluate both metrics, flagging undefined states instead of raising."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    n_pos = int((labels == 1).sum()) if labels.size else 0
+    scores, labels = _check_binary(scores, labels)
+    n_pos = int(labels.sum())
     try:
         auc = auc_roc(scores, labels)
         ap = average_precision(scores, labels)

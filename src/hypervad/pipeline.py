@@ -9,6 +9,7 @@ audio present or absent (driven by the manifest), stub vs remote scorer.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -118,19 +119,16 @@ class RunResult:
     out_dir: Path
 
 
+@contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: re-raise anything as StageError."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, (StageError, ValidationError)):
-                raise StageError(name, str(exc)) from exc
-            return False
-
-    return _Ctx()
+    """Run one stage; any failure other than StageError or ValidationError
+    is re-raised as StageError(name, ...) chained from the original."""
+    try:
+        yield
+    except (StageError, ValidationError):
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def run_pipeline(manifest: RunManifest) -> RunResult:

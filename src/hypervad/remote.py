@@ -43,9 +43,8 @@ class RemoteScorer:
         last_error = None
         for _ in range(self.retries + 1):
             try:
+                # urlopen raises HTTPError for every final non-2xx status
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    if not 200 <= response.status < 300:
-                        raise TransportError(f"scorer endpoint {url} returned status {response.status}")
                     raw = response.read().decode("utf-8")
                 try:
                     return json.loads(raw)

@@ -11,6 +11,7 @@ checks that derivative.
 import math
 
 import numpy as np
+from scipy.stats import rankdata
 
 from hypervad.prompt_opt import loss_score_gradient, total_loss
 
@@ -76,6 +77,17 @@ def auc_pairwise_oracle(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def auc_rank_sum_oracle(scores, labels) -> float:
+    """Mann-Whitney from the positives' sum of average ranks, independent of
+    the package's threshold sweep; exact while rank sums stay below 2**52."""
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    n_neg = labels.size - n_pos
+    ranks = rankdata(np.asarray(scores, dtype=np.float64), method="average")
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def ap_sweep_oracle(scores, labels) -> float:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from hypervad.evaluate import (
 )
 
 from conftest import make_segments
-from oracles import ap_sweep_oracle, auc_pairwise_oracle
+from oracles import ap_sweep_oracle, auc_pairwise_oracle, auc_rank_sum_oracle
 
 
 class TestExpandToFrames:
@@ -61,6 +64,25 @@ class TestAucRoc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             assert auc_roc(scores, labels) == auc_pairwise_oracle(scores, labels)
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_matches_rank_sum_oracle_exactly_tie_heavy(self, rng, n):
+        scores = rng.choice([0.1, 0.25, 0.5, 0.8, 0.9], size=n)
+        labels = rng.integers(0, 2, size=n)
+        labels[0], labels[1] = 0, 1
+        assert auc_roc(scores, labels) == auc_rank_sum_oracle(scores, labels)
+
+    def test_matches_rank_sum_oracle_all_tied(self, rng):
+        scores = np.full(1000, 0.3)
+        labels = rng.integers(0, 2, size=1000)
+        labels[0], labels[1] = 0, 1
+        assert auc_roc(scores, labels) == auc_rank_sum_oracle(scores, labels) == 0.5
+
+    def test_matches_rank_sum_oracle_single_positive(self, rng):
+        scores = rng.choice([0.2, 0.4, 0.6], size=500)
+        labels = np.zeros(500, dtype=int)
+        labels[17] = 1
+        assert auc_roc(scores, labels) == auc_rank_sum_oracle(scores, labels)
 
     def test_monotone_transform_invariance(self, rng):
         scores = rng.uniform(size=40)
@@ -134,6 +156,16 @@ class TestBuildReport:
         assert not report.defined
         assert report.frame_count == 0
 
+    def test_fractional_labels_rejected(self):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            build_report([0.2, 0.8, 0.6], [0.5, 1.0, 1.9])
+
     def test_as_dict_round(self):
         d = build_report([0.9, 0.1], [1, 0]).as_dict()
         assert d["defined"] is True and d["auc_roc"] == 1.0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, hypervad; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

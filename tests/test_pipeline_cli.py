@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hypervad.cli import main
-from hypervad.core import Modality, PipelineConfig, ValidationError
+from hypervad.core import Modality, PipelineConfig, StageError, ValidationError
 from hypervad.dataio import read_embeddings
 from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline
 from hypervad.prompt_opt import StubScorer
@@ -102,6 +102,20 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="visual: dimension mismatch"):
             run_pipeline(m)
         assert not (tmp_path / "mm").exists()
+
+    def test_stage_failure_names_stage_no_outputs(self, synth_dir, tmp_path, monkeypatch):
+        from hypervad import refine
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(refine, "refine_scores", broken)
+        out = tmp_path / "broken"
+        with pytest.raises(StageError, match="injected") as info:
+            run_pipeline(manifest_for(synth_dir, out))
+        assert info.value.stage == "refine"
+        assert isinstance(info.value.__cause__, ValueError)
+        assert not (out / "scores.csv").exists()
 
     def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path):
         # 40 segments in windows of 3: windows 0-12 hold three segments and
