@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -155,6 +156,8 @@ def read_scores(path) -> np.ndarray:
                 frame, score = int(row[0]), float(row[1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad field: {exc}") from exc
+            if not math.isfinite(score):
+                raise ValidationError(f"{path}:{lineno}: score must be finite, got {row[1]!r}")
             if frame != len(scores):
                 raise ValidationError(f"{path}:{lineno}: frames must be contiguous from 0")
             scores.append(score)

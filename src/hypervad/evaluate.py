@@ -75,6 +75,8 @@ def _check_binary(scores, labels):
         raise ValueError(f"scores and labels must be equal-length vectors, got {scores.shape} vs {labels.shape}")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     return scores, labels.astype(np.int64)
 
 

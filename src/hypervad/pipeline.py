@@ -183,9 +183,10 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         )
 
     with _stage("refine"):
-        if manifest.refinement and summaries.n_windows > 0:
+        # With one neighbour (self) the weighted mean is the score itself.
+        k = min(config.neighbors, summaries.n_windows)
+        if manifest.refinement and k > 1:
             stats = refine.fit_visual_stats(dataset.matrix(Modality.VISUAL), config.shrinkage)
-            k = min(config.neighbors, summaries.n_windows)
             refined = refine.refine_scores(window_scores, summaries.embeddings, stats, k)
         else:
             refined = np.asarray(window_scores, dtype=np.float64)

@@ -3,7 +3,8 @@
 Fits mean and shrunk covariance of the visual embedding distribution, scores
 each summary's visual plausibility as exp(-Mahalanobis distance), and smooths
 anomaly scores by plausibility-weighted aggregation over cosine nearest
-neighbors in text-embedding space.
+neighbors in text-embedding space. The precision matrix comes from
+numpy.linalg alone: a Cholesky factor and two triangular solves.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import EmbeddingMatrix
 
@@ -50,8 +50,9 @@ def fit_visual_stats(visual_embs: EmbeddingMatrix, shrinkage: float) -> VisualSt
     """Column mean plus precision of the shrunk unbiased sample covariance.
 
     Sigma = (1 - s) * Sigma_sample + s * (tr(Sigma_sample) / d) * I.
-    The precision comes from a Cholesky factorization, which also certifies
-    positive definiteness; failure reports the smallest eigenvalue.
+    The precision comes from the Cholesky factor L = cholesky(Sigma), which
+    also certifies positive definiteness (failure reports the smallest
+    eigenvalue), by the two solves LAPACK potrs runs: L Y = I, then L^T P = Y.
     """
     if not 0.0 <= shrinkage <= 1.0:
         raise ValueError(f"shrinkage must lie in [0, 1], got {shrinkage}")
@@ -65,14 +66,14 @@ def fit_visual_stats(visual_embs: EmbeddingMatrix, shrinkage: float) -> VisualSt
     target = (np.trace(sample_cov) / d) * np.eye(d)
     cov = (1.0 - shrinkage) * sample_cov + shrinkage * target
     try:
-        factor = cho_factor(cov, lower=True)
+        L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         smallest = float(np.linalg.eigvalsh(cov)[0])
         raise ValueError(
             f"covariance not positive definite even after shrinkage {shrinkage} "
             f"(smallest eigenvalue ~ {smallest:.3e})"
         ) from exc
-    precision = cho_solve(factor, np.eye(d))
+    precision = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(d)))
     precision = (precision + precision.T) / 2.0
     return VisualStats(mean=mean, precision=precision, shrinkage=shrinkage, sample_count=n)
 

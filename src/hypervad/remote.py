@@ -103,7 +103,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             emb = np.asarray(payload["summary_embedding"], dtype=np.float64)
             text = payload.get("summary_text", "")
             score = self.scorer.score(q, emb, text=text)
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: body not an object
             self.send_error(400, f"bad request: {exc}")
             return
         body = json.dumps({"score": score}).encode("utf-8")

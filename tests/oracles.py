@@ -11,6 +11,7 @@ checks that derivative.
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
 from hypervad.prompt_opt import loss_score_gradient, total_loss
@@ -107,6 +108,16 @@ def ap_sweep_oracle(scores, labels) -> float:
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def shrunk_precision_oracle(rows: np.ndarray, shrinkage: float) -> np.ndarray:
+    """Precision of the shrunk covariance (1 - s) S + s (tr S / d) I, with S
+    from ``np.cov`` and the inverse from scipy's ``cho_factor``/``cho_solve``."""
+    sample = np.cov(rows, rowvar=False, ddof=1)
+    d = sample.shape[0]
+    cov = (1.0 - shrinkage) * sample + shrinkage * (np.trace(sample) / d) * np.eye(d)
+    precision = cho_solve(cho_factor(cov, lower=True), np.eye(d))
+    return (precision + precision.T) / 2.0
 
 
 def inverse_2x2(m: np.ndarray) -> np.ndarray:

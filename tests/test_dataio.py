@@ -127,6 +127,13 @@ class TestLabelScoreCsv:
         with pytest.raises(ValidationError, match="contiguous"):
             read_labels(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_scores_reject_non_finite(self, tmp_path, bad):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"frame,score\n0,0.5\n1,{bad}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="scores.csv:3: score must be finite"):
+            read_scores(path)
+
     def test_scores_roundtrip_full_precision(self, tmp_path):
         path = tmp_path / "scores.csv"
         values = [0.1, 1 / 3, 0.9999999999999999, 0.0]

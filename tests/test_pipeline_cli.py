@@ -237,6 +237,19 @@ class TestCli:
         assert main(["run"] + inputs + ["--no-clean", "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_one_segment_runs_refinement_as_identity(self, tmp_path):
+        # k = min(neighbors, 1 window) = 1: refinement must not try to fit
+        # a covariance to a single visual row
+        data = tmp_path / "data"
+        assert main(self._synth_args(data, n=1)) == 0
+        inputs = ["--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                  "--captions", str(data / "captions.jsonl")]
+        assert main(["validate"] + inputs) == 0
+        assert main(["run"] + inputs + ["--out", str(tmp_path / "refined")]) == 0
+        assert main(["run"] + inputs + ["--no-refine", "--out", str(tmp_path / "plain")]) == 0
+        refined = (tmp_path / "refined" / "scores.csv").read_bytes()
+        assert refined == (tmp_path / "plain" / "scores.csv").read_bytes()
+
     def test_run_missing_file_exit_1_no_outputs(self, tmp_path):
         data = tmp_path / "data"
         main(self._synth_args(data))
@@ -257,6 +270,15 @@ class TestCli:
         write_labels(tmp_path / "l.csv", [0, 0])
         assert main(["eval", "--scores", str(tmp_path / "s.csv"),
                      "--labels", str(tmp_path / "l.csv")]) == 3
+
+    def test_eval_non_finite_scores_exit_1(self, tmp_path, capsys):
+        from hypervad.dataio import write_labels
+
+        (tmp_path / "s.csv").write_text("frame,score\n0,0.9\n1,nan\n2,0.1\n", encoding="utf-8")
+        write_labels(tmp_path / "l.csv", [1, 1, 0])
+        assert main(["eval", "--scores", str(tmp_path / "s.csv"),
+                     "--labels", str(tmp_path / "l.csv")]) == 1
+        assert "s.csv:3: score must be finite" in capsys.readouterr().err
 
     def test_synth_empty_dataset_valid(self, tmp_path, capsys):
         out = tmp_path / "empty"

@@ -7,7 +7,7 @@ from hypervad.core import Modality
 from hypervad.refine import VisualStats, fit_visual_stats, mahalanobis, neighbor_sets, refine_scores
 
 from conftest import make_matrix
-from oracles import inverse_2x2, knn_refine_oracle
+from oracles import inverse_2x2, knn_refine_oracle, shrunk_precision_oracle
 
 
 def identity_stats(dim):
@@ -39,6 +39,14 @@ class TestFitVisualStats:
         stats = fit_visual_stats(make_matrix(X), shrinkage=0.0)
         textbook = np.cov(X, rowvar=False, ddof=1)
         assert np.max(np.abs(np.linalg.inv(stats.precision) - textbook)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 4, 16])
+    @pytest.mark.parametrize("shrinkage", [0.1, 1.0])
+    def test_precision_matches_scipy_cholesky_oracle(self, rng, d, shrinkage):
+        X = rng.normal(size=(10 * d, d)) @ rng.normal(size=(d, d))
+        oracle = shrunk_precision_oracle(X, shrinkage)
+        precision = fit_visual_stats(make_matrix(X), shrinkage).precision
+        assert np.max(np.abs(precision - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -1,5 +1,7 @@
 import json
 import threading
+import urllib.error
+import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -52,6 +54,19 @@ class TestLoopbackConformance:
             for _ in range(20):
                 q, s = rng.normal(size=6), rng.normal(size=4)
                 assert abs(remote.score(q, s, text="t") - stub.score(q, s)) < 1e-9
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"x"'])
+    def test_non_object_body_is_400(self, body):
+        stub = StubScorer(2, 2, seed=0)
+        with LoopbackScorerServer(stub) as server:
+            request = urllib.request.Request(
+                f"{server.endpoint}/score", data=body,
+                headers={"Content-Type": "application/json"}, method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5)
+            excinfo.value.close()
+            assert excinfo.value.code == 400
 
     def test_fd_gradient_matches_analytic(self, rng):
         stub = StubScorer(5, 3, seed=7)
