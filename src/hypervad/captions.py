@@ -68,7 +68,8 @@ class SummarySet:
         return len(self.texts)
 
 
-def _normalize_rows(data: np.ndarray):
+def normalize_rows(data: np.ndarray):
+    """Rows scaled to unit length, plus the mask of zero rows (left as zeros)."""
     norms = np.linalg.norm(data, axis=1)
     zero = norms == 0.0
     safe = np.where(zero, 1.0, norms)
@@ -91,8 +92,8 @@ def clean_caption_indices(frame_embs: EmbeddingMatrix, caption_embs: EmbeddingMa
     if n == 0:
         return np.zeros(0, dtype=np.int64), ()
 
-    f_unit, f_zero = _normalize_rows(frame_embs.data)
-    c_unit, c_zero = _normalize_rows(caption_embs.data)
+    f_unit, f_zero = normalize_rows(frame_embs.data)
+    c_unit, c_zero = normalize_rows(caption_embs.data)
     sim = f_unit @ c_unit.T
     sim[f_zero, :] = -np.inf
     sim[:, c_zero] = -np.inf

@@ -248,6 +248,8 @@ def validate_dataset(segments, embeddings) -> Dataset:
                 f"{modality.value}: matrix tagged '{mat.modality.value}' registered under "
                 f"'{modality.value}'"
             )
+        if mat.dim < 1:
+            issues.append(f"{modality.value}: embedding dimension must be at least 1")
         if mat.count != n:
             issues.append(
                 f"{modality.value}: count mismatch, matrix has {mat.count} rows "

@@ -59,21 +59,37 @@ def read_embeddings(path) -> EmbeddingMatrix:
     return EmbeddingMatrix(data, CODE_TO_MODALITY[modality_code])
 
 
+# One row per caption-record key: JSON key, SegmentRecord field, required
+# type, and whether the key may be null or absent. Types are checked exactly
+# (``type(v) is int``), so a bool, a float or a list never passes as a value.
+_CAPTION_FIELDS = (
+    ("index", "index", int, False),
+    ("frame_start", "frame_start", int, False),
+    ("frame_end", "frame_end", int, False),
+    ("visual", "visual_caption", str, False),
+    ("audio", "audio_caption", str, True),
+)
+
+
 def write_captions(path, segments) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for seg in segments:
-            fh.write(
-                json.dumps(
-                    {
-                        "index": seg.index,
-                        "frame_start": seg.frame_start,
-                        "frame_end": seg.frame_end,
-                        "visual": seg.visual_caption,
-                        "audio": seg.audio_caption,
-                    }
-                )
-                + "\n"
-            )
+            record = {key: getattr(seg, name) for key, name, _, _ in _CAPTION_FIELDS}
+            fh.write(json.dumps(record) + "\n")
+
+
+def _caption_record(obj) -> SegmentRecord:
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    values = {}
+    for key, name, kind, optional in _CAPTION_FIELDS:
+        if key not in obj and not optional:
+            raise ValueError(f"missing key {key!r}")
+        value = obj.get(key)
+        if type(value) is not kind and not (optional and value is None):
+            raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return SegmentRecord(**values)
 
 
 def read_captions(path):
@@ -84,114 +100,85 @@ def read_captions(path):
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                segments.append(
-                    SegmentRecord(
-                        index=int(obj["index"]),
-                        frame_start=int(obj["frame_start"]),
-                        frame_end=int(obj["frame_end"]),
-                        visual_caption=str(obj["visual"]),
-                        audio_caption=None if obj.get("audio") is None else str(obj["audio"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                segments.append(_caption_record(json.loads(line)))
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
     return segments
 
 
-def write_labels(path, labels) -> None:
+def _write_frame_csv(path, header, values, fmt) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["frame", "label"])
-        for frame, label in enumerate(labels):
-            writer.writerow([frame, int(label)])
+        writer.writerow(header)
+        writer.writerows([i, fmt(value)] for i, value in enumerate(values))
+
+
+def _read_frame_csv(path, column, parse) -> list:
+    """Rows ``frame,<column>`` after an optional header, frames contiguous
+    from 0. ``parse`` turns a field into a value or raises ValueError."""
+    values = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (lineno == 1 and row[0] == "frame"):
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
+            try:
+                frame, value = int(row[0]), parse(row[1])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if frame != len(values):
+                raise ValidationError(
+                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
+                    f"at position {len(values)}"
+                )
+            values.append(value)
+    return values
+
+
+def _label(field: str) -> int:
+    label = int(field)
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return label
+
+
+def _score(field: str) -> float:
+    score = float(field)
+    if not math.isfinite(score):
+        raise ValueError(f"score must be finite, got {field!r}")
+    return score
+
+
+def _full_precision(value) -> str:
+    return repr(float(value))
+
+
+def write_labels(path, labels) -> None:
+    _write_frame_csv(path, ("frame", "label"), labels, int)
 
 
 def read_labels(path) -> np.ndarray:
-    labels = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "frame":
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'frame,label', got {row}")
-            try:
-                frame, label = int(row[0]), int(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: non-integer field: {exc}") from exc
-            if label not in (0, 1):
-                raise ValidationError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-            if frame != len(labels):
-                raise ValidationError(
-                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
-                    f"at position {len(labels)}"
-                )
-            labels.append(label)
-    return np.asarray(labels, dtype=np.int64)
+    return np.asarray(_read_frame_csv(path, "label", _label), dtype=np.int64)
 
 
 def write_scores(path, frame_scores) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "score"])
-        for frame, score in enumerate(frame_scores):
-            writer.writerow([frame, repr(float(score))])
+    _write_frame_csv(path, ("frame", "score"), frame_scores, _full_precision)
 
 
 def read_scores(path) -> np.ndarray:
-    scores = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "frame":
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'frame,score', got {row}")
-            try:
-                frame, score = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad field: {exc}") from exc
-            if not math.isfinite(score):
-                raise ValidationError(f"{path}:{lineno}: score must be finite, got {row[1]!r}")
-            if frame != len(scores):
-                raise ValidationError(f"{path}:{lineno}: frames must be contiguous from 0")
-            scores.append(score)
-    return np.asarray(scores, dtype=np.float64)
+    return np.asarray(_read_frame_csv(path, "score", _score), dtype=np.float64)
 
 
 def write_loss_history(path, loss_history) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "loss"])
-        for i, loss in enumerate(loss_history):
-            writer.writerow([i, repr(float(loss))])
+    _write_frame_csv(path, ("iteration", "loss"), loss_history, _full_precision)
 
 
+# int where the default is an int; float otherwise, so the optional
+# target_mass (default None) parses as a float.
 _CONFIG_PARSERS = {
-    "curvature": float,
-    "visual_weight": float,
-    "audio_weight": float,
-    "prompt_dim": int,
-    "learning_rate": float,
-    "opt_iters": int,
-    "target_mass": float,
-    "sparsity_weight": float,
-    "neighbors": int,
-    "shrinkage": float,
-    "ball_eps": float,
-    "seed": int,
-    "window": int,
-    "tangent_scale": float,
-    "karcher_tol": float,
-    "karcher_max_iter": int,
+    f.name: int if type(f.default) is int else float for f in fields(PipelineConfig)
 }
-
-assert set(_CONFIG_PARSERS) == {f.name for f in fields(PipelineConfig)}
 
 
 def read_config(path) -> PipelineConfig:
@@ -220,12 +207,7 @@ def read_config(path) -> PipelineConfig:
 
 
 def write_config(path, config: PipelineConfig) -> None:
-    lines = []
-    for key in _CONFIG_PARSERS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {value}")
+    lines = [f"{key} = {value}" for key, value in config.as_dict().items() if value is not None]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

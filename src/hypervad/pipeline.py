@@ -9,6 +9,7 @@ audio present or absent (driven by the manifest), stub vs remote scorer.
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,20 +245,23 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
     with _stage("write"):
         out_dir = Path(manifest.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        written = []
+        # Each file goes to a temp name first; the three replace the old
+        # outputs only after every write succeeded.
+        staged = []
         try:
             for name, writer in (
                 (SCORES_FILE, lambda p: dataio.write_scores(p, frame_scores)),
                 (LOSS_FILE, lambda p: dataio.write_loss_history(p, state.loss_history)),
                 (REPORT_FILE, lambda p: dataio.write_report(p, report)),
             ):
-                path = out_dir / name
-                writer(path)
-                written.append(path)
-        except Exception:
-            for path in written:
-                path.unlink(missing_ok=True)
-            raise
+                tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+                staged.append((tmp, out_dir / name))
+                writer(tmp)
+            for tmp, path in staged:
+                os.replace(tmp, path)
+        finally:
+            for tmp, _ in staged:
+                tmp.unlink(missing_ok=True)
 
     return RunResult(
         scores=series,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .captions import normalize_rows
 from .core import EmbeddingMatrix
 
 log = logging.getLogger(__name__)
@@ -94,21 +95,25 @@ def neighbor_sets(text_embs: EmbeddingMatrix, k: int) -> np.ndarray:
     Self is a forced member; the remaining k-1 slots go to the nearest other
     rows, ties broken by lower index. Rows are returned sorted by rank
     (self first, then increasing distance).
+
+    One n x n distance matrix, built in place, then k passes of a row-wise
+    argmin (whose first-index rule is the tie break), each marking the taken
+    entries +inf: O(k n^2) time and 8 n^2 bytes. A full sort of every row
+    costs more for k up to about 200; refinement uses k = neighbors = 5.
     """
     n = text_embs.count
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    norms = np.linalg.norm(text_embs.data, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = text_embs.data / safe[:, None]
-    cos_dist = 1.0 - unit @ unit.T
+    unit, _ = normalize_rows(text_embs.data)
+    cos_dist = unit @ unit.T
+    np.subtract(1.0, cos_dist, out=cos_dist)
+    np.fill_diagonal(cos_dist, -np.inf)
 
+    rows = np.arange(n)
     out = np.empty((n, k), dtype=np.int64)
-    for t in range(n):
-        order = np.argsort(cos_dist[t], kind="stable")  # stable sort keeps lower index first on ties
-        others = order[order != t][: k - 1]
-        out[t, 0] = t
-        out[t, 1:] = others
+    for rank in range(k):
+        out[:, rank] = cos_dist.argmin(axis=1)
+        cos_dist[rows, out[:, rank]] = np.inf
     return out
 
 

@@ -39,6 +39,22 @@ def cosine_argmax_oracle(frame_rows: np.ndarray, caption_rows: np.ndarray) -> np
     return out
 
 
+def neighbor_sets_oracle(rows, k):
+    """Self first, then the k-1 other rows sorted by (cosine distance, index).
+    Zero-norm rows keep their zero vector, so their distance to all is 1."""
+    n = len(rows)
+    norms = [math.sqrt(float(np.dot(r, r))) for r in rows]
+    units = [rows[i] / norms[i] if norms[i] else rows[i] for i in range(n)]
+    out = np.zeros((n, k), dtype=np.int64)
+    for t in range(n):
+        ranked = sorted(
+            (j for j in range(n) if j != t),
+            key=lambda j: (1.0 - float(np.dot(units[t], units[j])), j),
+        )
+        out[t] = [t] + ranked[: k - 1]
+    return out
+
+
 def knn_refine_oracle(scores, text_rows, mean, precision, k):
     """Definition-level KNN refinement: self is a forced neighbor, the other
     k-1 slots go to smallest cosine distance with lower index on ties, and

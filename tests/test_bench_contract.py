@@ -1,23 +1,37 @@
 """The benchmark tracer wraps package functions by the names their callers
-look them up by. A refactor that moves or renames one of them must fail here,
-not in a traced benchmark run."""
+look them up by, and its ablation table runs the variants of
+scripts/run_synthetic_experiment.py. A refactor that moves or renames one of
+them must fail here, not in a traced benchmark run."""
 
+import importlib
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from hypervad.pipeline import RunManifest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import tracer
-    finally:
-        sys.path.remove(str(PERFBENCH))
-    return tracer
+    return _perfbench_module("tracer")
+
+
+@pytest.fixture(scope="module")
+def ablation():
+    return _perfbench_module("ablation")
 
 
 def test_every_traced_attribute_resolves(tracer):
@@ -35,3 +49,21 @@ def test_every_stage_call_is_traced(tracer):
     traced = {name for _, _, name, _ in tracer.pipeline_patches()}
     for stage, names in tracer.STAGES.items():
         assert set(names) <= traced, stage
+
+
+def test_ablation_variants_are_manifest_overrides(ablation):
+    allowed = {f.name for f in fields(RunManifest)} | {"drop_audio"}
+    variants = ablation.load_variants(ROOT)
+    assert variants
+    for name, overrides in variants:
+        assert set(overrides) <= allowed, name
+
+
+def test_ablation_findings_rows_exist(ablation):
+    # findings() looks its rows up by variant name: a renamed variant raises
+    # KeyError here
+    rows = [
+        {"variant": name, "auc_roc": 0.5, "average_precision": 0.5, "scores_sha256": name}
+        for name, _ in ablation.load_variants(ROOT)
+    ]
+    ablation.findings(rows)

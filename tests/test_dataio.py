@@ -1,7 +1,10 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from hypervad.core import EmbeddingMatrix, Modality, PipelineConfig, ValidationError
+from hypervad.core import EmbeddingMatrix, Modality, PipelineConfig, SegmentRecord, ValidationError
 from hypervad.dataio import (
     MAGIC,
     read_captions,
@@ -14,6 +17,7 @@ from hypervad.dataio import (
     write_config,
     write_embeddings,
     write_labels,
+    write_loss_history,
     write_report,
     write_scores,
 )
@@ -108,6 +112,36 @@ class TestCaptionsFormat:
         with pytest.raises(ValidationError, match=":1: bad caption record"):
             read_captions(path)
 
+    def test_absent_audio_reads_as_none(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
+                        encoding="utf-8")
+        assert read_captions(path) == [SegmentRecord(0, 0, 3, "v", None)]
+
+    @pytest.mark.parametrize("key, value", [
+        ("index", 1.9),
+        ("index", True),
+        ("frame_start", "0"),
+        ("frame_end", 7.6),
+        ("visual", 12345),
+        ("visual", None),
+        ("audio", ["a"]),
+    ])
+    def test_wrong_field_type_named_line(self, tmp_path, key, value):
+        # these used to be coerced: int(1.9) == 1, str(["a"]) == "['a']"
+        good = {"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v", "audio": "a"}
+        bad = {**good, "index": 1, "frame_start": 4, "frame_end": 7, key: value}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f":2: bad caption record: '{key}' must be"):
+            read_captions(path)
+
+    def test_non_object_record_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("[0, 0, 3]\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":1: bad caption record: expected a JSON object"):
+            read_captions(path)
+
 
 class TestLabelScoreCsv:
     def test_labels_roundtrip(self, tmp_path):
@@ -134,6 +168,14 @@ class TestLabelScoreCsv:
         with pytest.raises(ValidationError, match="scores.csv:3: score must be finite"):
             read_scores(path)
 
+    def test_written_bytes(self, tmp_path):
+        write_labels(tmp_path / "l.csv", [0, 1])
+        write_scores(tmp_path / "s.csv", [0.1, 1 / 3])
+        write_loss_history(tmp_path / "h.csv", np.array([2.5, 1.0]))
+        assert (tmp_path / "l.csv").read_bytes() == b"frame,label\r\n0,0\r\n1,1\r\n"
+        assert (tmp_path / "s.csv").read_bytes() == b"frame,score\r\n0,0.1\r\n1,0.3333333333333333\r\n"
+        assert (tmp_path / "h.csv").read_bytes() == b"iteration,loss\r\n0,2.5\r\n1,1.0\r\n"
+
     def test_scores_roundtrip_full_precision(self, tmp_path):
         path = tmp_path / "scores.csv"
         values = [0.1, 1 / 3, 0.9999999999999999, 0.0]
@@ -147,6 +189,27 @@ class TestConfigFormat:
         config = PipelineConfig(curvature=2.0, seed=9, window=3, target_mass=1.5)
         write_config(path, config)
         assert read_config(path) == config
+
+    def test_every_field_roundtrips(self, tmp_path):
+        # int fields stay int and float fields (target_mass too) stay float
+        path = tmp_path / "run.cfg"
+        values = {
+            f.name: 1 if type(f.default) is int else 0.5 for f in fields(PipelineConfig)
+        }
+        values.update(ball_eps=1e-4, window=3, neighbors=2, karcher_max_iter=7)
+        config = PipelineConfig(**values)
+        write_config(path, config)
+        back = read_config(path)
+        assert back == config
+        assert [type(getattr(back, f.name)) for f in fields(back)] == [
+            type(values[f.name]) for f in fields(back)
+        ]
+
+    def test_int_field_rejects_float_literal(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("neighbors = 2.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="bad value for neighbors"):
+            read_config(path)
 
     def test_unknown_key_is_hard_error(self, tmp_path):
         path = tmp_path / "run.cfg"

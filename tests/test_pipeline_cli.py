@@ -117,6 +117,23 @@ class TestRunPipeline:
         assert isinstance(info.value.__cause__, ValueError)
         assert not (out / "scores.csv").exists()
 
+    def test_failed_write_keeps_previous_outputs(self, synth_dir, tmp_path, monkeypatch):
+        from hypervad import dataio
+
+        out = tmp_path / "twice"
+        run_pipeline(manifest_for(synth_dir, out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def broken(path, report):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio, "write_report", broken)
+        with pytest.raises(StageError, match="disk full") as info:
+            run_pipeline(manifest_for(synth_dir, out, refinement=False))
+        assert info.value.stage == "write"
+        assert sorted(before) == ["loss_history.csv", "report.json", "scores.csv"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path):
         # 40 segments in windows of 3: windows 0-12 hold three segments and
         # iterate, window 13 holds one and passes its point through
@@ -235,6 +252,41 @@ class TestCli:
         assert f"{modality}: dimension mismatch, rows have dim 8 but text rows have dim 6" in err
         out = tmp_path / "run"
         assert main(["run"] + inputs + ["--no-clean", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_validate_rejects_mistyped_caption_field(self, tmp_path, capsys):
+        # int(1.9) used to truncate silently and str(["a"]) became a caption
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        captions = data / "captions.jsonl"
+        lines = captions.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record["frame_end"] = record["frame_end"] + 0.6
+        lines[1] = json.dumps(record)
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["validate", "--visual", str(data / "visual.emb"),
+                     "--text", str(data / "text.emb"), "--captions", str(captions)]) == 1
+        assert "captions.jsonl:2: bad caption record: 'frame_end' must be int" in capsys.readouterr().err
+
+    def test_validate_rejects_zero_width_embeddings(self, tmp_path, capsys):
+        from hypervad.core import EmbeddingMatrix
+        from hypervad.dataio import write_embeddings
+
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        for modality in ("visual", "text"):
+            write_embeddings(tmp_path / f"{modality}0.emb",
+                             EmbeddingMatrix(np.zeros((20, 0)), Modality(modality)))
+        inputs = ["--visual", str(tmp_path / "visual0.emb"), "--text", str(tmp_path / "text0.emb"),
+                  "--captions", str(data / "captions.jsonl")]
+        capsys.readouterr()
+        assert main(["validate"] + inputs) == 1
+        err = capsys.readouterr().err
+        assert "visual: embedding dimension must be at least 1" in err
+        assert "text: embedding dimension must be at least 1" in err
+        out = tmp_path / "run"
+        assert main(["run"] + inputs + ["--out", str(out)]) == 1
         assert not out.exists()
 
     def test_one_segment_runs_refinement_as_identity(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypervad.core import Modality
 from hypervad.refine import VisualStats, fit_visual_stats, mahalanobis, neighbor_sets, refine_scores
 
 from conftest import make_matrix
-from oracles import inverse_2x2, knn_refine_oracle, shrunk_precision_oracle
+from oracles import inverse_2x2, knn_refine_oracle, neighbor_sets_oracle, shrunk_precision_oracle
 
 
 def identity_stats(dim):
@@ -96,6 +97,41 @@ class TestNeighborSets:
         sets = neighbor_sets(m, 3)
         assert sets[0].tolist() == [0, 1, 2]
         assert sets[3].tolist() == [3, 0, 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12])
+    def test_matches_oracle_on_exact_ties(self, rng, k):
+        # rows drawn from zero, scaled +/- basis vectors and scaled sign
+        # vectors: unit rows are exact, every cosine is a multiple of 1/4,
+        # duplicates abound, and most ranks are decided by the index
+        basis = np.vstack([np.eye(4), -np.eye(4)])
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T
+        pool = np.vstack([np.zeros((1, 4)), basis, signs])
+        for _ in range(20):
+            n = int(rng.integers(k, 60))
+            rows = pool[rng.integers(0, len(pool), size=n)] * rng.choice([0.5, 1.0, 3.0], size=(n, 1))
+            sets = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
+            assert np.array_equal(sets, neighbor_sets_oracle(rows, k))
+
+    @pytest.mark.parametrize("k", [2, 5, 9])
+    def test_matches_oracle_with_zero_rows(self, rng, k):
+        for _ in range(20):
+            n = int(rng.integers(k, 60))
+            rows = rng.normal(size=(n, 4))
+            rows[rng.integers(0, n, size=2)] = 0.0
+            sets = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
+            assert np.array_equal(sets, neighbor_sets_oracle(rows, k))
+
+    def test_peak_memory_one_distance_matrix(self, rng):
+        # the n x n float64 distances are the only quadratic buffer
+        n = 1000
+        m = make_matrix(rng.normal(size=(n, 16)), Modality.TEXT)
+        tracemalloc.start()
+        try:
+            neighbor_sets(m, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
 
     def test_k_bounds(self, rng):
         m = make_matrix(rng.normal(size=(4, 2)), Modality.TEXT)
