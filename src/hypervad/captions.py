@@ -2,8 +2,8 @@
 
 Cleaning replaces each segment's caption with the caption from the whole
 video whose text embedding is most cosine-similar to that segment's visual
-embedding. Ties break to the lowest index; zero-norm rows are reported and
-score minus infinity against everything.
+embedding. Exactly equal cosines break to the lowest index; zero-norm rows
+are reported and score minus infinity against everything.
 """
 
 from __future__ import annotations
@@ -45,13 +45,13 @@ class CaptionSet:
 class SummarySet:
     """Per-window textual summaries with their embeddings.
 
-    Every segment maps to exactly one window of ``window`` consecutive
-    segments; a trailing partial window is kept so every frame gets a score.
+    Every segment maps to exactly one window of consecutive segments, laid
+    out by :func:`window_slices`; a trailing partial window is kept so every
+    frame gets a score.
     """
 
     texts: tuple
     embeddings: EmbeddingMatrix
-    window: int
     segment_to_window: np.ndarray
 
     def __post_init__(self):
@@ -81,6 +81,11 @@ def clean_caption_indices(frame_embs: EmbeddingMatrix, caption_embs: EmbeddingMa
 
     Returns (indices, zero_norm_rows) where zero_norm_rows lists
     ("visual"|"text", row) pairs whose similarities were pinned to -inf.
+
+    Exactly equal cosines break to the lowest index. Identical caption rows
+    are not guaranteed exactly equal cosines: the similarities come from one
+    matrix product, whose blocked summation can differ by 1 ulp between two
+    identical columns, and the higher index then wins.
     """
     if frame_embs.count != caption_embs.count:
         raise ValueError(
@@ -131,51 +136,37 @@ def window_slices(n_segments: int, window: int):
     return [(start, min(start + window, n_segments)) for start in range(0, n_segments, window)]
 
 
-def build_summary_texts(
-    cleaned: CaptionSet,
-    audio_captions: Optional[Sequence[Optional[str]]],
-    window: int,
-):
-    """Deterministic per-window summary strings.
-
-    Template: "VISUAL: <cleaned captions joined by spaces> | AUDIO: <audio
-    captions joined by spaces, or 'none'>".
-    """
-    n = len(cleaned.raw)
-    texts = []
-    mapping = np.zeros(n, dtype=np.int64)
-    cleaned_texts = cleaned.cleaned
-    for k, (lo, hi) in enumerate(window_slices(n, window)):
-        mapping[lo:hi] = k
-        visual_part = " ".join(cleaned_texts[lo:hi])
-        audio_parts = []
-        if audio_captions is not None:
-            audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
-        audio_part = " ".join(audio_parts) if audio_parts else "none"
-        texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
-    return texts, mapping
-
-
 def build_summaries(
     cleaned: CaptionSet,
     caption_embs: EmbeddingMatrix,
     audio_captions: Optional[Sequence[Optional[str]]],
     window: int,
 ) -> SummarySet:
-    """Summary texts plus window embeddings.
+    """Per-window summary texts plus window embeddings.
 
-    The window embedding is the arithmetic mean of the member segments'
-    cleaned caption embeddings, i.e. rows caption_embs[cleaned_index[t]].
+    Template: "VISUAL: <cleaned captions joined by spaces> | AUDIO: <audio
+    captions joined by spaces, or 'none'>". The window embedding is the
+    arithmetic mean of the member segments' cleaned caption embeddings, i.e.
+    rows caption_embs[cleaned_index[t]].
     """
-    texts, mapping = build_summary_texts(cleaned, audio_captions, window)
     n = len(cleaned.raw)
-    rows = caption_embs.data[cleaned.cleaned_index] if n else caption_embs.data[:0]
-    means = np.zeros((len(texts), caption_embs.dim))
-    for k, (lo, hi) in enumerate(window_slices(n, window)):
+    windows = window_slices(n, window)
+    texts = []
+    means = np.zeros((len(windows), caption_embs.dim))
+    mapping = np.zeros(n, dtype=np.int64)
+    cleaned_texts = cleaned.cleaned
+    rows = caption_embs.data[cleaned.cleaned_index]
+    for k, (lo, hi) in enumerate(windows):
+        mapping[lo:hi] = k
         means[k] = rows[lo:hi].mean(axis=0)
+        visual_part = " ".join(cleaned_texts[lo:hi])
+        audio_parts = []
+        if audio_captions is not None:
+            audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
+        audio_part = " ".join(audio_parts) if audio_parts else "none"
+        texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
     return SummarySet(
         texts=tuple(texts),
         embeddings=EmbeddingMatrix(means, Modality.TEXT),
-        window=window,
         segment_to_window=mapping,
     )

@@ -174,6 +174,8 @@ class PipelineConfig:
             issues.append("sparsity_weight must be non-negative")
         if self.neighbors < 1:
             issues.append("neighbors must be at least 1")
+        if self.seed < 0:
+            issues.append("seed must be non-negative")
         if not 0.0 <= self.shrinkage <= 1.0:
             issues.append("shrinkage must lie in [0, 1]")
         if not 0.0 < self.ball_eps <= 1e-3:

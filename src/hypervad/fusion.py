@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .captions import window_slices
 from .core import Dataset, Modality, PipelineConfig
 from .hyperbolic import exp_map_origin, geodesic_point, weighted_geodesic_mean
 
@@ -57,28 +58,24 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
     return out
 
 
-def window_fused_points(
-    fused: np.ndarray, segment_to_window: np.ndarray, n_windows: int, config: PipelineConfig
-):
-    """Aggregate per-segment fused points (n, d) to one point per summary window.
+def window_fused_points(fused: np.ndarray, config: PipelineConfig):
+    """Aggregate per-segment fused points (n, d) to one point per summary
+    window, the windows laid out by :func:`window_slices`.
 
     Returns the (n_windows, d) points and the list of windows whose mean did
     not converge. Single-segment windows pass their point through untouched;
     larger windows take the equal-weight geodesic mean of their members,
     exact for two and iterated for more.
     """
-    order = np.argsort(segment_to_window, kind="stable")
-    counts = np.bincount(segment_to_window, minlength=n_windows)
-    if np.any(counts == 0):
-        raise ValueError(f"window {int(np.argmin(counts))} has no member segments")
-    starts = np.cumsum(counts) - counts
-    out = fused[order[starts]]
+    windows = window_slices(len(fused), config.window)
+    out = fused[np.array([lo for lo, _ in windows], dtype=np.int64)]
     failures = []
-    for k in np.flatnonzero(counts > 1):
-        members = fused[order[starts[k]:starts[k] + counts[k]]]
+    for k, (lo, hi) in enumerate(windows):
+        if hi - lo < 2:
+            continue
         result = weighted_geodesic_mean(
-            members,
-            np.full(len(members), 1.0 / len(members)),
+            fused[lo:hi],
+            np.full(hi - lo, 1.0 / (hi - lo)),
             config.curvature,
             tol=config.karcher_tol,
             max_iter=config.karcher_max_iter,
@@ -86,5 +83,5 @@ def window_fused_points(
         )
         out[k] = result.point
         if not result.converged:
-            failures.append(int(k))
+            failures.append(k)
     return out, failures

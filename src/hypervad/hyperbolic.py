@@ -14,16 +14,15 @@ Formulas follow the standard gyrovector-space treatment (Ungar; Ganea et al.,
     x (+) y   = ((1 + 2c<x,y> + c|y|^2) x + (1 - c|x|^2) y)
                 / (1 + 2c<x,y> + c^2 |x|^2 |y|^2)
     d(x, y)   = (2 / sqrt(c)) artanh(sqrt(c) |(-x) (+) y|)
-    exp_0(v)  = tanh(sqrt(c) |v|) v / (sqrt(c) |v|)
-    log_0(p)  = artanh(sqrt(c) |p|) p / (sqrt(c) |p|)
     lambda_x  = 2 / (1 - c |x|^2)                     (conformal factor)
     exp_x(v)  = x (+) tanh(sqrt(c) lambda_x |v| / 2) v / (sqrt(c) |v|)
     log_x(p)  = (2 / (sqrt(c) lambda_x)) artanh(sqrt(c) |u|) u / |u|,
                 u = (-x) (+) p
 
-The basepoint maps are the origin maps transported by Mobius translation.
-A row of a batched result is computed by the same elementwise code as a call
-on that row alone.
+The origin maps exp_0 and log_0 are these at x = 0, where lambda_0 = 2 and
+0 (+) y = y: exp_0(v) = tanh(sqrt(c) |v|) v / (sqrt(c) |v|) and
+log_0(p) = artanh(sqrt(c) |p|) p / (sqrt(c) |p|). A row of a batched result
+is computed by the same elementwise code as a call on that row alone.
 
 Inputs are checked at the entry points that take them from outside:
 exp_map_origin (finite tangents), log_map_origin and weighted_geodesic_mean
@@ -92,7 +91,7 @@ def mobius_add(x, y, curvature: float, ball_eps: float | None = DEFAULT_BALL_EPS
 
 
 def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
-    """Map tangent vectors at the origin onto the ball.
+    """Map tangent vectors at the origin onto the ball: :func:`exp_map` at 0.
 
     exp_0(0) is the origin exactly; other rows land strictly inside the ball
     after the margin projection.
@@ -101,22 +100,14 @@ def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> n
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("tangent vector must be finite")
-    sqrt_c = np.sqrt(curvature)
-    norm = _norm(v)
-    zero = norm < _MIN_NORM
-    norm = np.maximum(norm, _MIN_NORM)
-    coords = np.tanh(sqrt_c * norm) * v / (sqrt_c * norm)
-    return np.where(zero, 0.0, project_to_ball(coords, curvature, ball_eps))
+    return exp_map(np.zeros_like(v), v, curvature, ball_eps)
 
 
 def log_map_origin(p, curvature: float) -> np.ndarray:
-    """Inverse of exp_map_origin: tangent vectors at the origin reaching p."""
+    """Inverse of exp_map_origin, :func:`log_map` at 0: tangent vectors at
+    the origin reaching p."""
     p = _checked_points(p, curvature)
-    sqrt_c = np.sqrt(curvature)
-    norm = _norm(p)
-    zero = norm < _MIN_NORM
-    norm = np.maximum(norm, _MIN_NORM)
-    return np.where(zero, 0.0, np.arctanh(sqrt_c * norm) * p / (sqrt_c * norm))
+    return log_map(np.zeros_like(p), p, curvature)
 
 
 def _conformal_factor(x: np.ndarray, c: float) -> np.ndarray:

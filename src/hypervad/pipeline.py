@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -34,6 +35,14 @@ from .remote import RemoteScorer
 SCORES_FILE = "scores.csv"
 LOSS_FILE = "loss_history.csv"
 REPORT_FILE = "report.json"
+
+
+def _is_http_url(endpoint: Optional[str]) -> bool:
+    try:
+        parts = urlsplit(endpoint or "")
+    except ValueError:  # e.g. an unclosed "[" in an IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass
@@ -59,8 +68,10 @@ class RunManifest:
             raise ValidationError(f"fusion_mode must be hyperbolic or euclidean, got {self.fusion_mode!r}")
         if self.scorer not in ("stub", "remote"):
             raise ValidationError(f"scorer must be stub or remote, got {self.scorer!r}")
-        if self.scorer == "remote" and not self.endpoint:
-            raise ValidationError("remote scorer requires an endpoint")
+        if self.scorer == "remote" and not _is_http_url(self.endpoint):
+            raise ValidationError(
+                f"remote scorer requires an http:// or https:// endpoint with a host, got {self.endpoint!r}"
+            )
 
     def toggles(self) -> dict:
         return {
@@ -164,10 +175,8 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             caption_set, dataset.matrix(Modality.TEXT), audio_caps, config.window
         )
         fused_windows, karcher_failures = None, []
-        if fused is not None and n > 0:
-            fused_windows, karcher_failures = fusion.window_fused_points(
-                fused, summaries.segment_to_window, summaries.n_windows, config
-            )
+        if fused is not None:
+            fused_windows, karcher_failures = fusion.window_fused_points(fused, config)
 
     with _stage("score"):
         scorer = _make_scorer(manifest, dataset.matrix(Modality.TEXT).dim)
@@ -194,9 +203,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
 
     with _stage("expand"):
         frame_scores = expand_to_frames(refined, summaries.segment_to_window, dataset.segments)
-        segment_scores = (
-            refined[summaries.segment_to_window] if n > 0 else np.zeros(0)
-        )
+        segment_scores = refined[summaries.segment_to_window]
         series = ScoreSeries(segment_scores, frame_scores, labels)
 
     with _stage("evaluate"):

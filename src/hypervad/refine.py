@@ -93,8 +93,11 @@ def neighbor_sets(text_embs: EmbeddingMatrix, k: int) -> np.ndarray:
     """K nearest rows per row by cosine distance, always including self.
 
     Self is a forced member; the remaining k-1 slots go to the nearest other
-    rows, ties broken by lower index. Rows are returned sorted by rank
-    (self first, then increasing distance).
+    rows, exactly equal distances broken by lower index. Rows are returned
+    sorted by rank (self first, then increasing distance). Identical rows
+    are not guaranteed exactly equal distances: they come from one matrix
+    product, whose blocked summation can differ by 1 ulp between two
+    identical columns, and the higher index then wins.
 
     One n x n distance matrix, built in place, then k passes of a row-wise
     argmin (whose first-index rule is the tie break), each marking the taken

@@ -1,16 +1,23 @@
 """The benchmark tracer wraps package functions by the names their callers
-look them up by, and its ablation table runs the variants of
-scripts/run_synthetic_experiment.py. A refactor that moves or renames one of
-them must fail here, not in a traced benchmark run."""
+look them up by, its ablation table runs the variants of
+scripts/run_synthetic_experiment.py, and its remote workload serves the stub
+scorer through perfbench/scorer_proc.py. A refactor that moves or renames one
+of them must fail here, not in a traced benchmark run."""
 
 import importlib
+import json
+import select
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypervad.pipeline import RunManifest
+from hypervad.prompt_opt import StubScorer
+from hypervad.remote import RemoteScorer
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -67,3 +74,37 @@ def test_ablation_findings_rows_exist(ablation):
         for name, _ in ablation.load_variants(ROOT)
     ]
     ablation.findings(rows)
+
+
+def _readline(proc, timeout=30.0):
+    ready, _, _ = select.select([proc.stdout], [], [], timeout)
+    assert ready, f"no line from {proc.args} within {timeout} s"
+    return proc.stdout.readline()
+
+
+def test_scorer_process_serves_and_counts():
+    proc = subprocess.Popen(
+        [sys.executable, str(PERFBENCH / "scorer_proc.py"), "--prompt-dim", "4", "--emb-dim", "3",
+         "--seed", "1"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        verb, endpoint, _echo = _readline(proc).split()
+        assert verb == "ready"
+        q, emb = np.full(4, 0.1), np.array([0.3, -0.2, 0.5])
+        got = RemoteScorer(endpoint).score(q, emb, "a summary")
+        assert abs(got - StubScorer(4, 3, seed=1).score(q, emb, "a summary")) < 1e-9
+        proc.stdin.write("stats\n")
+        proc.stdin.flush()
+        stats = json.loads(_readline(proc))
+        assert stats["requests"] == 1
+        assert stats["non_2xx"] == 0
+    finally:
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert proc.returncode == 0

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hypervad.captions import (
     CaptionSet,
     build_summaries,
-    build_summary_texts,
     clean_caption_indices,
     clean_captions,
     identity_captions,
@@ -126,24 +125,29 @@ class TestCaptionSetType:
         assert cs.cleaned == ("x", "y")
 
 
+def summarize(captions, audio, window):
+    """build_summaries over identity-cleaned captions with placeholder embeddings."""
+    cs = identity_captions(captions)
+    embs = make_matrix(np.zeros((len(captions), 3)), Modality.TEXT)
+    summaries = build_summaries(cs, embs, audio, window)
+    return list(summaries.texts), summaries.segment_to_window
+
+
 class TestSummaries:
     def test_window_one_template(self):
-        cs = identity_captions(["a man runs"])
-        texts, mapping = build_summary_texts(cs, None, 1)
+        texts, mapping = summarize(["a man runs"], None, 1)
         assert texts == ["VISUAL: a man runs | AUDIO: none"]
         assert mapping.tolist() == [0]
 
     def test_window_two_over_four_segments(self):
-        cs = identity_captions(["a", "b", "c", "d"])
-        texts, mapping = build_summary_texts(cs, ["p", None, "q", "r"], 2)
+        texts, mapping = summarize(["a", "b", "c", "d"], ["p", None, "q", "r"], 2)
         assert len(texts) == 2
         assert texts[0] == "VISUAL: a b | AUDIO: p"
         assert texts[1] == "VISUAL: c d | AUDIO: q r"
         assert mapping.tolist() == [0, 0, 1, 1]
 
     def test_trailing_partial_window_kept(self):
-        cs = identity_captions(["a", "b", "c", "d"])
-        texts, mapping = build_summary_texts(cs, None, 3)
+        texts, mapping = summarize(["a", "b", "c", "d"], None, 3)
         assert len(texts) == 2
         assert texts[1] == "VISUAL: d | AUDIO: none"
         assert mapping.tolist() == [0, 0, 0, 1]
@@ -169,4 +173,5 @@ class TestSummaries:
         cs = identity_captions([])
         summaries = build_summaries(cs, make_matrix(np.zeros((0, 3)), Modality.TEXT), None, 4)
         assert summaries.n_windows == 0
+        assert summaries.embeddings.data.shape == (0, 3)
         assert summaries.segment_to_window.size == 0

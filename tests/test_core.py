@@ -68,6 +68,7 @@ class TestPipelineConfig:
             {"shrinkage": 1.5},
             {"learning_rate": 0.0},
             {"window": 0},
+            {"seed": -1},
         ],
     )
     def test_invariant_violations(self, overrides):

@@ -169,30 +169,28 @@ class TestWindowFusedPoints:
         ds = make_dataset(rng, n=4, audio="none")
         config = PipelineConfig(window=1)
         fused = fuse_sequence(ds, config)
-        points, failures = window_fused_points(fused, np.arange(4), 4, config)
+        points, failures = window_fused_points(fused, config)
         assert np.array_equal(points, fused)
         assert failures == []
 
     def test_multi_segment_window_is_geodesic_mean(self, rng):
         ds = make_dataset(rng, n=5, audio="none")
-        config = PipelineConfig(window=2)
+        config = PipelineConfig(window=3)
         fused = fuse_sequence(ds, config)
-        points, failures = window_fused_points(fused, np.array([0, 0, 1, 1, 1]), 2, config)
+        points, failures = window_fused_points(fused, config)
         assert points.shape == (2, 4) and failures == []
-        for k, members in enumerate((fused[:2], fused[2:])):
+        for k, members in enumerate((fused[:3], fused[3:])):
             expected = weighted_geodesic_mean(members, np.full(len(members), 1.0 / len(members)), 1.0)
             assert np.max(np.abs(points[k] - expected.point)) < 1e-12
 
     def test_failed_window_means_reported(self, rng):
-        ds = make_dataset(rng, n=7, audio="none")
+        ds = make_dataset(rng, n=8, audio="none")
         config = PipelineConfig(window=3, karcher_max_iter=1)
         fused = fuse_sequence(ds, config)
-        # windows of 3, 2 and 2 segments: only the three-point mean iterates
-        _, failures = window_fused_points(fused, np.array([0, 0, 0, 1, 1, 2, 2]), 3, config)
-        assert failures == [0]
+        # windows of 3, 3 and 2 segments: only the three-point means iterate
+        _, failures = window_fused_points(fused, config)
+        assert failures == [0, 1]
 
-    def test_empty_window_rejected(self, rng):
-        ds = make_dataset(rng, n=2, audio="none")
-        config = PipelineConfig()
-        with pytest.raises(ValueError, match="window 1 has no member"):
-            window_fused_points(fuse_sequence(ds, config), np.array([0, 2]), 3, config)
+    def test_empty_sequence(self):
+        points, failures = window_fused_points(np.zeros((0, 4)), PipelineConfig(window=3))
+        assert points.shape == (0, 4) and failures == []

@@ -176,6 +176,13 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match="endpoint"):
             manifest_for(synth_dir, tmp_path / "z", scorer="remote")
 
+    @pytest.mark.parametrize(
+        "endpoint", ["localhost:8750", "ftp://127.0.0.1:8750", "http://:8750", "http://[::1"]
+    )
+    def test_remote_endpoint_needs_http_scheme_and_host(self, synth_dir, tmp_path, endpoint):
+        with pytest.raises(ValidationError, match="http:// or https:// endpoint"):
+            manifest_for(synth_dir, tmp_path / "z", scorer="remote", endpoint=endpoint)
+
 
 class TestEvalOnly:
     def test_perfect_fixture(self, tmp_path):
@@ -302,6 +309,26 @@ class TestCli:
         refined = (tmp_path / "refined" / "scores.csv").read_bytes()
         assert refined == (tmp_path / "plain" / "scores.csv").read_bytes()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--seed", "-1"], "seed must be non-negative"),
+        (["--config", "{cfg}"], "seed must be non-negative"),
+        (["--scorer", "remote", "--endpoint", "localhost:8750"], "http:// or https:// endpoint"),
+    ])
+    def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        (tmp_path / "run.cfg").write_text("seed = -3\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main([
+            "run", "--visual", str(data / "visual.emb"),
+            "--text", str(data / "text.emb"),
+            "--captions", str(data / "captions.jsonl"),
+            "--out", str(out),
+        ] + [a.format(cfg=tmp_path / "run.cfg") for a in args])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_missing_file_exit_1_no_outputs(self, tmp_path):
         data = tmp_path / "data"
         main(self._synth_args(data))
@@ -334,11 +361,16 @@ class TestCli:
 
     def test_synth_empty_dataset_valid(self, tmp_path, capsys):
         out = tmp_path / "empty"
-        assert main(["synth", "--out", str(out), "--n-segments", "0"]) == 0
+        assert main(["synth", "--out", str(out), "--n-segments", "0", "--with-audio"]) == 0
         visual = read_embeddings(out / "visual.emb")
         assert visual.count == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["oracle_auc"] is None
+        # every stage takes the empty case as zero rows; only the metrics are undefined
+        inputs = [f"--{m}={out / f'{m}.emb'}" for m in ("visual", "text", "audio")]
+        inputs += ["--captions", str(out / "captions.jsonl"), "--labels", str(out / "labels.csv")]
+        assert main(["run"] + inputs + ["--out", str(tmp_path / "run")]) == 3
+        assert (tmp_path / "run" / "scores.csv").read_text() == "frame,score\n"
 
     def test_config_file_flow(self, tmp_path):
         data = tmp_path / "data"

@@ -25,7 +25,6 @@ def make_summaries(embs: np.ndarray) -> SummarySet:
     return SummarySet(
         texts=tuple(f"summary {i}" for i in range(n)),
         embeddings=EmbeddingMatrix(embs, Modality.TEXT),
-        window=1,
         segment_to_window=np.arange(n),
     )
 
