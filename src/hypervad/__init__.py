@@ -12,7 +12,6 @@ from .core import (
     Modality,
     PipelineConfig,
     PipelineError,
-    ScoreSeries,
     SegmentRecord,
     StageError,
     TransportError,

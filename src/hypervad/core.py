@@ -8,6 +8,7 @@ rounding. Segment ids are 0-based everywhere, including file formats.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -104,35 +105,14 @@ class SegmentRecord:
         return self.frame_end - self.frame_start + 1
 
 
-@dataclass
-class ScoreSeries:
-    """Per-segment and per-frame anomaly likelihoods in [0, 1].
-
-    ``labels`` is the optional per-frame ground truth used for evaluation.
-    """
-
-    segment_scores: np.ndarray
-    frame_scores: np.ndarray
-    labels: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.segment_scores = np.asarray(self.segment_scores, dtype=np.float64)
-        self.frame_scores = np.asarray(self.frame_scores, dtype=np.float64)
-        for name, arr in (("segment", self.segment_scores), ("frame", self.frame_scores)):
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-                raise ValueError(f"{name} scores must lie in [0, 1]")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != self.frame_scores.shape:
-                raise ValueError("labels length must equal frame score length")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every numeric knob of the pipeline, with the defaults used throughout.
 
     ``target_mass`` of ``None`` resolves at run time to 0.1 times the number
-    of summaries, encoding the prior rarity of abnormal events.
+    of summaries, encoding the prior rarity of abnormal events. Every float
+    must be finite: NaN passes no comparison, so the range checks alone would
+    let it through.
     """
 
     curvature: float = 1.0
@@ -154,6 +134,10 @@ class PipelineConfig:
 
     def __post_init__(self):
         issues = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                issues.append(f"{f.name} must be finite, got {value}")
         if not self.curvature > 0:
             issues.append(f"curvature must be positive, got {self.curvature}")
         if self.visual_weight < 0 or self.audio_weight < 0:
@@ -273,6 +257,18 @@ def validate_dataset(segments, embeddings) -> Dataset:
                     f"but text rows have dim {text.dim}"
                 )
 
+    tiling_issues, n_frames = segment_tiling(segments)
+    issues.extend(tiling_issues)
+    if issues:
+        raise ValidationError(issues)
+    return Dataset(segments=segments, embeddings=dict(embeddings), n_frames=n_frames)
+
+
+def segment_tiling(segments):
+    """Check that the segments tile frames 0..n_frames-1 in order: segment i
+    has index i, frame_start <= frame_end, and starts one frame after
+    segment i-1 ends. Returns (issues, n_frames), one issue per violation."""
+    issues = []
     expected_start = 0
     for i, seg in enumerate(segments):
         if seg.index != i:
@@ -288,10 +284,7 @@ def validate_dataset(segments, embeddings) -> Dataset:
                 f"but previous segment ended at {expected_start - 1}"
             )
         expected_start = seg.frame_end + 1
-
-    if issues:
-        raise ValidationError(issues)
-    return Dataset(segments=segments, embeddings=dict(embeddings), n_frames=expected_start)
+    return issues, expected_start
 
 
 def seeded_unit_vector(seed: int, dim: int) -> np.ndarray:

@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import segment_tiling
+
 
 class UndefinedMetricError(ValueError):
     """Raised when a metric's preconditions (both classes present) fail."""
@@ -44,28 +46,14 @@ class EvalReport:
         }
 
 
-def expand_to_frames(window_scores, segment_to_window, segments) -> np.ndarray:
-    """Piecewise-constant expansion: every frame in segment t gets the score
-    of t's window. Raises on any uncovered frame range."""
-    window_scores = np.asarray(window_scores, dtype=np.float64)
-    segment_to_window = np.asarray(segment_to_window, dtype=np.int64)
-    if len(segment_to_window) != len(segments):
-        raise ValueError("segment_to_window must map every segment")
-    if len(segments) == 0:
-        return np.zeros(0)
-    total = segments[-1].frame_end + 1
-    out = np.full(total, np.nan)
-    for seg in segments:
-        w = segment_to_window[seg.index]
-        if not 0 <= w < len(window_scores):
-            raise ValueError(f"segment {seg.index} maps to missing window {w}")
-        out[seg.frame_start : seg.frame_end + 1] = window_scores[w]
-    uncovered = np.nonzero(np.isnan(out))[0]
-    if uncovered.size:
-        raise ValueError(
-            f"frames {uncovered[0]}..{uncovered[-1]} not covered by any segment"
-        )
-    return out
+def expand_to_frames(segment_scores, segments) -> np.ndarray:
+    """Piecewise-constant expansion: every frame of segment t gets score t.
+    Raises the first violation of the tiling that validate_dataset enforces."""
+    issues, _ = segment_tiling(segments)
+    if issues:
+        raise ValueError(issues[0])
+    segment_scores = np.asarray(segment_scores, dtype=np.float64)
+    return np.repeat(segment_scores, [seg.n_frames for seg in segments])
 
 
 def _check_binary(scores, labels):

@@ -23,7 +23,6 @@ from . import dataio, fusion, refine
 from .core import (
     Modality,
     PipelineConfig,
-    ScoreSeries,
     StageError,
     ValidationError,
     validate_dataset,
@@ -124,7 +123,8 @@ def _make_scorer(manifest: RunManifest, emb_dim: int):
 
 @dataclass
 class RunResult:
-    scores: ScoreSeries
+    segment_scores: np.ndarray
+    frame_scores: np.ndarray
     eval_report: Optional[EvalReport]
     prompt_state: PromptState
     report: dict
@@ -202,9 +202,8 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             refined = np.asarray(window_scores, dtype=np.float64)
 
     with _stage("expand"):
-        frame_scores = expand_to_frames(refined, summaries.segment_to_window, dataset.segments)
         segment_scores = refined[summaries.segment_to_window]
-        series = ScoreSeries(segment_scores, frame_scores, labels)
+        frame_scores = expand_to_frames(segment_scores, dataset.segments)
 
     with _stage("evaluate"):
         eval_report = build_report(frame_scores, labels) if labels is not None else None
@@ -271,7 +270,8 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
                 tmp.unlink(missing_ok=True)
 
     return RunResult(
-        scores=series,
+        segment_scores=segment_scores,
+        frame_scores=frame_scores,
         eval_report=eval_report,
         prompt_state=state,
         report=report,

@@ -23,29 +23,24 @@ from .core import seeded_unit_vector
 EPS_P = 1e-7
 
 
-def binary_entropy(p: float) -> float:
-    """H(p) = -p ln p - (1-p) ln(1-p), with H(0) = H(1) = 0 by continuity."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-
-
-def _entropy_vec(scores: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(scores)
-    interior = (scores > 0.0) & (scores < 1.0)
-    s = scores[interior]
+def binary_entropy(p):
+    """H(p) = -p ln p - (1-p) ln(1-p) elementwise, with H(0) = H(1) = 0 by
+    continuity. A scalar p gives a float."""
+    p = np.asarray(p, dtype=np.float64)
+    outside = p[~((p >= 0.0) & (p <= 1.0))]
+    if outside.size:
+        raise ValueError(f"p must lie in [0, 1], got {outside[0]}")
+    out = np.zeros_like(p)
+    interior = (p > 0.0) & (p < 1.0)
+    s = p[interior]
     out[interior] = -s * np.log(s) - (1.0 - s) * np.log(1.0 - s)
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def total_loss(scores, target_mass: float, sparsity_weight: float) -> float:
     """Confidence-sparsity objective over one batch of scores."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ValueError("scores must lie in [0, 1]")
-    entropy = float(_entropy_vec(scores).sum())
+    entropy = float(binary_entropy(scores).sum())
     return entropy + sparsity_weight * abs(float(scores.sum()) - target_mass)
 
 

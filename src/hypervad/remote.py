@@ -3,13 +3,16 @@
 Wire protocol: POST <endpoint>/score with UTF-8 JSON body
 {"prompt": [float, ...], "summary_text": str, "summary_embedding": [float, ...]}
 and response {"score": float}. Non-2xx status, transport failures, malformed
-bodies, and out-of-range scores are all surfaced as errors; nothing is
-clamped silently. Gradients come from central finite differences, costing
-2 * prompt_dim extra calls per gradient.
+bodies (not UTF-8, not JSON, not a JSON object), and out-of-range scores are
+all surfaced as TransportError; nothing is clamped silently. A refused,
+dropped or truncated exchange is retried ``retries`` times first. Gradients
+come from central finite differences, costing 2 * prompt_dim extra calls per
+gradient.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -45,16 +48,21 @@ class RemoteScorer:
             try:
                 # urlopen raises HTTPError for every final non-2xx status
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    raw = response.read().decode("utf-8")
+                    raw = response.read()
                 try:
-                    return json.loads(raw)
-                except json.JSONDecodeError as exc:
+                    reply = json.loads(raw.decode("utf-8"))
+                except ValueError as exc:  # not UTF-8, or not JSON
                     raise TransportError(f"scorer endpoint {url} returned malformed JSON: {exc}") from exc
+                if not isinstance(reply, dict):
+                    raise TransportError(f"scorer endpoint {url} returned {raw[:80]!r}, not a JSON object")
+                return reply
             except urllib.error.HTTPError as exc:
                 raise TransportError(f"scorer endpoint {url} returned status {exc.code}") from exc
-            except (urllib.error.URLError, OSError) as exc:
-                last_error = exc
-        raise TransportError(f"scorer endpoint {url} unreachable: {last_error}") from last_error
+            except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
+                last_error = exc  # refused, dropped or truncated: try again
+        raise TransportError(
+            f"scorer endpoint {url} failed after {self.retries + 1} attempts: {last_error}"
+        ) from last_error
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> float:
         payload = {

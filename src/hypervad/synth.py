@@ -61,6 +61,10 @@ def gen_synthetic(
         raise ValueError(f"shift must be non-negative, got {shift}")
     if n_segments < 0:
         raise ValueError("n_segments must be non-negative")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if frames_per_segment < 1:
         raise ValueError("frames_per_segment must be at least 1")
 

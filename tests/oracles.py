@@ -82,6 +82,16 @@ def knn_refine_oracle(scores, text_rows, mean, precision, k):
     return out
 
 
+def paint_frames_oracle(segment_scores, segments, n_frames) -> np.ndarray:
+    """Paint each segment's score, looked up by its index field, onto every
+    frame of its inclusive range; frames no segment covers stay NaN."""
+    out = np.full(n_frames, np.nan)
+    for seg in segments:
+        for frame in range(seg.frame_start, seg.frame_end + 1):
+            out[frame] = segment_scores[seg.index]
+    return out
+
+
 def auc_pairwise_oracle(scores, labels) -> float:
     """Mann-Whitney by explicit pair counting with half credit for ties."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

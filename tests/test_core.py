@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypervad.core import (
     EmbeddingMatrix,
     Modality,
     PipelineConfig,
-    ScoreSeries,
     SegmentRecord,
     ValidationError,
     seeded_unit_vector,
@@ -42,16 +43,6 @@ class TestSegmentRecord:
         assert SegmentRecord(0, 4, 7, "x").n_frames == 4
 
 
-class TestScoreSeries:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            ScoreSeries(np.array([0.5, 1.5]), np.array([0.5]))
-
-    def test_rejects_label_length_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            ScoreSeries(np.array([0.5]), np.array([0.5, 0.5]), labels=np.array([1]))
-
-
 class TestPipelineConfig:
     def test_defaults_valid(self):
         PipelineConfig()
@@ -74,6 +65,15 @@ class TestPipelineConfig:
     def test_invariant_violations(self, overrides):
         with pytest.raises(ValidationError):
             PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "curvature", "visual_weight", "audio_weight", "learning_rate", "target_mass",
+        "sparsity_weight", "shrinkage", "ball_eps", "tangent_scale", "karcher_tol",
+    ])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            PipelineConfig(**{name: value})
 
     def test_collects_all_issues(self):
         with pytest.raises(ValidationError) as exc:

@@ -1,10 +1,14 @@
+import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypervad.core import SegmentRecord
+from hypervad.core import Modality, SegmentRecord, ValidationError, validate_dataset
 from hypervad.evaluate import (
     UndefinedMetricError,
     auc_roc,
@@ -13,33 +17,90 @@ from hypervad.evaluate import (
     expand_to_frames,
 )
 
-from conftest import make_segments
-from oracles import ap_sweep_oracle, auc_pairwise_oracle, auc_rank_sum_oracle
+from conftest import make_matrix
+from oracles import ap_sweep_oracle, auc_pairwise_oracle, auc_rank_sum_oracle, paint_frames_oracle
+
+
+@st.composite
+def mutated_tilings(draw):
+    """A valid tiling of up to 5 segments, then at most one rule broken at
+    one segment: a gap, an overlap, swapped index fields, start > end, or two
+    records out of order."""
+    lengths = draw(st.lists(st.integers(1, 4), max_size=5))
+    segs, start = [], 0
+    for i, length in enumerate(lengths):
+        segs.append(SegmentRecord(i, start, start + length - 1, f"caption {i}"))
+        start += length
+    mutation = draw(st.sampled_from(["none", "gap", "overlap", "swap_index", "inverted", "reorder"]))
+    if not segs or mutation == "none":
+        return segs
+    k = draw(st.integers(0, len(segs) - 1))
+    seg = segs[k]
+    if mutation == "gap":
+        segs[k:] = [replace(s, frame_start=s.frame_start + 1, frame_end=s.frame_end + 1) for s in segs[k:]]
+    elif mutation == "overlap" and k > 0:
+        segs[k] = replace(seg, frame_start=seg.frame_start - 1)
+    elif mutation == "inverted":
+        segs[k] = replace(seg, frame_start=seg.frame_end + 1)
+    elif mutation == "swap_index" and k > 0:
+        prev = segs[k - 1]
+        segs[k - 1], segs[k] = replace(prev, index=seg.index), replace(seg, index=prev.index)
+    elif mutation == "reorder" and k > 0:
+        segs[k - 1], segs[k] = seg, segs[k - 1]
+    return segs
+
+
+# Records with arbitrary small fields: mostly broken, sometimes by chance valid.
+random_segment_lists = st.lists(
+    st.builds(SegmentRecord, st.integers(0, 4), st.integers(0, 8), st.integers(0, 8), st.just("")),
+    max_size=5,
+)
 
 
 class TestExpandToFrames:
     def test_single_window_single_segment(self):
         segs = [SegmentRecord(0, 0, 4, "x")]
-        out = expand_to_frames([0.7], [0], segs)
+        out = expand_to_frames([0.7], segs)
         assert np.array_equal(out, np.full(5, 0.7))
 
     def test_two_windows_uneven_segments(self):
         segs = [SegmentRecord(0, 0, 2, "x"), SegmentRecord(1, 3, 4, "y")]
-        out = expand_to_frames([0.2, 0.9], [0, 1], segs)
+        out = expand_to_frames([0.2, 0.9], segs)
         assert out.tolist() == [0.2, 0.2, 0.2, 0.9, 0.9]
 
     def test_gap_raises_named_range(self):
         segs = [SegmentRecord(0, 0, 1, "x"), SegmentRecord(1, 4, 5, "y")]
-        with pytest.raises(ValueError, match="frames 2..3"):
-            expand_to_frames([0.2, 0.9], [0, 1], segs)
-
-    def test_missing_window_raises(self):
-        segs = make_segments(2)
-        with pytest.raises(ValueError, match="missing window"):
-            expand_to_frames([0.5], [0, 3], segs)
+        with pytest.raises(ValueError, match="segment 1: non-contiguous, starts at frame 4"):
+            expand_to_frames([0.2, 0.9], segs)
 
     def test_empty(self):
-        assert expand_to_frames([], [], []).size == 0
+        assert expand_to_frames([], []).size == 0
+
+    def test_overlap_raises(self):
+        segs = [SegmentRecord(0, 0, 3, "x"), SegmentRecord(1, 2, 5, "y")]
+        with pytest.raises(ValueError, match="segment 1: non-contiguous, starts at frame 2"):
+            expand_to_frames([0.2, 0.9], segs)
+
+    def test_swapped_index_raises(self):
+        segs = [SegmentRecord(1, 0, 3, "x"), SegmentRecord(0, 4, 5, "y")]
+        with pytest.raises(ValueError, match="segment 0: index field is 1, expected 0"):
+            expand_to_frames([0.2, 0.9], segs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(segs=st.one_of(mutated_tilings(), random_segment_lists), data=st.data())
+    def test_same_tiling_rule_as_validate_dataset(self, segs, data):
+        n = len(segs)
+        scores = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        embeddings = {m: make_matrix(np.zeros((n, 2)), m) for m in (Modality.VISUAL, Modality.TEXT)}
+        try:
+            dataset = validate_dataset(segs, embeddings)
+        except ValidationError as exc:
+            with pytest.raises(ValueError, match=re.escape(exc.issues[0])):
+                expand_to_frames(scores, segs)
+            return
+        frames = expand_to_frames(scores, segs)
+        assert frames.shape == (dataset.n_frames,)
+        assert np.array_equal(frames, paint_frames_oracle(scores, segs, dataset.n_frames))
 
 
 class TestAucRoc:

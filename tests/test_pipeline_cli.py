@@ -62,7 +62,7 @@ class TestRunPipeline:
         )
         stub = StubScorer(32, 8, seed=5)
         expected = [stub.score(np.zeros(32), e) for e in summaries.embeddings.data]
-        window_scores = result.scores.segment_scores[::2]
+        window_scores = result.segment_scores[::2]
         assert np.allclose(window_scores, expected, atol=0)
 
     def test_euclidean_toggle_matches_flat_limit(self, synth_dir, tmp_path):
@@ -169,7 +169,7 @@ class TestRunPipeline:
             )
         local_result = run_pipeline(manifest_for(synth_dir, tmp_path / "local", optimizer=False))
         assert np.max(np.abs(
-            remote_result.scores.frame_scores - local_result.scores.frame_scores
+            remote_result.frame_scores - local_result.frame_scores
         )) < 1e-9
 
     def test_remote_requires_endpoint(self, synth_dir, tmp_path):
@@ -313,18 +313,20 @@ class TestCli:
         (["--seed", "-1"], "seed must be non-negative"),
         (["--config", "{cfg}"], "seed must be non-negative"),
         (["--scorer", "remote", "--endpoint", "localhost:8750"], "http:// or https:// endpoint"),
+        (["--config", "{inf_cfg}"], "target_mass must be finite, got inf"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
         main(self._synth_args(data))
         (tmp_path / "run.cfg").write_text("seed = -3\n", encoding="utf-8")
+        (tmp_path / "inf.cfg").write_text("target_mass = inf\n", encoding="utf-8")
         out = tmp_path / "run"
         code = main([
             "run", "--visual", str(data / "visual.emb"),
             "--text", str(data / "text.emb"),
             "--captions", str(data / "captions.jsonl"),
             "--out", str(out),
-        ] + [a.format(cfg=tmp_path / "run.cfg") for a in args])
+        ] + [a.format(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg") for a in args])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -419,6 +421,16 @@ class TestSynthGenerator:
     def test_anomaly_fraction_domain(self, tmp_path):
         with pytest.raises(ValueError, match="anomaly_fraction"):
             gen_synthetic(tmp_path / "x", 10, 4, 1.5, 1.0, 0)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"seed": -1}, "seed must be non-negative"),
+        ({"dim": 0}, "dim must be at least 1"),
+    ])
+    def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
+        args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)
+        with pytest.raises(ValueError, match=message):
+            gen_synthetic(tmp_path / "x", **{**args, **overrides})
+        assert not (tmp_path / "x").exists()
 
     def test_files_parse_back(self, tmp_path):
         r = gen_synthetic(tmp_path / "d", 12, 4, 0.25, 2.0, 3, frames_per_segment=2, with_audio=True)

@@ -13,18 +13,23 @@ from hypervad.remote import LoopbackScorerServer, RemoteScorer
 
 
 class _CannedServer:
-    """Minimal server returning a fixed JSON body and status for every POST."""
+    """Minimal server returning a fixed JSON body and status for every POST,
+    counting requests. ``content_length`` overrides the declared body length."""
 
-    def __init__(self, body: bytes, status: int = 200):
+    def __init__(self, body: bytes, status: int = 200, content_length=None):
+        self.requests = 0
+        canned = self
+
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):
                 pass
 
             def do_POST(self):
+                canned.requests += 1
                 self.rfile.read(int(self.headers.get("Content-Length", "0")))
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
+                self.send_header("Content-Length", str(content_length or len(body)))
                 self.end_headers()
                 self.wfile.write(body)
 
@@ -102,6 +107,28 @@ class TestRemoteErrors:
             remote = RemoteScorer(server.endpoint)
             with pytest.raises(TransportError, match="malformed"):
                 remote.score(np.zeros(2), np.zeros(2))
+
+    @pytest.mark.parametrize("body", [b"5", b"null", b'"no score"', b"[0.5]"])
+    def test_non_object_reply_is_transport_error(self, body):
+        with _CannedServer(body) as server:
+            remote = RemoteScorer(server.endpoint)
+            with pytest.raises(TransportError, match="not a JSON object"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert server.requests == 1
+
+    def test_non_utf8_reply_is_transport_error(self):
+        with _CannedServer(b'{"score": "\xff"}') as server:
+            remote = RemoteScorer(server.endpoint)
+            with pytest.raises(TransportError, match="malformed"):
+                remote.score(np.zeros(2), np.zeros(2))
+
+    def test_truncated_reply_retried_then_transport_error(self):
+        body = json.dumps({"score": 0.5}).encode()
+        with _CannedServer(body, content_length=len(body) + 10) as server:
+            remote = RemoteScorer(server.endpoint, retries=2)
+            with pytest.raises(TransportError, match="failed after 3 attempts"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert server.requests == 3
 
     def test_missing_score_field(self):
         with _CannedServer(json.dumps({"value": 0.5}).encode()) as server:
