@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .core import PipelineConfig, PipelineError, ValidationError
@@ -28,59 +29,68 @@ EXIT_RUNTIME = 2
 EXIT_UNDEFINED_METRICS = 3
 
 
-def _add_dataset_args(p: argparse.ArgumentParser, labels_required: bool = False):
-    p.add_argument("--visual", required=True, help="visual embeddings file")
-    p.add_argument("--text", required=True, help="text (caption) embeddings file")
-    p.add_argument("--captions", required=True, help="captions JSONL file")
-    p.add_argument("--audio", default=None, help="optional audio embeddings file")
-    p.add_argument("--labels", default=None, required=labels_required, help="per-frame labels CSV")
+def _optional_path(text: str):
+    """An empty path means the file is absent, as if the option were not given."""
+    return Path(text) if text else None
+
+
+def _add_dataset_args(p: argparse.ArgumentParser):
+    p.add_argument("--visual", dest="visual_path", type=Path, required=True,
+                   help="visual embeddings file")
+    p.add_argument("--text", dest="text_path", type=Path, required=True,
+                   help="text (caption) embeddings file")
+    p.add_argument("--captions", dest="captions_path", type=Path, required=True,
+                   help="captions JSONL file")
+    p.add_argument("--audio", dest="audio_path", type=_optional_path,
+                   help="optional audio embeddings file")
+    p.add_argument("--labels", dest="labels_path", type=_optional_path,
+                   help="per-frame labels CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's dest names the parameter it sets in the one API call its
+    verb makes. An option left unset is absent from the parsed arguments, so
+    the default of that parameter applies."""
     parser = argparse.ArgumentParser(prog="hypervad", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
+    unset = argparse.SUPPRESS
 
-    v = sub.add_parser("validate", help="validate dataset files")
+    v = sub.add_parser("validate", help="validate dataset files", argument_default=unset)
     _add_dataset_args(v)
 
-    r = sub.add_parser("run", help="run the scoring pipeline")
+    r = sub.add_parser("run", help="run the scoring pipeline", argument_default=unset)
     _add_dataset_args(r)
-    r.add_argument("--config", default=None, help="key=value config file")
-    r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--seed", type=int, default=None, help="override config seed")
-    r.add_argument("--no-clean", action="store_true", help="disable caption cleaning")
-    r.add_argument("--no-optimize", action="store_true", help="disable prompt optimization")
-    r.add_argument("--no-refine", action="store_true", help="disable Mahalanobis refinement")
-    r.add_argument("--fusion", choices=["hyperbolic", "euclidean"], default="hyperbolic")
-    r.add_argument("--scorer", choices=["stub", "remote"], default="stub")
-    r.add_argument("--endpoint", default=None, help="remote scorer base URL")
+    r.add_argument("--config", help="key=value config file")
+    r.add_argument("--out", dest="out_dir", type=Path, required=True, help="output directory")
+    r.add_argument("--seed", type=int, help="override config seed")
+    r.add_argument("--no-clean", dest="cleaning", action="store_false",
+                   help="disable caption cleaning")
+    r.add_argument("--no-optimize", dest="optimizer", action="store_false",
+                   help="disable prompt optimization")
+    r.add_argument("--no-refine", dest="refinement", action="store_false",
+                   help="disable Mahalanobis refinement")
+    r.add_argument("--fusion", dest="fusion_mode", choices=["hyperbolic", "euclidean"])
+    r.add_argument("--scorer", choices=["stub", "remote"])
+    r.add_argument("--endpoint", help="remote scorer base URL")
 
     e = sub.add_parser("eval", help="evaluate a scores CSV against labels")
-    e.add_argument("--scores", required=True)
-    e.add_argument("--labels", required=True)
+    e.add_argument("--scores", dest="scores_path", required=True)
+    e.add_argument("--labels", dest="labels_path", required=True)
 
-    s = sub.add_parser("synth", help="generate a synthetic dataset")
-    s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--n-segments", type=int, default=400)
-    s.add_argument("--dim", type=int, default=16)
-    s.add_argument("--anomaly-fraction", type=float, default=0.1)
-    s.add_argument("--shift", type=float, default=6.0)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--frames-per-segment", type=int, default=16)
+    s = sub.add_parser("synth", help="generate a synthetic dataset", argument_default=unset)
+    s.add_argument("--out", dest="out_dir", required=True, help="output directory")
+    s.add_argument("--n-segments", type=int)
+    s.add_argument("--dim", type=int)
+    s.add_argument("--anomaly-fraction", type=float)
+    s.add_argument("--shift", type=float)
+    s.add_argument("--seed", type=int)
+    s.add_argument("--frames-per-segment", type=int)
     s.add_argument("--with-audio", action="store_true")
     return parser
 
 
-def _cmd_validate(args) -> int:
-    manifest = RunManifest(
-        visual_path=Path(args.visual),
-        text_path=Path(args.text),
-        captions_path=Path(args.captions),
-        audio_path=Path(args.audio) if args.audio else None,
-        labels_path=Path(args.labels) if args.labels else None,
-        out_dir=Path("."),
-    )
-    dataset, labels = load_dataset(manifest)
+def _cmd_validate(**paths) -> int:
+    dataset, labels = load_dataset(RunManifest(**paths, out_dir=Path(".")))
     print(
         f"OK: {dataset.n_segments} segments, {dataset.n_frames} frames, "
         f"modalities: {sorted(m.value for m in dataset.embeddings)}"
@@ -89,26 +99,11 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    config = read_config(args.config) if args.config else PipelineConfig()
-    if args.seed is not None:
-        config = PipelineConfig(**{**config.as_dict(), "seed": args.seed})
-    manifest = RunManifest(
-        visual_path=Path(args.visual),
-        text_path=Path(args.text),
-        captions_path=Path(args.captions),
-        audio_path=Path(args.audio) if args.audio else None,
-        labels_path=Path(args.labels) if args.labels else None,
-        out_dir=Path(args.out),
-        config=config,
-        cleaning=not args.no_clean,
-        fusion_mode=args.fusion,
-        optimizer=not args.no_optimize,
-        refinement=not args.no_refine,
-        scorer=args.scorer,
-        endpoint=args.endpoint,
-    )
-    result = run_pipeline(manifest)
+def _cmd_run(config=None, seed=None, **options) -> int:
+    config = read_config(config) if config else PipelineConfig()
+    if seed is not None:
+        config = replace(config, seed=seed)
+    result = run_pipeline(RunManifest(**options, config=config))
     print(f"wrote {result.out_dir}/scores.csv, loss_history.csv, report.json")
     if result.eval_report is not None:
         if not result.eval_report.defined:
@@ -121,23 +116,14 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    report = eval_only(args.scores, args.labels)
+def _cmd_eval(**paths) -> int:
+    report = eval_only(**paths)
     print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.defined else EXIT_UNDEFINED_METRICS
 
 
-def _cmd_synth(args) -> int:
-    result = gen_synthetic(
-        out_dir=args.out,
-        n_segments=args.n_segments,
-        dim=args.dim,
-        anomaly_fraction=args.anomaly_fraction,
-        shift=args.shift,
-        seed=args.seed,
-        frames_per_segment=args.frames_per_segment,
-        with_audio=args.with_audio,
-    )
+def _cmd_synth(**options) -> int:
+    result = gen_synthetic(**options)
     oracle = "undefined" if result.oracle_auc is None else f"{result.oracle_auc:.4f}"
     print(
         f"wrote {result.n_segments} segments ({result.n_anomalous} anomalous) "
@@ -147,23 +133,20 @@ def _cmd_synth(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     handler = {
         "validate": _cmd_validate,
         "run": _cmd_run,
         "eval": _cmd_eval,
         "synth": _cmd_synth,
-    }[args.verb]
+    }[args.pop("verb")]
     try:
-        return handler(args)
+        return handler(**args)
     except ValidationError as exc:
         for issue in exc.issues:
             print(f"validation error: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

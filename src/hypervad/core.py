@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -110,9 +111,10 @@ class PipelineConfig:
     """Every numeric knob of the pipeline, with the defaults used throughout.
 
     ``target_mass`` of ``None`` resolves at run time to 0.1 times the number
-    of summaries, encoding the prior rarity of abnormal events. Every float
-    must be finite: NaN passes no comparison, so the range checks alone would
-    let it through.
+    of summaries, encoding the prior rarity of abnormal events. A setting
+    annotated ``int`` must be exactly an ``int`` (not a bool, not a float);
+    every other setting must be a finite real number: NaN passes no
+    comparison, so the range checks alone would let it through.
     """
 
     curvature: float = 1.0
@@ -136,8 +138,17 @@ class PipelineConfig:
         issues = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.name in INT_SETTINGS:
+                if type(value) is not int:
+                    issues.append(f"{f.name} must be an integer, got {value!r}")
+            elif value is None and f.default is None:
+                continue
+            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+                issues.append(f"{f.name} must be a number, got {value!r}")
+            elif not math.isfinite(value):
                 issues.append(f"{f.name} must be finite, got {value}")
+        if issues:  # the range checks below need finite numbers of the right kind
+            raise ValidationError(issues)
         if not self.curvature > 0:
             issues.append(f"curvature must be positive, got {self.curvature}")
         if self.visual_weight < 0 or self.audio_weight < 0:
@@ -177,6 +188,12 @@ class PipelineConfig:
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# The settings annotated int; read_config parses them with int(), the rest with float().
+INT_SETTINGS = frozenset(
+    name for name, hint in get_type_hints(PipelineConfig).items() if hint is int
+)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     CODE_TO_MODALITY,
+    INT_SETTINGS,
     MODALITY_CODES,
     EmbeddingMatrix,
     PipelineConfig,
@@ -174,10 +175,8 @@ def write_loss_history(path, loss_history) -> None:
     _write_frame_csv(path, ("iteration", "loss"), loss_history, _full_precision)
 
 
-# int where the default is an int; float otherwise, so the optional
-# target_mass (default None) parses as a float.
 _CONFIG_PARSERS = {
-    f.name: int if type(f.default) is int else float for f in fields(PipelineConfig)
+    f.name: int if f.name in INT_SETTINGS else float for f in fields(PipelineConfig)
 }
 
 

@@ -39,7 +39,8 @@ REPORT_FILE = "report.json"
 def _is_http_url(endpoint: Optional[str]) -> bool:
     try:
         parts = urlsplit(endpoint or "")
-    except ValueError:  # e.g. an unclosed "[" in an IPv6 host
+        parts.port  # raises for a port that is not a number or is out of range
+    except ValueError:  # also an unclosed "[" in an IPv6 host
         return False
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
@@ -69,7 +70,8 @@ class RunManifest:
             raise ValidationError(f"scorer must be stub or remote, got {self.scorer!r}")
         if self.scorer == "remote" and not _is_http_url(self.endpoint):
             raise ValidationError(
-                f"remote scorer requires an http:// or https:// endpoint with a host, got {self.endpoint!r}"
+                "remote scorer requires an http:// or https:// endpoint with a host and "
+                f"a valid port, got {self.endpoint!r}"
             )
 
     def toggles(self) -> dict:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, Modality, SegmentRecord, seeded_unit_vector
+from .core import EmbeddingMatrix, Modality, SegmentRecord, ValidationError, seeded_unit_vector
 from .dataio import write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
@@ -46,27 +46,28 @@ class SynthResult:
 
 def gen_synthetic(
     out_dir,
-    n_segments: int,
-    dim: int,
-    anomaly_fraction: float,
-    shift: float,
-    seed: int,
+    n_segments: int = 400,
+    dim: int = 16,
+    anomaly_fraction: float = 0.1,
+    shift: float = 6.0,
+    seed: int = 0,
     frames_per_segment: int = 16,
     with_audio: bool = False,
 ) -> SynthResult:
-    """Write a complete synthetic dataset and its generation metadata."""
+    """Write a complete synthetic dataset and its generation metadata. An
+    argument out of range raises ValidationError before anything is written."""
     if not 0.0 < anomaly_fraction < 1.0:
-        raise ValueError(f"anomaly_fraction must lie in (0, 1), got {anomaly_fraction}")
-    if shift < 0:
-        raise ValueError(f"shift must be non-negative, got {shift}")
+        raise ValidationError(f"anomaly_fraction must lie in (0, 1), got {anomaly_fraction}")
+    if not (np.isfinite(shift) and shift >= 0):
+        raise ValidationError(f"shift must be finite and non-negative, got {shift}")
     if n_segments < 0:
-        raise ValueError("n_segments must be non-negative")
+        raise ValidationError("n_segments must be non-negative")
     if dim < 1:
-        raise ValueError("dim must be at least 1")
+        raise ValidationError("dim must be at least 1")
     if seed < 0:
-        raise ValueError("seed must be non-negative")
+        raise ValidationError("seed must be non-negative")
     if frames_per_segment < 1:
-        raise ValueError("frames_per_segment must be at least 1")
+        raise ValidationError("frames_per_segment must be at least 1")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,22 @@ class TestPipelineConfig:
     def test_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"window": True}, "window must be an integer, got True"),
+        ({"neighbors": 2.5}, "neighbors must be an integer, got 2.5"),
+        ({"prompt_dim": 2.5}, "prompt_dim must be an integer, got 2.5"),
+        ({"opt_iters": 1.0}, "opt_iters must be an integer, got 1.0"),
+        ({"curvature": True}, "curvature must be a number, got True"),
+        ({"target_mass": "1"}, "target_mass must be a number, got '1'"),
+    ])
+    def test_rejects_mistyped_settings(self, overrides, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PipelineConfig(**overrides)
+
+    def test_float_settings_take_ints(self):
+        config = PipelineConfig(curvature=2, target_mass=0)
+        assert (config.curvature, config.target_mass) == (2, 0)
 
     def test_collects_all_issues(self):
         with pytest.raises(ValidationError) as exc:

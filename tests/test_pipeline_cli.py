@@ -1,15 +1,22 @@
+import argparse
+import inspect
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypervad.cli import main
-from hypervad.core import Modality, PipelineConfig, StageError, ValidationError
+from hypervad.cli import build_parser, main
+from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, StageError, ValidationError
 from hypervad.dataio import read_embeddings
 from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 from hypervad.synth import gen_synthetic
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +184,8 @@ class TestRunPipeline:
             manifest_for(synth_dir, tmp_path / "z", scorer="remote")
 
     @pytest.mark.parametrize(
-        "endpoint", ["localhost:8750", "ftp://127.0.0.1:8750", "http://:8750", "http://[::1"]
+        "endpoint", ["localhost:8750", "ftp://127.0.0.1:8750", "http://:8750", "http://[::1",
+                     "http://127.0.0.1:abc", "http://127.0.0.1:99999"]
     )
     def test_remote_endpoint_needs_http_scheme_and_host(self, synth_dir, tmp_path, endpoint):
         with pytest.raises(ValidationError, match="http:// or https:// endpoint"):
@@ -314,6 +322,7 @@ class TestCli:
         (["--config", "{cfg}"], "seed must be non-negative"),
         (["--scorer", "remote", "--endpoint", "localhost:8750"], "http:// or https:// endpoint"),
         (["--config", "{inf_cfg}"], "target_mass must be finite, got inf"),
+        (["--scorer", "remote", "--endpoint", "http://127.0.0.1:abc"], "a valid port"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
@@ -330,6 +339,31 @@ class TestCli:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--dim", "0"], ["--n-segments", "-1"], ["--anomaly-fraction", "2"], ["--seed", "-1"],
+        ["--shift", "nan"], ["--shift", "inf"],
+    ])
+    def test_synth_bad_argument_exit_1_no_output(self, tmp_path, capsys, option):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out)] + option) == 1
+        assert "validation error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_audio_and_labels_mean_absent(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(self._synth_args(data) + ["--with-audio"])
+        inputs = ["--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                  "--captions", str(data / "captions.jsonl"), "--audio", "", "--labels", ""]
+        capsys.readouterr()
+        assert main(["validate"] + inputs) == 0
+        no_audio = "OK: 20 segments, 60 frames, modalities: ['text', 'visual']\n"
+        assert capsys.readouterr().out == no_audio
+        out = tmp_path / "run"
+        assert main(["run"] + inputs + ["--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["toggles"]["audio"] is False
+        assert report["metrics"] is None
 
     def test_run_missing_file_exit_1_no_outputs(self, tmp_path):
         data = tmp_path / "data"
@@ -406,6 +440,49 @@ class TestCli:
         assert code == 1
 
 
+class TestCliMatchesApi:
+    """Each verb hands its parsed options by name to one API call, and README
+    states the defaults that API applies."""
+
+    CALLS = {
+        "validate": {f.name for f in fields(RunManifest)},
+        "run": {f.name for f in fields(RunManifest)} | {"seed"},
+        "eval": set(inspect.signature(eval_only).parameters),
+        "synth": set(inspect.signature(gen_synthetic).parameters),
+    }
+
+    def test_every_option_dest_is_a_parameter_of_its_call(self):
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert set(subparsers.choices) == set(self.CALLS)
+        for verb, parser in subparsers.choices.items():
+            dests = {a.dest for a in parser._actions if a.dest != "help"}
+            assert dests <= self.CALLS[verb], (verb, dests - self.CALLS[verb])
+
+    def test_readme_config_keys_are_pipeline_config_defaults(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        listed = text.split("Keys and defaults:")[1].split("Values must")[0]
+        keys = re.findall(r"`(\w+)(?: (\S+))?`", listed)
+        parse = {name: int if name in INT_SETTINGS else float for name, _ in keys}
+        assert {name: parse[name](value) if value else None for name, value in keys} == (
+            PipelineConfig().as_dict()
+        )
+
+    def test_readme_synth_synopsis_states_gen_synthetic_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        synopsis = text.split("hypervad synth")[1].split("hypervad validate")[0]
+        options = re.findall(r"--([\w-]+) ([^\s\]\\]+)", synopsis)
+        defaults = {
+            name: p.default for name, p in inspect.signature(gen_synthetic).parameters.items()
+        }
+        assert {name for name, _ in options} >= {"n-segments", "dim", "anomaly-fraction", "shift"}
+        for option, value in options:
+            if option != "out":
+                name = option.replace("-", "_")
+                assert type(defaults[name])(value) == defaults[name], option
+
+
 class TestSynthGenerator:
     def test_zero_shift_classes_indistinguishable(self, tmp_path):
         aucs = []
@@ -419,7 +496,7 @@ class TestSynthGenerator:
         assert r.oracle_auc >= 0.99
 
     def test_anomaly_fraction_domain(self, tmp_path):
-        with pytest.raises(ValueError, match="anomaly_fraction"):
+        with pytest.raises(ValidationError, match="anomaly_fraction"):
             gen_synthetic(tmp_path / "x", 10, 4, 1.5, 1.0, 0)
 
     @pytest.mark.parametrize("overrides, message", [
@@ -428,7 +505,7 @@ class TestSynthGenerator:
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValidationError, match=message):
             gen_synthetic(tmp_path / "x", **{**args, **overrides})
         assert not (tmp_path / "x").exists()
 
