@@ -8,7 +8,6 @@ aggregation, and evaluates frame-level AUC-ROC / AP.
 
 from .core import (
     Dataset,
-    EmbeddingMatrix,
     Modality,
     PipelineConfig,
     PipelineError,

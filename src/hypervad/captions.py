@@ -13,8 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EmbeddingMatrix, Modality
-
 
 @dataclass(frozen=True)
 class CaptionSet:
@@ -43,7 +41,7 @@ class CaptionSet:
 
 @dataclass(frozen=True)
 class SummarySet:
-    """Per-window textual summaries with their embeddings.
+    """Per-window textual summaries with their (n_windows, d) embeddings.
 
     Every segment maps to exactly one window of consecutive segments, laid
     out by :func:`window_slices`; a trailing partial window is kept so every
@@ -51,14 +49,14 @@ class SummarySet:
     """
 
     texts: tuple
-    embeddings: EmbeddingMatrix
+    embeddings: np.ndarray
     segment_to_window: np.ndarray
 
     def __post_init__(self):
         mapping = np.asarray(self.segment_to_window, dtype=np.int64)
         mapping.flags.writeable = False
         object.__setattr__(self, "segment_to_window", mapping)
-        if self.embeddings.count != len(self.texts):
+        if len(self.embeddings) != len(self.texts):
             raise ValueError("one embedding row per summary required")
         if mapping.size and (mapping.min() < 0 or mapping.max() >= len(self.texts)):
             raise ValueError("segment_to_window references a missing window")
@@ -76,7 +74,7 @@ def normalize_rows(data: np.ndarray):
     return data / safe[:, None], zero
 
 
-def clean_caption_indices(frame_embs: EmbeddingMatrix, caption_embs: EmbeddingMatrix):
+def clean_caption_indices(frame_embs: np.ndarray, caption_embs: np.ndarray):
     """Argmax cosine alignment of each visual row against all caption rows.
 
     Returns (indices, zero_norm_rows) where zero_norm_rows lists
@@ -87,18 +85,16 @@ def clean_caption_indices(frame_embs: EmbeddingMatrix, caption_embs: EmbeddingMa
     matrix product, whose blocked summation can differ by 1 ulp between two
     identical columns, and the higher index then wins.
     """
-    if frame_embs.count != caption_embs.count:
-        raise ValueError(
-            f"count mismatch: {frame_embs.count} visual rows vs {caption_embs.count} captions"
-        )
-    if frame_embs.dim != caption_embs.dim:
-        raise ValueError(f"dim mismatch: {frame_embs.dim} vs {caption_embs.dim}")
-    n = frame_embs.count
+    (n, dim), (n_captions, caption_dim) = frame_embs.shape, caption_embs.shape
+    if n != n_captions:
+        raise ValueError(f"count mismatch: {n} visual rows vs {n_captions} captions")
+    if dim != caption_dim:
+        raise ValueError(f"dim mismatch: {dim} vs {caption_dim}")
     if n == 0:
         return np.zeros(0, dtype=np.int64), ()
 
-    f_unit, f_zero = normalize_rows(frame_embs.data)
-    c_unit, c_zero = normalize_rows(caption_embs.data)
+    f_unit, f_zero = normalize_rows(frame_embs)
+    c_unit, c_zero = normalize_rows(caption_embs)
     sim = f_unit @ c_unit.T
     sim[f_zero, :] = -np.inf
     sim[:, c_zero] = -np.inf
@@ -114,8 +110,8 @@ def clean_caption_indices(frame_embs: EmbeddingMatrix, caption_embs: EmbeddingMa
 
 def clean_captions(
     raw_captions: Sequence[str],
-    frame_embs: EmbeddingMatrix,
-    caption_embs: EmbeddingMatrix,
+    frame_embs: np.ndarray,
+    caption_embs: np.ndarray,
 ) -> CaptionSet:
     indices, reports = clean_caption_indices(frame_embs, caption_embs)
     if len(raw_captions) != len(indices):
@@ -138,7 +134,7 @@ def window_slices(n_segments: int, window: int):
 
 def build_summaries(
     cleaned: CaptionSet,
-    caption_embs: EmbeddingMatrix,
+    caption_embs: np.ndarray,
     audio_captions: Optional[Sequence[Optional[str]]],
     window: int,
 ) -> SummarySet:
@@ -152,10 +148,10 @@ def build_summaries(
     n = len(cleaned.raw)
     windows = window_slices(n, window)
     texts = []
-    means = np.zeros((len(windows), caption_embs.dim))
+    means = np.zeros((len(windows), caption_embs.shape[1]))
     mapping = np.zeros(n, dtype=np.int64)
     cleaned_texts = cleaned.cleaned
-    rows = caption_embs.data[cleaned.cleaned_index]
+    rows = caption_embs[cleaned.cleaned_index]
     for k, (lo, hi) in enumerate(windows):
         mapping[lo:hi] = k
         means[k] = rows[lo:hi].mean(axis=0)
@@ -165,8 +161,4 @@ def build_summaries(
             audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
         audio_part = " ".join(audio_parts) if audio_parts else "none"
         texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
-    return SummarySet(
-        texts=tuple(texts),
-        embeddings=EmbeddingMatrix(means, Modality.TEXT),
-        segment_to_window=mapping,
-    )
+    return SummarySet(texts=tuple(texts), embeddings=means, segment_to_window=mapping)

@@ -93,7 +93,7 @@ def _cmd_validate(**paths) -> int:
     dataset, labels = load_dataset(RunManifest(**paths, out_dir=Path(".")))
     print(
         f"OK: {dataset.n_segments} segments, {dataset.n_frames} frames, "
-        f"modalities: {sorted(m.value for m in dataset.embeddings)}"
+        f"modalities: {['audio', 'text', 'visual'] if dataset.has_audio else ['text', 'visual']}"
         + (f", {int(labels.sum())} positive frames" if labels is not None else "")
     )
     return EXIT_OK

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -50,41 +50,6 @@ class Modality(enum.Enum):
     VISUAL = "visual"
     AUDIO = "audio"
     TEXT = "text"
-
-
-# Wire encoding of modalities in the binary embedding format.
-MODALITY_CODES = {Modality.VISUAL: 0, Modality.AUDIO: 1, Modality.TEXT: 2}
-CODE_TO_MODALITY = {v: k for k, v in MODALITY_CODES.items()}
-
-
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """Row-major collection of fixed-dimension vectors for one modality.
-
-    ``data`` is coerced to a read-only float64 array of shape (count, dim).
-    Finiteness is a dataset invariant checked by :func:`validate_dataset`,
-    not at construction, so that ingested files with bad values produce a
-    structured report naming the row.
-    """
-
-    data: np.ndarray
-    modality: Modality
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"embedding data must be 2-D, got shape {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def count(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -198,14 +163,18 @@ INT_SETTINGS = frozenset(
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated bundle of segments and per-modality embeddings.
+    """A validated bundle of segments and their (n, d) embedding arrays, one
+    row per segment; ``audio`` is None when the video has no audio.
 
-    Immutable after validation; safe to share read-only across workers.
+    The arrays are read-only views, so no stage can write to them; safe to
+    share read-only across workers.
     """
 
     segments: tuple
-    embeddings: dict
-    n_frames: int = field(default=0)
+    visual: np.ndarray
+    text: np.ndarray
+    audio: Optional[np.ndarray] = None
+    n_frames: int = 0
 
     @property
     def n_segments(self) -> int:
@@ -213,72 +182,66 @@ class Dataset:
 
     @property
     def has_audio(self) -> bool:
-        return Modality.AUDIO in self.embeddings
+        return self.audio is not None
 
     @property
     def audio_rows(self) -> np.ndarray:
         """Boolean mask of the segments that carry an audio caption."""
         return np.array([seg.has_audio for seg in self.segments], dtype=bool)
 
-    def matrix(self, modality: Modality) -> EmbeddingMatrix:
-        return self.embeddings[modality]
 
-
-def validate_dataset(segments, embeddings) -> Dataset:
+def validate_dataset(segments, visual, text, audio=None) -> Dataset:
     """Check every type invariant and return an immutable Dataset.
 
     Raises ValidationError listing all violations at once: shape mismatches,
     non-finite entries (with row index), and segment contiguity breaks (with
-    segment index). Visual and text matrices are required; audio is optional.
-    Visual and audio rows must have the text rows' dimension: caption
-    cleaning and refinement compare visual with text rows, and fusion merges
-    text with audio rows.
+    segment index). Each array must be 2-D with one row per segment. Visual
+    and audio rows must have the text rows' dimension: caption cleaning and
+    refinement compare visual with text rows, and fusion merges text with
+    audio rows. The Dataset holds read-only float64 views of the arrays.
     """
     issues = []
     segments = tuple(segments)
     n = len(segments)
+    arrays = {"visual": visual, "text": text}
+    if audio is not None:
+        arrays["audio"] = audio
 
-    for required in (Modality.VISUAL, Modality.TEXT):
-        if required not in embeddings:
-            issues.append(f"missing required embedding modality '{required.value}'")
-
-    for modality, mat in embeddings.items():
-        if not isinstance(mat, EmbeddingMatrix):
-            issues.append(f"{modality.value}: expected EmbeddingMatrix, got {type(mat).__name__}")
+    for name, data in arrays.items():
+        data = np.ascontiguousarray(data, dtype=np.float64).view()
+        data.flags.writeable = False
+        arrays[name] = data
+        if data.ndim != 2:
+            issues.append(f"{name}: embeddings must be 2-D, got shape {data.shape}")
             continue
-        if mat.modality is not modality:
+        count, dim = data.shape
+        if dim < 1:
+            issues.append(f"{name}: embedding dimension must be at least 1")
+        if count != n:
             issues.append(
-                f"{modality.value}: matrix tagged '{mat.modality.value}' registered under "
-                f"'{modality.value}'"
+                f"{name}: count mismatch, matrix has {count} rows but there are {n} segments"
             )
-        if mat.dim < 1:
-            issues.append(f"{modality.value}: embedding dimension must be at least 1")
-        if mat.count != n:
-            issues.append(
-                f"{modality.value}: count mismatch, matrix has {mat.count} rows "
-                f"but there are {n} segments"
-            )
-        bad = ~np.isfinite(mat.data)
+        bad = ~np.isfinite(data)
         if bad.any():
             rows = np.unique(np.nonzero(bad)[0])
             shown = ", ".join(str(r) for r in rows[:5])
-            issues.append(f"{modality.value}: non-finite entry in row(s) {shown}")
+            issues.append(f"{name}: non-finite entry in row(s) {shown}")
 
-    text = embeddings.get(Modality.TEXT)
-    if isinstance(text, EmbeddingMatrix):
-        for modality in (Modality.VISUAL, Modality.AUDIO):
-            mat = embeddings.get(modality)
-            if isinstance(mat, EmbeddingMatrix) and mat.dim != text.dim:
+    text = arrays["text"]
+    if text.ndim == 2:
+        for name in ("visual", "audio"):
+            data = arrays.get(name)
+            if data is not None and data.ndim == 2 and data.shape[1] != text.shape[1]:
                 issues.append(
-                    f"{modality.value}: dimension mismatch, rows have dim {mat.dim} "
-                    f"but text rows have dim {text.dim}"
+                    f"{name}: dimension mismatch, rows have dim {data.shape[1]} "
+                    f"but text rows have dim {text.shape[1]}"
                 )
 
     tiling_issues, n_frames = segment_tiling(segments)
     issues.extend(tiling_issues)
     if issues:
         raise ValidationError(issues)
-    return Dataset(segments=segments, embeddings=dict(embeddings), n_frames=n_frames)
+    return Dataset(segments=segments, n_frames=n_frames, **arrays)
 
 
 def segment_tiling(segments):

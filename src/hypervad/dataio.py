@@ -18,28 +18,26 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CODE_TO_MODALITY,
-    INT_SETTINGS,
-    MODALITY_CODES,
-    EmbeddingMatrix,
-    PipelineConfig,
-    SegmentRecord,
-    ValidationError,
-)
+from .core import INT_SETTINGS, Modality, PipelineConfig, SegmentRecord, ValidationError
 
 MAGIC = b"MMVE"
 VERSION = 1
 _HEADER = struct.Struct("<4sIBII")
+# The header's modality byte, as listed in the module docstring.
+MODALITY_CODES = {Modality.VISUAL: 0, Modality.AUDIO: 1, Modality.TEXT: 2}
 
 
-def write_embeddings(path, matrix: EmbeddingMatrix) -> None:
-    payload = matrix.data.astype("<f4").tobytes(order="C")
-    header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[matrix.modality], matrix.dim, matrix.count)
-    Path(path).write_bytes(header + payload)
+def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
+    """Write an (n, d) array as a ``modality`` embedding file."""
+    data = np.asarray(data, dtype=np.float64)
+    count, dim = data.shape
+    header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[modality], dim, count)
+    Path(path).write_bytes(header + data.astype("<f4").tobytes())
 
 
-def read_embeddings(path) -> EmbeddingMatrix:
+def read_embeddings(path, modality: Modality) -> np.ndarray:
+    """The (count, dim) float64 array of an embedding file whose header
+    names ``modality``; any other modality code is a ValidationError."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValidationError(f"{path}: truncated embedding file ({len(raw)} bytes)")
@@ -48,16 +46,18 @@ def read_embeddings(path) -> EmbeddingMatrix:
         raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValidationError(f"{path}: unsupported version {version}")
-    if modality_code not in CODE_TO_MODALITY:
-        raise ValidationError(f"{path}: unknown modality code {modality_code}")
+    if modality_code != MODALITY_CODES[modality]:
+        raise ValidationError(
+            f"{path}: header has modality code {modality_code}, but {modality.value} "
+            f"embeddings need code {MODALITY_CODES[modality]}"
+        )
     expected = count * dim * 4
     body = raw[_HEADER.size :]
     if len(body) != expected:
         raise ValidationError(
             f"{path}: payload is {len(body)} bytes, header promises {expected}"
         )
-    data = np.frombuffer(body, dtype="<f4").reshape(count, dim).astype(np.float64)
-    return EmbeddingMatrix(data, CODE_TO_MODALITY[modality_code])
+    return np.frombuffer(body, dtype="<f4").reshape(count, dim).astype(np.float64)
 
 
 # One row per caption-record key: JSON key, SegmentRecord field, required

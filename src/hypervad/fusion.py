@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .captions import window_slices
-from .core import Dataset, Modality, PipelineConfig
+from .core import Dataset, PipelineConfig
 from .hyperbolic import exp_map_origin, geodesic_point, weighted_geodesic_mean
 
 
@@ -28,14 +28,14 @@ def prepare_tangent(e: np.ndarray, tangent_scale: float) -> np.ndarray:
 def fuse_sequence(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
     """One fused ball point per segment of a validated dataset, as an (n, d) array."""
     points = exp_map_origin(
-        prepare_tangent(dataset.matrix(Modality.TEXT).data, config.tangent_scale),
+        prepare_tangent(dataset.text, config.tangent_scale),
         config.curvature,
         config.ball_eps,
     )
     if dataset.has_audio:
         rows = dataset.audio_rows
         audio = exp_map_origin(
-            prepare_tangent(dataset.matrix(Modality.AUDIO).data[rows], config.tangent_scale),
+            prepare_tangent(dataset.audio[rows], config.tangent_scale),
             config.curvature,
             config.ball_eps,
         )
@@ -50,10 +50,10 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
 
     Matches the hyperbolic path in the flat limit (curvature -> 0).
     """
-    out = prepare_tangent(dataset.matrix(Modality.TEXT).data, config.tangent_scale)
+    out = prepare_tangent(dataset.text, config.tangent_scale)
     if dataset.has_audio:
         rows = dataset.audio_rows
-        audio = prepare_tangent(dataset.matrix(Modality.AUDIO).data[rows], config.tangent_scale)
+        audio = prepare_tangent(dataset.audio[rows], config.tangent_scale)
         out[rows] = config.visual_weight * out[rows] + config.audio_weight * audio
     return out
 

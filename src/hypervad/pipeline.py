@@ -85,27 +85,31 @@ class RunManifest:
         }
 
 
+def _require_files(*named_paths) -> None:
+    """Raise ValidationError for the first (name, path) pair whose path is
+    set but names no file."""
+    for name, path in named_paths:
+        if path is not None and not Path(path).is_file():
+            raise ValidationError(f"{name} file not found: {path}")
+
+
 def load_dataset(manifest: RunManifest):
     """Fail-fast ingestion: every referenced file must exist and parse, and
     the assembled dataset must validate, before any stage runs."""
-    for name, path in (
+    _require_files(
         ("visual embeddings", manifest.visual_path),
         ("text embeddings", manifest.text_path),
         ("captions", manifest.captions_path),
         ("audio embeddings", manifest.audio_path),
         ("labels", manifest.labels_path),
-    ):
-        if path is not None and not Path(path).is_file():
-            raise ValidationError(f"{name} file not found: {path}")
-
-    embeddings = {
-        Modality.VISUAL: dataio.read_embeddings(manifest.visual_path),
-        Modality.TEXT: dataio.read_embeddings(manifest.text_path),
-    }
+    )
+    visual = dataio.read_embeddings(manifest.visual_path, Modality.VISUAL)
+    text = dataio.read_embeddings(manifest.text_path, Modality.TEXT)
+    audio = None
     if manifest.audio_path is not None:
-        embeddings[Modality.AUDIO] = dataio.read_embeddings(manifest.audio_path)
+        audio = dataio.read_embeddings(manifest.audio_path, Modality.AUDIO)
     segments = dataio.read_captions(manifest.captions_path)
-    dataset = validate_dataset(segments, embeddings)
+    dataset = validate_dataset(segments, visual, text, audio)
 
     labels = None
     if manifest.labels_path is not None:
@@ -156,11 +160,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
     with _stage("clean"):
         raw_captions = [seg.visual_caption for seg in dataset.segments]
         if manifest.cleaning:
-            caption_set = cap.clean_captions(
-                raw_captions,
-                dataset.matrix(Modality.VISUAL),
-                dataset.matrix(Modality.TEXT),
-            )
+            caption_set = cap.clean_captions(raw_captions, dataset.visual, dataset.text)
         else:
             caption_set = cap.identity_captions(raw_captions)
 
@@ -173,15 +173,13 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
 
     with _stage("summarize"):
         audio_caps = [seg.audio_caption for seg in dataset.segments] if dataset.has_audio else None
-        summaries = cap.build_summaries(
-            caption_set, dataset.matrix(Modality.TEXT), audio_caps, config.window
-        )
+        summaries = cap.build_summaries(caption_set, dataset.text, audio_caps, config.window)
         fused_windows, karcher_failures = None, []
         if fused is not None:
             fused_windows, karcher_failures = fusion.window_fused_points(fused, config)
 
     with _stage("score"):
-        scorer = _make_scorer(manifest, dataset.matrix(Modality.TEXT).dim)
+        scorer = _make_scorer(manifest, dataset.text.shape[1])
         q0 = np.zeros(config.prompt_dim)
         state, window_scores = optimize_prompt(
             q0,
@@ -198,7 +196,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         # With one neighbour (self) the weighted mean is the score itself.
         k = min(config.neighbors, summaries.n_windows)
         if manifest.refinement and k > 1:
-            stats = refine.fit_visual_stats(dataset.matrix(Modality.VISUAL), config.shrinkage)
+            stats = refine.fit_visual_stats(dataset.visual, config.shrinkage)
             refined = refine.refine_scores(window_scores, summaries.embeddings, stats, k)
         else:
             refined = np.asarray(window_scores, dtype=np.float64)
@@ -283,6 +281,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
 
 def eval_only(scores_path, labels_path) -> EvalReport:
     """Score a written scores CSV against a labels CSV."""
+    _require_files(("scores", scores_path), ("labels", labels_path))
     scores = dataio.read_scores(scores_path)
     labels = dataio.read_labels(labels_path)
     if scores.size != labels.size:

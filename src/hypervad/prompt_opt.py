@@ -196,7 +196,7 @@ def optimize_prompt(
     if opt_iters < 0:
         raise ValueError("opt_iters must be non-negative")
     q = np.array(q0, dtype=np.float64)
-    embs = summaries.embeddings.data
+    embs = summaries.embeddings
     texts = summaries.texts
     n = embs.shape[0]
     mu = resolve_target_mass(target_mass, n)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .captions import normalize_rows
-from .core import EmbeddingMatrix
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +46,7 @@ class VisualStats:
         return self.mean.shape[0]
 
 
-def fit_visual_stats(visual_embs: EmbeddingMatrix, shrinkage: float) -> VisualStats:
+def fit_visual_stats(visual_embs: np.ndarray, shrinkage: float) -> VisualStats:
     """Column mean plus precision of the shrunk unbiased sample covariance.
 
     Sigma = (1 - s) * Sigma_sample + s * (tr(Sigma_sample) / d) * I.
@@ -57,12 +56,11 @@ def fit_visual_stats(visual_embs: EmbeddingMatrix, shrinkage: float) -> VisualSt
     """
     if not 0.0 <= shrinkage <= 1.0:
         raise ValueError(f"shrinkage must lie in [0, 1], got {shrinkage}")
-    X = visual_embs.data
-    n, d = X.shape
+    n, d = visual_embs.shape
     if n < 2:
         raise ValueError(f"need at least 2 rows to fit covariance, got {n}")
-    mean = X.mean(axis=0)
-    centered = X - mean
+    mean = visual_embs.mean(axis=0)
+    centered = visual_embs - mean
     sample_cov = centered.T @ centered / (n - 1)
     target = (np.trace(sample_cov) / d) * np.eye(d)
     cov = (1.0 - shrinkage) * sample_cov + shrinkage * target
@@ -89,7 +87,7 @@ def mahalanobis(x: np.ndarray, stats: VisualStats) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def neighbor_sets(text_embs: EmbeddingMatrix, k: int) -> np.ndarray:
+def neighbor_sets(text_embs: np.ndarray, k: int) -> np.ndarray:
     """K nearest rows per row by cosine distance, always including self.
 
     Self is a forced member; the remaining k-1 slots go to the nearest other
@@ -104,10 +102,10 @@ def neighbor_sets(text_embs: EmbeddingMatrix, k: int) -> np.ndarray:
     entries +inf: O(k n^2) time and 8 n^2 bytes. A full sort of every row
     costs more for k up to about 200; refinement uses k = neighbors = 5.
     """
-    n = text_embs.count
+    n = len(text_embs)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    unit, _ = normalize_rows(text_embs.data)
+    unit, _ = normalize_rows(text_embs)
     cos_dist = unit @ unit.T
     np.subtract(1.0, cos_dist, out=cos_dist)
     np.fill_diagonal(cos_dist, -np.inf)
@@ -122,7 +120,7 @@ def neighbor_sets(text_embs: EmbeddingMatrix, k: int) -> np.ndarray:
 
 def refine_scores(
     scores: np.ndarray,
-    text_embs: EmbeddingMatrix,
+    text_embs: np.ndarray,
     stats: VisualStats,
     k: int,
 ) -> np.ndarray:
@@ -134,13 +132,13 @@ def refine_scores(
     logs the event.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    n = text_embs.count
+    n = len(text_embs)
     if scores.shape != (n,):
         raise ValueError(f"need one score per text row, got {scores.shape} vs {n}")
     if n == 0:
         return scores.copy()
     sets = neighbor_sets(text_embs, k)
-    dm = [mahalanobis(text_embs.data[j], stats) for j in range(n)]
+    dm = [mahalanobis(text_embs[j], stats) for j in range(n)]
 
     # Plain left-to-right accumulation in neighbor-rank order keeps results
     # reproducible down to the last bit across platforms.

@@ -106,6 +106,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # rfile.read(-1) would wait for the client to close
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
             q = np.asarray(payload["prompt"], dtype=np.float64)
             emb = np.asarray(payload["summary_embedding"], dtype=np.float64)

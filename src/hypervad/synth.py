@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import EmbeddingMatrix, Modality, SegmentRecord, ValidationError, seeded_unit_vector
+from .core import Modality, SegmentRecord, ValidationError, seeded_unit_vector
 from .dataio import write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
@@ -111,13 +111,13 @@ def gen_synthetic(
         "labels": out_dir / "labels.csv",
         "meta": out_dir / "meta.json",
     }
-    write_embeddings(paths["visual"], EmbeddingMatrix(visual, Modality.VISUAL))
-    write_embeddings(paths["text"], EmbeddingMatrix(text, Modality.TEXT))
+    write_embeddings(paths["visual"], visual, Modality.VISUAL)
+    write_embeddings(paths["text"], text, Modality.TEXT)
     if with_audio:
         audio = rng.standard_normal((n_segments, dim))
         audio += seg_labels[:, None] * shift * direction[None, :]
         paths["audio"] = out_dir / "audio.emb"
-        write_embeddings(paths["audio"], EmbeddingMatrix(audio, Modality.AUDIO))
+        write_embeddings(paths["audio"], audio, Modality.AUDIO)
     write_captions(paths["captions"], segments)
     write_labels(paths["labels"], frame_labels)
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hypervad.core import EmbeddingMatrix, Modality, SegmentRecord
+from hypervad.core import Modality, SegmentRecord
 
 
 @pytest.fixture
@@ -28,4 +28,9 @@ def make_segments(n, frames_per_segment=4, audio=False):
 
 
 def make_matrix(rows, modality=Modality.VISUAL):
-    return EmbeddingMatrix(np.asarray(rows, dtype=np.float64), modality)
+    """A read-only float64 copy of ``rows``, like the arrays a Dataset holds.
+    ``modality`` names the slot the rows are for at the call site; the
+    array itself carries no tag."""
+    data = np.array(rows, dtype=np.float64)
+    data.flags.writeable = False
+    return data

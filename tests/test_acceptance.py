@@ -358,7 +358,7 @@ def test_criterion_9_modality_agnostic(shift6_dataset, tmp_path):
         dataset, _ = load_dataset(mono_manifest)
         config = mono_manifest.config
         fused = fuse_sequence(dataset, config)
-        text = dataset.matrix(Modality.TEXT).data
+        text = dataset.text
         for t, point in enumerate(fused):
             expected = exp_map_origin(
                 prepare_tangent(text[t], config.tangent_scale), config.curvature,

@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypervad.pipeline import RunManifest
+from hypervad.core import PipelineConfig
+from hypervad.pipeline import RunManifest, run_pipeline
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import RemoteScorer
+from hypervad.synth import gen_synthetic
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -56,6 +58,30 @@ def test_every_stage_call_is_traced(tracer):
     traced = {name for _, _, name, _ in tracer.pipeline_patches()}
     for stage, names in tracer.STAGES.items():
         assert set(names) <= traced, stage
+
+
+def test_traced_run_records_every_layer(tracer, tmp_path):
+    # a callee looked up under another name, or a changed call shape (say a
+    # path no longer the first argument of read_embeddings), shows up here
+    data = gen_synthetic(tmp_path / "data", n_segments=24, dim=6, seed=3, with_audio=True)
+    window, opt_iters = 2, 3
+    manifest = RunManifest(
+        visual_path=data.paths["visual"], text_path=data.paths["text"],
+        captions_path=data.paths["captions"], audio_path=data.paths["audio"],
+        labels_path=data.paths["labels"], out_dir=tmp_path / "out",
+        config=PipelineConfig(seed=3, window=window, opt_iters=opt_iters, prompt_dim=4),
+    )
+    trace = tracer.Tracer()
+    with trace.installed(tracer.pipeline_patches()), trace.span(tracer.ROOT_SPAN):
+        run_pipeline(manifest)
+    metrics = trace.layer_metrics(server_busy_s=0.0)
+
+    assert [s for s in tracer.STAGES if not metrics[f"pipeline.{s}_s"] > 0] == []
+    inputs = ("visual", "text", "audio", "captions", "labels")
+    assert metrics["dataio.bytes_read"] == sum(data.paths[k].stat().st_size for k in inputs)
+    assert metrics["hyperbolic.karcher_calls"] > 0
+    n_windows = -(-data.n_segments // window)
+    assert metrics["prompt_opt.score_all_calls"] == n_windows * (opt_iters + 1)
 
 
 def test_ablation_variants_are_manifest_overrides(ablation):

@@ -166,12 +166,12 @@ class TestSummaries:
         assert summaries.n_windows == 2
         expected0 = (captions[1] + captions[1]) / 2
         expected1 = (captions[0] + captions[3]) / 2
-        assert np.allclose(summaries.embeddings.data[0], expected0, atol=1e-15)
-        assert np.allclose(summaries.embeddings.data[1], expected1, atol=1e-15)
+        assert np.allclose(summaries.embeddings[0], expected0, atol=1e-15)
+        assert np.allclose(summaries.embeddings[1], expected1, atol=1e-15)
 
     def test_empty_dataset(self):
         cs = identity_captions([])
         summaries = build_summaries(cs, make_matrix(np.zeros((0, 3)), Modality.TEXT), None, 4)
         assert summaries.n_windows == 0
-        assert summaries.embeddings.data.shape == (0, 3)
+        assert summaries.embeddings.shape == (0, 3)
         assert summaries.segment_to_window.size == 0

@@ -7,8 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypervad.core import (
-    EmbeddingMatrix,
-    Modality,
     PipelineConfig,
     SegmentRecord,
     ValidationError,
@@ -16,23 +14,7 @@ from hypervad.core import (
     validate_dataset,
 )
 
-from conftest import make_matrix, make_segments
-
-
-class TestEmbeddingMatrix:
-    def test_shape_properties(self):
-        m = make_matrix(np.ones((3, 4)))
-        assert (m.count, m.dim) == (3, 4)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            EmbeddingMatrix(np.ones(5), Modality.VISUAL)
-
-    def test_data_is_immutable_float64(self):
-        m = make_matrix(np.ones((2, 2), dtype=np.float32))
-        assert m.data.dtype == np.float64
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 7.0
+from conftest import make_segments
 
 
 class TestSegmentRecord:
@@ -101,44 +83,50 @@ class TestPipelineConfig:
 class TestValidateDataset:
     def _embs(self, n, dim=4, rng=None):
         rng = rng or np.random.default_rng(0)
-        return {
-            Modality.VISUAL: make_matrix(rng.normal(size=(n, dim)), Modality.VISUAL),
-            Modality.TEXT: make_matrix(rng.normal(size=(n, dim)), Modality.TEXT),
-        }
+        return {"visual": rng.normal(size=(n, dim)), "text": rng.normal(size=(n, dim))}
 
     def test_consistent_shapes_valid(self):
-        ds = validate_dataset(make_segments(3), self._embs(3))
+        ds = validate_dataset(make_segments(3), **self._embs(3))
         assert ds.n_segments == 3
         assert ds.n_frames == 12
+        assert ds.audio is None and not ds.has_audio
+
+    def test_rejects_non_2d(self):
+        embs = self._embs(3)
+        embs["visual"] = np.ones(5)
+        with pytest.raises(ValidationError, match=r"visual: embeddings must be 2-D, got shape \(5,\)"):
+            validate_dataset(make_segments(3), **embs)
+
+    def test_arrays_are_read_only_float64(self):
+        visual = np.ones((2, 2), dtype=np.float32)
+        text = np.ones((2, 2))
+        ds = validate_dataset(make_segments(2), visual, text, text.copy())
+        for data in (ds.visual, ds.text, ds.audio):
+            assert data.dtype == np.float64
+            with pytest.raises(ValueError):
+                data[0, 0] = 7.0
+        text[0, 0] = 7.0  # the caller's own array stays writable
 
     def test_count_mismatch(self):
         with pytest.raises(ValidationError, match="count mismatch"):
-            validate_dataset(make_segments(3), self._embs(2))
+            validate_dataset(make_segments(3), **self._embs(2))
 
     def test_nan_names_row(self):
         embs = self._embs(3)
-        data = embs[Modality.VISUAL].data.copy()
-        data[1, 2] = np.nan
-        embs[Modality.VISUAL] = make_matrix(data, Modality.VISUAL)
+        embs["visual"][1, 2] = np.nan
         with pytest.raises(ValidationError, match=r"visual: non-finite entry in row\(s\) 1"):
-            validate_dataset(make_segments(3), embs)
+            validate_dataset(make_segments(3), **embs)
 
     def test_non_contiguous_segments(self):
         segs = make_segments(3)
         segs[1] = SegmentRecord(1, 5, 7, "caption 1")  # gap: segment 0 ends at 3
         with pytest.raises(ValidationError, match="segment 1: non-contiguous"):
-            validate_dataset(segs, self._embs(3))
+            validate_dataset(segs, **self._embs(3))
 
     def test_inverted_frame_range(self):
         segs = [SegmentRecord(0, 3, 1, "x")]
         with pytest.raises(ValidationError, match="frame_start"):
-            validate_dataset(segs, self._embs(1))
-
-    def test_missing_required_modality(self):
-        embs = self._embs(2)
-        del embs[Modality.TEXT]
-        with pytest.raises(ValidationError, match="missing required"):
-            validate_dataset(make_segments(2), embs)
+            validate_dataset(segs, **self._embs(1))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -152,11 +140,9 @@ class TestValidateDataset:
         segs = make_segments(n)
         embs = self._embs(n, dim, rng)
         if mutation == "count":
-            embs[Modality.VISUAL] = make_matrix(rng.normal(size=(n + 1, dim)), Modality.VISUAL)
+            embs["visual"] = rng.normal(size=(n + 1, dim))
         elif mutation == "nan" and n >= 1:
-            bad = embs[Modality.TEXT].data.copy()
-            bad[rng.integers(n), rng.integers(dim)] = np.inf
-            embs[Modality.TEXT] = make_matrix(bad, Modality.TEXT)
+            embs["text"][rng.integers(n), rng.integers(dim)] = np.inf
         elif mutation == "gap" and n >= 2:
             i = int(rng.integers(1, n))
             segs[i] = SegmentRecord(i, segs[i].frame_start + 1, segs[i].frame_end, "zz")
@@ -167,10 +153,10 @@ class TestValidateDataset:
             mutation = "none"
 
         if mutation == "none":
-            validate_dataset(segs, embs)
+            validate_dataset(segs, **embs)
         else:
             with pytest.raises(ValidationError):
-                validate_dataset(segs, embs)
+                validate_dataset(segs, **embs)
 
 
 def test_seeded_unit_vector_deterministic_unit():

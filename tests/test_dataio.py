@@ -4,9 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from hypervad.core import EmbeddingMatrix, Modality, PipelineConfig, SegmentRecord, ValidationError
+from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError
 from hypervad.dataio import (
     MAGIC,
+    MODALITY_CODES,
     read_captions,
     read_config,
     read_embeddings,
@@ -29,20 +30,19 @@ class TestEmbeddingFormat:
     def test_roundtrip(self, tmp_path, rng):
         path = tmp_path / "x.emb"
         data = rng.normal(size=(7, 5)).astype(np.float32).astype(np.float64)
-        write_embeddings(path, EmbeddingMatrix(data, Modality.AUDIO))
-        back = read_embeddings(path)
-        assert back.modality is Modality.AUDIO
-        assert np.array_equal(back.data, data)
+        write_embeddings(path, data, Modality.AUDIO)
+        back = read_embeddings(path, Modality.AUDIO)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, data)
 
     def test_empty_matrix_roundtrip(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.zeros((0, 4)), Modality.TEXT))
-        back = read_embeddings(path)
-        assert (back.count, back.dim) == (0, 4)
+        write_embeddings(path, np.zeros((0, 4)), Modality.TEXT)
+        assert read_embeddings(path, Modality.TEXT).shape == (0, 4)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.zeros((2, 3)), Modality.VISUAL))
+        write_embeddings(path, np.zeros((2, 3)), Modality.VISUAL)
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         assert raw[4:8] == (1).to_bytes(4, "little")  # version
@@ -53,44 +53,57 @@ class TestEmbeddingFormat:
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.zeros((1, 1)), Modality.VISUAL))
+        write_embeddings(path, np.zeros((1, 1)), Modality.VISUAL)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"NOPE"
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match="bad magic"):
-            read_embeddings(path)
+            read_embeddings(path, Modality.VISUAL)
 
     def test_bad_version(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.zeros((1, 1)), Modality.VISUAL))
+        write_embeddings(path, np.zeros((1, 1)), Modality.VISUAL)
         raw = bytearray(path.read_bytes())
         raw[4:8] = (9).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError, match="version"):
-            read_embeddings(path)
+            read_embeddings(path, Modality.VISUAL)
 
     def test_unknown_modality_code(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.zeros((1, 1)), Modality.VISUAL))
+        write_embeddings(path, np.zeros((1, 1)), Modality.VISUAL)
         raw = bytearray(path.read_bytes())
         raw[8] = 7
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValidationError, match="modality"):
-            read_embeddings(path)
+        with pytest.raises(ValidationError, match="header has modality code 7, but visual"):
+            read_embeddings(path, Modality.VISUAL)
+
+    @pytest.mark.parametrize("written, read", [
+        (Modality.TEXT, Modality.VISUAL), (Modality.VISUAL, Modality.AUDIO),
+        (Modality.AUDIO, Modality.TEXT),
+    ])
+    def test_header_modality_must_match_slot(self, tmp_path, written, read):
+        path = tmp_path / "x.emb"
+        write_embeddings(path, np.zeros((1, 1)), written)
+        message = (f"{path}: header has modality code {MODALITY_CODES[written]}, "
+                   f"but {read.value} embeddings need code {MODALITY_CODES[read]}")
+        with pytest.raises(ValidationError) as excinfo:
+            read_embeddings(path, read)
+        assert excinfo.value.issues == [message]
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "x.emb"
-        write_embeddings(path, EmbeddingMatrix(np.ones((3, 2)), Modality.VISUAL))
+        write_embeddings(path, np.ones((3, 2)), Modality.VISUAL)
         raw = path.read_bytes()
         path.write_bytes(raw[:-4])
         with pytest.raises(ValidationError, match="payload"):
-            read_embeddings(path)
+            read_embeddings(path, Modality.VISUAL)
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_bytes(b"MMV")
         with pytest.raises(ValidationError, match="truncated"):
-            read_embeddings(path)
+            read_embeddings(path, Modality.VISUAL)
 
 
 class TestCaptionsFormat:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypervad.core import Modality, SegmentRecord, ValidationError, validate_dataset
+from hypervad.core import SegmentRecord, ValidationError, validate_dataset
 from hypervad.evaluate import (
     UndefinedMetricError,
     auc_roc,
@@ -17,7 +17,6 @@ from hypervad.evaluate import (
     expand_to_frames,
 )
 
-from conftest import make_matrix
 from oracles import ap_sweep_oracle, auc_pairwise_oracle, auc_rank_sum_oracle, paint_frames_oracle
 
 
@@ -91,9 +90,8 @@ class TestExpandToFrames:
     def test_same_tiling_rule_as_validate_dataset(self, segs, data):
         n = len(segs)
         scores = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-        embeddings = {m: make_matrix(np.zeros((n, 2)), m) for m in (Modality.VISUAL, Modality.TEXT)}
         try:
-            dataset = validate_dataset(segs, embeddings)
+            dataset = validate_dataset(segs, np.zeros((n, 2)), np.zeros((n, 2)))
         except ValidationError as exc:
             with pytest.raises(ValueError, match=re.escape(exc.issues[0])):
                 expand_to_frames(scores, segs)

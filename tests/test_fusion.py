@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError, validate_dataset
+from hypervad.core import PipelineConfig, SegmentRecord, ValidationError, validate_dataset
 from hypervad.fusion import (
     fuse_sequence,
     fuse_sequence_euclidean,
@@ -10,7 +10,7 @@ from hypervad.fusion import (
 )
 from hypervad.hyperbolic import exp_map_origin, weighted_geodesic_mean
 
-from conftest import make_matrix, make_segments
+from conftest import make_segments
 
 
 def make_dataset(rng, n=6, dim=4, audio="all"):
@@ -20,25 +20,17 @@ def make_dataset(rng, n=6, dim=4, audio="all"):
         if audio == "mixed":
             s = segs[2]
             segs[2] = SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
-    embs = {
-        Modality.VISUAL: make_matrix(rng.normal(size=(n, dim)), Modality.VISUAL),
-        Modality.TEXT: make_matrix(rng.normal(size=(n, dim)), Modality.TEXT),
-    }
-    if audio != "none":
-        embs[Modality.AUDIO] = make_matrix(rng.normal(size=(n, dim)), Modality.AUDIO)
-    return validate_dataset(segs, embs)
+    visual, text = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+    audio = None if audio == "none" else rng.normal(size=(n, dim))
+    return validate_dataset(segs, visual, text, audio)
 
 
 def one_segment(e_vis, e_aud):
     """A validated one-segment dataset: text row e_vis, audio row e_aud or none."""
     e_vis = np.asarray(e_vis, dtype=np.float64)
-    embs = {
-        Modality.VISUAL: make_matrix([np.ones_like(e_vis)], Modality.VISUAL),
-        Modality.TEXT: make_matrix([e_vis], Modality.TEXT),
-    }
-    if e_aud is not None:
-        embs[Modality.AUDIO] = make_matrix([e_aud], Modality.AUDIO)
-    return validate_dataset(make_segments(1, audio=e_aud is not None), embs)
+    audio = None if e_aud is None else [e_aud]
+    return validate_dataset(make_segments(1, audio=e_aud is not None),
+                            [np.ones_like(e_vis)], [e_vis], audio)
 
 
 def fuse_one(e_vis, e_aud, weights, curvature):
@@ -90,8 +82,8 @@ class TestFuseSegment:
             config = PipelineConfig(curvature=c, visual_weight=0.35, audio_weight=0.65)
             ds = make_dataset(rng, n=20, dim=8)
             fused = fuse_sequence(ds, config)
-            vis = exp_map_origin(prepare_tangent(ds.matrix(Modality.TEXT).data, 0.5), c)
-            aud = exp_map_origin(prepare_tangent(ds.matrix(Modality.AUDIO).data, 0.5), c)
+            vis = exp_map_origin(prepare_tangent(ds.text, 0.5), c)
+            aud = exp_map_origin(prepare_tangent(ds.audio, 0.5), c)
             for t in range(20):
                 # a third copy of the visual point keeps the mean iterative
                 pts = np.stack([vis[t], vis[t], aud[t]])
@@ -118,7 +110,7 @@ class TestFuseSequence:
     def test_all_visual_dataset_is_pointwise_exp(self, rng):
         ds = make_dataset(rng, audio="none")
         fused = fuse_sequence(ds, PipelineConfig())
-        text = ds.matrix(Modality.TEXT).data
+        text = ds.text
         assert fused.shape == text.shape
         for t, point in enumerate(fused):
             assert np.array_equal(point, exp_map_origin(prepare_tangent(text[t], 0.5), 1.0))
@@ -126,23 +118,21 @@ class TestFuseSequence:
     def test_mixed_dataset_per_segment_rule(self, rng):
         ds = make_dataset(rng, audio="mixed")
         fused = fuse_sequence(ds, PipelineConfig())
-        text = ds.matrix(Modality.TEXT).data
-        unimodal = exp_map_origin(prepare_tangent(text, 0.5), 1.0)
+        unimodal = exp_map_origin(prepare_tangent(ds.text, 0.5), 1.0)
         assert np.array_equal(fused[2], unimodal[2])
         others = np.arange(6) != 2
         assert np.all(np.abs(fused[others] - unimodal[others]).max(axis=1) > 1e-6)
 
     def test_modality_deletion_invariance(self, rng):
         ds_with = make_dataset(rng, audio="all")
-        embs = {m: ds_with.embeddings[m] for m in (Modality.VISUAL, Modality.TEXT)}
         segs_mono = [
             SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
             for s in ds_with.segments
         ]
-        ds_without = validate_dataset(segs_mono, embs)
+        ds_without = validate_dataset(segs_mono, ds_with.visual, ds_with.text)
         config = PipelineConfig()
         mono = fuse_sequence(ds_without, config)
-        text = ds_without.matrix(Modality.TEXT).data
+        text = ds_without.text
         for t, point in enumerate(mono):
             expected = exp_map_origin(prepare_tangent(text[t], config.tangent_scale), config.curvature)
             assert np.array_equal(point, expected)
@@ -155,11 +145,7 @@ class TestFuseSequence:
         assert np.max(np.abs(hyperbolic - euclidean)) < 1e-5
 
     def test_empty_dataset(self):
-        ds = validate_dataset([], {
-            Modality.VISUAL: make_matrix(np.zeros((0, 4)), Modality.VISUAL),
-            Modality.TEXT: make_matrix(np.zeros((0, 4)), Modality.TEXT),
-            Modality.AUDIO: make_matrix(np.zeros((0, 4)), Modality.AUDIO),
-        })
+        ds = validate_dataset([], np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4)))
         assert fuse_sequence(ds, PipelineConfig()).shape == (0, 4)
         assert fuse_sequence_euclidean(ds, PipelineConfig()).shape == (0, 4)
 

@@ -59,16 +59,13 @@ class TestRunPipeline:
         from hypervad.captions import build_summaries, clean_captions
 
         cs = clean_captions(
-            [s.visual_caption for s in dataset.segments],
-            dataset.matrix(Modality.VISUAL),
-            dataset.matrix(Modality.TEXT),
+            [s.visual_caption for s in dataset.segments], dataset.visual, dataset.text
         )
         summaries = build_summaries(
-            cs, dataset.matrix(Modality.TEXT),
-            [s.audio_caption for s in dataset.segments], 2,
+            cs, dataset.text, [s.audio_caption for s in dataset.segments], 2,
         )
         stub = StubScorer(32, 8, seed=5)
-        expected = [stub.score(np.zeros(32), e) for e in summaries.embeddings.data]
+        expected = [stub.score(np.zeros(32), e) for e in summaries.embeddings]
         window_scores = result.segment_scores[::2]
         assert np.allclose(window_scores, expected, atol=0)
 
@@ -98,11 +95,10 @@ class TestRunPipeline:
     def test_refinement_dim_mismatch_aborts(self, synth_dir, tmp_path, rng):
         # text embeddings of a different dim than visual: refinement could
         # not compare them, so loading rejects the dataset before any stage
-        from hypervad.core import EmbeddingMatrix
         from hypervad.dataio import write_embeddings
 
         alt = tmp_path / "text12.emb"
-        write_embeddings(alt, EmbeddingMatrix(rng.normal(size=(40, 12)), Modality.TEXT))
+        write_embeddings(alt, rng.normal(size=(40, 12)), Modality.TEXT)
         m = manifest_for(
             synth_dir, tmp_path / "mm", text_path=alt, audio_path=None, cleaning=False
         )
@@ -250,14 +246,13 @@ class TestCli:
     def test_validate_rejects_dim_mismatch_with_text(self, tmp_path, capsys, modality):
         # a mismatch against the text dim used to pass validate and fail
         # only inside run (refine for visual, fuse for audio)
-        from hypervad.core import EmbeddingMatrix
         from hypervad.dataio import write_embeddings
 
         data = tmp_path / "data"
         main(self._synth_args(data) + ["--with-audio"])
         alt = tmp_path / f"{modality}8.emb"
         rows = np.random.default_rng(0).normal(size=(20, 8))
-        write_embeddings(alt, EmbeddingMatrix(rows, Modality(modality)))
+        write_embeddings(alt, rows, Modality(modality))
         paths = {"visual": data / "visual.emb", "audio": data / "audio.emb", modality: alt}
         inputs = ["--visual", str(paths["visual"]), "--text", str(data / "text.emb"),
                   "--audio", str(paths["audio"]), "--captions", str(data / "captions.jsonl")]
@@ -285,14 +280,12 @@ class TestCli:
         assert "captions.jsonl:2: bad caption record: 'frame_end' must be int" in capsys.readouterr().err
 
     def test_validate_rejects_zero_width_embeddings(self, tmp_path, capsys):
-        from hypervad.core import EmbeddingMatrix
         from hypervad.dataio import write_embeddings
 
         data = tmp_path / "data"
         main(self._synth_args(data))
         for modality in ("visual", "text"):
-            write_embeddings(tmp_path / f"{modality}0.emb",
-                             EmbeddingMatrix(np.zeros((20, 0)), Modality(modality)))
+            write_embeddings(tmp_path / f"{modality}0.emb", np.zeros((20, 0)), Modality(modality))
         inputs = ["--visual", str(tmp_path / "visual0.emb"), "--text", str(tmp_path / "text0.emb"),
                   "--captions", str(data / "captions.jsonl")]
         capsys.readouterr()
@@ -365,6 +358,40 @@ class TestCli:
         assert report["toggles"]["audio"] is False
         assert report["metrics"] is None
 
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_header_modality_must_match_option(self, tmp_path, capsys, verb):
+        # text.emb given as --visual: the file's header names text, so it is
+        # rejected where it is read, naming the file
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        text = data / "text.emb"
+        out = tmp_path / "run"
+        args = [verb, "--visual", str(text), "--text", str(text),
+                "--captions", str(data / "captions.jsonl")]
+        if verb == "run":
+            args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {text}: header has modality code 2, "
+            "but visual embeddings need code 0\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["scores", "labels"])
+    def test_eval_missing_file_exit_1(self, tmp_path, capsys, missing):
+        from hypervad.dataio import write_labels, write_scores
+
+        paths = {"scores": tmp_path / "s.csv", "labels": tmp_path / "l.csv"}
+        write_scores(paths["scores"], [0.9, 0.1])
+        write_labels(paths["labels"], [1, 0])
+        paths[missing] = tmp_path / "nope.csv"
+        assert main(["eval", "--scores", str(paths["scores"]),
+                     "--labels", str(paths["labels"])]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {missing} file not found: {tmp_path / 'nope.csv'}\n"
+        )
+
     def test_run_missing_file_exit_1_no_outputs(self, tmp_path):
         data = tmp_path / "data"
         main(self._synth_args(data))
@@ -398,8 +425,7 @@ class TestCli:
     def test_synth_empty_dataset_valid(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert main(["synth", "--out", str(out), "--n-segments", "0", "--with-audio"]) == 0
-        visual = read_embeddings(out / "visual.emb")
-        assert visual.count == 0
+        assert read_embeddings(out / "visual.emb", Modality.VISUAL).shape == (0, 16)
         meta = json.loads((out / "meta.json").read_text())
         assert meta["oracle_auc"] is None
         # every stage takes the empty case as zero rows; only the metrics are undefined

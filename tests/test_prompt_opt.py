@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypervad.captions import SummarySet
-from hypervad.core import EmbeddingMatrix, Modality
 from hypervad.prompt_opt import (
     EPS_P,
     PromptState,
@@ -24,7 +23,7 @@ def make_summaries(embs: np.ndarray) -> SummarySet:
     n = embs.shape[0]
     return SummarySet(
         texts=tuple(f"summary {i}" for i in range(n)),
-        embeddings=EmbeddingMatrix(embs, Modality.TEXT),
+        embeddings=embs,
         segment_to_window=np.arange(n),
     )
 

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -72,6 +73,17 @@ class TestLoopbackConformance:
                 urllib.request.urlopen(request, timeout=5)
             excinfo.value.close()
             assert excinfo.value.code == 400
+
+    def test_negative_content_length_is_400(self):
+        # rfile.read(-1) would wait for the client to close, so no reply
+        # would ever come
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n")
+                with sock.makefile("rb") as reply:
+                    status_line = reply.readline()
+        assert status_line.split()[1] == b"400"
 
     def test_fd_gradient_matches_analytic(self, rng):
         stub = StubScorer(5, 3, seed=7)
