@@ -28,11 +28,21 @@ MODALITY_CODES = {Modality.VISUAL: 0, Modality.AUDIO: 1, Modality.TEXT: 2}
 
 
 def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
-    """Write an (n, d) array as a ``modality`` embedding file."""
+    """Write an (n, d) array as a ``modality`` embedding file. A finite
+    value beyond float32's range is a ValueError, and no file is written."""
     data = np.asarray(data, dtype=np.float64)
     count, dim = data.shape
+    with np.errstate(over="ignore"):
+        values = data.astype("<f4")
+    overflow = np.isinf(values) & np.isfinite(data)
+    if overflow.any():
+        row = int(np.argmax(overflow.any(axis=1)))
+        raise ValueError(
+            f"{path}: row {row} has a value beyond float32's range "
+            f"(±{float(np.finfo(np.float32).max):.4g})"
+        )
     header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[modality], dim, count)
-    Path(path).write_bytes(header + data.astype("<f4").tobytes())
+    Path(path).write_bytes(header + values.tobytes())
 
 
 def read_embeddings(path, modality: Modality) -> np.ndarray:

@@ -121,10 +121,15 @@ def load_dataset(manifest: RunManifest):
     return dataset, labels
 
 
-def _make_scorer(manifest: RunManifest, emb_dim: int):
+@contextmanager
+def _open_scorer(manifest: RunManifest, emb_dim: int):
+    """The configured scorer; a remote scorer's connection is closed when
+    the block ends, whether or not it failed."""
     if manifest.scorer == "remote":
-        return RemoteScorer(manifest.endpoint)
-    return StubScorer(manifest.config.prompt_dim, emb_dim, manifest.config.seed)
+        with RemoteScorer(manifest.endpoint) as scorer:
+            yield scorer
+    else:
+        yield StubScorer(manifest.config.prompt_dim, emb_dim, manifest.config.seed)
 
 
 @dataclass
@@ -178,8 +183,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         if fused is not None:
             fused_windows, karcher_failures = fusion.window_fused_points(fused, config)
 
-    with _stage("score"):
-        scorer = _make_scorer(manifest, dataset.text.shape[1])
+    with _stage("score"), _open_scorer(manifest, dataset.text.shape[1]) as scorer:
         q0 = np.zeros(config.prompt_dim)
         state, window_scores = optimize_prompt(
             q0,

@@ -8,6 +8,10 @@ all surfaced as TransportError; nothing is clamped silently. A refused,
 dropped or truncated exchange is retried ``retries`` times first. Gradients
 come from central finite differences, costing 2 * prompt_dim extra calls per
 gradient.
+
+The client sends every request over one HTTP/1.1 keep-alive connection,
+opened on first use and closed by ``close()``; a server that closes after
+each reply costs one connection per request instead.
 """
 
 from __future__ import annotations
@@ -15,53 +19,106 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import urllib.error
-import urllib.request
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from .core import TransportError
 from .prompt_opt import ScorerInfo, StubScorer
 
+# How often serve_forever checks for shutdown; shutdown() waits up to this long.
+_POLL_INTERVAL_S = 0.05
+
 
 class RemoteScorer:
-    """Scorer backend that defers to an HTTP service."""
+    """Scorer backend that defers to an HTTP service. Use it as a context
+    manager, or call ``close()``, to release its connection."""
 
     def __init__(self, endpoint: str, timeout: float = 10.0, fd_step: float = 1e-6, retries: int = 2):
         if fd_step <= 0:
             raise ValueError("fd_step must be positive")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout!r}")
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ValueError(f"retries must be a non-negative integer, got {retries!r}")
         self.endpoint = endpoint.rstrip("/")
+        self.url = f"{self.endpoint}/score"
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
+        connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+        )
+        # port None is the scheme's default
+        self._connect = partial(connection_class, parts.hostname, parts.port, timeout=timeout)
+        self._selector = parts.path + (f"?{parts.query}" if parts.query else "")
+        self._connection = None
         self.timeout = timeout
         self.fd_step = fd_step
         self.retries = retries
         self.info = ScorerInfo(name="remote", deterministic=False, gradient_mode="finite-difference")
 
+    def close(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+    def _exchange(self, body: bytes) -> dict:
+        """Send one request and return its reply object. Any failure closes
+        the connection, so that the next exchange starts on a new one."""
+        # http.client drops the socket of a connection the server closed, so
+        # one that still holds a socket has carried an earlier exchange
+        reused = self._connection is not None and self._connection.sock is not None
+        if self._connection is None:
+            self._connection = self._connect()
+        try:
+            try:
+                self._connection.request(
+                    "POST", self._selector, body, {"Content-Type": "application/json"}
+                )
+                response = self._connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # also RemoteDisconnected
+                if not reused:
+                    raise
+                # The server closed the idle connection before any reply
+                # byte: send once more on a new one, outside the retry
+                # budget, as xmlrpc.client does.
+                self.close()
+                return self._exchange(body)
+            if not 200 <= response.status < 300:
+                response.close()
+                raise TransportError(f"scorer endpoint {self.url} returned status {response.status}")
+            raw = response.read()
+            try:
+                reply = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise TransportError(f"scorer endpoint {self.url} returned malformed JSON: {exc}") from exc
+            if not isinstance(reply, dict):
+                raise TransportError(f"scorer endpoint {self.url} returned {raw[:80]!r}, not a JSON object")
+            return reply
+        except BaseException:
+            self.close()
+            raise
+
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
-        url = f"{self.endpoint}/score"
-        request = urllib.request.Request(
-            url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-        )
         last_error = None
         for _ in range(self.retries + 1):
             try:
-                # urlopen raises HTTPError for every final non-2xx status
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    raw = response.read()
-                try:
-                    reply = json.loads(raw.decode("utf-8"))
-                except ValueError as exc:  # not UTF-8, or not JSON
-                    raise TransportError(f"scorer endpoint {url} returned malformed JSON: {exc}") from exc
-                if not isinstance(reply, dict):
-                    raise TransportError(f"scorer endpoint {url} returned {raw[:80]!r}, not a JSON object")
-                return reply
-            except urllib.error.HTTPError as exc:
-                raise TransportError(f"scorer endpoint {url} returned status {exc.code}") from exc
-            except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
+                return self._exchange(body)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc  # refused, dropped or truncated: try again
         raise TransportError(
-            f"scorer endpoint {url} failed after {self.retries + 1} attempts: {last_error}"
+            f"scorer endpoint {self.url} failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> float:
@@ -96,6 +153,11 @@ class RemoteScorer:
 
 class _StubHandler(BaseHTTPRequestHandler):
     scorer: StubScorer = None  # set by the server factory
+    # Keep-alive; send_error replies carry "Connection: close". Nagle off,
+    # because the reply goes out in two writes (headers, then body), and a
+    # client's delayed ACK of the first would hold the second back.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, *args):  # silence per-request stderr noise
         pass
@@ -135,7 +197,9 @@ class LoopbackScorerServer:
     def __init__(self, scorer: StubScorer, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundStubHandler", (_StubHandler,), {"scorer": scorer})
         self._server = ThreadingHTTPServer((host, port), handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
 
     @property
     def endpoint(self) -> str:

@@ -425,8 +425,7 @@ def test_criterion_12_remote_scorer_conformance():
     with criterion(12, "remote scorer wire-protocol conformance"):
         rng = np.random.default_rng(1212)
         stub = StubScorer(12, 6, seed=99)
-        with LoopbackScorerServer(stub) as server:
-            remote = RemoteScorer(server.endpoint, fd_step=1e-6)
+        with LoopbackScorerServer(stub) as server, RemoteScorer(server.endpoint, fd_step=1e-6) as remote:
             worst_score, worst_grad = 0.0, 0.0
             for _ in range(25):
                 q = rng.normal(size=12)

@@ -118,7 +118,8 @@ def test_scorer_process_serves_and_counts():
         verb, endpoint, _echo = _readline(proc).split()
         assert verb == "ready"
         q, emb = np.full(4, 0.1), np.array([0.3, -0.2, 0.5])
-        got = RemoteScorer(endpoint).score(q, emb, "a summary")
+        with RemoteScorer(endpoint) as remote:
+            got = remote.score(q, emb, "a summary")
         assert abs(got - StubScorer(4, 3, seed=1).score(q, emb, "a summary")) < 1e-9
         proc.stdin.write("stats\n")
         proc.stdin.flush()

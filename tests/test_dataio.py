@@ -99,6 +99,19 @@ class TestEmbeddingFormat:
         with pytest.raises(ValidationError, match="payload"):
             read_embeddings(path, Modality.VISUAL)
 
+    @pytest.mark.parametrize("rows, bad_row", [([[1e39, 1.0]], 0), ([[1.0, 2.0], [0.5, -1e39]], 1)])
+    def test_float32_overflow_rejected_before_writing(self, tmp_path, rows, bad_row):
+        path = tmp_path / "x.emb"
+        with pytest.raises(ValueError, match=rf"x\.emb: row {bad_row} has a value beyond float32"):
+            write_embeddings(path, rows, Modality.VISUAL)
+        assert not path.exists()
+
+    def test_float32_max_still_written(self, tmp_path):
+        path = tmp_path / "x.emb"
+        top = float(np.finfo(np.float32).max)
+        write_embeddings(path, [[top, -top]], Modality.VISUAL)
+        assert read_embeddings(path, Modality.VISUAL).tolist() == [[top, -top]]
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.emb"
         path.write_bytes(b"MMV")

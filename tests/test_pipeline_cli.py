@@ -2,12 +2,14 @@ import argparse
 import inspect
 import json
 import re
+import threading
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hypervad import remote
 from hypervad.cli import build_parser, main
 from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, StageError, ValidationError
 from hypervad.dataio import read_embeddings
@@ -39,6 +41,51 @@ def manifest_for(synth_dir, out_dir, **kw):
     )
     defaults.update(kw)
     return RunManifest(**defaults)
+
+
+class _ConnectionLog:
+    """Client addresses of the connections the loopback scorer served, and
+    how many of them it is still serving."""
+
+    def __init__(self):
+        self.clients = set()
+        self.open = 0
+        self._changed = threading.Condition()
+
+    def wrap(self, handle):
+        def counted(handler):
+            with self._changed:
+                self.clients.add(handler.client_address)
+                self.open += 1
+            try:
+                handle(handler)  # returns once the client closes the connection
+            finally:
+                with self._changed:
+                    self.open -= 1
+                    self._changed.notify_all()
+        return counted
+
+    def all_closed(self, timeout=5.0) -> bool:
+        with self._changed:
+            return self._changed.wait_for(lambda: self.open == 0, timeout)
+
+
+@pytest.fixture
+def connection_log(monkeypatch):
+    log = _ConnectionLog()
+    monkeypatch.setattr(remote._StubHandler, "handle", log.wrap(remote._StubHandler.handle))
+    return log
+
+
+class _FailsAfter:
+    """The stub's scores for ``calls`` requests, then an out-of-range 2.0."""
+
+    def __init__(self, stub, calls):
+        self.stub, self.calls = stub, calls
+
+    def score(self, q, emb, text=""):
+        self.calls -= 1
+        return self.stub.score(q, emb, text=text) if self.calls >= 0 else 2.0
 
 
 class TestRunPipeline:
@@ -174,6 +221,25 @@ class TestRunPipeline:
         assert np.max(np.abs(
             remote_result.frame_scores - local_result.frame_scores
         )) < 1e-9
+
+    def test_remote_run_uses_one_connection_and_closes_it(self, synth_dir, tmp_path, connection_log):
+        config = PipelineConfig(seed=5, window=2, prompt_dim=2, opt_iters=2)
+        with LoopbackScorerServer(StubScorer(2, 8, seed=5)) as server:
+            run_pipeline(manifest_for(
+                synth_dir, tmp_path / "r", config=config, scorer="remote", endpoint=server.endpoint
+            ))
+            assert connection_log.all_closed()
+        assert len(connection_log.clients) == 1
+
+    def test_failed_remote_score_stage_closes_connection(self, synth_dir, tmp_path, connection_log):
+        with LoopbackScorerServer(_FailsAfter(StubScorer(32, 8, seed=5), calls=5)) as server:
+            with pytest.raises(StageError, match=r"\[score\].*outside \[0, 1\]"):
+                run_pipeline(
+                    manifest_for(synth_dir, tmp_path / "f", scorer="remote", endpoint=server.endpoint)
+                )
+            assert connection_log.all_closed()
+        assert len(connection_log.clients) == 1
+        assert not (tmp_path / "f" / "scores.csv").exists()
 
     def test_remote_requires_endpoint(self, synth_dir, tmp_path):
         with pytest.raises(ValidationError, match="endpoint"):
