@@ -11,6 +11,8 @@ closed form exp_x(w_aud log_x(y)). Neither iterates, and both run on the
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .captions import window_slices
@@ -65,23 +67,30 @@ def window_fused_points(fused: np.ndarray, config: PipelineConfig):
     Returns the (n_windows, d) points and the list of windows whose mean did
     not converge. Single-segment windows pass their point through untouched;
     larger windows take the equal-weight geodesic mean of their members,
-    exact for two and iterated for more.
+    exact for two and iterated for more. Windows of one size are averaged as
+    one stack, so there is one mean call for the full windows and one for a
+    trailing partial window, each window stopping at its own iteration.
     """
-    windows = window_slices(len(fused), config.window)
-    out = fused[np.array([lo for lo, _ in windows], dtype=np.int64)]
-    failures = []
-    for k, (lo, hi) in enumerate(windows):
-        if hi - lo < 2:
-            continue
-        result = weighted_geodesic_mean(
-            fused[lo:hi],
-            np.full(hi - lo, 1.0 / (hi - lo)),
-            config.curvature,
-            tol=config.karcher_tol,
-            max_iter=config.karcher_max_iter,
-            ball_eps=config.ball_eps,
-        )
-        out[k] = result.point
-        if not result.converged:
-            failures.append(k)
-    return out, failures
+    n, d = fused.shape
+    out, failures, first = [fused[:0]], [], 0
+    # runs of equal-size windows (the full ones, then a shorter trailing one)
+    # are contiguous, so each run is one (count, size, d) stack
+    for size, run in groupby(window_slices(n, config.window), key=lambda window: window[1] - window[0]):
+        run = list(run)
+        lo, count = run[0][0], len(run)
+        stack = fused[lo : lo + count * size].reshape(count, size, d)
+        if size < 2:
+            out.append(stack[:, 0])
+        else:
+            result = weighted_geodesic_mean(
+                stack,
+                np.full(size, 1.0 / size),
+                config.curvature,
+                tol=config.karcher_tol,
+                max_iter=config.karcher_max_iter,
+                ball_eps=config.ball_eps,
+            )
+            out.append(result.point)
+            failures.extend(first + int(k) for k in np.flatnonzero(result.unconverged))
+        first += count
+    return np.concatenate(out), failures

@@ -1,6 +1,6 @@
 """Poincare-ball geometry on plain float64 arrays: exp/log maps, Mobius
 addition, geodesic distance, and the weighted geodesic (Karcher) mean used
-for modality fusion.
+for modality fusion and window aggregation.
 
 Points and tangent vectors are ``(..., d)`` arrays; every map works row-wise
 and broadcasts over the leading axes, and the curvature c > 0 is an
@@ -29,6 +29,12 @@ exp_map_origin (finite tangents), log_map_origin and weighted_geodesic_mean
 (finite points strictly inside the ball), all three for positive curvature.
 The other maps assume valid ball points, so the Karcher iteration does not
 re-check its own iterates.
+
+weighted_geodesic_mean takes a stack of point sets (..., m, d) that share one
+weight vector and iterates all sets together. A set leaves the iteration
+when its own residual drops below tol, so each set's point and iteration
+count are those of a call on that set alone, bit for bit; a single (m, d)
+set is the stack of one.
 """
 
 from __future__ import annotations
@@ -162,17 +168,31 @@ def geodesic_point(x, y, t, curvature: float, ball_eps: float = DEFAULT_BALL_EPS
 
 @dataclass(frozen=True)
 class KarcherResult:
-    """Outcome of the weighted geodesic mean.
+    """Outcome of the weighted geodesic mean of a stack of point sets.
 
-    ``converged`` is False when max_iter was exhausted; the point is then the
-    best effort found, never a silent success. The closed-form cases (one
+    For points of shape ``(..., m, d)`` the per-set fields have the stack
+    shape ``(...)``: ``point`` is ``(..., d)``, ``residual`` the final
+    ||u|| of each set, ``set_iterations`` the iteration each set stopped
+    at, and ``unconverged`` marks the sets that exhausted max_iter, whose
+    point is the best effort found, never a silent success. A single
+    ``(m, d)`` set gives a ``(d,)`` point and 0-d per-set fields.
+    ``iterations`` (a Python int) sums the per-set counts; ``converged`` (a
+    bool) holds only if every set converged. The closed-form cases (one
     point of full weight, two points) report 0 iterations and residual 0.
     """
 
     point: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
+    residual: np.ndarray
+    set_iterations: np.ndarray
+    unconverged: np.ndarray
+
+    @property
+    def iterations(self) -> int:
+        return int(self.set_iterations.sum())
+
+    @property
+    def converged(self) -> bool:
+        return not self.unconverged.any()
 
 
 def weighted_geodesic_mean(
@@ -183,28 +203,33 @@ def weighted_geodesic_mean(
     max_iter: int = DEFAULT_KARCHER_MAX_ITER,
     ball_eps: float = DEFAULT_BALL_EPS,
 ) -> KarcherResult:
-    """Weighted Karcher mean of the rows of ``points`` (m, d): the point
-    minimizing sum_i w_i d(m, x_i)^2.
+    """Weighted Karcher mean of each point set in ``points`` (..., m, d):
+    per set, the point minimizing sum_i w_i d(m, x_i)^2, with one weight
+    vector ``weights`` (m,) shared by every set.
 
     Points of zero weight are dropped. A single remaining point of full
     weight is the mean exactly, and two remaining points have the closed
     form :func:`geodesic_point`. More points iterate m <- exp_m(step * u)
     with u = sum_i w_i log_m(x_i) / sum_i w_i, starting from the
     weight-normalized Euclidean average of the coordinates (projected into
-    the ball) and stopping when ||u|| drops below ``tol``.
+    the ball). All sets iterate together, and a set leaves the active stack
+    at the first iteration its ||u|| drops below ``tol``, so each set stops
+    at the iteration, and with the point, that it reaches on its own. The
+    inputs are checked once, before any iteration.
 
     The raw fixed-point iteration (step 1) oscillates once points sit more
     than about two units of geodesic distance from the mean: the squared
     distance Hessian has eigenvalues up to sqrt(c) d coth(sqrt(c) d), so a
-    unit step overshoots. The step is therefore damped to 1/H with H the
-    largest such factor over the support, which restores guaranteed descent
-    while keeping the same fixed point and the same residual definition.
+    unit step overshoots. The step of each set is therefore damped to 1/H
+    with H the largest such factor over its support, which restores
+    guaranteed descent while keeping the same fixed point and the same
+    residual definition.
     """
     points = _checked_points(points, curvature)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError(f"need at least one point as an (m, d) array, got shape {points.shape}")
+    if points.ndim < 2 or points.shape[-2] == 0:
+        raise ValueError(f"need at least one point as an (..., m, d) array, got shape {points.shape}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (points.shape[0],):
+    if w.shape != (points.shape[-2],):
         raise ValueError("one weight per point required")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
@@ -214,26 +239,63 @@ def weighted_geodesic_mean(
     w = w / total
 
     support = w > 0
-    points, w = points[support], w[support]
+    stack, d = points.shape[:-2], points.shape[-1]
+    # compress copies to C order, the layout the matmuls below expect: on a
+    # strided view, w @ sets can round differently from the same rows copied
+    sets = np.compress(support, points, axis=-2).reshape(-1, int(support.sum()), d)
+    w = w[support]
+    residual = np.zeros(len(sets))
+    set_iterations = np.zeros(len(sets), dtype=np.int64)
+    unconverged = np.zeros(len(sets), dtype=bool)
     top = int(np.argmax(w))
     if w[top] == 1.0:
         # degenerate weighting: the mean is that point exactly
-        return KarcherResult(points[top], 0.0, 0, True)
-    if len(w) == 2:
-        return KarcherResult(geodesic_point(points[0], points[1], w[1], curvature, ball_eps), 0.0, 0, True)
+        out = sets[:, top]
+    elif len(w) == 2:
+        out = geodesic_point(sets[:, 0], sets[:, 1], w[1], curvature, ball_eps)
+    else:
+        out = _iterate_means(sets, w, curvature, tol, max_iter, ball_eps,
+                             residual, set_iterations, unconverged)
+    return KarcherResult(
+        out.reshape(*stack, d),
+        residual.reshape(stack),
+        set_iterations.reshape(stack),
+        unconverged.reshape(stack),
+    )
 
-    mean = project_to_ball(w @ points, curvature, ball_eps)
+
+def _iterate_means(sets, w, curvature, tol, max_iter, ball_eps, residual, set_iterations, unconverged):
+    """The damped fixed-point iteration over the (k, m, d) stack ``sets``.
+
+    ``active`` indexes the sets still iterating, and ``mean`` and ``points``
+    hold only their rows, so the arrays shrink as sets converge. Fills the
+    per-set outputs in place and returns the (k, d) means.
+    """
     sqrt_c = np.sqrt(curvature)
-    residual = np.inf
+    out = project_to_ball(w @ sets, curvature, ball_eps)
+    residual[:] = np.inf
+    active, mean, points = np.arange(len(sets)), out, sets
     for it in range(1, max_iter + 1):
-        tangents = log_map(mean, points, curvature)
+        tangents = log_map(mean[:, None, :], points, curvature)
         update = w @ tangents
-        residual = float(np.linalg.norm(update))
-        if residual < tol:
-            return KarcherResult(mean, residual, it, True)
+        # per-row sqrt(u . u) by the same dot product as a norm of one row
+        norms = np.sqrt((update[:, None, :] @ update[:, :, None])[:, 0, 0])
+        residual[active] = norms
+        done = norms < tol
+        if done.any():
+            out[active[done]] = mean[done]
+            set_iterations[active[done]] = it
+            keep = ~done
+            active, mean, points = active[keep], mean[keep], points[keep]
+            tangents, update = tangents[keep], update[keep]
+        if not len(active):
+            return out
         # the log map norms are the geodesic distances to the points
         t = sqrt_c * np.linalg.norm(tangents, axis=-1)
-        t = t[t > 1e-8]
-        smoothness = float(np.max(t / np.tanh(t), initial=1.0))
-        mean = exp_map(mean, update / smoothness, curvature, ball_eps)
-    return KarcherResult(mean, residual, max_iter, False)
+        ratio = np.divide(t, np.tanh(t), out=np.ones_like(t), where=t > 1e-8)
+        smoothness = np.max(ratio, axis=-1, initial=1.0)
+        mean = exp_map(mean, update / smoothness[:, None], curvature, ball_eps)
+    out[active] = mean
+    set_iterations[active] = max_iter
+    unconverged[active] = True
+    return out

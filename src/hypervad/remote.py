@@ -30,6 +30,9 @@ from .prompt_opt import ScorerInfo, StubScorer
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
 _POLL_INTERVAL_S = 0.05
+# How long the loopback server keeps an idle connection (and its thread); far
+# above a client's gap between the requests of a run.
+_IDLE_TIMEOUT_S = 30.0
 
 
 class RemoteScorer:
@@ -158,9 +161,17 @@ class _StubHandler(BaseHTTPRequestHandler):
     # client's delayed ACK of the first would hold the second back.
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    # An idle connection times out, which ends the connection and its thread.
+    timeout = _IDLE_TIMEOUT_S
 
     def log_message(self, *args):  # silence per-request stderr noise
         pass
+
+    def handle(self):
+        try:
+            super().handle()
+        except ConnectionError:  # the client reset the connection: nothing to answer
+            self.close_connection = True
 
     def do_POST(self):
         if self.path != "/score":

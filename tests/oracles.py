@@ -5,7 +5,10 @@ no code shared with the package paths it checks. The exception is the pair
 of prompt-gradient oracles: they call the package's objective (``total_loss``)
 and its derivative in the scores (``loss_score_gradient``), because comparing
 the analytic gradient with central differences of the objective is what
-checks that derivative.
+checks that derivative. The Karcher-mean reference loops call the package's
+maps too: they check how the stacked iteration batches and masks the sets,
+and the same maps on the same rows are what make a bit-for-bit comparison
+possible.
 """
 
 import math
@@ -14,6 +17,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
+from hypervad.captions import window_slices
+from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import loss_score_gradient, total_loss
 
 
@@ -170,6 +175,53 @@ def poincare_distance(x, y, c: float) -> float:
 def karcher_objective(m, points, weights, c: float) -> float:
     """Weighted sum of squared geodesic distances, the quantity the mean minimizes."""
     return float(sum(w * poincare_distance(m, p, c) ** 2 for w, p in zip(weights, points)))
+
+
+def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter: int = 200,
+                        ball_eps: float = 1e-5):
+    """Weighted Karcher mean of one (m, d) point set by the damped fixed-point
+    iteration, one set at a time. Returns (point, iterations, converged)."""
+    points = np.asarray(points, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    w = w / float(w.sum())
+    support = w > 0
+    points, w = points[support], w[support]
+    top = int(np.argmax(w))
+    if w[top] == 1.0:
+        return points[top], 0, True
+    if len(w) == 2:
+        return geodesic_point(points[0], points[1], w[1], c, ball_eps), 0, True
+    mean = project_to_ball(w @ points, c, ball_eps)
+    for it in range(1, max_iter + 1):
+        tangents = log_map(mean, points, c)
+        update = w @ tangents
+        if float(np.linalg.norm(update)) < tol:
+            return mean, it, True
+        t = math.sqrt(c) * np.linalg.norm(tangents, axis=-1)
+        t = t[t > 1e-8]
+        smoothness = float(np.max(t / np.tanh(t), initial=1.0))
+        mean = exp_map(mean, update / smoothness, c, ball_eps)
+    return mean, max_iter, False
+
+
+def window_means_oracle(fused, config):
+    """Per-window loop over the windows of :func:`window_slices`: one
+    equal-weight :func:`karcher_mean_oracle` per window of two or more
+    segments. Returns (points, failed windows, per-window iterations)."""
+    points, failures, iterations = [], [], []
+    for k, (lo, hi) in enumerate(window_slices(len(fused), config.window)):
+        if hi - lo < 2:
+            point, its, converged = fused[lo], 0, True
+        else:
+            point, its, converged = karcher_mean_oracle(
+                fused[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)), config.curvature,
+                tol=config.karcher_tol, max_iter=config.karcher_max_iter, ball_eps=config.ball_eps,
+            )
+        points.append(point)
+        iterations.append(its)
+        if not converged:
+            failures.append(k)
+    return np.array(points).reshape(-1, fused.shape[1]), failures, iterations
 
 
 def analytic_total_gradient(

@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from hypervad.core import PipelineConfig
-from hypervad.pipeline import RunManifest, run_pipeline
+from hypervad.fusion import fuse_sequence
+from hypervad.pipeline import RunManifest, load_dataset, run_pipeline
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import RemoteScorer
 from hypervad.synth import gen_synthetic
+
+from oracles import window_means_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -82,6 +85,28 @@ def test_traced_run_records_every_layer(tracer, tmp_path):
     assert metrics["hyperbolic.karcher_calls"] > 0
     n_windows = -(-data.n_segments // window)
     assert metrics["prompt_opt.score_all_calls"] == n_windows * (opt_iters + 1)
+
+
+def test_traced_window_means_count_per_size_group(tracer, tmp_path):
+    # window 3 over 26 segments: eight full windows iterate as one stack and
+    # the trailing window of two takes the closed form, one call per size
+    data = gen_synthetic(tmp_path / "data", n_segments=26, dim=6, seed=4, with_audio=True)
+    config = PipelineConfig(seed=4, window=3, opt_iters=1, prompt_dim=4)
+    manifest = RunManifest(
+        visual_path=data.paths["visual"], text_path=data.paths["text"],
+        captions_path=data.paths["captions"], audio_path=data.paths["audio"],
+        labels_path=data.paths["labels"], out_dir=tmp_path / "out", config=config,
+    )
+    trace = tracer.Tracer()
+    with trace.installed(tracer.pipeline_patches()), trace.span(tracer.ROOT_SPAN):
+        run_pipeline(manifest)
+    metrics = trace.layer_metrics(server_busy_s=0.0)
+
+    _, failures, iterations = window_means_oracle(fuse_sequence(load_dataset(manifest)[0], config), config)
+    assert metrics["hyperbolic.karcher_calls"] == 2
+    assert metrics["hyperbolic.karcher_iterations"] == sum(iterations) > 0
+    assert metrics["hyperbolic.karcher_failures"] == len(failures)
+    assert json.loads(json.dumps(metrics)) == metrics
 
 
 def test_ablation_variants_are_manifest_overrides(ablation):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hypervad import fusion
 from hypervad.core import PipelineConfig, SegmentRecord, ValidationError, validate_dataset
 from hypervad.fusion import (
     fuse_sequence,
@@ -11,6 +12,7 @@ from hypervad.fusion import (
 from hypervad.hyperbolic import exp_map_origin, weighted_geodesic_mean
 
 from conftest import make_segments
+from oracles import window_means_oracle
 
 
 def make_dataset(rng, n=6, dim=4, audio="all"):
@@ -165,9 +167,8 @@ class TestWindowFusedPoints:
         fused = fuse_sequence(ds, config)
         points, failures = window_fused_points(fused, config)
         assert points.shape == (2, 4) and failures == []
-        for k, members in enumerate((fused[:3], fused[3:])):
-            expected = weighted_geodesic_mean(members, np.full(len(members), 1.0 / len(members)), 1.0)
-            assert np.max(np.abs(points[k] - expected.point)) < 1e-12
+        expected, expected_failures, _ = window_means_oracle(fused, config)
+        assert np.array_equal(points, expected) and expected_failures == []
 
     def test_failed_window_means_reported(self, rng):
         ds = make_dataset(rng, n=8, audio="none")
@@ -176,6 +177,34 @@ class TestWindowFusedPoints:
         # windows of 3, 3 and 2 segments: only the three-point means iterate
         _, failures = window_fused_points(fused, config)
         assert failures == [0, 1]
+
+    @pytest.mark.parametrize("n, window, calls", [
+        (40, 4, 1),   # full windows only
+        (41, 4, 1),   # trailing window of one passes through
+        (42, 4, 2),   # trailing window of two: closed form
+        (43, 4, 2),   # trailing window of three: iterated
+        (33, 7, 2),
+        (2, 3, 1),    # the partial window is the only one
+        (12, 1, 0),   # every window passes through
+    ])
+    @pytest.mark.parametrize("max_iter", [3, 8, 200])  # 8: some windows fail, some converge
+    def test_ragged_layouts_match_per_window_oracle(self, rng, monkeypatch, n, window, calls, max_iter):
+        ds = make_dataset(rng, n=n, dim=5, audio="all")
+        config = PipelineConfig(window=window, karcher_max_iter=max_iter, curvature=float(rng.uniform(0.5, 2.0)))
+        fused = fuse_sequence(ds, config)
+        seen = []
+
+        def counted(points, *args, **kwargs):
+            seen.append(np.shape(points))
+            return weighted_geodesic_mean(points, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "weighted_geodesic_mean", counted)
+        points, failures = window_fused_points(fused, config)
+        expected, expected_failures, _ = window_means_oracle(fused, config)
+        assert np.array_equal(points, expected)
+        assert failures == expected_failures
+        assert all(type(k) is int for k in failures)
+        assert len(seen) == calls and all(shape[1] >= 2 for shape in seen)
 
     def test_empty_sequence(self):
         points, failures = window_fused_points(np.zeros((0, 4)), PipelineConfig(window=3))

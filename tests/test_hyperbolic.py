@@ -18,7 +18,7 @@ from hypervad.hyperbolic import (
     weighted_geodesic_mean,
 )
 
-from oracles import karcher_objective, mobius_neg, poincare_distance
+from oracles import karcher_mean_oracle, karcher_objective, mobius_neg, poincare_distance
 
 
 def random_point(rng, dim=3, c=1.0, radius=0.8):
@@ -305,3 +305,72 @@ class TestKarcherMean:
             weighted_geodesic_mean([x, np.array([1.0, 0.0, 0.0])], [0.5, 0.5], 1.0)
         with pytest.raises(ValueError, match="finite"):
             weighted_geodesic_mean([x, np.array([np.nan, 0.0, 0.0])], [0.5, 0.5], 1.0)
+
+
+def assert_matches_per_set_oracle(result, stack, w, c, **kwargs):
+    """Every set of ``stack`` (..., m, d) against the one-set reference loop."""
+    sets = stack.reshape(-1, *stack.shape[-2:])
+    points = result.point.reshape(len(sets), -1)
+    for i, (pts, point, its, unconverged) in enumerate(zip(
+        sets, points, result.set_iterations.ravel(), result.unconverged.ravel()
+    )):
+        expected, expected_its, expected_converged = karcher_mean_oracle(pts, w, c, **kwargs)
+        assert np.array_equal(point, expected), i
+        assert (its, not unconverged) == (expected_its, expected_converged), i
+
+
+class TestStackedKarcherMean:
+    def test_matches_per_set_reference(self, rng):
+        for m in [1, 2] + list(range(3, 17)):
+            for _ in range(3):
+                c = float(rng.uniform(0.1, 4.0))
+                dim = int(rng.integers(1, 9))
+                stack_shape = [(int(rng.integers(1, 7)),), (2, 3)][int(rng.integers(2))]
+                stack = random_points(rng, int(np.prod(stack_shape)) * m, dim, c=c, radius=0.95)
+                stack = stack.reshape(*stack_shape, m, dim)
+                w = rng.uniform(0.05, 1.0, size=m)
+                if m > 1:
+                    w[rng.integers(m)] = 0.0
+                result = weighted_geodesic_mean(stack, w, c)
+                assert result.point.shape == (*stack_shape, dim)
+                assert result.set_iterations.shape == result.unconverged.shape == stack_shape
+                assert_matches_per_set_oracle(result, stack, w, c)
+                assert result.iterations == int(result.set_iterations.sum())
+                assert result.converged == (not result.unconverged.any())
+
+    def test_each_set_stops_on_its_own(self, rng):
+        # identical points are done at the first iteration, spread points
+        # are not done within two
+        dim, m = 4, 6
+        same = np.repeat(random_points(rng, 3, dim)[:, None, :], m, axis=1)
+        spread = random_points(rng, 3 * m, dim, radius=0.95).reshape(3, m, dim)
+        stack = np.stack([same[0], spread[0], spread[1], same[1], spread[2], same[2]])
+        w = np.ones(m)
+        result = weighted_geodesic_mean(stack, w, 1.0, max_iter=2)
+        assert result.set_iterations.tolist() == [1, 2, 2, 1, 2, 1]
+        assert result.unconverged.tolist() == [False, True, True, False, True, False]
+        assert result.iterations == 9 and result.converged is False
+        assert_matches_per_set_oracle(result, stack, w, 1.0, max_iter=2)
+
+    def test_single_set_is_stack_of_one(self, rng):
+        pts = random_points(rng, 5, 3, radius=0.9)
+        w = rng.uniform(0.1, 1.0, size=5)
+        single = weighted_geodesic_mean(pts, w, 1.0)
+        stacked = weighted_geodesic_mean(pts[None], w, 1.0)
+        assert single.point.shape == (3,) and single.unconverged.shape == ()
+        assert np.array_equal(single.point, stacked.point[0])
+        assert single.iterations == stacked.iterations > 0
+        assert type(stacked.iterations) is int and type(stacked.converged) is bool
+
+    def test_input_checked_across_the_stack(self, rng):
+        stack = random_points(rng, 6, 3, radius=0.9).reshape(2, 3, 3)
+        stack[1, 2] = [1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="boundary"):
+            weighted_geodesic_mean(stack, np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="one weight per point"):
+            weighted_geodesic_mean(stack[:1], np.ones(2), 1.0)
+
+    def test_empty_stack(self):
+        result = weighted_geodesic_mean(np.zeros((0, 3, 2)), np.ones(3), 1.0)
+        assert result.point.shape == (0, 2)
+        assert result.iterations == 0 and result.converged

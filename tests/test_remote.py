@@ -1,6 +1,7 @@
 import http.client
 import json
 import socket
+import struct
 import threading
 import urllib.error
 import urllib.request
@@ -9,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from hypervad import remote as remote_module
 from hypervad.core import TransportError
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer, RemoteScorer
@@ -85,6 +87,12 @@ def _raw_post(path: str, body: bytes) -> bytes:
     ).encode("ascii") + body
 
 
+def _join_all(threads, timeout=5.0):
+    for thread in threads:
+        thread.join(timeout)
+    return [thread for thread in threads if thread.is_alive()]
+
+
 class TestLoopbackConformance:
     def test_scores_match_local_stub(self, rng):
         stub = StubScorer(6, 4, seed=42)
@@ -146,6 +154,45 @@ class TestLoopbackConformance:
                     assert got == status
                     assert headers["Connection"] == "close"
                     assert reply.read() == b""  # closed by the server
+
+    def test_idle_connections_time_out(self, monkeypatch):
+        # idle connections are kept for seconds, not forever; shortened here
+        assert remote_module._StubHandler.timeout >= 10
+        monkeypatch.setattr(remote_module._StubHandler, "timeout", 1.0)
+        body = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            before = set(threading.enumerate())
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            socks = [socket.create_connection((host, int(port)), timeout=5) for _ in range(3)]
+            try:
+                for sock in socks:
+                    sock.sendall(_raw_post("/score", body))
+                    with sock.makefile("rb") as reply:
+                        assert _read_reply(reply)[0] == 200
+                # one handler thread per idle keep-alive connection, until the
+                # server times the connection out and closes it
+                handlers = set(threading.enumerate()) - before
+                assert len(handlers) == 3
+                assert _join_all(handlers) == []
+                assert [sock.recv(1) for sock in socks] == [b""] * 3
+            finally:
+                for sock in socks:
+                    sock.close()
+
+    def test_client_reset_prints_nothing(self, capfd):
+        body = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            before = set(threading.enumerate())
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(_raw_post("/score", body))
+                with sock.makefile("rb") as reply:
+                    assert _read_reply(reply)[0] == 200
+                handlers = set(threading.enumerate()) - before
+                # linger 0: close sends a reset to the handler waiting for the next request
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            assert len(handlers) == 1 and _join_all(handlers) == []
+        assert capfd.readouterr().err == ""
 
     def test_fd_gradient_matches_analytic(self, rng):
         stub = StubScorer(5, 3, seed=7)
