@@ -15,6 +15,8 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
+from .hyperbolic import DEFAULT_BALL_EPS, DEFAULT_KARCHER_MAX_ITER, DEFAULT_KARCHER_TOL
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
@@ -75,15 +77,16 @@ class SegmentRecord:
 class PipelineConfig:
     """Every numeric knob of the pipeline, with the defaults used throughout.
 
-    ``target_mass`` of ``None`` resolves at run time to 0.1 times the number
-    of summaries, encoding the prior rarity of abnormal events. A setting
-    annotated ``int`` must be exactly an ``int`` (not a bool, not a float);
-    every other setting must be a finite real number: NaN passes no
-    comparison, so the range checks alone would let it through.
+    ``audio_weight`` is the audio share of a fused segment, the visual
+    share ``1 - audio_weight``. ``target_mass`` of ``None`` resolves at run
+    time to 0.1 times the number of summaries, encoding the prior rarity of
+    abnormal events. A setting annotated ``int`` must be exactly an ``int``
+    (not a bool, not a float); every other setting must be a finite real
+    number: NaN passes no comparison, so the range checks alone would let
+    it through.
     """
 
     curvature: float = 1.0
-    visual_weight: float = 0.5
     audio_weight: float = 0.5
     prompt_dim: int = 32
     learning_rate: float = 0.05
@@ -92,12 +95,12 @@ class PipelineConfig:
     sparsity_weight: float = 1.0
     neighbors: int = 5
     shrinkage: float = 0.1
-    ball_eps: float = 1e-5
+    ball_eps: float = DEFAULT_BALL_EPS
     seed: int = 0
     window: int = 10
     tangent_scale: float = 0.5
-    karcher_tol: float = 1e-10
-    karcher_max_iter: int = 200
+    karcher_tol: float = DEFAULT_KARCHER_TOL
+    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER
 
     def __post_init__(self):
         issues = []
@@ -116,12 +119,8 @@ class PipelineConfig:
             raise ValidationError(issues)
         if not self.curvature > 0:
             issues.append(f"curvature must be positive, got {self.curvature}")
-        if self.visual_weight < 0 or self.audio_weight < 0:
-            issues.append("fusion weights must be non-negative")
-        if abs(self.visual_weight + self.audio_weight - 1.0) > 1e-9:
-            issues.append(
-                f"fusion weights must sum to 1, got {self.visual_weight + self.audio_weight}"
-            )
+        if not 0.0 <= self.audio_weight <= 1.0:
+            issues.append(f"audio_weight must lie in [0, 1], got {self.audio_weight}")
         if self.prompt_dim < 1:
             issues.append("prompt_dim must be a positive integer")
         if not self.learning_rate > 0:

@@ -56,7 +56,7 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
     if dataset.has_audio:
         rows = dataset.audio_rows
         audio = prepare_tangent(dataset.audio[rows], config.tangent_scale)
-        out[rows] = config.visual_weight * out[rows] + config.audio_weight * audio
+        out[rows] = (1.0 - config.audio_weight) * out[rows] + config.audio_weight * audio
     return out
 
 

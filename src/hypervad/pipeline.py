@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -29,20 +28,11 @@ from .core import (
 )
 from .evaluate import EvalReport, build_report, expand_to_frames
 from .prompt_opt import PromptState, StubScorer, optimize_prompt, resolve_target_mass
-from .remote import RemoteScorer
+from .remote import RemoteScorer, split_endpoint
 
 SCORES_FILE = "scores.csv"
 LOSS_FILE = "loss_history.csv"
 REPORT_FILE = "report.json"
-
-
-def _is_http_url(endpoint: Optional[str]) -> bool:
-    try:
-        parts = urlsplit(endpoint or "")
-        parts.port  # raises for a port that is not a number or is out of range
-    except ValueError:  # also an unclosed "[" in an IPv6 host
-        return False
-    return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
 @dataclass
@@ -68,11 +58,11 @@ class RunManifest:
             raise ValidationError(f"fusion_mode must be hyperbolic or euclidean, got {self.fusion_mode!r}")
         if self.scorer not in ("stub", "remote"):
             raise ValidationError(f"scorer must be stub or remote, got {self.scorer!r}")
-        if self.scorer == "remote" and not _is_http_url(self.endpoint):
-            raise ValidationError(
-                "remote scorer requires an http:// or https:// endpoint with a host and "
-                f"a valid port, got {self.endpoint!r}"
-            )
+        if self.scorer == "remote":
+            try:
+                split_endpoint(self.endpoint)
+            except ValueError as exc:
+                raise ValidationError(f"remote scorer: {exc}") from exc
 
     def toggles(self) -> dict:
         return {
@@ -179,9 +169,9 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
     with _stage("summarize"):
         audio_caps = [seg.audio_caption for seg in dataset.segments] if dataset.has_audio else None
         summaries = cap.build_summaries(caption_set, dataset.text, audio_caps, config.window)
-        fused_windows, karcher_failures = None, []
+        karcher_failures = []  # no scorer reads the window points yet (ROADMAP item 1)
         if fused is not None:
-            fused_windows, karcher_failures = fusion.window_fused_points(fused, config)
+            _, karcher_failures = fusion.window_fused_points(fused, config)
 
     with _stage("score"), _open_scorer(manifest, dataset.text.shape[1]) as scorer:
         q0 = np.zeros(config.prompt_dim)
@@ -193,7 +183,6 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             opt_iters=config.opt_iters if manifest.optimizer else 0,
             target_mass=config.target_mass,
             sparsity_weight=config.sparsity_weight,
-            fused=fused_windows,
         )
 
     with _stage("refine"):

@@ -67,16 +67,16 @@ class ScorerInfo:
 class Scorer(Protocol):
     """Backend that maps (prompt, summary) to an anomaly likelihood in [0, 1].
 
-    ``text`` carries the decoded summary string for backends that prompt a
-    language model; numeric backends may ignore it. ``fused`` optionally
-    carries the window's fused ball point.
+    ``emb`` is the summary's embedding row and ``text`` its decoded string,
+    for backends that prompt a language model; numeric backends may ignore
+    the text.
     """
 
     info: ScorerInfo
 
-    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> float: ...
+    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float: ...
 
-    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> np.ndarray: ...
+    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray: ...
 
 
 def _sigmoid(x: float) -> float:
@@ -123,10 +123,10 @@ class StubScorer:
     def logit(self, q: np.ndarray, emb: np.ndarray) -> float:
         return float(self.w @ q + self.u @ emb + self.b)
 
-    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> float:
+    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
         return _sigmoid(self.logit(q, emb))
 
-    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> np.ndarray:
+    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)
         return s * (1.0 - s) * self.w
 
@@ -161,12 +161,11 @@ def resolve_target_mass(explicit: Optional[float], n_summaries: int) -> float:
     return 0.1 * n_summaries
 
 
-def score_all(scorer: Scorer, q: np.ndarray, embs: np.ndarray, texts: Sequence[str], fused=None) -> np.ndarray:
+def score_all(scorer: Scorer, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
     n = embs.shape[0]
     out = np.empty(n)
     for t in range(n):
-        f = fused[t] if fused is not None else None
-        s = scorer.score(q, embs[t], text=texts[t] if texts else "", fused=f)
+        s = scorer.score(q, embs[t], text=texts[t])
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"scorer returned {s} outside [0, 1] for summary {t}")
         out[t] = s
@@ -182,7 +181,6 @@ def optimize_prompt(
     opt_iters: int,
     target_mass: Optional[float] = None,
     sparsity_weight: float = 1.0,
-    fused=None,
 ):
     """Run opt_iters steps of q <- q - lr * grad L(q); return the final state
     and the scores under the optimized prompt.
@@ -191,29 +189,32 @@ def optimize_prompt(
     returned. Aborts with the iteration index if the gradient goes
     non-finite.
     """
-    if learning_rate <= 0:
-        raise ValueError("learning_rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
     if opt_iters < 0:
         raise ValueError("opt_iters must be non-negative")
+    if not math.isfinite(sparsity_weight):
+        raise ValueError(f"sparsity_weight must be finite, got {sparsity_weight!r}")
+    if target_mass is not None and not math.isfinite(target_mass):
+        raise ValueError(f"target_mass must be finite, got {target_mass!r}")
     q = np.array(q0, dtype=np.float64)
     embs = summaries.embeddings
     texts = summaries.texts
     n = embs.shape[0]
     mu = resolve_target_mass(target_mass, n)
 
-    scores = score_all(scorer, q, embs, texts, fused)
+    scores = score_all(scorer, q, embs, texts)
     history = [total_loss(scores, mu, sparsity_weight)]
 
     for k in range(opt_iters):
         coeff = loss_score_gradient(scores, mu, sparsity_weight)
         grad = np.zeros_like(q)
         for t in range(n):
-            f = fused[t] if fused is not None else None
-            grad += coeff[t] * scorer.grad_q(q, embs[t], text=texts[t] if texts else "", fused=f)
+            grad += coeff[t] * scorer.grad_q(q, embs[t], text=texts[t])
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite prompt gradient at iteration {k}")
         q = q - learning_rate * grad
-        scores = score_all(scorer, q, embs, texts, fused)
+        scores = score_all(scorer, q, embs, texts)
         history.append(total_loss(scores, mu, sparsity_weight))
 
     state = PromptState(q=q, iteration=opt_iters, loss_history=history)

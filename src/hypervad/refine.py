@@ -9,15 +9,12 @@ numpy.linalg alone: a Cholesky factor and two triangular solves.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .captions import normalize_rows
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,10 @@ def refine_scores(
     """Weighted KNN aggregation: a'_t = sum_j w_j a_j / sum_j w_j over K_t.
 
     w_j = exp(-D_M(text_embs[j], stats)), computed with a per-neighborhood
-    log-space shift so large distances cannot underflow the whole sum. If a
-    neighborhood still degenerates, it falls back to the unweighted mean and
-    logs the event.
+    log-space shift: the neighbor with the smallest distance gets weight
+    exp(0) = 1, so the weight sum is at least 1 and large distances cannot
+    underflow it. A non-finite distance raises ValueError, before any weight
+    is computed; float32 inputs on disk keep the distances finite.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(text_embs)
@@ -139,6 +137,9 @@ def refine_scores(
         return scores.copy()
     sets = neighbor_sets(text_embs, k)
     dm = [mahalanobis(text_embs[j], stats) for j in range(n)]
+    bad = [j for j in range(n) if not math.isfinite(dm[j])]
+    if bad:
+        raise ValueError(f"non-finite Mahalanobis distance for row(s) {bad[:5]}")
 
     # Plain left-to-right accumulation in neighbor-rank order keeps results
     # reproducible down to the last bit across platforms.
@@ -147,10 +148,5 @@ def refine_scores(
         idx = sets[t]
         shift = min(dm[j] for j in idx)
         weights = [math.exp(-(dm[j] - shift)) for j in idx]
-        total = sum(weights)
-        if not math.isfinite(total) or total <= 0.0:
-            log.warning("refine: weight underflow at segment %d, using unweighted mean", t)
-            refined[t] = float(scores[idx].mean())
-        else:
-            refined[t] = sum(w * scores[j] for w, j in zip(weights, idx)) / total
+        refined[t] = sum(w * scores[j] for w, j in zip(weights, idx)) / sum(weights)
     return np.clip(refined, 0.0, 1.0)

@@ -35,28 +35,41 @@ _POLL_INTERVAL_S = 0.05
 _IDLE_TIMEOUT_S = 30.0
 
 
+def split_endpoint(endpoint: str):
+    """(scheme, host, port, selector) of a scorer endpoint; requests go to
+    ``<path>/score``, and port None is the scheme's default. Raises
+    ValueError unless the scheme is http(s), with a host and a valid port,
+    and for a query or fragment (even a bare "?" or "#"), where "/score"
+    would otherwise land."""
+    try:
+        parts = urlsplit(endpoint)
+        port = parts.port  # raises for a port that is not a number or is out of range
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # also an unclosed "[" in an IPv6 host
+        valid = False
+    if not valid or "?" in endpoint or "#" in endpoint:
+        raise ValueError("need an http:// or https:// endpoint with a host, a valid port "
+                         f"and no query or fragment, got {endpoint!r}")
+    return parts.scheme, parts.hostname, port, parts.path.rstrip("/") + "/score"
+
+
 class RemoteScorer:
     """Scorer backend that defers to an HTTP service. Use it as a context
     manager, or call ``close()``, to release its connection."""
 
     def __init__(self, endpoint: str, timeout: float = 10.0, fd_step: float = 1e-6, retries: int = 2):
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout!r}")
+        # NaN passes no comparison; inf would fail late (zero gradients, OverflowError)
+        if not (np.isfinite(fd_step) and fd_step > 0):
+            raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
+        if not (np.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
         if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
             raise ValueError(f"retries must be a non-negative integer, got {retries!r}")
+        scheme, host, port, self._selector = split_endpoint(endpoint)
         self.endpoint = endpoint.rstrip("/")
         self.url = f"{self.endpoint}/score"
-        parts = urlsplit(self.url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
-        connection_class = (
-            http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-        )
-        # port None is the scheme's default
-        self._connect = partial(connection_class, parts.hostname, parts.port, timeout=timeout)
-        self._selector = parts.path + (f"?{parts.query}" if parts.query else "")
+        connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        self._connect = partial(connection_class, host, port, timeout=timeout)
         self._connection = None
         self.timeout = timeout
         self.fd_step = fd_step
@@ -124,7 +137,7 @@ class RemoteScorer:
             f"scorer endpoint {self.url} failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error
 
-    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> float:
+    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
         payload = {
             "prompt": [float(x) for x in np.asarray(q, dtype=np.float64)],
             "summary_text": text,
@@ -141,15 +154,15 @@ class RemoteScorer:
             raise TransportError(f"scorer endpoint {self.endpoint} returned score {value} outside [0, 1]")
         return value
 
-    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "", fused=None) -> np.ndarray:
+    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
         grad = np.zeros_like(q)
         h = self.fd_step
         for i in range(q.size):
             probe = np.zeros_like(q)
             probe[i] = h
-            up = self.score(q + probe, emb, text=text, fused=fused)
-            down = self.score(q - probe, emb, text=text, fused=fused)
+            up = self.score(q + probe, emb, text=text)
+            down = self.score(q - probe, emb, text=text)
             grad[i] = (up - down) / (2.0 * h)
         return grad
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypervad import hyperbolic
 from hypervad.core import (
     PipelineConfig,
     SegmentRecord,
@@ -38,11 +40,12 @@ class TestPipelineConfig:
             {"neighbors": 0},
             {"ball_eps": 0.0},
             {"ball_eps": 2e-3},
-            {"visual_weight": 0.7, "audio_weight": 0.7},
+            {"audio_weight": -1e-12},
             {"shrinkage": 1.5},
             {"learning_rate": 0.0},
             {"window": 0},
             {"seed": -1},
+            {"audio_weight": 1.0 + 1e-12},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -51,7 +54,7 @@ class TestPipelineConfig:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
-        "curvature", "visual_weight", "audio_weight", "learning_rate", "target_mass",
+        "curvature", "audio_weight", "learning_rate", "target_mass",
         "sparsity_weight", "shrinkage", "ball_eps", "tangent_scale", "karcher_tol",
     ])
     def test_rejects_non_finite_floats(self, name, value):
@@ -69,6 +72,26 @@ class TestPipelineConfig:
     def test_rejects_mistyped_settings(self, overrides, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             PipelineConfig(**overrides)
+
+    @pytest.mark.parametrize("audio_weight", [0, 0.0, 0.3, 1.0, 1])
+    def test_audio_weight_closed_unit_interval(self, audio_weight):
+        assert PipelineConfig(audio_weight=audio_weight).audio_weight == audio_weight
+
+    def test_visual_weight_is_not_a_setting(self):
+        # the visual share is 1 - audio_weight
+        assert "visual_weight" not in PipelineConfig().as_dict()
+        with pytest.raises(TypeError, match="visual_weight"):
+            PipelineConfig(visual_weight=0.5)
+
+    def test_geometry_defaults_are_hyperbolic_defaults(self):
+        config = PipelineConfig()
+        assert (config.ball_eps, config.karcher_tol, config.karcher_max_iter) == (
+            hyperbolic.DEFAULT_BALL_EPS, hyperbolic.DEFAULT_KARCHER_TOL, hyperbolic.DEFAULT_KARCHER_MAX_ITER
+        )
+        mean = inspect.signature(hyperbolic.weighted_geodesic_mean).parameters
+        assert (mean["ball_eps"].default, mean["tol"].default, mean["max_iter"].default) == (
+            config.ball_eps, config.karcher_tol, config.karcher_max_iter
+        )
 
     def test_float_settings_take_ints(self):
         config = PipelineConfig(curvature=2, target_mass=0)

@@ -35,8 +35,8 @@ def one_segment(e_vis, e_aud):
                             [np.ones_like(e_vis)], [e_vis], audio)
 
 
-def fuse_one(e_vis, e_aud, weights, curvature):
-    config = PipelineConfig(visual_weight=weights[0], audio_weight=weights[1], curvature=curvature)
+def fuse_one(e_vis, e_aud, audio_weight, curvature):
+    config = PipelineConfig(audio_weight=audio_weight, curvature=curvature)
     return fuse_sequence(one_segment(e_vis, e_aud), config)[0]
 
 
@@ -45,43 +45,43 @@ class TestFuseSegment:
 
     def test_audio_absent_is_exact_exp_map(self, rng):
         e = rng.normal(size=5)
-        point = fuse_one(e, None, (0.5, 0.5), 1.0)
+        point = fuse_one(e, None, 0.5, 1.0)
         assert np.array_equal(point, exp_map_origin(prepare_tangent(e, 0.5), 1.0))
 
     def test_identical_modalities_collapse(self, rng):
         e = rng.normal(size=4)
-        point = fuse_one(e, e.copy(), (0.5, 0.5), 1.0)
+        point = fuse_one(e, e.copy(), 0.5, 1.0)
         expected = exp_map_origin(prepare_tangent(e, 0.5), 1.0)
         assert np.max(np.abs(point - expected)) < 1e-12
 
     def test_symmetric_inputs_fuse_to_origin(self):
-        point = fuse_one(np.array([0.4, 0.0]), np.array([-0.4, 0.0]), (0.5, 0.5), 1.0)
+        point = fuse_one(np.array([0.4, 0.0]), np.array([-0.4, 0.0]), 0.5, 1.0)
         assert np.max(np.abs(point)) < 1e-9
 
     def test_weight_degeneracy(self, rng):
         e_vis, e_aud = rng.normal(size=3), rng.normal(size=3)
-        point = fuse_one(e_vis, e_aud, (1.0, 0.0), 1.0)
+        point = fuse_one(e_vis, e_aud, 0.0, 1.0)
         expected = exp_map_origin(prepare_tangent(e_vis, 0.5), 1.0)
         assert np.max(np.abs(point - expected)) < 1e-10
 
     def test_order_independence(self, rng):
         e_vis, e_aud = rng.normal(size=4), rng.normal(size=4)
-        a = fuse_one(e_vis, e_aud, (0.3, 0.7), 1.0)
-        b = fuse_one(e_aud, e_vis, (0.7, 0.3), 1.0)
+        a = fuse_one(e_vis, e_aud, 0.7, 1.0)
+        b = fuse_one(e_aud, e_vis, 0.3, 1.0)
         assert np.max(np.abs(a - b)) < 1e-10
 
     def test_flat_limit_matches_arithmetic_mean(self, rng):
         c = 1e-8
         for _ in range(10):
             e_vis, e_aud = rng.normal(size=4), rng.normal(size=4)
-            point = fuse_one(e_vis, e_aud, (0.5, 0.5), c)
+            point = fuse_one(e_vis, e_aud, 0.5, c)
             mean = 0.5 * prepare_tangent(e_vis, 0.5) + 0.5 * prepare_tangent(e_aud, 0.5)
             assert np.max(np.abs(point - mean)) < 1e-5
 
     def test_matches_iterated_two_point_mean(self, rng):
         # the closed form agrees with iterating the Karcher update on the pair
         for c in (0.1, 1.0, 4.0):
-            config = PipelineConfig(curvature=c, visual_weight=0.35, audio_weight=0.65)
+            config = PipelineConfig(curvature=c, audio_weight=0.65)
             ds = make_dataset(rng, n=20, dim=8)
             fused = fuse_sequence(ds, config)
             vis = exp_map_origin(prepare_tangent(ds.text, 0.5), c)
@@ -104,8 +104,8 @@ class TestFuseSegment:
             one_segment(np.array([np.inf, 0.0]), None)
 
     def test_bad_weights(self):
-        with pytest.raises(ValidationError, match="weights"):
-            PipelineConfig(visual_weight=0.8, audio_weight=0.8)
+        with pytest.raises(ValidationError, match="audio_weight must lie in"):
+            PipelineConfig(audio_weight=1.6)
 
 
 class TestFuseSequence:

@@ -12,7 +12,7 @@ import pytest
 from hypervad import remote
 from hypervad.cli import build_parser, main
 from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, StageError, ValidationError
-from hypervad.dataio import read_embeddings
+from hypervad.dataio import read_config, read_embeddings, write_embeddings
 from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
@@ -194,6 +194,38 @@ class TestRunPipeline:
         converged = run_pipeline(manifest_for(synth_dir, tmp_path / "k2", config=config))
         assert converged.report["fusion"]["karcher_failures"] == []
 
+    @pytest.mark.parametrize("shrinkage", [0.0, 0.1])
+    @pytest.mark.parametrize("visual_scale", [1e-45, 1e-30, 1.0])
+    def test_float32_extremes_keep_distances_finite(self, tmp_path, monkeypatch, visual_scale, shrinkage):
+        # Embedding files hold float32, so a Mahalanobis distance through
+        # run stays finite (here up to about 1e84) and refine_scores never
+        # meets the non-finite distance it rejects.
+        from hypervad import refine
+
+        data = tmp_path / "data"
+        gen_synthetic(data, n_segments=60, dim=8, anomaly_fraction=0.1, shift=6.0, seed=3,
+                      frames_per_segment=2, with_audio=False)
+        rng = np.random.default_rng(0)
+        f32_max = float(np.finfo(np.float32).max)
+        write_embeddings(data / "visual.emb", rng.normal(size=(60, 8)) * visual_scale, Modality.VISUAL)
+        write_embeddings(data / "text.emb", np.where(rng.normal(size=(60, 8)) > 0, f32_max, -f32_max),
+                         Modality.TEXT)
+        distances = []
+        mahalanobis = refine.mahalanobis
+
+        def recorded(x, stats):
+            distances.append(mahalanobis(x, stats))
+            return distances[-1]
+
+        monkeypatch.setattr(refine, "mahalanobis", recorded)
+        result = run_pipeline(RunManifest(
+            visual_path=data / "visual.emb", text_path=data / "text.emb",
+            captions_path=data / "captions.jsonl", out_dir=tmp_path / "out",
+            config=PipelineConfig(window=1, shrinkage=shrinkage, opt_iters=5),
+        ))
+        assert len(distances) == 60 and np.all(np.isfinite(distances)) and max(distances) > 1e38
+        assert np.all(np.isfinite(result.frame_scores))
+
     def test_report_toggle_labels(self, synth_dir, tmp_path):
         result = run_pipeline(
             manifest_for(
@@ -247,7 +279,8 @@ class TestRunPipeline:
 
     @pytest.mark.parametrize(
         "endpoint", ["localhost:8750", "ftp://127.0.0.1:8750", "http://:8750", "http://[::1",
-                     "http://127.0.0.1:abc", "http://127.0.0.1:99999"]
+                     "http://127.0.0.1:abc", "http://127.0.0.1:99999",
+                     "http://127.0.0.1:8750/base?key=abc", "http://127.0.0.1:8750/base#top"]
     )
     def test_remote_endpoint_needs_http_scheme_and_host(self, synth_dir, tmp_path, endpoint):
         with pytest.raises(ValidationError, match="http:// or https:// endpoint"):
@@ -382,19 +415,23 @@ class TestCli:
         (["--scorer", "remote", "--endpoint", "localhost:8750"], "http:// or https:// endpoint"),
         (["--config", "{inf_cfg}"], "target_mass must be finite, got inf"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:abc"], "a valid port"),
+        (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/base?key=abc"], "no query or fragment"),
+        (["--config", "{vw_cfg}"], "unknown config key 'visual_weight'"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
         main(self._synth_args(data))
         (tmp_path / "run.cfg").write_text("seed = -3\n", encoding="utf-8")
         (tmp_path / "inf.cfg").write_text("target_mass = inf\n", encoding="utf-8")
+        (tmp_path / "vw.cfg").write_text("visual_weight = 0.5\n", encoding="utf-8")
         out = tmp_path / "run"
         code = main([
             "run", "--visual", str(data / "visual.emb"),
             "--text", str(data / "text.emb"),
             "--captions", str(data / "captions.jsonl"),
             "--out", str(out),
-        ] + [a.format(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg") for a in args])
+        ] + [a.format(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg", vw_cfg=tmp_path / "vw.cfg")
+             for a in args])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
@@ -517,6 +554,13 @@ class TestCli:
         assert report["config"]["window"] == 1
         assert report["config"]["neighbors"] == 3
         assert report["metrics"] is None  # no labels supplied
+
+    def test_visual_weight_is_an_unknown_config_key(self, tmp_path):
+        # the visual share is 1 - audio_weight, so there is no key for it
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("visual_weight = 0.5\naudio_weight = 0.5\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="unknown config key 'visual_weight'"):
+            read_config(cfg)
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         data = tmp_path / "data"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,10 +201,10 @@ class TestOptimizePrompt:
         class BrokenScorer:
             info = None
 
-            def score(self, q, emb, text="", fused=None):
+            def score(self, q, emb, text=""):
                 return 0.4
 
-            def grad_q(self, q, emb, text="", fused=None):
+            def grad_q(self, q, emb, text=""):
                 return np.full(q.shape, np.nan)
 
         with pytest.raises(ValueError, match="iteration 0"):
@@ -214,6 +215,49 @@ class TestOptimizePrompt:
                 learning_rate=0.05,
                 opt_iters=3,
             )
+
+    def test_scorer_takes_only_prompt_embedding_and_text(self, rng):
+        # the Scorer protocol's parameters and nothing else: no keyword
+        # beyond text reaches a scorer
+        class MinimalScorer:
+            def __init__(self, stub):
+                self.stub, self.texts = stub, []
+
+            def score(self, q, emb, text=""):
+                self.texts.append(text)
+                return self.stub.score(q, emb, text)
+
+            def grad_q(self, q, emb, text=""):
+                return self.stub.grad_q(q, emb, text)
+
+        summaries = make_summaries(rng.normal(size=(4, 3)))
+        minimal = MinimalScorer(StubScorer(5, 3, seed=2))
+        state, scores = optimize_prompt(
+            np.zeros(5), summaries, minimal, learning_rate=0.05, opt_iters=3
+        )
+        expected_state, expected = optimize_prompt(
+            np.zeros(5), summaries, StubScorer(5, 3, seed=2), learning_rate=0.05, opt_iters=3
+        )
+        assert np.array_equal(scores, expected)
+        assert state.loss_history == expected_state.loss_history
+        assert minimal.texts == list(summaries.texts) * 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"learning_rate": math.nan}, "learning_rate must be positive and finite, got nan"),
+        ({"learning_rate": math.inf}, "learning_rate must be positive and finite, got inf"),
+        ({"sparsity_weight": math.nan}, "sparsity_weight must be finite, got nan"),
+        ({"target_mass": math.inf}, "target_mass must be finite, got inf"),
+    ])
+    def test_non_finite_arguments_rejected_at_entry(self, rng, kwargs, message):
+        class NeverCalled:
+            def score(self, q, emb, text=""):
+                raise AssertionError("scored before the arguments were checked")
+
+            grad_q = score
+
+        args = dict(learning_rate=0.05, opt_iters=2) | kwargs
+        with pytest.raises(ValueError, match=re.escape(message)):
+            optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(2, 4))), NeverCalled(), **args)
 
     def test_analytic_vs_fd_total_gradient(self):
         for seed in range(15):

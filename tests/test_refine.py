@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,16 +196,23 @@ class TestRefineScores:
         far = influence_of_row1(np.array([0.0, 5.0]))
         assert far < near
 
-    def test_underflow_fallback_unweighted_mean(self, rng, caplog):
-        # overflowing Mahalanobis distances give inf - inf = nan weights,
-        # which must fall back to the unweighted neighborhood mean
+    def test_non_finite_distance_raises(self):
+        # rows at 1e200 overflow the Mahalanobis distance (float64 only; no
+        # float32 input gets there), which would give inf - inf = nan weights
         scores = np.array([0.2, 0.4, 0.9])
         rows = np.full((3, 2), 1e200)
-        stats = identity_stats(2)
-        with caplog.at_level("WARNING"), np.errstate(over="ignore", invalid="ignore"):
-            out = refine_scores(scores, make_matrix(rows, Modality.TEXT), stats, 3)
-        assert np.allclose(out, scores.mean(), atol=1e-12)
-        assert any("underflow" in r.message for r in caplog.records)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape("non-finite Mahalanobis distance for row(s) [0, 1, 2]")
+        ):
+            refine_scores(scores, make_matrix(rows, Modality.TEXT), identity_stats(2), 3)
+
+    def test_one_non_finite_distance_names_its_row(self):
+        # the other neighbourhoods' distances are finite; the run still stops
+        rows = np.array([[1.0, 0.0], [1e200, 1e200], [0.7, 0.7]])
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match=re.escape("non-finite Mahalanobis distance for row(s) [1]")
+        ):
+            refine_scores(np.array([0.2, 0.4, 0.9]), make_matrix(rows, Modality.TEXT), identity_stats(2), 2)
 
     def test_score_length_mismatch(self, rng):
         m = make_matrix(rng.normal(size=(3, 2)), Modality.TEXT)

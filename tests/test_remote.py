@@ -1,5 +1,6 @@
 import http.client
 import json
+import re
 import socket
 import struct
 import threading
@@ -13,7 +14,7 @@ import pytest
 from hypervad import remote as remote_module
 from hypervad.core import TransportError
 from hypervad.prompt_opt import StubScorer
-from hypervad.remote import LoopbackScorerServer, RemoteScorer
+from hypervad.remote import LoopbackScorerServer, RemoteScorer, split_endpoint
 
 # serve_forever's shutdown check; each server's shutdown waits up to this long
 POLL_INTERVAL_S = 0.05
@@ -229,6 +230,9 @@ class TestRemoteErrors:
         ({"timeout": -1}, "timeout"),
         ({"timeout": float("nan")}, "timeout"),
         ({"fd_step": 0}, "fd_step"),
+        ({"timeout": float("inf")}, "timeout must be positive and finite, got inf"),
+        ({"fd_step": float("nan")}, "fd_step must be positive and finite, got nan"),
+        ({"fd_step": float("inf")}, "fd_step must be positive and finite, got inf"),
     ])
     def test_bad_arguments_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -237,6 +241,29 @@ class TestRemoteErrors:
     @pytest.mark.parametrize("endpoint", ["ftp://127.0.0.1:9", "http://", "127.0.0.1:9"])
     def test_endpoint_must_be_http_url(self, endpoint):
         with pytest.raises(ValueError, match="endpoint"):
+            RemoteScorer(endpoint)
+
+    @pytest.mark.parametrize("endpoint, parts", [
+        ("http://127.0.0.1:9", ("http", "127.0.0.1", 9, "/score")),
+        ("https://scorer.example/v1/", ("https", "scorer.example", None, "/v1/score")),
+        ("http://[::1]:8750//", ("http", "::1", 8750, "/score")),
+    ])
+    def test_split_endpoint(self, endpoint, parts):
+        assert split_endpoint(endpoint) == parts
+
+    @pytest.mark.parametrize("endpoint", [
+        # "<endpoint>/score" would append to the query or fragment
+        "http://127.0.0.1:9/base?key=abc", "http://127.0.0.1:9/base?", "http://127.0.0.1:9/base#frag",
+        "http://127.0.0.1:abc", "http://127.0.0.1:99999", "http://[::1", "ftp://127.0.0.1:9", "http://:9",
+    ])
+    def test_split_endpoint_rejects(self, endpoint):
+        message = re.escape(
+            "need an http:// or https:// endpoint with a host, a valid port and no query or "
+            f"fragment, got {endpoint!r}"
+        )
+        with pytest.raises(ValueError, match=message):
+            split_endpoint(endpoint)
+        with pytest.raises(ValueError, match=message):
             RemoteScorer(endpoint)
 
     def test_https_endpoint_speaks_tls(self):
