@@ -73,6 +73,26 @@ class SegmentRecord:
         return self.frame_end - self.frame_start + 1
 
 
+def kind_issues(values: dict, ints=(), bools=()) -> list:
+    """One issue per value of the wrong kind, in order. A name in ``ints``
+    needs exactly an ``int`` and one in ``bools`` exactly a ``bool`` (a
+    float or numpy scalar is neither). Any other needs a finite real that is
+    not a bool: a range check such as ``x < 0`` would let NaN through."""
+    issues = []
+    for name, value in values.items():
+        if name in ints:
+            if type(value) is not int:
+                issues.append(f"{name} must be an integer, got {value!r}")
+        elif name in bools:
+            if type(value) is not bool:
+                issues.append(f"{name} must be a bool, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            issues.append(f"{name} must be a number, got {value!r}")
+        elif not math.isfinite(value):
+            issues.append(f"{name} must be finite, got {value}")
+    return issues
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every numeric knob of the pipeline, with the defaults used throughout.
@@ -80,10 +100,8 @@ class PipelineConfig:
     ``audio_weight`` is the audio share of a fused segment, the visual
     share ``1 - audio_weight``. ``target_mass`` of ``None`` resolves at run
     time to 0.1 times the number of summaries, encoding the prior rarity of
-    abnormal events. A setting annotated ``int`` must be exactly an ``int``
-    (not a bool, not a float); every other setting must be a finite real
-    number: NaN passes no comparison, so the range checks alone would let
-    it through.
+    abnormal events. A setting annotated ``int`` must be exactly an ``int``;
+    every other setting must be a finite real number, by :func:`kind_issues`.
     """
 
     curvature: float = 1.0
@@ -103,18 +121,8 @@ class PipelineConfig:
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER
 
     def __post_init__(self):
-        issues = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in INT_SETTINGS:
-                if type(value) is not int:
-                    issues.append(f"{f.name} must be an integer, got {value!r}")
-            elif value is None and f.default is None:
-                continue
-            elif isinstance(value, bool) or not isinstance(value, numbers.Real):
-                issues.append(f"{f.name} must be a number, got {value!r}")
-            elif not math.isfinite(value):
-                issues.append(f"{f.name} must be finite, got {value}")
+        values = {k: v for k, v in self.as_dict().items() if v is not None or k != "target_mass"}
+        issues = kind_issues(values, ints=INT_SETTINGS)
         if issues:  # the range checks below need finite numbers of the right kind
             raise ValidationError(issues)
         if not self.curvature > 0:

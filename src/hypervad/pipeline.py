@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +24,7 @@ from .core import (
     PipelineConfig,
     StageError,
     ValidationError,
+    kind_issues,
     validate_dataset,
 )
 from .evaluate import EvalReport, build_report, expand_to_frames
@@ -54,6 +55,10 @@ class RunManifest:
     endpoint: Optional[str] = None
 
     def __post_init__(self):
+        toggles = {"cleaning": self.cleaning, "optimizer": self.optimizer, "refinement": self.refinement}
+        issues = kind_issues(toggles, bools=toggles)
+        if issues:
+            raise ValidationError(issues)
         if self.fusion_mode not in ("hyperbolic", "euclidean"):
             raise ValidationError(f"fusion_mode must be hyperbolic or euclidean, got {self.fusion_mode!r}")
         if self.scorer not in ("stub", "remote"):
@@ -63,6 +68,8 @@ class RunManifest:
                 split_endpoint(self.endpoint)
             except ValueError as exc:
                 raise ValidationError(f"remote scorer: {exc}") from exc
+        elif self.endpoint is not None:  # the stub would run with the endpoint unused
+            raise ValidationError(f"an endpoint needs scorer 'remote', got scorer {self.scorer!r}")
 
     def toggles(self) -> dict:
         return {
@@ -174,15 +181,11 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             _, karcher_failures = fusion.window_fused_points(fused, config)
 
     with _stage("score"), _open_scorer(manifest, dataset.text.shape[1]) as scorer:
-        q0 = np.zeros(config.prompt_dim)
         state, window_scores = optimize_prompt(
-            q0,
+            np.zeros(config.prompt_dim),
             summaries,
             scorer,
-            learning_rate=config.learning_rate,
-            opt_iters=config.opt_iters if manifest.optimizer else 0,
-            target_mass=config.target_mass,
-            sparsity_weight=config.sparsity_weight,
+            config if manifest.optimizer else replace(config, opt_iters=0),
         )
 
     with _stage("refine"):

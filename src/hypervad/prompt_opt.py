@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .core import seeded_unit_vector
+from .core import PipelineConfig, seeded_unit_vector
 
 # Scores are clamped to [EPS_P, 1 - EPS_P] inside the entropy derivative
 # only; ln((1-a)/a) is unbounded at the endpoints.
@@ -172,51 +172,35 @@ def score_all(scorer: Scorer, q: np.ndarray, embs: np.ndarray, texts: Sequence[s
     return out
 
 
-def optimize_prompt(
-    q0: np.ndarray,
-    summaries,
-    scorer: Scorer,
-    *,
-    learning_rate: float,
-    opt_iters: int,
-    target_mass: Optional[float] = None,
-    sparsity_weight: float = 1.0,
-):
-    """Run opt_iters steps of q <- q - lr * grad L(q); return the final state
-    and the scores under the optimized prompt.
+def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineConfig):
+    """Run ``config.opt_iters`` steps of q <- q - learning_rate * grad L(q);
+    return the final state and the scores under the optimized prompt.
 
+    ``config`` supplies the objective's ``learning_rate``, ``opt_iters``,
+    ``target_mass`` and ``sparsity_weight``; constructing it validated them.
     With opt_iters = 0 the prompt is untouched and the initial scores are
     returned. Aborts with the iteration index if the gradient goes
     non-finite.
     """
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be positive and finite, got {learning_rate!r}")
-    if opt_iters < 0:
-        raise ValueError("opt_iters must be non-negative")
-    if not math.isfinite(sparsity_weight):
-        raise ValueError(f"sparsity_weight must be finite, got {sparsity_weight!r}")
-    if target_mass is not None and not math.isfinite(target_mass):
-        raise ValueError(f"target_mass must be finite, got {target_mass!r}")
     q = np.array(q0, dtype=np.float64)
-    embs = summaries.embeddings
-    texts = summaries.texts
+    embs, texts = summaries.embeddings, summaries.texts
     n = embs.shape[0]
-    mu = resolve_target_mass(target_mass, n)
+    mu = resolve_target_mass(config.target_mass, n)
 
     scores = score_all(scorer, q, embs, texts)
-    history = [total_loss(scores, mu, sparsity_weight)]
+    history = [total_loss(scores, mu, config.sparsity_weight)]
 
-    for k in range(opt_iters):
-        coeff = loss_score_gradient(scores, mu, sparsity_weight)
+    for k in range(config.opt_iters):
+        coeff = loss_score_gradient(scores, mu, config.sparsity_weight)
         grad = np.zeros_like(q)
         for t in range(n):
             grad += coeff[t] * scorer.grad_q(q, embs[t], text=texts[t])
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite prompt gradient at iteration {k}")
-        q = q - learning_rate * grad
+        q = q - config.learning_rate * grad
         scores = score_all(scorer, q, embs, texts)
-        history.append(total_loss(scores, mu, sparsity_weight))
+        history.append(total_loss(scores, mu, config.sparsity_weight))
 
-    state = PromptState(q=q, iteration=opt_iters, loss_history=history)
+    state = PromptState(q=q, iteration=config.opt_iters, loss_history=history)
     return state, scores
 

@@ -25,7 +25,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .core import TransportError
+from .core import TransportError, kind_issues
 from .prompt_opt import ScorerInfo, StubScorer
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
@@ -40,7 +40,11 @@ def split_endpoint(endpoint: str):
     ``<path>/score``, and port None is the scheme's default. Raises
     ValueError unless the scheme is http(s), with a host and a valid port,
     and for a query or fragment (even a bare "?" or "#"), where "/score"
-    would otherwise land."""
+    would otherwise land. User info (``user:password@``) is rejected first,
+    by a message that does not echo the endpoint, and so not the password."""
+    authority = str(endpoint).split("//", 1)[-1].split("/", 1)[0]  # with or without a scheme
+    if "@" in authority:
+        raise ValueError("the endpoint must not carry user info (user:password@ before the host)")
     try:
         parts = urlsplit(endpoint)
         port = parts.port  # raises for a port that is not a number or is out of range
@@ -58,16 +62,16 @@ class RemoteScorer:
     manager, or call ``close()``, to release its connection."""
 
     def __init__(self, endpoint: str, timeout: float = 10.0, fd_step: float = 1e-6, retries: int = 2):
-        # NaN passes no comparison; inf would fail late (zero gradients, OverflowError)
-        if not (np.isfinite(fd_step) and fd_step > 0):
-            raise ValueError(f"fd_step must be positive and finite, got {fd_step!r}")
-        if not (np.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"timeout must be positive and finite, got {timeout!r}")
-        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-            raise ValueError(f"retries must be a non-negative integer, got {retries!r}")
+        issues = kind_issues({"timeout": timeout, "fd_step": fd_step, "retries": retries}, ints={"retries"})
+        if issues:
+            raise ValueError("; ".join(issues))
+        if not (timeout > 0 and fd_step > 0):
+            raise ValueError(f"timeout and fd_step must be positive, got {timeout} and {fd_step}")
+        if retries < 0:
+            raise ValueError(f"retries must be non-negative, got {retries}")
         scheme, host, port, self._selector = split_endpoint(endpoint)
-        self.endpoint = endpoint.rstrip("/")
-        self.url = f"{self.endpoint}/score"
+        # the one name of the server in every TransportError
+        self.url = f"{endpoint.rstrip('/')}/score"
         connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         self._connect = partial(connection_class, host, port, timeout=timeout)
         self._connection = None
@@ -145,13 +149,13 @@ class RemoteScorer:
         }
         reply = self._post(payload)
         if "score" not in reply:
-            raise TransportError(f"scorer endpoint {self.endpoint} reply missing 'score' field")
+            raise TransportError(f"scorer endpoint {self.url} reply missing 'score' field")
         value = reply["score"]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TransportError(f"scorer endpoint {self.endpoint} returned non-numeric score {value!r}")
+        if kind_issues({"score": value}):  # also NaN and Infinity, which JSON has no number for
+            raise TransportError(f"scorer endpoint {self.url} returned non-numeric score {value!r}")
         value = float(value)
         if not 0.0 <= value <= 1.0:
-            raise TransportError(f"scorer endpoint {self.endpoint} returned score {value} outside [0, 1]")
+            raise TransportError(f"scorer endpoint {self.url} returned score {value} outside [0, 1]")
         return value
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Modality, SegmentRecord, ValidationError, seeded_unit_vector
+from .core import Modality, SegmentRecord, ValidationError, kind_issues, seeded_unit_vector
 from .dataio import write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
@@ -55,11 +55,18 @@ def gen_synthetic(
     with_audio: bool = False,
 ) -> SynthResult:
     """Write a complete synthetic dataset and its generation metadata. An
-    argument out of range raises ValidationError before anything is written."""
+    argument of the wrong kind (by ``core.kind_issues``) or out of range
+    raises ValidationError before anything is written."""
+    issues = kind_issues(
+        dict(n_segments=n_segments, dim=dim, anomaly_fraction=anomaly_fraction, shift=shift, seed=seed,
+             frames_per_segment=frames_per_segment, with_audio=with_audio),
+        ints={"n_segments", "dim", "seed", "frames_per_segment"}, bools={"with_audio"})
+    if issues:
+        raise ValidationError(issues)
     if not 0.0 < anomaly_fraction < 1.0:
         raise ValidationError(f"anomaly_fraction must lie in (0, 1), got {anomaly_fraction}")
-    if not (np.isfinite(shift) and shift >= 0):
-        raise ValidationError(f"shift must be finite and non-negative, got {shift}")
+    if shift < 0:
+        raise ValidationError(f"shift must be non-negative, got {shift}")
     if n_segments < 0:
         raise ValidationError("n_segments must be non-negative")
     if dim < 1:

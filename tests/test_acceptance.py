@@ -207,9 +207,7 @@ def test_criterion_4_loss_descent():
                 np.zeros(16),
                 make_summaries(embs),
                 scorer,
-                learning_rate=0.05,
-                opt_iters=50,
-                sparsity_weight=1.0,
+                PipelineConfig(learning_rate=0.05, opt_iters=50, sparsity_weight=1.0),
             )
             assert state.loss_history[-1] <= state.loss_history[0] + 1e-12, f"seed {seed}"
             monotone_fractions.append(state.monotone_fraction)

@@ -109,6 +109,43 @@ def test_traced_window_means_count_per_size_group(tracer, tmp_path):
     assert json.loads(json.dumps(metrics)) == metrics
 
 
+def test_workload_arguments_pass_validation(tmp_path):
+    # what perfbench/worker.py builds for each workload, up to running it:
+    # a stricter rule on an argument must fail here first
+    workloads = _perfbench_module("workloads")
+    for wl in workloads.WORKLOADS.values():
+        data = gen_synthetic(
+            tmp_path / wl.name, n_segments=wl.n_segments, dim=workloads.DIM,
+            anomaly_fraction=workloads.ANOMALY_FRACTION, shift=workloads.SHIFT, seed=0,
+            frames_per_segment=workloads.FRAMES_PER_SEGMENT, with_audio=wl.audio,
+        )
+        RunManifest(
+            visual_path=data.paths["visual"], text_path=data.paths["text"],
+            captions_path=data.paths["captions"], audio_path=data.paths.get("audio"),
+            labels_path=data.paths["labels"], out_dir=tmp_path / "out",
+            config=PipelineConfig(seed=0, window=wl.window, opt_iters=wl.opt_iters,
+                                  prompt_dim=wl.prompt_dim),
+            scorer=wl.scorer,
+            endpoint="http://127.0.0.1:9" if wl.scorer == "remote" else None,
+        )
+
+
+def test_ablation_manifests_pass_validation(ablation, tmp_path):
+    # the manifests ablation.ablation_table builds, up to running them
+    data = gen_synthetic(tmp_path / "data", **ablation.INPUT)
+    config = PipelineConfig(seed=ablation.INPUT["seed"], window=ablation.WINDOW)
+    for name, overrides in ablation.load_variants(ROOT):
+        overrides = dict(overrides)
+        drop_audio = overrides.pop("drop_audio", False)
+        RunManifest(
+            visual_path=data.paths["visual"], text_path=data.paths["text"],
+            captions_path=data.paths["captions"],
+            audio_path=None if drop_audio else data.paths["audio"],
+            labels_path=data.paths["labels"], out_dir=tmp_path / name.replace(" ", "_"),
+            config=config, **overrides,
+        )
+
+
 def test_ablation_variants_are_manifest_overrides(ablation):
     allowed = {f.name for f in fields(RunManifest)} | {"drop_audio"}
     variants = ablation.load_variants(ROOT)

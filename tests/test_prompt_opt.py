@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypervad.captions import SummarySet
+from hypervad.core import PipelineConfig, ValidationError
 from hypervad.prompt_opt import (
     EPS_P,
     PromptState,
@@ -115,9 +117,7 @@ class TestOptimizePrompt:
         embs = rng.normal(size=(5, 4))
         scorer = StubScorer(6, 4, seed=2)
         q0 = rng.normal(size=6)
-        state, scores = optimize_prompt(
-            q0, make_summaries(embs), scorer, learning_rate=0.05, opt_iters=0
-        )
+        state, scores = optimize_prompt(q0, make_summaries(embs), scorer, PipelineConfig(opt_iters=0))
         assert np.array_equal(state.q, q0)
         assert state.iteration == 0
         assert len(state.loss_history) == 1
@@ -127,9 +127,7 @@ class TestOptimizePrompt:
     def test_loss_history_includes_initial(self, rng):
         embs = rng.normal(size=(4, 3))
         scorer = StubScorer(5, 3, seed=3)
-        state, _ = optimize_prompt(
-            np.zeros(5), make_summaries(embs), scorer, learning_rate=0.05, opt_iters=12
-        )
+        state, _ = optimize_prompt(np.zeros(5), make_summaries(embs), scorer, PipelineConfig(opt_iters=12))
         assert state.iteration == 12
         assert len(state.loss_history) == 13
 
@@ -138,9 +136,7 @@ class TestOptimizePrompt:
             rng = np.random.default_rng(seed)
             embs = rng.normal(size=(8, 6))
             scorer = StubScorer(8, 6, seed=seed)
-            state, _ = optimize_prompt(
-                np.zeros(8), make_summaries(embs), scorer, learning_rate=0.05, opt_iters=50
-            )
+            state, _ = optimize_prompt(np.zeros(8), make_summaries(embs), scorer, PipelineConfig(opt_iters=50))
             assert state.loss_history[-1] <= state.loss_history[0] + 1e-12
 
     def test_stationary_saddle_at_half(self, rng):
@@ -154,10 +150,7 @@ class TestOptimizePrompt:
             np.zeros(6),
             make_summaries(s[None, :]),
             scorer,
-            learning_rate=0.05,
-            opt_iters=5,
-            target_mass=0.5,
-            sparsity_weight=0.0,
+            PipelineConfig(opt_iters=5, target_mass=0.5, sparsity_weight=0.0),
         )
         assert abs(scores[0] - 0.5) < 1e-12
         assert np.max(np.abs(state.q)) < 1e-12
@@ -174,10 +167,7 @@ class TestOptimizePrompt:
                 np.zeros(pdim),
                 make_summaries(embs),
                 scorer,
-                learning_rate=0.01,
-                opt_iters=1,
-                target_mass=target,
-                sparsity_weight=100.0,
+                PipelineConfig(learning_rate=0.01, opt_iters=1, target_mass=target, sparsity_weight=100.0),
             )
             delta = scores.sum() - before
             assert math.copysign(1.0, delta) == expect_sign
@@ -188,9 +178,7 @@ class TestOptimizePrompt:
         for _ in range(2):
             scorer = StubScorer(5, 4, seed=11)
             runs.append(
-                optimize_prompt(
-                    np.zeros(5), make_summaries(embs), scorer, learning_rate=0.05, opt_iters=20
-                )
+                optimize_prompt(np.zeros(5), make_summaries(embs), scorer, PipelineConfig(opt_iters=20))
             )
         (s1, a1), (s2, a2) = runs
         assert np.array_equal(s1.q, s2.q)
@@ -212,8 +200,7 @@ class TestOptimizePrompt:
                 np.zeros(3),
                 make_summaries(rng.normal(size=(2, 4))),
                 BrokenScorer(),
-                learning_rate=0.05,
-                opt_iters=3,
+                PipelineConfig(opt_iters=3),
             )
 
     def test_scorer_takes_only_prompt_embedding_and_text(self, rng):
@@ -232,32 +219,26 @@ class TestOptimizePrompt:
 
         summaries = make_summaries(rng.normal(size=(4, 3)))
         minimal = MinimalScorer(StubScorer(5, 3, seed=2))
-        state, scores = optimize_prompt(
-            np.zeros(5), summaries, minimal, learning_rate=0.05, opt_iters=3
-        )
-        expected_state, expected = optimize_prompt(
-            np.zeros(5), summaries, StubScorer(5, 3, seed=2), learning_rate=0.05, opt_iters=3
-        )
+        config = PipelineConfig(opt_iters=3)
+        state, scores = optimize_prompt(np.zeros(5), summaries, minimal, config)
+        expected_state, expected = optimize_prompt(np.zeros(5), summaries, StubScorer(5, 3, seed=2), config)
         assert np.array_equal(scores, expected)
         assert state.loss_history == expected_state.loss_history
         assert minimal.texts == list(summaries.texts) * 4
 
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"learning_rate": math.nan}, "learning_rate must be positive and finite, got nan"),
-        ({"learning_rate": math.inf}, "learning_rate must be positive and finite, got inf"),
-        ({"sparsity_weight": math.nan}, "sparsity_weight must be finite, got nan"),
-        ({"target_mass": math.inf}, "target_mass must be finite, got inf"),
+    @pytest.mark.parametrize("setting, value, message", [
+        ("sparsity_weight", -5.0, "sparsity_weight must be non-negative"),
+        ("target_mass", -3.0, "target_mass must be non-negative"),
+        ("learning_rate", True, "learning_rate must be a number, got True"),
+        ("opt_iters", True, "opt_iters must be an integer, got True"),
+        ("opt_iters", 2.5, "opt_iters must be an integer, got 2.5"),
     ])
-    def test_non_finite_arguments_rejected_at_entry(self, rng, kwargs, message):
-        class NeverCalled:
-            def score(self, q, emb, text=""):
-                raise AssertionError("scored before the arguments were checked")
-
-            grad_q = score
-
-        args = dict(learning_rate=0.05, opt_iters=2) | kwargs
-        with pytest.raises(ValueError, match=re.escape(message)):
-            optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(2, 4))), NeverCalled(), **args)
+    def test_objective_settings_come_only_from_a_validated_config(self, setting, value, message):
+        # these reached the optimizer as loose keyword arguments; now the
+        # objective reads them from a PipelineConfig, which rejects them
+        assert list(inspect.signature(optimize_prompt).parameters) == ["q0", "summaries", "scorer", "config"]
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            PipelineConfig(**{setting: value})
 
     def test_analytic_vs_fd_total_gradient(self):
         for seed in range(15):
