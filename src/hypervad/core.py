@@ -15,8 +15,6 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .hyperbolic import DEFAULT_BALL_EPS, DEFAULT_KARCHER_MAX_ITER, DEFAULT_KARCHER_TOL
-
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""
@@ -95,7 +93,7 @@ def kind_issues(values: dict, ints=(), bools=()) -> list:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every numeric knob of the pipeline, with the defaults used throughout.
+    """The method's settings, with the defaults used throughout.
 
     ``audio_weight`` is the audio share of a fused segment, the visual
     share ``1 - audio_weight``. ``target_mass`` of ``None`` resolves at run
@@ -113,12 +111,9 @@ class PipelineConfig:
     sparsity_weight: float = 1.0
     neighbors: int = 5
     shrinkage: float = 0.1
-    ball_eps: float = DEFAULT_BALL_EPS
     seed: int = 0
     window: int = 10
     tangent_scale: float = 0.5
-    karcher_tol: float = DEFAULT_KARCHER_TOL
-    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER
 
     def __post_init__(self):
         values = {k: v for k, v in self.as_dict().items() if v is not None or k != "target_mass"}
@@ -145,16 +140,10 @@ class PipelineConfig:
             issues.append("seed must be non-negative")
         if not 0.0 <= self.shrinkage <= 1.0:
             issues.append("shrinkage must lie in [0, 1]")
-        if not 0.0 < self.ball_eps <= 1e-3:
-            issues.append(f"ball_eps must lie in (0, 1e-3], got {self.ball_eps}")
         if self.window < 1:
             issues.append("window must be at least 1")
         if not self.tangent_scale > 0:
             issues.append("tangent_scale must be positive")
-        if not self.karcher_tol > 0:
-            issues.append("karcher_tol must be positive")
-        if self.karcher_max_iter < 1:
-            issues.append("karcher_max_iter must be at least 1")
         if issues:
             raise ValidationError(issues)
 

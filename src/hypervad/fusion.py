@@ -29,21 +29,13 @@ def prepare_tangent(e: np.ndarray, tangent_scale: float) -> np.ndarray:
 
 def fuse_sequence(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
     """One fused ball point per segment of a validated dataset, as an (n, d) array."""
-    points = exp_map_origin(
-        prepare_tangent(dataset.text, config.tangent_scale),
-        config.curvature,
-        config.ball_eps,
-    )
+    points = exp_map_origin(prepare_tangent(dataset.text, config.tangent_scale), config.curvature)
     if dataset.has_audio:
         rows = dataset.audio_rows
         audio = exp_map_origin(
-            prepare_tangent(dataset.audio[rows], config.tangent_scale),
-            config.curvature,
-            config.ball_eps,
+            prepare_tangent(dataset.audio[rows], config.tangent_scale), config.curvature
         )
-        points[rows] = geodesic_point(
-            points[rows], audio, config.audio_weight, config.curvature, config.ball_eps
-        )
+        points[rows] = geodesic_point(points[rows], audio, config.audio_weight, config.curvature)
     return points
 
 
@@ -82,14 +74,7 @@ def window_fused_points(fused: np.ndarray, config: PipelineConfig):
         if size < 2:
             out.append(stack[:, 0])
         else:
-            result = weighted_geodesic_mean(
-                stack,
-                np.full(size, 1.0 / size),
-                config.curvature,
-                tol=config.karcher_tol,
-                max_iter=config.karcher_max_iter,
-                ball_eps=config.ball_eps,
-            )
+            result = weighted_geodesic_mean(stack, np.full(size, 1.0 / size), config.curvature)
             out.append(result.point)
             failures.extend(first + int(k) for k in np.flatnonzero(result.unconverged))
         first += count

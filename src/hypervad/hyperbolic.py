@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# also the defaults of PipelineConfig's ball_eps, karcher_tol and karcher_max_iter
 DEFAULT_BALL_EPS = 1e-5
 DEFAULT_KARCHER_TOL = 1e-10
 DEFAULT_KARCHER_MAX_ITER = 200

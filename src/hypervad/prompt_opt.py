@@ -108,9 +108,6 @@ class StubScorer:
         b: Optional[float] = None,
     ):
         rng = np.random.default_rng([seed, 0x57AB])
-        self.prompt_dim = prompt_dim
-        self.emb_dim = emb_dim
-        self.seed = seed
         self.w = np.asarray(w, dtype=np.float64) if w is not None else rng.standard_normal(prompt_dim) / math.sqrt(prompt_dim)
         self.b = float(b) if b is not None else float(rng.standard_normal())
         self.u = np.asarray(u, dtype=np.float64) if u is not None else seeded_unit_vector(seed, emb_dim)

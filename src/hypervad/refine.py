@@ -23,8 +23,6 @@ class VisualStats:
 
     mean: np.ndarray
     precision: np.ndarray
-    shrinkage: float
-    sample_count: int
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -37,10 +35,6 @@ class VisualStats:
         prec.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", prec)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
 
 
 def fit_visual_stats(visual_embs: np.ndarray, shrinkage: float) -> VisualStats:
@@ -71,7 +65,7 @@ def fit_visual_stats(visual_embs: np.ndarray, shrinkage: float) -> VisualStats:
         ) from exc
     precision = np.linalg.solve(L.T, np.linalg.solve(L, np.eye(d)))
     precision = (precision + precision.T) / 2.0
-    return VisualStats(mean=mean, precision=precision, shrinkage=shrinkage, sample_count=n)
+    return VisualStats(mean=mean, precision=precision)
 
 
 def mahalanobis(x: np.ndarray, stats: VisualStats) -> float:

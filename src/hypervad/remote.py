@@ -75,7 +75,6 @@ class RemoteScorer:
         connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         self._connect = partial(connection_class, host, port, timeout=timeout)
         self._connection = None
-        self.timeout = timeout
         self.fd_step = fd_step
         self.retries = retries
         self.info = ScorerInfo(name="remote", deterministic=False, gradient_mode="finite-difference")

@@ -204,18 +204,18 @@ def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter:
     return mean, max_iter, False
 
 
-def window_means_oracle(fused, config):
+def window_means_oracle(fused, config, max_iter=200):
     """Per-window loop over the windows of :func:`window_slices`: one
     equal-weight :func:`karcher_mean_oracle` per window of two or more
-    segments. Returns (points, failed windows, per-window iterations)."""
+    segments, each capped at ``max_iter`` iterations. Returns (points,
+    failed windows, per-window iterations)."""
     points, failures, iterations = [], [], []
     for k, (lo, hi) in enumerate(window_slices(len(fused), config.window)):
         if hi - lo < 2:
             point, its, converged = fused[lo], 0, True
         else:
             point, its, converged = karcher_mean_oracle(
-                fused[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)), config.curvature,
-                tol=config.karcher_tol, max_iter=config.karcher_max_iter, ball_eps=config.ball_eps,
+                fused[lo:hi], np.full(hi - lo, 1.0 / (hi - lo)), config.curvature, max_iter=max_iter
             )
         points.append(point)
         iterations.append(its)

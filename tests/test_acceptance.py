@@ -253,7 +253,7 @@ def test_criterion_6_mahalanobis_and_refinement_oracles():
         # identity precision reduces to the Euclidean norm exactly
         from hypervad.refine import VisualStats
 
-        eye_stats = VisualStats(np.zeros(5), np.eye(5), 0.0, 2)
+        eye_stats = VisualStats(np.zeros(5), np.eye(5))
         for _ in range(50):
             x = rng.normal(size=5)
             assert mahalanobis(x, eye_stats) == np.linalg.norm(x)
@@ -358,10 +358,7 @@ def test_criterion_9_modality_agnostic(shift6_dataset, tmp_path):
         fused = fuse_sequence(dataset, config)
         text = dataset.text
         for t, point in enumerate(fused):
-            expected = exp_map_origin(
-                prepare_tangent(text[t], config.tangent_scale), config.curvature,
-                ball_eps=config.ball_eps,
-            )
+            expected = exp_map_origin(prepare_tangent(text[t], config.tangent_scale), config.curvature)
             assert np.array_equal(point, expected), f"segment {t}"
 
 

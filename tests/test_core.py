@@ -1,4 +1,3 @@
-import inspect
 import math
 import re
 
@@ -7,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypervad import hyperbolic
 from hypervad.core import (
     PipelineConfig,
     SegmentRecord,
@@ -38,8 +36,8 @@ class TestPipelineConfig:
             {"curvature": 0.0},
             {"curvature": -1.0},
             {"neighbors": 0},
-            {"ball_eps": 0.0},
-            {"ball_eps": 2e-3},
+            {"tangent_scale": 0.0},
+            {"opt_iters": -1},
             {"audio_weight": -1e-12},
             {"shrinkage": 1.5},
             {"learning_rate": 0.0},
@@ -55,7 +53,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
         "curvature", "audio_weight", "learning_rate", "target_mass",
-        "sparsity_weight", "shrinkage", "ball_eps", "tangent_scale", "karcher_tol",
+        "sparsity_weight", "shrinkage", "tangent_scale",
     ])
     def test_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
@@ -82,16 +80,6 @@ class TestPipelineConfig:
         assert "visual_weight" not in PipelineConfig().as_dict()
         with pytest.raises(TypeError, match="visual_weight"):
             PipelineConfig(visual_weight=0.5)
-
-    def test_geometry_defaults_are_hyperbolic_defaults(self):
-        config = PipelineConfig()
-        assert (config.ball_eps, config.karcher_tol, config.karcher_max_iter) == (
-            hyperbolic.DEFAULT_BALL_EPS, hyperbolic.DEFAULT_KARCHER_TOL, hyperbolic.DEFAULT_KARCHER_MAX_ITER
-        )
-        mean = inspect.signature(hyperbolic.weighted_geodesic_mean).parameters
-        assert (mean["ball_eps"].default, mean["tol"].default, mean["max_iter"].default) == (
-            config.ball_eps, config.karcher_tol, config.karcher_max_iter
-        )
 
     def test_float_settings_take_ints(self):
         config = PipelineConfig(curvature=2, target_mass=0)

@@ -222,7 +222,7 @@ class TestConfigFormat:
         values = {
             f.name: 1 if type(f.default) is int else 0.5 for f in fields(PipelineConfig)
         }
-        values.update(ball_eps=1e-4, window=3, neighbors=2, karcher_max_iter=7)
+        values.update(window=3, neighbors=2)
         config = PipelineConfig(**values)
         write_config(path, config)
         back = read_config(path)

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -170,10 +172,11 @@ class TestWindowFusedPoints:
         expected, expected_failures, _ = window_means_oracle(fused, config)
         assert np.array_equal(points, expected) and expected_failures == []
 
-    def test_failed_window_means_reported(self, rng):
+    def test_failed_window_means_reported(self, rng, monkeypatch):
         ds = make_dataset(rng, n=8, audio="none")
-        config = PipelineConfig(window=3, karcher_max_iter=1)
+        config = PipelineConfig(window=3)
         fused = fuse_sequence(ds, config)
+        monkeypatch.setattr(fusion, "weighted_geodesic_mean", partial(weighted_geodesic_mean, max_iter=1))
         # windows of 3, 3 and 2 segments: only the three-point means iterate
         _, failures = window_fused_points(fused, config)
         assert failures == [0, 1]
@@ -190,17 +193,17 @@ class TestWindowFusedPoints:
     @pytest.mark.parametrize("max_iter", [3, 8, 200])  # 8: some windows fail, some converge
     def test_ragged_layouts_match_per_window_oracle(self, rng, monkeypatch, n, window, calls, max_iter):
         ds = make_dataset(rng, n=n, dim=5, audio="all")
-        config = PipelineConfig(window=window, karcher_max_iter=max_iter, curvature=float(rng.uniform(0.5, 2.0)))
+        config = PipelineConfig(window=window, curvature=float(rng.uniform(0.5, 2.0)))
         fused = fuse_sequence(ds, config)
         seen = []
 
         def counted(points, *args, **kwargs):
             seen.append(np.shape(points))
-            return weighted_geodesic_mean(points, *args, **kwargs)
+            return weighted_geodesic_mean(points, *args, max_iter=max_iter, **kwargs)
 
         monkeypatch.setattr(fusion, "weighted_geodesic_mean", counted)
         points, failures = window_fused_points(fused, config)
-        expected, expected_failures, _ = window_means_oracle(fused, config)
+        expected, expected_failures, _ = window_means_oracle(fused, config, max_iter=max_iter)
         assert np.array_equal(points, expected)
         assert failures == expected_failures
         assert all(type(k) is int for k in failures)

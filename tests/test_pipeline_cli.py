@@ -184,15 +184,20 @@ class TestRunPipeline:
         assert sorted(before) == ["loss_history.csv", "report.json", "scores.csv"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path):
+    def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path, monkeypatch):
         # 40 segments in windows of 3: windows 0-12 hold three segments and
         # iterate, window 13 holds one and passes its point through
-        config = PipelineConfig(seed=5, window=3, karcher_max_iter=1)
-        result = run_pipeline(manifest_for(synth_dir, tmp_path / "k", config=config))
-        assert result.report["fusion"]["karcher_failures"] == list(range(13))
+        from functools import partial
+
+        from hypervad import fusion
+        from hypervad.hyperbolic import weighted_geodesic_mean
+
         config = PipelineConfig(seed=5, window=3)
         converged = run_pipeline(manifest_for(synth_dir, tmp_path / "k2", config=config))
         assert converged.report["fusion"]["karcher_failures"] == []
+        monkeypatch.setattr(fusion, "weighted_geodesic_mean", partial(weighted_geodesic_mean, max_iter=1))
+        result = run_pipeline(manifest_for(synth_dir, tmp_path / "k", config=config))
+        assert result.report["fusion"]["karcher_failures"] == list(range(13))
 
     @pytest.mark.parametrize("shrinkage", [0.0, 0.1])
     @pytest.mark.parametrize("visual_scale", [1e-45, 1e-30, 1.0])
@@ -572,6 +577,28 @@ class TestCli:
         cfg.write_text("visual_weight = 0.5\naudio_weight = 0.5\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="unknown config key 'visual_weight'"):
             read_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [("ball_eps", "1e-5"), ("karcher_tol", "1e-10"), ("karcher_max_iter", "200")])
+    def test_solver_constants_are_not_settings(self, tmp_path, capsys, key, value):
+        # the ball margin and the Karcher tolerance and cap are constants of hyperbolic
+        with pytest.raises(TypeError, match=key):
+            PipelineConfig(**{key: float(value)})
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
+            read_config(cfg)
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        out = tmp_path / "run"
+        code = main([
+            "run", "--visual", str(data / "visual.emb"),
+            "--text", str(data / "text.emb"),
+            "--captions", str(data / "captions.jsonl"),
+            "--config", str(cfg), "--out", str(out),
+        ])
+        assert code == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         data = tmp_path / "data"

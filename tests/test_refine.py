@@ -13,7 +13,7 @@ from oracles import inverse_2x2, knn_refine_oracle, neighbor_sets_oracle, shrunk
 
 
 def identity_stats(dim):
-    return VisualStats(mean=np.zeros(dim), precision=np.eye(dim), shrinkage=0.0, sample_count=2)
+    return VisualStats(mean=np.zeros(dim), precision=np.eye(dim))
 
 
 class TestFitVisualStats:
@@ -75,9 +75,7 @@ class TestMahalanobis:
             assert mahalanobis(x, stats) == pytest.approx(np.linalg.norm(x), abs=1e-12)
 
     def test_diagonal_closed_form(self):
-        stats = VisualStats(
-            mean=np.zeros(2), precision=np.diag([0.25, 1.0]), shrinkage=0.0, sample_count=4
-        )
+        stats = VisualStats(mean=np.zeros(2), precision=np.diag([0.25, 1.0]))
         # oracle: sqrt(2^2/4 + 1^2/1) = sqrt(2)
         assert mahalanobis(np.array([2.0, 1.0]), stats) == pytest.approx(math.sqrt(2), abs=1e-12)
         assert mahalanobis(np.array([2.0, 1.0]), stats) == pytest.approx(1.41421, abs=1e-5)
