@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, get_type_hints
 
@@ -74,8 +73,9 @@ class SegmentRecord:
 def kind_issues(values: dict, ints=(), bools=()) -> list:
     """One issue per value of the wrong kind, in order. A name in ``ints``
     needs exactly an ``int`` and one in ``bools`` exactly a ``bool`` (a
-    float or numpy scalar is neither). Any other needs a finite real that is
-    not a bool: a range check such as ``x < 0`` would let NaN through."""
+    float or numpy scalar is neither). Any other needs a finite ``int`` or
+    ``float`` (float64 is one) that is not a bool: a range check such as
+    ``x < 0`` would let NaN through, and a Fraction or float32 fails later."""
     issues = []
     for name, value in values.items():
         if name in ints:
@@ -84,7 +84,7 @@ def kind_issues(values: dict, ints=(), bools=()) -> list:
         elif name in bools:
             if type(value) is not bool:
                 issues.append(f"{name} must be a bool, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
             issues.append(f"{name} must be a number, got {value!r}")
         elif not math.isfinite(value):
             issues.append(f"{name} must be finite, got {value}")

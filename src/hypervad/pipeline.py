@@ -226,11 +226,6 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             "has_audio": dataset.has_audio,
             "zero_norm_rows": [list(r) for r in caption_set.zero_norm_rows],
         },
-        "scorer": {
-            "name": scorer.info.name,
-            "deterministic": scorer.info.deterministic,
-            "gradient_mode": scorer.info.gradient_mode,
-        },
         "optimization": {
             "iterations": state.iteration,
             "initial_loss": state.loss_history[0],

@@ -57,22 +57,14 @@ def loss_score_gradient(scores: np.ndarray, target_mass: float, sparsity_weight:
     return entropy_term + sparsity_weight * sign
 
 
-@dataclass(frozen=True)
-class ScorerInfo:
-    name: str
-    deterministic: bool
-    gradient_mode: str  # "analytic" or "finite-difference"
-
-
 class Scorer(Protocol):
     """Backend that maps (prompt, summary) to an anomaly likelihood in [0, 1].
 
-    ``emb`` is the summary's embedding row and ``text`` its decoded string,
-    for backends that prompt a language model; numeric backends may ignore
-    the text.
+    A scorer is exactly the two calls :func:`optimize_prompt` makes:
+    ``score`` and its gradient in the prompt, ``grad_q``. ``emb`` is the
+    summary's embedding row and ``text`` its decoded string, for backends
+    that prompt a language model; numeric backends may ignore the text.
     """
-
-    info: ScorerInfo
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float: ...
 
@@ -94,34 +86,16 @@ class StubScorer:
     is the seed's unit vector from :func:`seeded_unit_vector`. A synthetic
     dataset built with the same seed therefore has its anomaly shift aligned
     with u, making the classes linearly separable to this scorer.
-
-    Any of w, u, b may be overridden for targeted tests.
     """
 
-    def __init__(
-        self,
-        prompt_dim: int,
-        emb_dim: int,
-        seed: int,
-        w: Optional[np.ndarray] = None,
-        u: Optional[np.ndarray] = None,
-        b: Optional[float] = None,
-    ):
+    def __init__(self, prompt_dim: int, emb_dim: int, seed: int):
         rng = np.random.default_rng([seed, 0x57AB])
-        self.w = np.asarray(w, dtype=np.float64) if w is not None else rng.standard_normal(prompt_dim) / math.sqrt(prompt_dim)
-        self.b = float(b) if b is not None else float(rng.standard_normal())
-        self.u = np.asarray(u, dtype=np.float64) if u is not None else seeded_unit_vector(seed, emb_dim)
-        if self.w.shape != (prompt_dim,):
-            raise ValueError("w must have prompt_dim entries")
-        if self.u.shape != (emb_dim,):
-            raise ValueError("u must have emb_dim entries")
-        self.info = ScorerInfo(name="stub", deterministic=True, gradient_mode="analytic")
-
-    def logit(self, q: np.ndarray, emb: np.ndarray) -> float:
-        return float(self.w @ q + self.u @ emb + self.b)
+        self.w = rng.standard_normal(prompt_dim) / math.sqrt(prompt_dim)
+        self.b = float(rng.standard_normal())
+        self.u = seeded_unit_vector(seed, emb_dim)
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
-        return _sigmoid(self.logit(q, emb))
+        return _sigmoid(float(self.w @ q + self.u @ emb + self.b))
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)
@@ -131,15 +105,14 @@ class StubScorer:
 @dataclass
 class PromptState:
     """Optimized prompt plus its loss trajectory (loss_history[0] is the
-    initial loss, so its length is iteration + 1)."""
+    initial loss, then one entry per step)."""
 
     q: np.ndarray
-    iteration: int
     loss_history: list
 
-    def __post_init__(self):
-        if len(self.loss_history) != self.iteration + 1:
-            raise ValueError("loss_history must include the initial loss and one entry per step")
+    @property
+    def iteration(self) -> int:
+        return len(self.loss_history) - 1
 
     @property
     def monotone_fraction(self) -> float:
@@ -198,6 +171,5 @@ def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineC
         scores = score_all(scorer, q, embs, texts)
         history.append(total_loss(scores, mu, config.sparsity_weight))
 
-    state = PromptState(q=q, iteration=config.opt_iters, loss_history=history)
-    return state, scores
+    return PromptState(q=q, loss_history=history), scores
 

@@ -6,8 +6,10 @@ and response {"score": float}. Non-2xx status, transport failures, malformed
 bodies (not UTF-8, not JSON, not a JSON object), and out-of-range scores are
 all surfaced as TransportError; nothing is clamped silently. A refused,
 dropped or truncated exchange is retried ``retries`` times first. Gradients
-come from central finite differences, costing 2 * prompt_dim extra calls per
-gradient.
+are central differences with the fixed step ``FD_STEP`` (1e-6), costing
+2 * prompt_dim requests per gradient. The loopback server answers 400 to a
+prompt or embedding entry that is not a JSON number, or not finite as
+float64, and to a summary_text that is not a string.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import threading
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -26,13 +29,15 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .core import TransportError, kind_issues
-from .prompt_opt import ScorerInfo, StubScorer
+from .prompt_opt import StubScorer
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
 _POLL_INTERVAL_S = 0.05
 # How long the loopback server keeps an idle connection (and its thread); far
 # above a client's gap between the requests of a run.
 _IDLE_TIMEOUT_S = 30.0
+# Step of the central differences that stand in for a remote gradient.
+FD_STEP = 1e-6
 
 
 def split_endpoint(endpoint: str):
@@ -61,12 +66,12 @@ class RemoteScorer:
     """Scorer backend that defers to an HTTP service. Use it as a context
     manager, or call ``close()``, to release its connection."""
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, fd_step: float = 1e-6, retries: int = 2):
-        issues = kind_issues({"timeout": timeout, "fd_step": fd_step, "retries": retries}, ints={"retries"})
+    def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 2):
+        issues = kind_issues({"timeout": timeout, "retries": retries}, ints={"retries"})
         if issues:
             raise ValueError("; ".join(issues))
-        if not (timeout > 0 and fd_step > 0):
-            raise ValueError(f"timeout and fd_step must be positive, got {timeout} and {fd_step}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
         scheme, host, port, self._selector = split_endpoint(endpoint)
@@ -75,9 +80,7 @@ class RemoteScorer:
         connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         self._connect = partial(connection_class, host, port, timeout=timeout)
         self._connection = None
-        self.fd_step = fd_step
         self.retries = retries
-        self.info = ScorerInfo(name="remote", deterministic=False, gradient_mode="finite-difference")
 
     def close(self) -> None:
         if self._connection is not None:
@@ -160,14 +163,23 @@ class RemoteScorer:
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
         grad = np.zeros_like(q)
-        h = self.fd_step
         for i in range(q.size):
             probe = np.zeros_like(q)
-            probe[i] = h
+            probe[i] = FD_STEP
             up = self.score(q + probe, emb, text=text)
             down = self.score(q - probe, emb, text=text)
-            grad[i] = (up - down) / (2.0 * h)
+            grad[i] = (up - down) / (2.0 * FD_STEP)
         return grad
+
+
+def _finite_vector(payload: dict, key: str) -> np.ndarray:
+    """A request's ``key`` entry as float64. ValueError unless it is a list
+    of JSON numbers, not bools, that are finite (NaN, Infinity and 1e400 are
+    not); OverflowError for an integer beyond float64."""
+    values = payload[key]
+    if not isinstance(values, list) or not all(type(x) in (int, float) and math.isfinite(x) for x in values):
+        raise ValueError(f"{key} must be a list of finite numbers")
+    return np.asarray(values, dtype=np.float64)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -198,11 +210,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             if length < 0:  # rfile.read(-1) would wait for the client to close
                 raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            q = np.asarray(payload["prompt"], dtype=np.float64)
-            emb = np.asarray(payload["summary_embedding"], dtype=np.float64)
+            q = _finite_vector(payload, "prompt")
+            emb = _finite_vector(payload, "summary_embedding")
             text = payload.get("summary_text", "")
+            if not isinstance(text, str):
+                raise ValueError("summary_text must be a string")
             score = self.scorer.score(q, emb, text=text)
-        except (KeyError, TypeError, ValueError) as exc:  # TypeError: body not an object
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # TypeError: body not an object
             self.send_error(400, f"bad request: {exc}")
             return
         body = json.dumps({"score": score}).encode("utf-8")

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ class TestPipelineConfig:
         ({"opt_iters": 1.0}, "opt_iters must be an integer, got 1.0"),
         ({"curvature": True}, "curvature must be a number, got True"),
         ({"target_mass": "1"}, "target_mass must be a number, got '1'"),
+        # a real is an int or a float; these would fail in a stage or in report.json
+        ({"learning_rate": np.float32(0.05)}, "learning_rate must be a number, got np.float32(0.05)"),
+        ({"curvature": np.int64(1)}, "curvature must be a number, got np.int64(1)"),
+        ({"learning_rate": Fraction(1, 20)}, "learning_rate must be a number, got Fraction(1, 20)"),
     ])
     def test_rejects_mistyped_settings(self, overrides, message):
         with pytest.raises(ValidationError, match=re.escape(message)):

@@ -4,6 +4,7 @@ import json
 import re
 import threading
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,10 @@ class TestRunPipeline:
         assert np.max(np.abs(
             remote_result.frame_scores - local_result.frame_scores
         )) < 1e-9
+        # which scorer ran is a toggle; the report keeps no other record of it
+        for result, scorer in ((remote_result, "remote"), (local_result, "stub")):
+            report = json.loads((result.out_dir / "report.json").read_text())
+            assert "scorer" not in report and report["toggles"]["scorer"] == scorer
 
     def test_remote_run_uses_one_connection_and_closes_it(self, synth_dir, tmp_path, connection_log):
         config = PipelineConfig(seed=5, window=2, prompt_dim=2, opt_iters=2)
@@ -683,6 +688,9 @@ class TestSynthGenerator:
         ({"n_segments": 20.0}, "n_segments must be an integer, got 20.0"),
         ({"dim": np.int64(4)}, "dim must be an integer, got "),
         ({"with_audio": "yes"}, "with_audio must be a bool, got 'yes'"),
+        ({"shift": np.float32(6.0)}, "shift must be a number, got np.float32(6.0)"),
+        ({"shift": np.int64(6)}, "shift must be a number, got np.int64(6)"),
+        ({"anomaly_fraction": Fraction(1, 4)}, "anomaly_fraction must be a number, got Fraction(1, 4)"),
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)

@@ -88,7 +88,7 @@ class TestStubScorer:
     def test_zero_logit_scores_half(self, rng):
         s = rng.normal(size=4)
         scorer = StubScorer(6, 4, seed=0)
-        scorer = StubScorer(6, 4, seed=0, b=-float(scorer.u @ s))
+        scorer.b = -float(scorer.u @ s)
         assert scorer.score(np.zeros(6), s) == pytest.approx(0.5, abs=1e-15)
 
     def test_analytic_grad_matches_finite_difference(self, rng):
@@ -144,7 +144,7 @@ class TestOptimizePrompt:
         # pull the score must stay there; this is the expected behavior
         s = rng.normal(size=4)
         scorer = StubScorer(6, 4, seed=4)
-        scorer = StubScorer(6, 4, seed=4, b=-float(scorer.u @ s))
+        scorer.b = -float(scorer.u @ s)
         assert np.any(scorer.w != 0)
         state, scores = optimize_prompt(
             np.zeros(6),
@@ -161,7 +161,8 @@ class TestOptimizePrompt:
         n, pdim, edim = 6, 5, 4
         embs = np.zeros((n, edim))
         for target, expect_sign in ((0.0, -1.0), (float(n), +1.0)):
-            scorer = StubScorer(pdim, edim, seed=5, b=0.0)
+            scorer = StubScorer(pdim, edim, seed=5)
+            scorer.b = 0.0
             before = np.full(n, 0.5).sum()
             state, scores = optimize_prompt(
                 np.zeros(pdim),
@@ -261,12 +262,8 @@ class TestHelpers:
         assert resolve_target_mass(None, 40) == pytest.approx(4.0)
         assert resolve_target_mass(7.5, 40) == 7.5
 
-    def test_prompt_state_requires_initial_loss(self):
-        with pytest.raises(ValueError, match="initial loss"):
-            PromptState(q=np.zeros(2), iteration=3, loss_history=[1.0])
-
     def test_monotone_fraction(self):
-        state = PromptState(q=np.zeros(1), iteration=4, loss_history=[4.0, 3.0, 3.5, 2.0, 1.0])
+        state = PromptState(q=np.zeros(1), loss_history=[4.0, 3.0, 3.5, 2.0, 1.0])
         assert state.monotone_fraction == pytest.approx(0.75)
 
     def test_entropy_clamp_constant_in_range(self):
