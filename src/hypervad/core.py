@@ -70,12 +70,22 @@ class SegmentRecord:
         return self.frame_end - self.frame_start + 1
 
 
+def finite_real(value) -> bool:
+    """Whether ``value`` is an ``int`` or ``float`` (float64 is one), not a
+    bool, finite as a float64: NaN, the infinities and an int beyond float64
+    are not."""
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large to convert
+        return False
+
+
 def kind_issues(values: dict, ints=(), bools=()) -> list:
     """One issue per value of the wrong kind, in order. A name in ``ints``
     needs exactly an ``int`` and one in ``bools`` exactly a ``bool`` (a
-    float or numpy scalar is neither). Any other needs a finite ``int`` or
-    ``float`` (float64 is one) that is not a bool: a range check such as
-    ``x < 0`` would let NaN through, and a Fraction or float32 fails later."""
+    float or numpy scalar is neither). Any other needs a :func:`finite_real`:
+    a range check such as ``x < 0`` would let NaN through, and a Fraction or
+    float32 fails later."""
     issues = []
     for name, value in values.items():
         if name in ints:
@@ -86,7 +96,7 @@ def kind_issues(values: dict, ints=(), bools=()) -> list:
                 issues.append(f"{name} must be a bool, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
             issues.append(f"{name} must be a number, got {value!r}")
-        elif not math.isfinite(value):
+        elif not finite_real(value):
             issues.append(f"{name} must be finite, got {value}")
     return issues
 
@@ -113,7 +123,6 @@ class PipelineConfig:
     shrinkage: float = 0.1
     seed: int = 0
     window: int = 10
-    tangent_scale: float = 0.5
 
     def __post_init__(self):
         values = {k: v for k, v in self.as_dict().items() if v is not None or k != "target_mass"}
@@ -142,8 +151,6 @@ class PipelineConfig:
             issues.append("shrinkage must lie in [0, 1]")
         if self.window < 1:
             issues.append("window must be at least 1")
-        if not self.tangent_scale > 0:
-            issues.append("tangent_scale must be positive")
         if issues:
             raise ValidationError(issues)
 

@@ -1,12 +1,12 @@
 """Project caption embeddings into the Poincare ball and fuse modalities.
 
-Each embedding row is L2-normalized and scaled by ``tangent_scale`` before
-the exponential map so tangent norms stay well inside tanh's non-saturating
-range. A segment without audio takes the unimodal branch, which is exactly
-exp_0 of the visual tangent. A segment with audio takes the weighted
-geodesic mean of its visual and audio points, which for two points is the
-closed form exp_x(w_aud log_x(y)). Neither iterates, and both run on the
-(n, d) arrays of all segments at once.
+Each embedding row is L2-normalized and scaled by the constant
+``TANGENT_SCALE`` (0.5, not a setting) before the exponential map so tangent
+norms stay well inside tanh's non-saturating range. A segment without audio
+takes the unimodal branch, which is exactly exp_0 of the visual tangent. A
+segment with audio takes the weighted geodesic mean of its visual and audio
+points, which for two points is the closed form exp_x(w_aud log_x(y)).
+Neither iterates, and both run on the (n, d) arrays of all segments at once.
 """
 
 from __future__ import annotations
@@ -19,22 +19,22 @@ from .captions import window_slices
 from .core import Dataset, PipelineConfig
 from .hyperbolic import exp_map_origin, geodesic_point, weighted_geodesic_mean
 
+TANGENT_SCALE = 0.5
 
-def prepare_tangent(e: np.ndarray, tangent_scale: float) -> np.ndarray:
-    """L2-normalize rows then scale; zero rows stay zero."""
+
+def prepare_tangent(e: np.ndarray) -> np.ndarray:
+    """L2-normalize rows then scale by TANGENT_SCALE; zero rows stay zero."""
     e = np.asarray(e, dtype=np.float64)
     norm = np.linalg.norm(e, axis=-1, keepdims=True)
-    return e * (tangent_scale / np.where(norm == 0.0, 1.0, norm))
+    return e * (TANGENT_SCALE / np.where(norm == 0.0, 1.0, norm))
 
 
 def fuse_sequence(dataset: Dataset, config: PipelineConfig) -> np.ndarray:
     """One fused ball point per segment of a validated dataset, as an (n, d) array."""
-    points = exp_map_origin(prepare_tangent(dataset.text, config.tangent_scale), config.curvature)
+    points = exp_map_origin(prepare_tangent(dataset.text), config.curvature)
     if dataset.has_audio:
         rows = dataset.audio_rows
-        audio = exp_map_origin(
-            prepare_tangent(dataset.audio[rows], config.tangent_scale), config.curvature
-        )
+        audio = exp_map_origin(prepare_tangent(dataset.audio[rows]), config.curvature)
         points[rows] = geodesic_point(points[rows], audio, config.audio_weight, config.curvature)
     return points
 
@@ -44,10 +44,10 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
 
     Matches the hyperbolic path in the flat limit (curvature -> 0).
     """
-    out = prepare_tangent(dataset.text, config.tangent_scale)
+    out = prepare_tangent(dataset.text)
     if dataset.has_audio:
         rows = dataset.audio_rows
-        audio = prepare_tangent(dataset.audio[rows], config.tangent_scale)
+        audio = prepare_tangent(dataset.audio[rows])
         out[rows] = (1.0 - config.audio_weight) * out[rows] + config.audio_weight * audio
     return out
 

@@ -6,7 +6,8 @@ Points and tangent vectors are ``(..., d)`` arrays; every map works row-wise
 and broadcasts over the leading axes, and the curvature c > 0 is an
 argument. The ball of curvature c is {x : c * ||x||^2 < 1}, radius
 1/sqrt(c). Maps that return points project them to radius
-(1 - ball_eps) / sqrt(c) because artanh blows up at the boundary.
+(1 - BALL_EPS) / sqrt(c) because artanh blows up at the boundary. The margin
+and the Karcher tolerance and cap are module constants, not arguments.
 
 Formulas follow the standard gyrovector-space treatment (Ungar; Ganea et al.,
 "Hyperbolic neural networks", NeurIPS 2018):
@@ -32,9 +33,9 @@ re-check its own iterates.
 
 weighted_geodesic_mean takes a stack of point sets (..., m, d) that share one
 weight vector and iterates all sets together. A set leaves the iteration
-when its own residual drops below tol, so each set's point and iteration
-count are those of a call on that set alone, bit for bit; a single (m, d)
-set is the stack of one.
+when its own residual drops below KARCHER_TOL, so each set's point and
+iteration count are those of a call on that set alone, bit for bit; a single
+(m, d) set is the stack of one.
 """
 
 from __future__ import annotations
@@ -43,11 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_BALL_EPS = 1e-5
-DEFAULT_KARCHER_TOL = 1e-10
-DEFAULT_KARCHER_MAX_ITER = 200
+BALL_EPS = 1e-5
+KARCHER_TOL = 1e-10
+KARCHER_MAX_ITER = 200
 
 _MIN_NORM = 1e-15
+# The largest sqrt(c)|u| passed to artanh, which is infinite at 1.
+_MAX_ARTANH_ARG = 1.0 - 1e-15
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
@@ -74,29 +77,28 @@ def _checked_points(x, curvature: float) -> np.ndarray:
     return x
 
 
-def project_to_ball(x, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
-    """Scale rows radially so that sqrt(c)*||x|| <= 1 - ball_eps; rows already
+def project_to_ball(x, curvature: float) -> np.ndarray:
+    """Scale rows radially so that sqrt(c)*||x|| <= 1 - BALL_EPS; rows already
     inside are returned unchanged."""
     x = np.asarray(x, dtype=np.float64)
-    max_radius = (1.0 - ball_eps) / np.sqrt(curvature)
+    max_radius = (1.0 - BALL_EPS) / np.sqrt(curvature)
     norm = _norm(x)
     return np.where(norm > max_radius, x * (max_radius / np.maximum(norm, _MIN_NORM)), x)
 
 
-def mobius_add(x, y, curvature: float, ball_eps: float | None = DEFAULT_BALL_EPS) -> np.ndarray:
-    """Mobius addition x (+) y, projected to the margin. ``ball_eps=None``
-    returns the raw sum, which the log map and the distance use."""
+def mobius_add(x, y, curvature: float) -> np.ndarray:
+    """Mobius addition x (+) y, unprojected: the log map and the distance
+    take the raw sum, and :func:`exp_map` projects its own result."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     c = curvature
     x2, y2, xy = _dot(x, x), _dot(y, y), _dot(x, y)
     num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
     denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    out = num / np.maximum(denom, _MIN_NORM)
-    return out if ball_eps is None else project_to_ball(out, c, ball_eps)
+    return num / np.maximum(denom, _MIN_NORM)
 
 
-def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+def exp_map_origin(v, curvature: float) -> np.ndarray:
     """Map tangent vectors at the origin onto the ball: :func:`exp_map` at 0.
 
     exp_0(0) is the origin exactly; other rows land strictly inside the ball
@@ -106,7 +108,7 @@ def exp_map_origin(v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> n
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("tangent vector must be finite")
-    return exp_map(np.zeros_like(v), v, curvature, ball_eps)
+    return exp_map(np.zeros_like(v), v, curvature)
 
 
 def log_map_origin(p, curvature: float) -> np.ndarray:
@@ -120,9 +122,9 @@ def _conformal_factor(x: np.ndarray, c: float) -> np.ndarray:
     return 2.0 / np.maximum(1.0 - c * _dot(x, x), _MIN_NORM)
 
 
-def exp_map(base, v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
-    """Exponential map at basepoints, via Mobius translation. A zero tangent
-    returns its basepoint exactly."""
+def exp_map(base, v, curvature: float) -> np.ndarray:
+    """Exponential map at basepoints, via Mobius translation, projected to
+    the margin. A zero tangent returns its basepoint exactly."""
     base = np.asarray(base, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     sqrt_c = np.sqrt(curvature)
@@ -131,31 +133,31 @@ def exp_map(base, v, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np
     norm = np.maximum(norm, _MIN_NORM)
     lam = _conformal_factor(base, curvature)
     second = np.tanh(sqrt_c * lam * norm / 2.0) * v / (sqrt_c * norm)
-    return np.where(zero, base, mobius_add(base, second, curvature, ball_eps))
+    return np.where(zero, base, project_to_ball(mobius_add(base, second, curvature), curvature))
 
 
 def log_map(base, p, curvature: float) -> np.ndarray:
     """Logarithmic map at basepoints, via Mobius translation."""
     base = np.asarray(base, dtype=np.float64)
     sqrt_c = np.sqrt(curvature)
-    u = mobius_add(-base, p, curvature, ball_eps=None)
+    u = mobius_add(-base, p, curvature)
     norm = _norm(u)
     zero = norm < _MIN_NORM
     norm = np.maximum(norm, _MIN_NORM)
     lam = _conformal_factor(base, curvature)
-    scaled = np.minimum(sqrt_c * norm, 1.0 - 1e-15)
+    scaled = np.minimum(sqrt_c * norm, _MAX_ARTANH_ARG)
     return np.where(zero, 0.0, (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm)
 
 
 def distance(x, y, curvature: float) -> np.ndarray:
     """Geodesic distance d(x, y) = (2/sqrt(c)) artanh(sqrt(c) |(-x) (+) y|)."""
     sqrt_c = np.sqrt(curvature)
-    diff = mobius_add(-np.asarray(x, dtype=np.float64), y, curvature, ball_eps=None)
-    scaled = np.minimum(sqrt_c * np.linalg.norm(diff, axis=-1), 1.0 - 1e-15)
+    diff = mobius_add(-np.asarray(x, dtype=np.float64), y, curvature)
+    scaled = np.minimum(sqrt_c * np.linalg.norm(diff, axis=-1), _MAX_ARTANH_ARG)
     return 2.0 / sqrt_c * np.arctanh(scaled)
 
 
-def geodesic_point(x, y, t, curvature: float, ball_eps: float = DEFAULT_BALL_EPS) -> np.ndarray:
+def geodesic_point(x, y, t, curvature: float) -> np.ndarray:
     """The point a fraction ``t`` of the way along the geodesic from x to y,
     exp_x(t log_x(y)).
 
@@ -163,7 +165,7 @@ def geodesic_point(x, y, t, curvature: float, ball_eps: float = DEFAULT_BALL_EPS
     at that point log_m(x) and log_m(y) are antiparallel with norms t d and
     (1 - t) d, so w_x log_m(x) + w_y log_m(y) = 0.
     """
-    return exp_map(x, t * log_map(x, y, curvature), curvature, ball_eps)
+    return exp_map(x, t * log_map(x, y, curvature), curvature)
 
 
 @dataclass(frozen=True)
@@ -171,18 +173,17 @@ class KarcherResult:
     """Outcome of the weighted geodesic mean of a stack of point sets.
 
     For points of shape ``(..., m, d)`` the per-set fields have the stack
-    shape ``(...)``: ``point`` is ``(..., d)``, ``residual`` the final
-    ||u|| of each set, ``set_iterations`` the iteration each set stopped
-    at, and ``unconverged`` marks the sets that exhausted max_iter, whose
-    point is the best effort found, never a silent success. A single
-    ``(m, d)`` set gives a ``(d,)`` point and 0-d per-set fields.
-    ``iterations`` (a Python int) sums the per-set counts; ``converged`` (a
-    bool) holds only if every set converged. The closed-form cases (one
-    point of full weight, two points) report 0 iterations and residual 0.
+    shape ``(...)``: ``point`` is ``(..., d)``, ``set_iterations`` the
+    iteration each set stopped at, and ``unconverged`` marks the sets that
+    exhausted the constant KARCHER_MAX_ITER, whose point is the best effort
+    found, never a silent success. A single ``(m, d)`` set gives a ``(d,)``
+    point and 0-d per-set fields. ``iterations`` (a Python int) sums the
+    per-set counts; ``converged`` (a bool) holds only if every set
+    converged. The closed-form cases (one point of full weight, two points)
+    report 0 iterations.
     """
 
     point: np.ndarray
-    residual: np.ndarray
     set_iterations: np.ndarray
     unconverged: np.ndarray
 
@@ -195,14 +196,7 @@ class KarcherResult:
         return not self.unconverged.any()
 
 
-def weighted_geodesic_mean(
-    points,
-    weights,
-    curvature: float,
-    tol: float = DEFAULT_KARCHER_TOL,
-    max_iter: int = DEFAULT_KARCHER_MAX_ITER,
-    ball_eps: float = DEFAULT_BALL_EPS,
-) -> KarcherResult:
+def weighted_geodesic_mean(points, weights, curvature: float) -> KarcherResult:
     """Weighted Karcher mean of each point set in ``points`` (..., m, d):
     per set, the point minimizing sum_i w_i d(m, x_i)^2, with one weight
     vector ``weights`` (m,) shared by every set.
@@ -213,9 +207,10 @@ def weighted_geodesic_mean(
     with u = sum_i w_i log_m(x_i) / sum_i w_i, starting from the
     weight-normalized Euclidean average of the coordinates (projected into
     the ball). All sets iterate together, and a set leaves the active stack
-    at the first iteration its ||u|| drops below ``tol``, so each set stops
-    at the iteration, and with the point, that it reaches on its own. The
-    inputs are checked once, before any iteration.
+    at the first iteration its ||u|| drops below the constant KARCHER_TOL,
+    so each set stops at the iteration, and with the point, that it reaches
+    on its own; one still moving after KARCHER_MAX_ITER iterations is
+    marked unconverged. The inputs are checked once, before any iteration.
 
     The raw fixed-point iteration (step 1) oscillates once points sit more
     than about two units of geodesic distance from the mean: the squared
@@ -244,7 +239,6 @@ def weighted_geodesic_mean(
     # strided view, w @ sets can round differently from the same rows copied
     sets = np.compress(support, points, axis=-2).reshape(-1, int(support.sum()), d)
     w = w[support]
-    residual = np.zeros(len(sets))
     set_iterations = np.zeros(len(sets), dtype=np.int64)
     unconverged = np.zeros(len(sets), dtype=bool)
     top = int(np.argmax(w))
@@ -252,19 +246,17 @@ def weighted_geodesic_mean(
         # degenerate weighting: the mean is that point exactly
         out = sets[:, top]
     elif len(w) == 2:
-        out = geodesic_point(sets[:, 0], sets[:, 1], w[1], curvature, ball_eps)
+        out = geodesic_point(sets[:, 0], sets[:, 1], w[1], curvature)
     else:
-        out = _iterate_means(sets, w, curvature, tol, max_iter, ball_eps,
-                             residual, set_iterations, unconverged)
+        out = _iterate_means(sets, w, curvature, set_iterations, unconverged)
     return KarcherResult(
         out.reshape(*stack, d),
-        residual.reshape(stack),
         set_iterations.reshape(stack),
         unconverged.reshape(stack),
     )
 
 
-def _iterate_means(sets, w, curvature, tol, max_iter, ball_eps, residual, set_iterations, unconverged):
+def _iterate_means(sets, w, curvature, set_iterations, unconverged):
     """The damped fixed-point iteration over the (k, m, d) stack ``sets``.
 
     ``active`` indexes the sets still iterating, and ``mean`` and ``points``
@@ -272,16 +264,14 @@ def _iterate_means(sets, w, curvature, tol, max_iter, ball_eps, residual, set_it
     per-set outputs in place and returns the (k, d) means.
     """
     sqrt_c = np.sqrt(curvature)
-    out = project_to_ball(w @ sets, curvature, ball_eps)
-    residual[:] = np.inf
+    out = project_to_ball(w @ sets, curvature)
     active, mean, points = np.arange(len(sets)), out, sets
-    for it in range(1, max_iter + 1):
+    for it in range(1, KARCHER_MAX_ITER + 1):
         tangents = log_map(mean[:, None, :], points, curvature)
         update = w @ tangents
         # per-row sqrt(u . u) by the same dot product as a norm of one row
         norms = np.sqrt((update[:, None, :] @ update[:, :, None])[:, 0, 0])
-        residual[active] = norms
-        done = norms < tol
+        done = norms < KARCHER_TOL
         if done.any():
             out[active[done]] = mean[done]
             set_iterations[active[done]] = it
@@ -294,8 +284,8 @@ def _iterate_means(sets, w, curvature, tol, max_iter, ball_eps, residual, set_it
         t = sqrt_c * np.linalg.norm(tangents, axis=-1)
         ratio = np.divide(t, np.tanh(t), out=np.ones_like(t), where=t > 1e-8)
         smoothness = np.max(ratio, axis=-1, initial=1.0)
-        mean = exp_map(mean, update / smoothness[:, None], curvature, ball_eps)
+        mean = exp_map(mean, update / smoothness[:, None], curvature)
     out[active] = mean
-    set_iterations[active] = max_iter
+    set_iterations[active] = KARCHER_MAX_ITER
     unconverged[active] = True
     return out

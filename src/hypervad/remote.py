@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import math
 import threading
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -28,7 +27,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .core import TransportError, kind_issues
+from .core import TransportError, finite_real, kind_issues
 from .prompt_opt import StubScorer
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
@@ -153,7 +152,7 @@ class RemoteScorer:
         if "score" not in reply:
             raise TransportError(f"scorer endpoint {self.url} reply missing 'score' field")
         value = reply["score"]
-        if kind_issues({"score": value}):  # also NaN and Infinity, which JSON has no number for
+        if not finite_real(value):  # also NaN and Infinity, which JSON has no number for
             raise TransportError(f"scorer endpoint {self.url} returned non-numeric score {value!r}")
         value = float(value)
         if not 0.0 <= value <= 1.0:
@@ -174,10 +173,10 @@ class RemoteScorer:
 
 def _finite_vector(payload: dict, key: str) -> np.ndarray:
     """A request's ``key`` entry as float64. ValueError unless it is a list
-    of JSON numbers, not bools, that are finite (NaN, Infinity and 1e400 are
-    not); OverflowError for an integer beyond float64."""
+    of :func:`finite_real` numbers (NaN, Infinity, 1e400, true and an
+    integer beyond float64 are not)."""
     values = payload[key]
-    if not isinstance(values, list) or not all(type(x) in (int, float) and math.isfinite(x) for x in values):
+    if not isinstance(values, list) or not all(finite_real(x) for x in values):
         raise ValueError(f"{key} must be a list of finite numbers")
     return np.asarray(values, dtype=np.float64)
 
@@ -216,7 +215,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             if not isinstance(text, str):
                 raise ValueError("summary_text must be a string")
             score = self.scorer.score(q, emb, text=text)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # TypeError: body not an object
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: body not an object
             self.send_error(400, f"bad request: {exc}")
             return
         body = json.dumps({"score": score}).encode("utf-8")

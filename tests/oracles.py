@@ -177,8 +177,7 @@ def karcher_objective(m, points, weights, c: float) -> float:
     return float(sum(w * poincare_distance(m, p, c) ** 2 for w, p in zip(weights, points)))
 
 
-def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter: int = 200,
-                        ball_eps: float = 1e-5):
+def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter: int = 200):
     """Weighted Karcher mean of one (m, d) point set by the damped fixed-point
     iteration, one set at a time. Returns (point, iterations, converged)."""
     points = np.asarray(points, dtype=np.float64)
@@ -190,8 +189,8 @@ def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter:
     if w[top] == 1.0:
         return points[top], 0, True
     if len(w) == 2:
-        return geodesic_point(points[0], points[1], w[1], c, ball_eps), 0, True
-    mean = project_to_ball(w @ points, c, ball_eps)
+        return geodesic_point(points[0], points[1], w[1], c), 0, True
+    mean = project_to_ball(w @ points, c)
     for it in range(1, max_iter + 1):
         tangents = log_map(mean, points, c)
         update = w @ tangents
@@ -200,7 +199,7 @@ def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter:
         t = math.sqrt(c) * np.linalg.norm(tangents, axis=-1)
         t = t[t > 1e-8]
         smoothness = float(np.max(t / np.tanh(t), initial=1.0))
-        mean = exp_map(mean, update / smoothness, c, ball_eps)
+        mean = exp_map(mean, update / smoothness, c)
     return mean, max_iter, False
 
 

@@ -134,15 +134,15 @@ def test_criterion_2_karcher_mean_suite():
         tol = 1e-10
 
         x = rng.uniform(-0.5, 0.5, size=6)
-        single = weighted_geodesic_mean([x], [2.0], 1.0, tol=tol)
+        single = weighted_geodesic_mean([x], [2.0], 1.0)
         assert single.converged and np.array_equal(single.point, x)
-        same = weighted_geodesic_mean([x, x, x], [0.4, 0.1, 0.5], 1.0, tol=tol)
+        same = weighted_geodesic_mean([x, x, x], [0.4, 0.1, 0.5], 1.0)
         assert same.converged
         assert np.max(np.abs(same.point - x)) <= tol
 
         for _ in range(20):
             p = rng.uniform(-0.6, 0.6, size=4)
-            pair = weighted_geodesic_mean([p, mobius_neg(p)], [0.5, 0.5], 1.0, tol=tol)
+            pair = weighted_geodesic_mean([p, mobius_neg(p)], [0.5, 0.5], 1.0)
             assert pair.converged
             assert np.max(np.abs(pair.point)) <= 1e-9
 
@@ -156,7 +156,7 @@ def test_criterion_2_karcher_mean_suite():
                 u = u / np.linalg.norm(u) * rng.uniform(0.0, 0.9)
                 pts.append(u)
             w = rng.uniform(0.05, 1.0, size=n)
-            res = weighted_geodesic_mean(pts, w, 1.0, tol=tol)
+            res = weighted_geodesic_mean(pts, w, 1.0)
             assert res.converged, f"instance {i} did not converge"
             base = karcher_objective(res.point, pts, w, 1.0)
             for _ in range(3):
@@ -170,7 +170,7 @@ def test_criterion_2_karcher_mean_suite():
         for _ in range(20):
             pts = rng.uniform(-0.3, 0.3, size=(5, 4))
             w = rng.uniform(0.1, 1.0, size=5)
-            res = weighted_geodesic_mean(pts, w, c, tol=tol)
+            res = weighted_geodesic_mean(pts, w, c)
             euclid = (w / w.sum()) @ pts
             assert np.max(np.abs(res.point - euclid)) < 1e-5
 
@@ -358,7 +358,7 @@ def test_criterion_9_modality_agnostic(shift6_dataset, tmp_path):
         fused = fuse_sequence(dataset, config)
         text = dataset.text
         for t, point in enumerate(fused):
-            expected = exp_map_origin(prepare_tangent(text[t], config.tangent_scale), config.curvature)
+            expected = exp_map_origin(prepare_tangent(text[t]), config.curvature)
             assert np.array_equal(point, expected), f"segment {t}"
 
 

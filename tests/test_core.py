@@ -37,7 +37,7 @@ class TestPipelineConfig:
             {"curvature": 0.0},
             {"curvature": -1.0},
             {"neighbors": 0},
-            {"tangent_scale": 0.0},
+            {"sparsity_weight": -1.0},
             {"opt_iters": -1},
             {"audio_weight": -1e-12},
             {"shrinkage": 1.5},
@@ -51,10 +51,12 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError):
             PipelineConfig(**overrides)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, pytest.param(10**400, id="int beyond float64"),
+    ])
     @pytest.mark.parametrize("name", [
         "curvature", "audio_weight", "learning_rate", "target_mass",
-        "sparsity_weight", "shrinkage", "tangent_scale",
+        "sparsity_weight", "shrinkage",
     ])
     def test_rejects_non_finite_floats(self, name, value):
         with pytest.raises(ValidationError, match=f"{name} must be finite"):

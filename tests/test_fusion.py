@@ -1,9 +1,7 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
-from hypervad import fusion
+from hypervad import fusion, hyperbolic
 from hypervad.core import PipelineConfig, SegmentRecord, ValidationError, validate_dataset
 from hypervad.fusion import (
     fuse_sequence,
@@ -48,12 +46,12 @@ class TestFuseSegment:
     def test_audio_absent_is_exact_exp_map(self, rng):
         e = rng.normal(size=5)
         point = fuse_one(e, None, 0.5, 1.0)
-        assert np.array_equal(point, exp_map_origin(prepare_tangent(e, 0.5), 1.0))
+        assert np.array_equal(point, exp_map_origin(prepare_tangent(e), 1.0))
 
     def test_identical_modalities_collapse(self, rng):
         e = rng.normal(size=4)
         point = fuse_one(e, e.copy(), 0.5, 1.0)
-        expected = exp_map_origin(prepare_tangent(e, 0.5), 1.0)
+        expected = exp_map_origin(prepare_tangent(e), 1.0)
         assert np.max(np.abs(point - expected)) < 1e-12
 
     def test_symmetric_inputs_fuse_to_origin(self):
@@ -63,7 +61,7 @@ class TestFuseSegment:
     def test_weight_degeneracy(self, rng):
         e_vis, e_aud = rng.normal(size=3), rng.normal(size=3)
         point = fuse_one(e_vis, e_aud, 0.0, 1.0)
-        expected = exp_map_origin(prepare_tangent(e_vis, 0.5), 1.0)
+        expected = exp_map_origin(prepare_tangent(e_vis), 1.0)
         assert np.max(np.abs(point - expected)) < 1e-10
 
     def test_order_independence(self, rng):
@@ -77,7 +75,7 @@ class TestFuseSegment:
         for _ in range(10):
             e_vis, e_aud = rng.normal(size=4), rng.normal(size=4)
             point = fuse_one(e_vis, e_aud, 0.5, c)
-            mean = 0.5 * prepare_tangent(e_vis, 0.5) + 0.5 * prepare_tangent(e_aud, 0.5)
+            mean = 0.5 * prepare_tangent(e_vis) + 0.5 * prepare_tangent(e_aud)
             assert np.max(np.abs(point - mean)) < 1e-5
 
     def test_matches_iterated_two_point_mean(self, rng):
@@ -86,8 +84,8 @@ class TestFuseSegment:
             config = PipelineConfig(curvature=c, audio_weight=0.65)
             ds = make_dataset(rng, n=20, dim=8)
             fused = fuse_sequence(ds, config)
-            vis = exp_map_origin(prepare_tangent(ds.text, 0.5), c)
-            aud = exp_map_origin(prepare_tangent(ds.audio, 0.5), c)
+            vis = exp_map_origin(prepare_tangent(ds.text), c)
+            aud = exp_map_origin(prepare_tangent(ds.audio), c)
             for t in range(20):
                 # a third copy of the visual point keeps the mean iterative
                 pts = np.stack([vis[t], vis[t], aud[t]])
@@ -117,12 +115,12 @@ class TestFuseSequence:
         text = ds.text
         assert fused.shape == text.shape
         for t, point in enumerate(fused):
-            assert np.array_equal(point, exp_map_origin(prepare_tangent(text[t], 0.5), 1.0))
+            assert np.array_equal(point, exp_map_origin(prepare_tangent(text[t]), 1.0))
 
     def test_mixed_dataset_per_segment_rule(self, rng):
         ds = make_dataset(rng, audio="mixed")
         fused = fuse_sequence(ds, PipelineConfig())
-        unimodal = exp_map_origin(prepare_tangent(ds.text, 0.5), 1.0)
+        unimodal = exp_map_origin(prepare_tangent(ds.text), 1.0)
         assert np.array_equal(fused[2], unimodal[2])
         others = np.arange(6) != 2
         assert np.all(np.abs(fused[others] - unimodal[others]).max(axis=1) > 1e-6)
@@ -138,7 +136,7 @@ class TestFuseSequence:
         mono = fuse_sequence(ds_without, config)
         text = ds_without.text
         for t, point in enumerate(mono):
-            expected = exp_map_origin(prepare_tangent(text[t], config.tangent_scale), config.curvature)
+            expected = exp_map_origin(prepare_tangent(text[t]), config.curvature)
             assert np.array_equal(point, expected)
 
     def test_flat_limit_sequence_matches_euclidean(self, rng):
@@ -176,7 +174,7 @@ class TestWindowFusedPoints:
         ds = make_dataset(rng, n=8, audio="none")
         config = PipelineConfig(window=3)
         fused = fuse_sequence(ds, config)
-        monkeypatch.setattr(fusion, "weighted_geodesic_mean", partial(weighted_geodesic_mean, max_iter=1))
+        monkeypatch.setattr(hyperbolic, "KARCHER_MAX_ITER", 1)
         # windows of 3, 3 and 2 segments: only the three-point means iterate
         _, failures = window_fused_points(fused, config)
         assert failures == [0, 1]
@@ -199,9 +197,10 @@ class TestWindowFusedPoints:
 
         def counted(points, *args, **kwargs):
             seen.append(np.shape(points))
-            return weighted_geodesic_mean(points, *args, max_iter=max_iter, **kwargs)
+            return weighted_geodesic_mean(points, *args, **kwargs)
 
         monkeypatch.setattr(fusion, "weighted_geodesic_mean", counted)
+        monkeypatch.setattr(hyperbolic, "KARCHER_MAX_ITER", max_iter)
         points, failures = window_fused_points(fused, config)
         expected, expected_failures, _ = window_means_oracle(fused, config, max_iter=max_iter)
         assert np.array_equal(points, expected)

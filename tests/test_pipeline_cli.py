@@ -188,15 +188,12 @@ class TestRunPipeline:
     def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path, monkeypatch):
         # 40 segments in windows of 3: windows 0-12 hold three segments and
         # iterate, window 13 holds one and passes its point through
-        from functools import partial
-
-        from hypervad import fusion
-        from hypervad.hyperbolic import weighted_geodesic_mean
+        from hypervad import hyperbolic
 
         config = PipelineConfig(seed=5, window=3)
         converged = run_pipeline(manifest_for(synth_dir, tmp_path / "k2", config=config))
         assert converged.report["fusion"]["karcher_failures"] == []
-        monkeypatch.setattr(fusion, "weighted_geodesic_mean", partial(weighted_geodesic_mean, max_iter=1))
+        monkeypatch.setattr(hyperbolic, "KARCHER_MAX_ITER", 1)
         result = run_pipeline(manifest_for(synth_dir, tmp_path / "k", config=config))
         assert result.report["fusion"]["karcher_failures"] == list(range(13))
 
@@ -583,9 +580,12 @@ class TestCli:
         with pytest.raises(ValidationError, match="unknown config key 'visual_weight'"):
             read_config(cfg)
 
-    @pytest.mark.parametrize("key, value", [("ball_eps", "1e-5"), ("karcher_tol", "1e-10"), ("karcher_max_iter", "200")])
+    @pytest.mark.parametrize("key, value", [
+        ("ball_eps", "1e-5"), ("karcher_tol", "1e-10"), ("karcher_max_iter", "200"), ("tangent_scale", "0.5"),
+    ])
     def test_solver_constants_are_not_settings(self, tmp_path, capsys, key, value):
-        # the ball margin and the Karcher tolerance and cap are constants of hyperbolic
+        # the ball margin and the Karcher tolerance and cap are constants of
+        # hyperbolic, the tangent scale one of fusion
         with pytest.raises(TypeError, match=key):
             PipelineConfig(**{key: float(value)})
         cfg = tmp_path / "solver.cfg"
@@ -691,6 +691,7 @@ class TestSynthGenerator:
         ({"shift": np.float32(6.0)}, "shift must be a number, got np.float32(6.0)"),
         ({"shift": np.int64(6)}, "shift must be a number, got np.int64(6)"),
         ({"anomaly_fraction": Fraction(1, 4)}, "anomaly_fraction must be a number, got Fraction(1, 4)"),
+        ({"shift": 10**400}, "shift must be finite"),  # an int beyond float64
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)

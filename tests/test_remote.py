@@ -430,7 +430,9 @@ class TestRemoteErrors:
             with pytest.raises(TransportError, match="non-numeric"):
                 remote.score(np.zeros(2), np.zeros(2))
 
-    @pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"true"])
+    @pytest.mark.parametrize("token", [
+        b"NaN", b"Infinity", b"true", pytest.param(b"1" + b"0" * 400, id="integer beyond float64"),
+    ])
     def test_score_outside_json_numbers_rejected(self, token):
         # Python's json reads NaN and Infinity, which JSON has no number for
         with (
