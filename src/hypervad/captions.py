@@ -3,7 +3,8 @@
 Cleaning replaces each segment's caption with the caption from the whole
 video whose text embedding is most cosine-similar to that segment's visual
 embedding. Exactly equal cosines break to the lowest index; zero-norm rows
-are reported and score minus infinity against everything.
+are reported and score minus infinity against everything. The search runs
+over row blocks (see :func:`row_blocks`), so it never holds an n x n matrix.
 """
 
 from __future__ import annotations
@@ -12,6 +13,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+# Byte budget of one row block of an all-pairs search, so that peak memory
+# grows with n, not n^2. A 1 MiB block stays in cache; a 16 MiB one would
+# still hold a 1,500-row search in one block.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,27 @@ def normalize_rows(data: np.ndarray):
     return data / safe[:, None], zero
 
 
+def row_blocks(n_rows: int, n_cols: int):
+    """Consecutive (lo, hi) row ranges of an n_rows x n_cols float64 matrix,
+    each holding as many rows as fit in BLOCK_BYTES, and at least one."""
+    step = max(1, BLOCK_BYTES // (8 * n_cols))
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
+
+
 def clean_caption_indices(frame_embs: np.ndarray, caption_embs: np.ndarray):
     """Argmax cosine alignment of each visual row against all caption rows.
 
     Returns (indices, zero_norm_rows) where zero_norm_rows lists
     ("visual"|"text", row) pairs whose similarities were pinned to -inf.
 
-    Exactly equal cosines break to the lowest index. Identical caption rows
-    are not guaranteed exactly equal cosines: the similarities come from one
-    matrix product, whose blocked summation can differ by 1 ulp between two
-    identical columns, and the higher index then wins.
+    Each block of :func:`row_blocks` multiplies its visual rows against all
+    caption rows and takes the row-wise argmax, so memory is O(n) plus one
+    block of BLOCK_BYTES. Exactly equal cosines break to the lowest index.
+    Identical caption rows are not guaranteed exactly equal cosines: the
+    similarities come from matrix products, whose blocked summation can
+    differ by 1 ulp between two identical columns, and the higher index
+    then wins.
     """
     (n, dim), (n_captions, caption_dim) = frame_embs.shape, caption_embs.shape
     if n != n_captions:
@@ -95,11 +112,13 @@ def clean_caption_indices(frame_embs: np.ndarray, caption_embs: np.ndarray):
 
     f_unit, f_zero = normalize_rows(frame_embs)
     c_unit, c_zero = normalize_rows(caption_embs)
-    sim = f_unit @ c_unit.T
-    sim[f_zero, :] = -np.inf
-    sim[:, c_zero] = -np.inf
-    # np.argmax returns the first maximum, which is the lowest-index tie break
-    indices = np.argmax(sim, axis=1).astype(np.int64)
+    indices = np.empty(n, dtype=np.int64)
+    for lo, hi in row_blocks(n, n):
+        sim = f_unit[lo:hi] @ c_unit.T
+        sim[f_zero[lo:hi], :] = -np.inf
+        sim[:, c_zero] = -np.inf
+        # np.argmax returns the first maximum, which is the lowest-index tie break
+        indices[lo:hi] = np.argmax(sim, axis=1)
 
     reports = tuple(
         [("visual", int(r)) for r in np.nonzero(f_zero)[0]]

@@ -118,10 +118,13 @@ def read_captions(path):
 
 
 def _write_frame_csv(path, header, values, fmt) -> None:
+    """The bytes ``csv.writer`` would write, CRLF line ends included, one
+    formatted line per value: ``fmt`` (int or float repr) never yields a
+    field that needs quoting. Lines stream through the file's buffer, so no
+    string of the whole body is built."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([i, fmt(value)] for i, value in enumerate(values))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(f"{i},{fmt(value)}\r\n" for i, value in enumerate(values))
 
 
 def _read_frame_csv(path, column, parse) -> list:

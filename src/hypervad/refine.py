@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .captions import normalize_rows
+from .captions import normalize_rows, row_blocks
 
 
 @dataclass(frozen=True)
@@ -84,28 +84,30 @@ def neighbor_sets(text_embs: np.ndarray, k: int) -> np.ndarray:
     Self is a forced member; the remaining k-1 slots go to the nearest other
     rows, exactly equal distances broken by lower index. Rows are returned
     sorted by rank (self first, then increasing distance). Identical rows
-    are not guaranteed exactly equal distances: they come from one matrix
-    product, whose blocked summation can differ by 1 ulp between two
+    are not guaranteed exactly equal distances: they come from matrix
+    products, whose blocked summation can differ by 1 ulp between two
     identical columns, and the higher index then wins.
 
-    One n x n distance matrix, built in place, then k passes of a row-wise
-    argmin (whose first-index rule is the tie break), each marking the taken
-    entries +inf: O(k n^2) time and 8 n^2 bytes. A full sort of every row
-    costs more for k up to about 200; refinement uses k = neighbors = 5.
+    Each block of :func:`captions.row_blocks` takes its rows' distances to
+    all rows, pins its part of the diagonal to -inf, then makes k passes of
+    a row-wise argmin (whose first-index rule is the tie break), each
+    marking the taken entries +inf: O(k n^2) time, and O(n k) memory plus
+    one block of BLOCK_BYTES. A full sort of every row costs more for k up
+    to about 200; refinement uses k = neighbors = 5.
     """
     n = len(text_embs)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     unit, _ = normalize_rows(text_embs)
-    cos_dist = unit @ unit.T
-    np.subtract(1.0, cos_dist, out=cos_dist)
-    np.fill_diagonal(cos_dist, -np.inf)
-
-    rows = np.arange(n)
     out = np.empty((n, k), dtype=np.int64)
-    for rank in range(k):
-        out[:, rank] = cos_dist.argmin(axis=1)
-        cos_dist[rows, out[:, rank]] = np.inf
+    for lo, hi in row_blocks(n, n):
+        cos_dist = unit[lo:hi] @ unit.T
+        np.subtract(1.0, cos_dist, out=cos_dist)
+        rows = np.arange(hi - lo)
+        cos_dist[rows, rows + lo] = -np.inf
+        for rank in range(k):
+            out[lo:hi, rank] = cos_dist.argmin(axis=1)
+            cos_dist[rows, out[lo:hi, rank]] = np.inf
     return out
 
 

@@ -8,16 +8,20 @@ the analytic gradient with central differences of the objective is what
 checks that derivative. The Karcher-mean reference loops call the package's
 maps too: they check how the stacked iteration batches and masks the sets,
 and the same maps on the same rows are what make a bit-for-bit comparison
-possible.
+possible. The dense references of the two all-pairs searches are the
+package's own bodies from before the searches ran over row blocks, on the
+package's ``normalize_rows``: the blocked searches must return exactly
+their indices.
 """
 
+import csv
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
-from hypervad.captions import window_slices
+from hypervad.captions import normalize_rows, window_slices
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import loss_score_gradient, total_loss
 
@@ -58,6 +62,59 @@ def neighbor_sets_oracle(rows, k):
         )
         out[t] = [t] + ranked[: k - 1]
     return out
+
+
+def clean_caption_indices_dense(frame_embs: np.ndarray, caption_embs: np.ndarray):
+    """Caption cleaning on one n x n similarity matrix."""
+    (n, dim), (n_captions, caption_dim) = frame_embs.shape, caption_embs.shape
+    if n != n_captions:
+        raise ValueError(f"count mismatch: {n} visual rows vs {n_captions} captions")
+    if dim != caption_dim:
+        raise ValueError(f"dim mismatch: {dim} vs {caption_dim}")
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), ()
+
+    f_unit, f_zero = normalize_rows(frame_embs)
+    c_unit, c_zero = normalize_rows(caption_embs)
+    sim = f_unit @ c_unit.T
+    sim[f_zero, :] = -np.inf
+    sim[:, c_zero] = -np.inf
+    # np.argmax returns the first maximum, which is the lowest-index tie break
+    indices = np.argmax(sim, axis=1).astype(np.int64)
+
+    reports = tuple(
+        [("visual", int(r)) for r in np.nonzero(f_zero)[0]]
+        + [("text", int(r)) for r in np.nonzero(c_zero)[0]]
+    )
+    return indices, reports
+
+
+def neighbor_sets_dense(text_embs: np.ndarray, k: int) -> np.ndarray:
+    """The neighbour search on one n x n distance matrix, with k passes of a
+    row-wise argmin, each marking the taken entries +inf."""
+    n = len(text_embs)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got {k}")
+    unit, _ = normalize_rows(text_embs)
+    cos_dist = unit @ unit.T
+    np.subtract(1.0, cos_dist, out=cos_dist)
+    np.fill_diagonal(cos_dist, -np.inf)
+
+    rows = np.arange(n)
+    out = np.empty((n, k), dtype=np.int64)
+    for rank in range(k):
+        out[:, rank] = cos_dist.argmin(axis=1)
+        cos_dist[rows, out[:, rank]] = np.inf
+    return out
+
+
+def frame_csv_oracle(path, header, values, fmt) -> None:
+    """A frame CSV written through ``csv.writer``: the header row, then one
+    ``i,fmt(value)`` row per value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([i, fmt(value)] for i, value in enumerate(values))
 
 
 def knn_refine_oracle(scores, text_rows, mean, precision, k):

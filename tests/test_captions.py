@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypervad import captions as captions_module
 from hypervad.captions import (
     CaptionSet,
     build_summaries,
@@ -13,8 +16,8 @@ from hypervad.captions import (
 )
 from hypervad.core import Modality
 
-from conftest import make_matrix
-from oracles import cosine_argmax_oracle
+from conftest import exact_cosine_rows, make_matrix, set_block_rows
+from oracles import clean_caption_indices_dense, cosine_argmax_oracle
 
 
 class TestCleanCaptions:
@@ -104,6 +107,51 @@ class TestCleanCaptions:
             make_matrix(scaled_f, Modality.VISUAL), make_matrix(scaled_c, Modality.TEXT)
         )
         assert np.array_equal(base, after)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_row_blocks_match_dense(self, rng, monkeypatch, block):
+        # n = 5 fits in one 7-row block, n = 23 leaves a short last block at
+        # every size. Even trials zero the rows and captions on both sides of
+        # the first block edge; odd ones tie the captions there.
+        for n in (1, 2, 5, 8, 23):
+            set_block_rows(monkeypatch, n, block)
+            for trial in range(10):
+                frames, captions = exact_cosine_rows(rng, n), exact_cosine_rows(rng, n)
+                if n > block:
+                    edge = slice(block - 1, block + 1)
+                    if trial % 2 == 0:
+                        frames[edge] = 0.0
+                        captions[edge] = 0.0
+                    else:
+                        captions[edge] = captions[block - 1]
+                got = clean_caption_indices(
+                    make_matrix(frames, Modality.VISUAL), make_matrix(captions, Modality.TEXT)
+                )
+                want = clean_caption_indices_dense(frames, captions)
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_default_blocks_match_dense(self, rng):
+        # 1,000 rows make several blocks under the default budget
+        frames, captions = rng.normal(size=(1000, 16)), rng.normal(size=(1000, 16))
+        idx, _ = clean_caption_indices(
+            make_matrix(frames, Modality.VISUAL), make_matrix(captions, Modality.TEXT)
+        )
+        assert np.array_equal(idx, clean_caption_indices_dense(frames, captions)[0])
+
+    def test_peak_memory_one_block(self, rng):
+        # no n x n buffer (72 MB at n = 3,000): two blocks of similarities
+        # (the next block's product is made before the last one is freed)
+        # plus both sets of unit rows and the indices
+        n, dim = 3000, 16
+        frames = make_matrix(rng.normal(size=(n, dim)), Modality.VISUAL)
+        captions = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)
+        tracemalloc.start()
+        try:
+            clean_caption_indices(frames, captions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * captions_module.BLOCK_BYTES + 8 * n * (2 * dim + 2)
 
     def test_caption_set_invariant(self):
         frames = np.eye(3)

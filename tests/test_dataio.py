@@ -24,6 +24,7 @@ from hypervad.dataio import (
 )
 
 from conftest import make_segments
+from oracles import frame_csv_oracle
 
 
 class TestEmbeddingFormat:
@@ -201,6 +202,18 @@ class TestLabelScoreCsv:
         assert (tmp_path / "l.csv").read_bytes() == b"frame,label\r\n0,0\r\n1,1\r\n"
         assert (tmp_path / "s.csv").read_bytes() == b"frame,score\r\n0,0.1\r\n1,0.3333333333333333\r\n"
         assert (tmp_path / "h.csv").read_bytes() == b"iteration,loss\r\n0,2.5\r\n1,1.0\r\n"
+
+    def test_bytes_match_csv_writer_oracle(self, tmp_path, rng):
+        # 24,000 frames, as many as 1,500 segments of 16 frames
+        scores = rng.uniform(size=24_000)
+        scores[:4] = [0.0, 1.0, 1 / 3, 0.9999999999999999]
+        labels = (scores > 0.9).astype(np.int64)
+        write_scores(tmp_path / "s.csv", scores)
+        write_labels(tmp_path / "l.csv", labels)
+        frame_csv_oracle(tmp_path / "s_oracle.csv", ("frame", "score"), scores, lambda v: repr(float(v)))
+        frame_csv_oracle(tmp_path / "l_oracle.csv", ("frame", "label"), labels, int)
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "s_oracle.csv").read_bytes()
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l_oracle.csv").read_bytes()
 
     def test_scores_roundtrip_full_precision(self, tmp_path):
         path = tmp_path / "scores.csv"

@@ -3,6 +3,7 @@ import inspect
 import json
 import re
 import threading
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -96,6 +97,26 @@ class TestRunPipeline:
         for name in ("scores.csv", "loss_history.csv", "report.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert r1.eval_report.auc_roc == r2.eval_report.auc_roc
+
+    def test_peak_memory_stays_linear(self, tmp_path):
+        # 3,000 windows: one n x n float64 buffer anywhere in the chain
+        # would hold 72 MB on its own
+        gen_synthetic(tmp_path / "in", n_segments=3000, dim=16, seed=0)
+        manifest = RunManifest(
+            visual_path=tmp_path / "in" / "visual.emb",
+            text_path=tmp_path / "in" / "text.emb",
+            captions_path=tmp_path / "in" / "captions.jsonl",
+            labels_path=tmp_path / "in" / "labels.csv",
+            out_dir=tmp_path / "out",
+            config=PipelineConfig(seed=0, window=1, opt_iters=0),
+        )
+        tracemalloc.start()
+        try:
+            run_pipeline(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_optimizer_off_scores_from_initial_prompt(self, synth_dir, tmp_path):
         result = run_pipeline(

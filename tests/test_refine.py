@@ -5,11 +5,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypervad import captions
 from hypervad.core import Modality
 from hypervad.refine import VisualStats, fit_visual_stats, mahalanobis, neighbor_sets, refine_scores
 
-from conftest import make_matrix
-from oracles import inverse_2x2, knn_refine_oracle, neighbor_sets_oracle, shrunk_precision_oracle
+from conftest import exact_cosine_rows, make_matrix, set_block_rows
+from oracles import (
+    inverse_2x2,
+    knn_refine_oracle,
+    neighbor_sets_dense,
+    neighbor_sets_oracle,
+    shrunk_precision_oracle,
+)
 
 
 def identity_stats(dim):
@@ -99,15 +106,8 @@ class TestNeighborSets:
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12])
     def test_matches_oracle_on_exact_ties(self, rng, k):
-        # rows drawn from zero, scaled +/- basis vectors and scaled sign
-        # vectors: unit rows are exact, every cosine is a multiple of 1/4,
-        # duplicates abound, and most ranks are decided by the index
-        basis = np.vstack([np.eye(4), -np.eye(4)])
-        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T
-        pool = np.vstack([np.zeros((1, 4)), basis, signs])
         for _ in range(20):
-            n = int(rng.integers(k, 60))
-            rows = pool[rng.integers(0, len(pool), size=n)] * rng.choice([0.5, 1.0, 3.0], size=(n, 1))
+            rows = exact_cosine_rows(rng, int(rng.integers(k, 60)))
             sets = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
             assert np.array_equal(sets, neighbor_sets_oracle(rows, k))
 
@@ -120,17 +120,40 @@ class TestNeighborSets:
             sets = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
             assert np.array_equal(sets, neighbor_sets_oracle(rows, k))
 
-    def test_peak_memory_one_distance_matrix(self, rng):
-        # the n x n float64 distances are the only quadratic buffer
-        n = 1000
-        m = make_matrix(rng.normal(size=(n, 16)), Modality.TEXT)
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_row_blocks_match_dense(self, rng, monkeypatch, block):
+        # n = 5 fits in one 7-row block, n = 23 leaves a short last block at
+        # every size; k runs from 1 to n. Even trials zero the rows on both
+        # sides of the first block edge, odd ones tie them.
+        for n in (1, 2, 5, 8, 23):
+            set_block_rows(monkeypatch, n, block)
+            for k in sorted({1, min(3, n), n}):
+                for trial in range(6):
+                    rows = exact_cosine_rows(rng, n)
+                    if n > block:
+                        rows[block - 1 : block + 1] = 0.0 if trial % 2 == 0 else rows[block - 1]
+                    sets = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
+                    assert np.array_equal(sets, neighbor_sets_dense(rows, k))
+
+    def test_default_blocks_match_dense(self, rng):
+        # 1,000 rows make several blocks under the default budget
+        rows = rng.normal(size=(1000, 16))
+        sets = neighbor_sets(make_matrix(rows, Modality.TEXT), 5)
+        assert np.array_equal(sets, neighbor_sets_dense(rows, 5))
+
+    def test_peak_memory_one_block(self, rng):
+        # no n x n buffer (72 MB at n = 3,000): two blocks of distances (the
+        # next block's product is made before the last one is freed) plus
+        # the unit rows and the (n, k) result
+        n, dim, k = 3000, 16, 5
+        m = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)
         tracemalloc.start()
         try:
-            neighbor_sets(m, 5)
+            neighbor_sets(m, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * n * n
+        assert peak < 3 * captions.BLOCK_BYTES + 8 * n * (2 * dim + k)
 
     def test_k_bounds(self, rng):
         m = make_matrix(rng.normal(size=(4, 2)), Modality.TEXT)
