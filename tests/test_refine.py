@@ -141,6 +141,19 @@ class TestNeighborSets:
         sets = neighbor_sets(make_matrix(rows, Modality.TEXT), 5)
         assert np.array_equal(sets, neighbor_sets_dense(rows, 5))
 
+    def test_peak_memory_one_distance_matrix(self, rng):
+        # the loose ceiling: never more than one n x n float64 distance
+        # matrix, whatever the block budget
+        n = 1000
+        m = make_matrix(rng.normal(size=(n, 16)), Modality.TEXT)
+        tracemalloc.start()
+        try:
+            neighbor_sets(m, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n * n
+
     def test_peak_memory_one_block(self, rng):
         # no n x n buffer (72 MB at n = 3,000): two blocks of distances (the
         # next block's product is made before the last one is freed) plus
