@@ -34,7 +34,7 @@ def main() -> int:
     parser.add_argument("--dim", type=int, default=16)
     parser.add_argument("--shift", type=float, default=6.0)
     parser.add_argument("--anomaly-fraction", type=float, default=0.1)
-    parser.add_argument("--window", type=int, default=1)
+    parser.add_argument("--window", type=int, default=PipelineConfig().window)
     args = parser.parse_args()
 
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="hypervad_"))

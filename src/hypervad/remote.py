@@ -5,11 +5,12 @@ Wire protocol: POST <endpoint>/score with UTF-8 JSON body
 and response {"score": float}. Non-2xx status, transport failures, malformed
 bodies (not UTF-8, not JSON, not a JSON object), and out-of-range scores are
 all surfaced as TransportError; nothing is clamped silently. A refused,
-dropped or truncated exchange is retried ``retries`` times first. Gradients
-are central differences with the fixed step ``FD_STEP`` (1e-6), costing
-2 * prompt_dim requests per gradient. The loopback server answers 400 to a
-prompt or embedding entry that is not a JSON number, or not finite as
-float64, and to a summary_text that is not a string.
+dropped, idle-closed or truncated exchange is retried ``RETRIES`` times
+first, each on a new connection, and waits at most ``TIMEOUT_S`` per step.
+Gradients are central differences with the fixed step ``FD_STEP`` (1e-6),
+costing 2 * prompt_dim requests per gradient. The loopback server answers
+400 to a prompt or embedding entry that is not a JSON number, or not finite
+as float64, and to a summary_text that is not a string.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import threading
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -27,7 +29,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .core import TransportError, finite_real, kind_issues
+from .core import TransportError, finite_real
 from .prompt_opt import StubScorer
 
 # How often serve_forever checks for shutdown; shutdown() waits up to this long.
@@ -37,49 +39,56 @@ _POLL_INTERVAL_S = 0.05
 _IDLE_TIMEOUT_S = 30.0
 # Step of the central differences that stand in for a remote gradient.
 FD_STEP = 1e-6
+# Longest wait of one connect, send or receive.
+TIMEOUT_S = 10.0
+# How often a failed exchange is sent again, each time on a new connection.
+RETRIES = 2
+# Characters no endpoint may hold: "?" and "#" start a query or fragment,
+# where "/score" would land; urlsplit drops a tab or newline and strips a
+# leading space, and http.client refuses other whitespace and controls.
+_REJECTED_CHARACTERS = re.compile(r"[?#\s\x00-\x1f\x7f]")
 
 
 def split_endpoint(endpoint: str):
     """(scheme, host, port, selector) of a scorer endpoint; requests go to
     ``<path>/score``, and port None is the scheme's default. Raises
-    ValueError unless the scheme is http(s), with a host and a valid port,
-    and for a query or fragment (even a bare "?" or "#"), where "/score"
-    would otherwise land. User info (``user:password@``) is rejected first,
-    by a message that does not echo the endpoint, and so not the password."""
+    ValueError unless the endpoint is a str with the scheme http(s), a host
+    and a valid port; for a query or fragment (even a bare "?" or "#"),
+    where "/score" would otherwise land; and for what http.client cannot
+    send as given: whitespace or an ASCII control character anywhere, or a
+    non-ASCII character in the path (percent-encode it). User info
+    (``user:password@``) is rejected first, by a message that does not echo
+    the endpoint, and so not the password."""
     authority = str(endpoint).split("//", 1)[-1].split("/", 1)[0]  # with or without a scheme
     if "@" in authority:
         raise ValueError("the endpoint must not carry user info (user:password@ before the host)")
-    try:
-        parts = urlsplit(endpoint)
-        port = parts.port  # raises for a port that is not a number or is out of range
-        valid = parts.scheme in ("http", "https") and bool(parts.hostname)
-    except ValueError:  # also an unclosed "[" in an IPv6 host
-        valid = False
-    if not valid or "?" in endpoint or "#" in endpoint:
-        raise ValueError("need an http:// or https:// endpoint with a host, a valid port "
-                         f"and no query or fragment, got {endpoint!r}")
+    valid = isinstance(endpoint, str) and not _REJECTED_CHARACTERS.search(endpoint)
+    if valid:
+        try:
+            parts = urlsplit(endpoint)
+            port = parts.port  # raises for a port that is not a number or is out of range
+            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.path.isascii()
+        except ValueError:  # also an unclosed "[" in an IPv6 host
+            valid = False
+    if not valid:
+        raise ValueError("need an http:// or https:// endpoint with a host, a valid port, no query or "
+                         "fragment, no whitespace or control character and an ASCII path, "
+                         f"got {endpoint!r}")
     return parts.scheme, parts.hostname, port, parts.path.rstrip("/") + "/score"
 
 
 class RemoteScorer:
-    """Scorer backend that defers to an HTTP service. Use it as a context
-    manager, or call ``close()``, to release its connection."""
+    """Scorer backend that defers to the HTTP service at ``endpoint``, with
+    the module's TIMEOUT_S and RETRIES. Use it as a context manager, or call
+    ``close()``, to release its connection."""
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, retries: int = 2):
-        issues = kind_issues({"timeout": timeout, "retries": retries}, ints={"retries"})
-        if issues:
-            raise ValueError("; ".join(issues))
-        if not timeout > 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if retries < 0:
-            raise ValueError(f"retries must be non-negative, got {retries}")
+    def __init__(self, endpoint: str):
         scheme, host, port, self._selector = split_endpoint(endpoint)
         # the one name of the server in every TransportError
         self.url = f"{endpoint.rstrip('/')}/score"
         connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-        self._connect = partial(connection_class, host, port, timeout=timeout)
+        self._connect = partial(connection_class, host, port)
         self._connection = None
-        self.retries = retries
 
     def close(self) -> None:
         if self._connection is not None:
@@ -96,25 +105,11 @@ class RemoteScorer:
     def _exchange(self, body: bytes) -> dict:
         """Send one request and return its reply object. Any failure closes
         the connection, so that the next exchange starts on a new one."""
-        # http.client drops the socket of a connection the server closed, so
-        # one that still holds a socket has carried an earlier exchange
-        reused = self._connection is not None and self._connection.sock is not None
         if self._connection is None:
-            self._connection = self._connect()
+            self._connection = self._connect(timeout=TIMEOUT_S)
         try:
-            try:
-                self._connection.request(
-                    "POST", self._selector, body, {"Content-Type": "application/json"}
-                )
-                response = self._connection.getresponse()
-            except (ConnectionResetError, BrokenPipeError):  # also RemoteDisconnected
-                if not reused:
-                    raise
-                # The server closed the idle connection before any reply
-                # byte: send once more on a new one, outside the retry
-                # budget, as xmlrpc.client does.
-                self.close()
-                return self._exchange(body)
+            self._connection.request("POST", self._selector, body, {"Content-Type": "application/json"})
+            response = self._connection.getresponse()
             if not 200 <= response.status < 300:
                 response.close()
                 raise TransportError(f"scorer endpoint {self.url} returned status {response.status}")
@@ -132,14 +127,14 @@ class RemoteScorer:
 
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
-        last_error = None
-        for _ in range(self.retries + 1):
+        attempts = RETRIES + 1
+        for _ in range(attempts):
             try:
                 return self._exchange(body)
             except (OSError, http.client.HTTPException) as exc:
-                last_error = exc  # refused, dropped or truncated: try again
+                last_error = exc  # refused, dropped, truncated or idle-closed: try again
         raise TransportError(
-            f"scorer endpoint {self.url} failed after {self.retries + 1} attempts: {last_error}"
+            f"scorer endpoint {self.url} failed after {attempts} attempts: {last_error}"
         ) from last_error
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
