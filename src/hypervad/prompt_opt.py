@@ -61,14 +61,18 @@ class Scorer(Protocol):
     """Backend that maps (prompt, summary) to an anomaly likelihood in [0, 1].
 
     A scorer is exactly the two calls :func:`optimize_prompt` makes:
-    ``score`` and its gradient in the prompt, ``grad_q``. ``emb`` is the
-    summary's embedding row and ``text`` its decoded string, for backends
-    that prompt a language model; numeric backends may ignore the text.
+    ``score`` of one summary, and ``grad_sum``, the whole batch's weighted
+    prompt gradient sum_t coeff[t] * d score(q, embs[t], texts[t]) / dq in
+    one call per step. ``scores`` are the scores at ``q`` that the optimizer
+    already holds, for backends that can reuse them. ``emb`` is a summary's
+    embedding row and ``text`` its decoded string, for backends that prompt
+    a language model; numeric backends may ignore the text.
     """
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float: ...
 
-    def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray: ...
+    def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str],
+                 coeff: np.ndarray, scores: np.ndarray) -> np.ndarray: ...
 
 
 def _sigmoid(x: float) -> float:
@@ -100,6 +104,17 @@ class StubScorer:
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)
         return s * (1.0 - s) * self.w
+
+    def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str],
+                 coeff: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """sum_t coeff[t] * scores[t] * (1 - scores[t]) * w, its rows added
+        in order onto a zero row, as a running total adds them: a pairwise
+        sum (``.sum(axis=0)``) would round differently."""
+        rows = np.zeros((scores.size + 1, self.w.size))
+        np.multiply.outer(scores * (1.0 - scores), self.w, out=rows[1:])
+        rows[1:] *= coeff[:, None]
+        np.add.accumulate(rows, axis=0, out=rows)
+        return rows[-1]
 
 
 @dataclass
@@ -154,17 +169,14 @@ def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineC
     """
     q = np.array(q0, dtype=np.float64)
     embs, texts = summaries.embeddings, summaries.texts
-    n = embs.shape[0]
-    mu = resolve_target_mass(config.target_mass, n)
+    mu = resolve_target_mass(config.target_mass, embs.shape[0])
 
     scores = score_all(scorer, q, embs, texts)
     history = [total_loss(scores, mu, config.sparsity_weight)]
 
     for k in range(config.opt_iters):
         coeff = loss_score_gradient(scores, mu, config.sparsity_weight)
-        grad = np.zeros_like(q)
-        for t in range(n):
-            grad += coeff[t] * scorer.grad_q(q, embs[t], text=texts[t])
+        grad = scorer.grad_sum(q, embs, texts, coeff, scores)
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite prompt gradient at iteration {k}")
         q = q - config.learning_rate * grad

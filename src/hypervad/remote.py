@@ -8,9 +8,10 @@ all surfaced as TransportError; nothing is clamped silently. A refused,
 dropped, idle-closed or truncated exchange is retried ``RETRIES`` times
 first, each on a new connection, and waits at most ``TIMEOUT_S`` per step.
 Gradients are central differences with the fixed step ``FD_STEP`` (1e-6),
-costing 2 * prompt_dim requests per gradient. The loopback server answers
-400 to a prompt or embedding entry that is not a JSON number, or not finite
-as float64, and to a summary_text that is not a string.
+costing 2 * prompt_dim requests per summary in every ``grad_sum``. The
+loopback server answers 400 to a prompt or embedding entry that is not a
+JSON number, or not finite as float64, and to a summary_text that is not a
+string.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
@@ -53,10 +54,11 @@ def split_endpoint(endpoint: str):
     """(scheme, host, port, selector) of a scorer endpoint; requests go to
     ``<path>/score``, and port None is the scheme's default. Raises
     ValueError unless the endpoint is a str with the scheme http(s), a host
-    and a valid port; for a query or fragment (even a bare "?" or "#"),
-    where "/score" would otherwise land; and for what http.client cannot
-    send as given: whitespace or an ASCII control character anywhere, or a
-    non-ASCII character in the path (percent-encode it). User info
+    and a valid port (1 to 65535, if given); for a query or fragment (even
+    a bare "?" or "#"), where "/score" would otherwise land; and for what
+    http.client cannot send as given: whitespace or an ASCII control
+    character anywhere, or a non-ASCII character in the path
+    (percent-encode it). User info
     (``user:password@``) is rejected first, by a message that does not echo
     the endpoint, and so not the password."""
     authority = str(endpoint).split("//", 1)[-1].split("/", 1)[0]  # with or without a scheme
@@ -66,8 +68,9 @@ def split_endpoint(endpoint: str):
     if valid:
         try:
             parts = urlsplit(endpoint)
-            port = parts.port  # raises for a port that is not a number or is out of range
-            valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.path.isascii()
+            port = parts.port  # raises for a port that is not a number or is above 65535
+            valid = (parts.scheme in ("http", "https") and bool(parts.hostname) and port != 0
+                     and parts.path.isascii())
         except ValueError:  # also an unclosed "[" in an IPv6 host
             valid = False
     if not valid:
@@ -163,6 +166,16 @@ class RemoteScorer:
             up = self.score(q + probe, emb, text=text)
             down = self.score(q - probe, emb, text=text)
             grad[i] = (up - down) / (2.0 * FD_STEP)
+        return grad
+
+    def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts, coeff: np.ndarray,
+                 scores: np.ndarray) -> np.ndarray:
+        """sum_t coeff[t] * grad_q(q, embs[t], texts[t]), one central
+        difference per summary; the wire has no batch call, so ``scores``
+        go unused."""
+        grad = np.zeros_like(q, dtype=np.float64)
+        for t in range(embs.shape[0]):
+            grad += coeff[t] * self.grad_q(q, embs[t], text=texts[t])
         return grad
 
 

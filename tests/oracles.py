@@ -5,10 +5,12 @@ no code shared with the package paths it checks. The exception is the pair
 of prompt-gradient oracles: they call the package's objective (``total_loss``)
 and its derivative in the scores (``loss_score_gradient``), because comparing
 the analytic gradient with central differences of the objective is what
-checks that derivative. The Karcher-mean reference loops call the package's
-maps too: they check how the stacked iteration batches and masks the sets,
-and the same maps on the same rows are what make a bit-for-bit comparison
-possible. The dense references of the two all-pairs searches are the
+checks that derivative. The per-row optimizer reference calls them too: it
+is the package's ``optimize_prompt`` from before the prompt gradient became
+one ``grad_sum`` call per step, which must match it bit for bit. The
+Karcher-mean reference loops call the package's maps too: they check how
+the stacked iteration batches and masks the sets, and the same maps on the
+same rows are what make a bit-for-bit comparison possible. The dense references of the two all-pairs searches are the
 package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
 their indices.
@@ -23,7 +25,7 @@ from scipy.stats import rankdata
 
 from hypervad.captions import normalize_rows, window_slices
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
-from hypervad.prompt_opt import loss_score_gradient, total_loss
+from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 
 
 def cosine_argmax_oracle(frame_rows: np.ndarray, caption_rows: np.ndarray) -> np.ndarray:
@@ -316,3 +318,26 @@ def finite_difference_total_gradient(
         probe[i] = step
         grad[i] = (loss_at(q + probe) - loss_at(q - probe)) / (2.0 * step)
     return grad
+
+
+def optimize_prompt_per_row(q0, summaries, scorer, config):
+    """``optimize_prompt`` with one ``grad_q`` call per summary per step."""
+
+    embs, texts = summaries.embeddings, summaries.texts
+
+    def score_all(qq):
+        return np.array([scorer.score(qq, e, text=t) for e, t in zip(embs, texts)])
+
+    q = np.array(q0, dtype=np.float64)
+    mu = resolve_target_mass(config.target_mass, embs.shape[0])
+    scores = score_all(q)
+    history = [total_loss(scores, mu, config.sparsity_weight)]
+    for _ in range(config.opt_iters):
+        coeff = loss_score_gradient(scores, mu, config.sparsity_weight)
+        grad = np.zeros_like(q)
+        for t in range(embs.shape[0]):
+            grad += coeff[t] * scorer.grad_q(q, embs[t], text=texts[t])
+        q = q - config.learning_rate * grad
+        scores = score_all(q)
+        history.append(total_loss(scores, mu, config.sparsity_weight))
+    return PromptState(q=q, loss_history=history), scores

@@ -461,6 +461,7 @@ class TestCli:
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/a\tb"], "no whitespace or control character"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/a\nb"], "no whitespace or control character"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/\u00e9"], "an ASCII path"),
+        (["--scorer", "remote", "--endpoint", "http://127.0.0.1:0"], "a valid port"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"

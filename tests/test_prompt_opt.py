@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from hypervad.prompt_opt import (
     PromptState,
     StubScorer,
     binary_entropy,
+    loss_score_gradient,
     optimize_prompt,
     resolve_target_mass,
     total_loss,
 )
 
-from oracles import analytic_total_gradient, finite_difference_total_gradient
+from oracles import analytic_total_gradient, finite_difference_total_gradient, optimize_prompt_per_row
 
 
 def make_summaries(embs: np.ndarray) -> SummarySet:
@@ -112,6 +114,64 @@ class TestStubScorer:
             assert 0.0 <= v <= 1.0
 
 
+class CountingScorer(StubScorer):
+    """The stub, counting the calls it receives by name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = Counter()
+
+    def score(self, q, emb, text=""):
+        self.calls["score"] += 1
+        return super().score(q, emb, text)
+
+    def grad_q(self, q, emb, text=""):
+        self.calls["grad_q"] += 1
+        return super().grad_q(q, emb, text)
+
+    def grad_sum(self, q, embs, texts, coeff, scores):
+        self.calls["grad_sum"] += 1
+        return super().grad_sum(q, embs, texts, coeff, scores)
+
+
+class TestGradSum:
+    @pytest.mark.parametrize("prompt_dim, n, saturated", [
+        (1, 1, False), (1, 50, False), (1, 50, True), (6, 1, True),
+        (16, 200, False), (16, 200, True), (32, 1500, False),
+    ])
+    def test_equals_per_row_sum_bit_for_bit(self, prompt_dim, n, saturated):
+        # saturated rows sit 60 along u, alternating in sign from +: scores
+        # of exactly 1.0, whose gradient row is all zeros, some of them -0.0,
+        # and of about 1e-26
+        emb_dim = 4
+        for seed in range(10):
+            rng = np.random.default_rng([seed, prompt_dim, n])
+            scorer = StubScorer(prompt_dim, emb_dim, seed=seed)
+            q = rng.normal(size=prompt_dim)
+            if saturated:
+                embs = np.where(np.arange(n) % 2, -60.0, 60.0)[:, None] * scorer.u
+                embs += rng.normal(size=(n, emb_dim)) * 0.1
+                assert np.min(np.abs(embs @ scorer.u + scorer.w @ q + scorer.b)) > 40
+            else:
+                embs = rng.normal(size=(n, emb_dim)) * 3.0
+            mu, lam = float(rng.uniform(0, n)), float(rng.uniform(0, 1))
+            scores = np.array([scorer.score(q, e) for e in embs])
+            coeff = loss_score_gradient(scores, mu, lam)
+            assert n == 1 or coeff.min() < 0 < coeff.max()
+            texts = tuple(f"summary {t}" for t in range(n))
+            got = scorer.grad_sum(q, embs, texts, coeff, scores)
+            want = analytic_total_gradient(q, embs, scorer, mu, lam)
+            assert np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()  # the sign of a zero too
+
+    def test_grad_q_is_the_one_row_sum(self, rng):
+        scorer = StubScorer(5, 3, seed=4)
+        for _ in range(20):
+            q, e = rng.normal(size=5), rng.normal(size=3)
+            one_row = scorer.grad_sum(q, e[None, :], ("",), np.ones(1), np.array([scorer.score(q, e)]))
+            assert np.array_equal(scorer.grad_q(q, e), one_row)
+
+
 class TestOptimizePrompt:
     def test_zero_iterations_is_identity(self, rng):
         embs = rng.normal(size=(5, 4))
@@ -186,6 +246,31 @@ class TestOptimizePrompt:
         assert s1.loss_history == s2.loss_history
         assert np.array_equal(a1, a2)
 
+    @pytest.mark.parametrize("prompt_dim", [1, 3, 32])
+    def test_matches_per_row_optimizer_bit_for_bit(self, prompt_dim):
+        emb_dim = 4
+        for seed in range(6):
+            rng = np.random.default_rng([seed, prompt_dim])
+            n = int(rng.integers(1, 80))
+            summaries = make_summaries(rng.normal(size=(n, emb_dim)) * 3.0)
+            config = PipelineConfig(opt_iters=25, sparsity_weight=float(rng.uniform(0, 3)))
+            q0 = rng.normal(size=prompt_dim)
+            state, scores = optimize_prompt(q0, summaries, StubScorer(prompt_dim, emb_dim, seed=seed), config)
+            want_state, want = optimize_prompt_per_row(
+                q0, summaries, StubScorer(prompt_dim, emb_dim, seed=seed), config)
+            assert not np.array_equal(state.q, q0)
+            assert np.array_equal(state.q, want_state.q) and state.q.tobytes() == want_state.q.tobytes()
+            assert state.loss_history == want_state.loss_history
+            assert np.array_equal(scores, want)
+
+    def test_one_gradient_call_per_step(self, rng):
+        n, opt_iters = 7, 4
+        scorer = CountingScorer(3, 2, seed=6)
+        optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(n, 2))), scorer,
+                        PipelineConfig(opt_iters=opt_iters))
+        assert scorer.calls == Counter(score=n * (opt_iters + 1), grad_sum=opt_iters)
+        assert scorer.calls["grad_q"] == 0
+
     def test_non_finite_gradient_aborts_with_iteration(self, rng):
         class BrokenScorer:
             info = None
@@ -193,7 +278,7 @@ class TestOptimizePrompt:
             def score(self, q, emb, text=""):
                 return 0.4
 
-            def grad_q(self, q, emb, text=""):
+            def grad_sum(self, q, embs, texts, coeff, scores):
                 return np.full(q.shape, np.nan)
 
         with pytest.raises(ValueError, match="iteration 0"):
@@ -215,8 +300,8 @@ class TestOptimizePrompt:
                 self.texts.append(text)
                 return self.stub.score(q, emb, text)
 
-            def grad_q(self, q, emb, text=""):
-                return self.stub.grad_q(q, emb, text)
+            def grad_sum(self, q, embs, texts, coeff, scores):
+                return self.stub.grad_sum(q, embs, texts, coeff, scores)
 
         summaries = make_summaries(rng.normal(size=(4, 3)))
         minimal = MinimalScorer(StubScorer(5, 3, seed=2))

@@ -216,6 +216,30 @@ class TestLoopbackConformance:
                 q, s = rng.normal(size=5), rng.normal(size=3)
                 assert np.max(np.abs(remote.grad_q(q, s) - stub.grad_q(q, s))) < 1e-4
 
+    def test_grad_sum_matches_stub_at_2_prompt_dim_requests_per_summary(self, rng):
+        class CountingStub(StubScorer):
+            requests = 0
+
+            def score(self, q, emb, text=""):
+                self.requests += 1
+                return super().score(q, emb, text)
+
+        prompt_dim = 4
+        served, stub = CountingStub(prompt_dim, 3, seed=7), StubScorer(prompt_dim, 3, seed=7)
+        with (
+            LoopbackScorerServer(served) as server,
+            RemoteScorer(server.endpoint) as remote,
+        ):
+            for n in (1, 6):
+                q, embs = rng.normal(size=prompt_dim), rng.normal(size=(n, 3))
+                texts = tuple(f"summary {t}" for t in range(n))
+                scores = np.array([stub.score(q, e) for e in embs])
+                coeff = np.linspace(-1.5, 2.0, n)
+                before = served.requests
+                grad = remote.grad_sum(q, embs, texts, coeff, scores)
+                assert served.requests - before == 2 * prompt_dim * n
+                assert np.max(np.abs(grad - stub.grad_sum(q, embs, texts, coeff, scores))) < 1e-4
+
 
 class TestRemoteErrors:
     def test_constant_server_zero_gradient(self, rng):
@@ -293,6 +317,8 @@ class TestRemoteErrors:
         "http://127.0.0.1:9/a\tb", "http://127.0.0.1:9/a\nb", "http://127.0.0.1:9/a\rb", " http://127.0.0.1:9",
         "http://127.0.0.1:9/a b", "http://127.0.0.1:9/a\x00b", "http://127.0.0.1:9/a\x7fb",
         "http://127.0.0.1:9/a\u00a0b", "http://exa mple.org", "http://127.0.0.1:9/\u00e9",
+        # no client can connect to port 0
+        "http://127.0.0.1:0", "https://scorer.example:00/v1",
     ])
     def test_split_endpoint_rejects(self, endpoint):
         message = re.escape(
