@@ -10,6 +10,7 @@ load; all other formats are plain UTF-8 text.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import struct
@@ -117,36 +118,100 @@ def read_captions(path):
     return segments
 
 
-def _write_frame_csv(path, header, values, fmt) -> None:
-    """The bytes ``csv.writer`` would write, CRLF line ends included, one
-    formatted line per value: ``fmt`` (int or float repr) never yields a
-    field that needs quoting. Lines stream through the file's buffer, so no
-    string of the whole body is built."""
+# Rows per block of a frame CSV, read or written: bounds the text held at
+# once, whatever the file's length.
+_BLOCK_LINES = 4096
+
+
+def _frame_text(start, values) -> str:
+    """The canonical text of the frame rows ``start, start + 1, ...`` that
+    hold ``values`` (int64 or float64): the bytes ``csv.writer`` would
+    write, ``frame,value`` with CRLF line ends, each value the ``repr`` of
+    its Python scalar. ``repr`` runs once per run of values with the same
+    bit pattern (so ``0.0`` and ``-0.0`` are two runs), not once per row:
+    a run is that many copies of one ``%d,<repr>`` row, and one ``%`` fills
+    in the frame numbers (no ``repr`` of a number holds a ``%``)."""
+    bits = values.view(np.int64)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    firsts = np.flatnonzero(first)
+    counts = np.diff(firsts, append=len(values))
+    rows = "".join([f"%d,{v!r}\r\n" * c for v, c in zip(values[firsts].tolist(), counts.tolist())])
+    return rows % tuple(range(start, start + len(values)))
+
+
+def _write_frame_csv(path, header, values) -> None:
+    """Blocks stream through the file's buffer, so no string of the whole
+    body is built."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(f"{i},{fmt(value)}\r\n" for i, value in enumerate(values))
+        fh.write(header + "\r\n")
+        fh.writelines(
+            _frame_text(lo, values[lo : lo + _BLOCK_LINES])
+            for lo in range(0, len(values), _BLOCK_LINES)
+        )
 
 
-def _read_frame_csv(path, column, parse) -> list:
+def _read_frame_csv(path, column, parse, dtype) -> np.ndarray:
     """Rows ``frame,<column>`` after an optional header, frames contiguous
-    from 0. ``parse`` turns a field into a value or raises ValueError."""
-    values = []
+    from 0. ``parse`` turns a field into a value or raises ValueError. Text
+    in the written form takes the block path; any other text, and every
+    error, goes row by row."""
     with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (lineno == 1 and row[0] == "frame"):
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
-            try:
-                frame, value = int(row[0]), parse(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if frame != len(values):
-                raise ValidationError(
-                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
-                    f"at position {len(values)}"
-                )
-            values.append(value)
+        values = _read_canonical(fh, column, parse, dtype)
+        if values is None:
+            fh.seek(0)
+            values = np.asarray(_read_csv_rows(path, fh, column, parse), dtype=dtype)
+    return values
+
+
+def _read_canonical(fh, column, parse, dtype):
+    """The values of a file holding exactly the text ``_write_frame_csv``
+    writes, block by block; None for any other text. A block is taken only
+    if its values write it back byte for byte, so each value is the one
+    ``_read_csv_rows`` would parse from the same field."""
+    if fh.readline() != f"frame,{column}\r\n":
+        return None
+    blocks = [np.empty(0, dtype=dtype)]
+    start = 0
+    while block := "".join(itertools.islice(fh, _BLOCK_LINES)):
+        fields = block.replace("\r\n", ",").split(",")[1::2]
+        try:
+            parsed = {field: parse(field) for field in set(fields)}
+        except ValueError:
+            return None
+        values = np.fromiter(map(parsed.__getitem__, fields), dtype)
+        if _frame_text(start, values) != block:
+            return None
+        blocks.append(values)
+        start += len(values)
+    return np.concatenate(blocks)
+
+
+def _read_csv_rows(path, fh, column, parse) -> list:
+    """Any text ``csv.reader`` splits into such rows; the one place that
+    words what is wrong with a row."""
+    values = []
+    for lineno, row in enumerate(csv.reader(fh), start=1):
+        if not row:
+            continue
+        if lineno == 1 and row[0] == "frame":
+            if row != ["frame", column]:
+                raise ValidationError(f"{path}:1: expected the header 'frame,{column}', got {row}")
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
+        try:
+            if "_" in row[0] or "_" in row[1]:
+                raise ValueError(f"'_' is not allowed in a number, got {row}")
+            frame, value = int(row[0]), parse(row[1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if frame != len(values):
+            raise ValidationError(
+                f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
+                f"at position {len(values)}"
+            )
+        values.append(value)
     return values
 
 
@@ -164,28 +229,24 @@ def _score(field: str) -> float:
     return score
 
 
-def _full_precision(value) -> str:
-    return repr(float(value))
-
-
 def write_labels(path, labels) -> None:
-    _write_frame_csv(path, ("frame", "label"), labels, int)
+    _write_frame_csv(path, "frame,label", np.asarray(labels, dtype=np.int64))
 
 
 def read_labels(path) -> np.ndarray:
-    return np.asarray(_read_frame_csv(path, "label", _label), dtype=np.int64)
+    return _read_frame_csv(path, "label", _label, np.int64)
 
 
 def write_scores(path, frame_scores) -> None:
-    _write_frame_csv(path, ("frame", "score"), frame_scores, _full_precision)
+    _write_frame_csv(path, "frame,score", np.asarray(frame_scores, dtype=np.float64))
 
 
 def read_scores(path) -> np.ndarray:
-    return np.asarray(_read_frame_csv(path, "score", _score), dtype=np.float64)
+    return _read_frame_csv(path, "score", _score, np.float64)
 
 
 def write_loss_history(path, loss_history) -> None:
-    _write_frame_csv(path, ("iteration", "loss"), loss_history, _full_precision)
+    _write_frame_csv(path, "iteration,loss", np.asarray(loss_history, dtype=np.float64))
 
 
 _CONFIG_PARSERS = {

@@ -13,7 +13,8 @@ the stacked iteration batches and masks the sets, and the same maps on the
 same rows are what make a bit-for-bit comparison possible. The dense references of the two all-pairs searches are the
 package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
-their indices.
+their indices. The frame-CSV reader is the package's per-row reader from
+before its canonical fast path, which must return what it returns.
 """
 
 import csv
@@ -24,6 +25,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
 from hypervad.captions import normalize_rows, window_slices
+from hypervad.core import ValidationError
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 
@@ -117,6 +119,44 @@ def frame_csv_oracle(path, header, values, fmt) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([i, fmt(value)] for i, value in enumerate(values))
+
+
+def read_frame_csv_oracle(path, column):
+    """The package's frame-CSV reader from before it gained a canonical fast
+    path: one ``csv.reader`` row at a time, rows ``frame,<column>`` after an
+    optional header (any line-1 row whose first field is ``frame``), frames
+    contiguous from 0; an int64 array for labels, float64 for scores."""
+    def label(field):
+        value = int(field)
+        if value not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {value}")
+        return value
+
+    def score(field):
+        value = float(field)
+        if not math.isfinite(value):
+            raise ValueError(f"score must be finite, got {field!r}")
+        return value
+
+    parse, dtype = {"label": (label, np.int64), "score": (score, np.float64)}[column]
+    values = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (lineno == 1 and row[0] == "frame"):
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
+            try:
+                frame, value = int(row[0]), parse(row[1])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if frame != len(values):
+                raise ValidationError(
+                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
+                    f"at position {len(values)}"
+                )
+            values.append(value)
+    return np.asarray(values, dtype=dtype)
 
 
 def knn_refine_oracle(scores, text_rows, mean, precision, k):

@@ -17,7 +17,9 @@ import pytest
 
 from hypervad.core import PipelineConfig
 from hypervad.fusion import fuse_sequence
-from hypervad.pipeline import RunManifest, load_dataset, run_pipeline
+from hypervad.pipeline import (
+    LOSS_FILE, REPORT_FILE, SCORES_FILE, RunManifest, load_dataset, run_pipeline,
+)
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import RemoteScorer
 from hypervad.synth import gen_synthetic
@@ -82,6 +84,8 @@ def test_traced_run_records_every_layer(tracer, tmp_path):
     assert [s for s in tracer.STAGES if not metrics[f"pipeline.{s}_s"] > 0] == []
     inputs = ("visual", "text", "audio", "captions", "labels")
     assert metrics["dataio.bytes_read"] == sum(data.paths[k].stat().st_size for k in inputs)
+    outputs = (SCORES_FILE, LOSS_FILE, REPORT_FILE)
+    assert metrics["dataio.bytes_written"] == sum((tmp_path / "out" / f).stat().st_size for f in outputs)
     assert metrics["hyperbolic.karcher_calls"] > 0
     n_windows = -(-data.n_segments // window)
     assert metrics["prompt_opt.score_all_calls"] == n_windows * (opt_iters + 1)

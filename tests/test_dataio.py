@@ -4,8 +4,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from hypervad import dataio
 from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError
 from hypervad.dataio import (
+    _BLOCK_LINES,
     MAGIC,
     MODALITY_CODES,
     read_captions,
@@ -24,7 +26,7 @@ from hypervad.dataio import (
 )
 
 from conftest import make_segments
-from oracles import frame_csv_oracle
+from oracles import frame_csv_oracle, read_frame_csv_oracle
 
 
 class TestEmbeddingFormat:
@@ -176,24 +178,49 @@ class TestLabelScoreCsv:
         write_labels(path, [0, 1, 1, 0])
         assert read_labels(path).tolist() == [0, 1, 1, 0]
 
-    def test_labels_reject_non_binary(self, tmp_path):
+    @pytest.mark.parametrize("field, message", [
+        pytest.param("2", "label must be 0 or 1", id="2"),
+        pytest.param("0_1", "'_' is not allowed in a number", id="0_1"),
+    ])
+    def test_labels_reject_non_binary(self, tmp_path, field, message):
         path = tmp_path / "labels.csv"
-        path.write_text("frame,label\n0,2\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="label must be 0 or 1"):
+        path.write_text(f"frame,label\n0,{field}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"labels.csv:2: {message}"):
             read_labels(path)
 
-    def test_labels_reject_gap(self, tmp_path):
+    @pytest.mark.parametrize("frames, message", [
+        pytest.param(["0", "2"], "labels.csv:3: frames must be contiguous", id="gap"),
+        # ten frames and then frame 10 spelled 1_0, which int() accepts
+        pytest.param([*map(str, range(10)), "1_0"], "labels.csv:12: '_' is not allowed", id="1_0"),
+    ])
+    def test_labels_reject_gap(self, tmp_path, frames, message):
         path = tmp_path / "labels.csv"
-        path.write_text("frame,label\n0,1\n2,0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="contiguous"):
+        path.write_text("frame,label\n" + "".join(f"{f},0\n" for f in frames), encoding="utf-8")
+        with pytest.raises(ValidationError, match=message):
             read_labels(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_scores_reject_non_finite(self, tmp_path, bad):
+    @pytest.mark.parametrize("bad, message", [
+        pytest.param("nan", "score must be finite", id="nan"),
+        pytest.param("inf", "score must be finite", id="inf"),
+        pytest.param("-inf", "score must be finite", id="-inf"),
+        pytest.param("0_5", "'_' is not allowed in a number", id="0_5"),
+    ])
+    def test_scores_reject_non_finite(self, tmp_path, bad, message):
         path = tmp_path / "scores.csv"
         path.write_text(f"frame,score\n0,0.5\n1,{bad}\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="scores.csv:3: score must be finite"):
+        with pytest.raises(ValidationError, match=f"scores.csv:3: {message}"):
             read_scores(path)
+
+    @pytest.mark.parametrize("header", ["frame,label", "frame", "frame,score,x"])
+    def test_header_must_name_its_column(self, tmp_path, header):
+        # a labels file given as scores used to read its labels as scores
+        path = tmp_path / "scores.csv"
+        path.write_text(f"{header}\r\n0,1\r\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_scores(path)
+        assert excinfo.value.issues == [
+            f"{path}:1: expected the header 'frame,score', got {header.split(',')}"
+        ]
 
     def test_written_bytes(self, tmp_path):
         write_labels(tmp_path / "l.csv", [0, 1])
@@ -220,6 +247,85 @@ class TestLabelScoreCsv:
         values = [0.1, 1 / 3, 0.9999999999999999, 0.0]
         write_scores(path, values)
         assert read_scores(path).tolist() == values
+
+    @pytest.mark.parametrize("case", [
+        "piecewise", "signed_zeros", "float32", "int_list", "empty", "labels", "loss_history",
+    ])
+    def test_runs_match_csv_writer_oracle(self, tmp_path, rng, case):
+        # runs of 1 to 40 equal values over more than two blocks, drawn from
+        # a pool with 0.0 and -0.0 so that equal runs also meet
+        lengths = rng.integers(1, 41, size=600)
+        pool = np.array([0.0, -0.0, 0.25, 1 / 3, 0.9999999999999999])
+        piecewise = np.repeat(pool[rng.integers(0, len(pool), size=len(lengths))], lengths)
+        to_float = lambda v: repr(float(v))  # noqa: E731
+        write, header, values, fmt = {
+            "piecewise": (write_scores, ("frame", "score"), piecewise, to_float),
+            "signed_zeros": (write_scores, ("frame", "score"), np.array([0.0, -0.0, -0.0, 0.0]), to_float),
+            "float32": (write_scores, ("frame", "score"), piecewise.astype(np.float32) / 3, to_float),
+            "int_list": (write_scores, ("frame", "score"), [0, 1], to_float),
+            "empty": (write_scores, ("frame", "score"), np.array([]), to_float),
+            "labels": (write_labels, ("frame", "label"), (piecewise > 0.3).astype(np.int64), int),
+            "loss_history": (write_loss_history, ("iteration", "loss"), piecewise[:50].tolist(), to_float),
+        }[case]
+        write(tmp_path / "got.csv", values)
+        frame_csv_oracle(tmp_path / "want.csv", header, values, fmt)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [_BLOCK_LINES - 1, _BLOCK_LINES, _BLOCK_LINES + 1])
+    def test_canonical_blocks_read_as_csv_rows(self, tmp_path, rng, n):
+        labels = np.repeat(rng.integers(0, 2, size=n), 3)[:n]
+        scores = np.repeat(rng.uniform(size=n), 2)[:n]
+        scores[::7] = -0.0
+        write_labels(tmp_path / "l.csv", labels)
+        write_scores(tmp_path / "s.csv", scores)
+        for path, read, column in ((tmp_path / "l.csv", read_labels, "label"),
+                                   (tmp_path / "s.csv", read_scores, "score")):
+            got, want = read(path), read_frame_csv_oracle(path, column)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("column, text", [
+        pytest.param("label", "frame,label\n0,1\n1,0\n", id="lf"),
+        pytest.param("label", "frame,label\r0,1\r1,0\r", id="cr"),
+        pytest.param("label", "0,1\r\n1,0\r\n", id="no_header"),
+        pytest.param("score", "frame,score\r\n", id="header_only"),
+        pytest.param("score", "", id="empty"),
+        pytest.param("label", "frame,label\r\n0,1\r\n\r\n1,0\r\n\r\n", id="blank_lines"),
+        pytest.param("score", 'frame,score\r\n"0","0.5"\r\n1,0.5\r\n', id="quoted"),
+        pytest.param("label", "frame,label\r\n0, 1\r\n", id="leading_space"),
+        pytest.param("label", "frame,label\r\n0,1\r\n1,0,\r\n", id="trailing_comma"),
+        pytest.param("label", "frame,label\r\n0,1\r\n1,2\r\n", id="label_2"),
+        pytest.param("label", "frame,label\r\n0,1\r\n2,0\r\n", id="gap"),
+        pytest.param("score", "frame,score\r\n0,0.5\r\n1,nan\r\n", id="nan"),
+    ])
+    def test_other_text_reads_as_csv_rows(self, tmp_path, column, text):
+        path = tmp_path / f"{column}.csv"
+        path.write_bytes(text.encode())
+        read = {"label": read_labels, "score": read_scores}[column]
+        try:
+            want = read_frame_csv_oracle(path, column)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as excinfo:
+                read(path)
+            assert excinfo.value.issues == exc.issues
+        else:
+            got = read(path)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_written_files_never_reach_csv_reader(self, tmp_path, rng, monkeypatch):
+        labels = np.repeat(rng.integers(0, 2, size=1000), 9)
+        scores = np.repeat(rng.uniform(size=1000), 9)
+        write_labels(tmp_path / "l.csv", labels)
+        write_scores(tmp_path / "s.csv", scores)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader called")
+
+        monkeypatch.setattr(dataio.csv, "reader", refuse)
+        assert np.array_equal(read_labels(tmp_path / "l.csv"), labels)
+        assert np.array_equal(read_scores(tmp_path / "s.csv"), scores)
 
 
 class TestConfigFormat:

@@ -571,6 +571,18 @@ class TestCli:
                      "--labels", str(tmp_path / "l.csv")]) == 1
         assert "s.csv:3: score must be finite" in capsys.readouterr().err
 
+    def test_eval_labels_given_as_scores_exit_1(self, tmp_path, capsys):
+        # the labels file's header names its column, so it is not a scores file
+        from hypervad.dataio import write_labels
+
+        labels = tmp_path / "labels.csv"
+        write_labels(labels, [1, 0, 1])
+        assert main(["eval", "--scores", str(labels), "--labels", str(labels)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {labels}:1: expected the header 'frame,score', "
+            "got ['frame', 'label']\n"
+        )
+
     def test_synth_empty_dataset_valid(self, tmp_path, capsys):
         out = tmp_path / "empty"
         assert main(["synth", "--out", str(out), "--n-segments", "0", "--with-audio"]) == 0
