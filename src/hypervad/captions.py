@@ -162,22 +162,26 @@ def build_summaries(
     Template: "VISUAL: <cleaned captions joined by spaces> | AUDIO: <audio
     captions joined by spaces, or 'none'>". The window embedding is the
     arithmetic mean of the member segments' cleaned caption embeddings, i.e.
-    rows caption_embs[cleaned_index[t]].
+    rows caption_embs[cleaned_index[t]]: one mean over the full windows
+    stacked as (windows, window, d), plus one for a trailing partial window,
+    each adding its rows in order as a per-window mean does.
     """
     n = len(cleaned.raw)
     windows = window_slices(n, window)
-    texts = []
-    means = np.zeros((len(windows), caption_embs.shape[1]))
-    mapping = np.zeros(n, dtype=np.int64)
-    cleaned_texts = cleaned.cleaned
     rows = caption_embs[cleaned.cleaned_index]
-    for k, (lo, hi) in enumerate(windows):
-        mapping[lo:hi] = k
-        means[k] = rows[lo:hi].mean(axis=0)
+    full, d = n // window, caption_embs.shape[1]
+    means = np.empty((len(windows), d))
+    means[:full] = rows[: full * window].reshape(full, window, d).mean(axis=1)
+    if full < len(windows):
+        means[full] = rows[full * window:].mean(axis=0)
+    texts = []
+    cleaned_texts = cleaned.cleaned
+    for lo, hi in windows:
         visual_part = " ".join(cleaned_texts[lo:hi])
         audio_parts = []
         if audio_captions is not None:
             audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
         audio_part = " ".join(audio_parts) if audio_parts else "none"
         texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
+    mapping = np.arange(n, dtype=np.int64) // window
     return SummarySet(texts=tuple(texts), embeddings=means, segment_to_window=mapping)

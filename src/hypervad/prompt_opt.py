@@ -99,7 +99,8 @@ class StubScorer:
         self.u = seeded_unit_vector(seed, emb_dim)
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
-        return _sigmoid(float(self.w @ q + self.u @ emb + self.b))
+        # ndarray.dot skips the matmul gufunc's per-call dispatch; same bytes as @
+        return _sigmoid(float(self.w.dot(q) + self.u.dot(emb) + self.b))
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)

@@ -68,14 +68,22 @@ def fit_visual_stats(visual_embs: np.ndarray, shrinkage: float) -> VisualStats:
     return VisualStats(mean=mean, precision=precision)
 
 
+def mahalanobis_rows(rows: np.ndarray, stats: VisualStats) -> np.ndarray:
+    """sqrt((x - mean)^T precision (x - mean)) for each row x of an (n, d)
+    array; zero at the mean. One stacked product gives every row the bits
+    of the one-row product delta @ precision @ delta: numpy does not promise
+    it, the tests hold it."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1:] != stats.mean.shape:
+        raise ValueError(f"dimension mismatch: {rows.shape} vs mean {stats.mean.shape}")
+    delta = rows - stats.mean
+    q = ((delta[:, None, :] @ stats.precision) @ delta[:, :, None])[:, 0, 0]
+    return np.sqrt(np.maximum(q, 0.0))
+
+
 def mahalanobis(x: np.ndarray, stats: VisualStats) -> float:
-    """sqrt((x - mean)^T precision (x - mean)); zero at the mean."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != stats.mean.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs mean {stats.mean.shape}")
-    delta = x - stats.mean
-    q = float(delta @ stats.precision @ delta)
-    return float(np.sqrt(max(q, 0.0)))
+    """The distance of one (d,) row: :func:`mahalanobis_rows` of a one-row stack."""
+    return float(mahalanobis_rows(np.asarray(x, dtype=np.float64)[None], stats)[0])
 
 
 def neighbor_sets(text_embs: np.ndarray, k: int) -> np.ndarray:
@@ -122,8 +130,15 @@ def refine_scores(
     w_j = exp(-D_M(text_embs[j], stats)), computed with a per-neighborhood
     log-space shift: the neighbor with the smallest distance gets weight
     exp(0) = 1, so the weight sum is at least 1 and large distances cannot
-    underflow it. A non-finite distance raises ValueError, before any weight
-    is computed; float32 inputs on disk keep the distances finite.
+    underflow it. Text rows of another width than the visual mean, or a
+    non-finite distance, raise ValueError before any weight is computed;
+    float32 inputs on disk keep the distances finite.
+
+    The distances of all rows come from one :func:`mahalanobis_rows` call
+    and the (n, k) weights from ``math.exp``; numerators and denominators
+    then gain one neighbor rank per pass over all rows. Each row's sums thus
+    run left to right in rank order, as a per-row loop adds them, which
+    keeps results reproducible down to the last bit across platforms.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = len(text_embs)
@@ -131,18 +146,17 @@ def refine_scores(
         raise ValueError(f"need one score per text row, got {scores.shape} vs {n}")
     if n == 0:
         return scores.copy()
+    dm = mahalanobis_rows(text_embs, stats)
+    bad = np.flatnonzero(~np.isfinite(dm))
+    if bad.size:
+        raise ValueError(f"non-finite Mahalanobis distance for row(s) {bad[:5].tolist()}")
     sets = neighbor_sets(text_embs, k)
-    dm = [mahalanobis(text_embs[j], stats) for j in range(n)]
-    bad = [j for j in range(n) if not math.isfinite(dm[j])]
-    if bad:
-        raise ValueError(f"non-finite Mahalanobis distance for row(s) {bad[:5]}")
-
-    # Plain left-to-right accumulation in neighbor-rank order keeps results
-    # reproducible down to the last bit across platforms.
-    refined = np.empty(n)
-    for t in range(n):
-        idx = sets[t]
-        shift = min(dm[j] for j in idx)
-        weights = [math.exp(-(dm[j] - shift)) for j in idx]
-        refined[t] = sum(w * scores[j] for w, j in zip(weights, idx)) / sum(weights)
-    return np.clip(refined, 0.0, 1.0)
+    dist = dm[sets]
+    log_weights = dist.min(axis=1, keepdims=True) - dist
+    weights = np.fromiter(map(math.exp, log_weights.ravel().tolist()), float, n * k).reshape(n, k)
+    neighbor_scores = scores[sets]
+    num, den = np.zeros(n), np.zeros(n)
+    for rank in range(k):
+        num += weights[:, rank] * neighbor_scores[:, rank]
+        den += weights[:, rank]
+    return np.clip(num / den, 0.0, 1.0)

@@ -14,7 +14,12 @@ same rows are what make a bit-for-bit comparison possible. The dense references 
 package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
 their indices. The frame-CSV reader is the package's per-row reader from
-before its canonical fast path, which must return what it returns.
+before its canonical fast path, which must return what it returns. The
+last four are the package's bodies from before they ran array at a time,
+which the new code must match byte for byte: the stub score by ``@``, the
+Mahalanobis distance of one row, refinement by one loop over rows (on the
+package's ``neighbor_sets``) and the window summaries by one loop over
+windows (on the package's ``SummarySet`` and ``window_slices``).
 """
 
 import csv
@@ -24,10 +29,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
-from hypervad.captions import normalize_rows, window_slices
+from hypervad.captions import SummarySet, normalize_rows, window_slices
 from hypervad.core import ValidationError
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
-from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
+from hypervad.prompt_opt import PromptState, _sigmoid, loss_score_gradient, resolve_target_mass, total_loss
+from hypervad.refine import neighbor_sets
 
 
 def cosine_argmax_oracle(frame_rows: np.ndarray, caption_rows: np.ndarray) -> np.ndarray:
@@ -381,3 +387,64 @@ def optimize_prompt_per_row(q0, summaries, scorer, config):
         scores = score_all(q)
         history.append(total_loss(scores, mu, config.sparsity_weight))
     return PromptState(q=q, loss_history=history), scores
+
+
+def stub_score_matmul(scorer, q, emb) -> float:
+    """``StubScorer.score`` with its two dot products written as ``@``."""
+    return _sigmoid(float(scorer.w @ q + scorer.u @ emb + scorer.b))
+
+
+def mahalanobis_one_row(x, stats) -> float:
+    """``mahalanobis`` of one (d,) row by ``delta @ precision @ delta``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != stats.mean.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs mean {stats.mean.shape}")
+    delta = x - stats.mean
+    q = float(delta @ stats.precision @ delta)
+    return float(np.sqrt(max(q, 0.0)))
+
+
+def refine_scores_per_row(scores, text_embs, stats, k):
+    """``refine_scores`` as one loop over rows: each row's distance by
+    :func:`mahalanobis_one_row`, then per row its neighbours' shift, weights
+    and left-to-right sums."""
+    scores = np.asarray(scores, dtype=np.float64)
+    n = len(text_embs)
+    if scores.shape != (n,):
+        raise ValueError(f"need one score per text row, got {scores.shape} vs {n}")
+    if n == 0:
+        return scores.copy()
+    sets = neighbor_sets(text_embs, k)
+    dm = [mahalanobis_one_row(text_embs[j], stats) for j in range(n)]
+    bad = [j for j in range(n) if not math.isfinite(dm[j])]
+    if bad:
+        raise ValueError(f"non-finite Mahalanobis distance for row(s) {bad[:5]}")
+    refined = np.empty(n)
+    for t in range(n):
+        idx = sets[t]
+        shift = min(dm[j] for j in idx)
+        weights = [math.exp(-(dm[j] - shift)) for j in idx]
+        refined[t] = sum(w * scores[j] for w, j in zip(weights, idx)) / sum(weights)
+    return np.clip(refined, 0.0, 1.0)
+
+
+def build_summaries_per_window(cleaned, caption_embs, audio_captions, window):
+    """``build_summaries`` as one loop over windows: each window's map
+    entries, mean, visual text and audio text in turn."""
+    n = len(cleaned.raw)
+    windows = window_slices(n, window)
+    texts = []
+    means = np.zeros((len(windows), caption_embs.shape[1]))
+    mapping = np.zeros(n, dtype=np.int64)
+    cleaned_texts = cleaned.cleaned
+    rows = caption_embs[cleaned.cleaned_index]
+    for k, (lo, hi) in enumerate(windows):
+        mapping[lo:hi] = k
+        means[k] = rows[lo:hi].mean(axis=0)
+        visual_part = " ".join(cleaned_texts[lo:hi])
+        audio_parts = []
+        if audio_captions is not None:
+            audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
+        audio_part = " ".join(audio_parts) if audio_parts else "none"
+        texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
+    return SummarySet(texts=tuple(texts), embeddings=means, segment_to_window=mapping)

@@ -17,7 +17,7 @@ from hypervad.captions import (
 from hypervad.core import Modality
 
 from conftest import exact_cosine_rows, make_matrix, set_block_rows
-from oracles import clean_caption_indices_dense, cosine_argmax_oracle
+from oracles import build_summaries_per_window, clean_caption_indices_dense, cosine_argmax_oracle
 
 
 class TestCleanCaptions:
@@ -223,3 +223,29 @@ class TestSummaries:
         assert summaries.n_windows == 0
         assert summaries.embeddings.shape == (0, 3)
         assert summaries.segment_to_window.size == 0
+
+    @pytest.mark.parametrize("audio", ["absent", "partial", "full"])
+    @pytest.mark.parametrize("n, window", [
+        (1, 1), (37, 1), (5, 9), (40, 8), (41, 8), (300, 7), (300, 17), (300, 1000),
+    ])
+    def test_equals_per_window_loop_bit_for_bit(self, n, window, audio):
+        # widths from 1 to 64, rows of mixed magnitude, cleaned indices
+        # with repeats; "partial" audio is None for about a third of rows
+        for trial in range(4):
+            rng = np.random.default_rng([n, window, trial])
+            d = (1, 3, 16, 64)[trial]
+            embs = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, 1))
+            cs = CaptionSet(raw=tuple(f"c{t}" for t in range(n)),
+                            cleaned_index=rng.integers(0, n, size=n))
+            audio_caps = {
+                "absent": None,
+                "partial": [None if rng.uniform() < 0.35 else f"a{t}" for t in range(n)],
+                "full": [f"a{t}" for t in range(n)],
+            }[audio]
+            got = build_summaries(cs, make_matrix(embs, Modality.TEXT), audio_caps, window)
+            want = build_summaries_per_window(cs, make_matrix(embs, Modality.TEXT), audio_caps, window)
+            assert got.texts == want.texts
+            assert got.embeddings.shape == want.embeddings.shape
+            assert np.array_equal(got.embeddings, want.embeddings)
+            assert got.embeddings.tobytes() == want.embeddings.tobytes()
+            assert np.array_equal(got.segment_to_window, want.segment_to_window)

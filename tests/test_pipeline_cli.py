@@ -235,13 +235,14 @@ class TestRunPipeline:
         write_embeddings(data / "text.emb", np.where(rng.normal(size=(60, 8)) > 0, f32_max, -f32_max),
                          Modality.TEXT)
         distances = []
-        mahalanobis = refine.mahalanobis
+        mahalanobis_rows = refine.mahalanobis_rows
 
-        def recorded(x, stats):
-            distances.append(mahalanobis(x, stats))
-            return distances[-1]
+        def recorded(rows, stats):
+            dm = mahalanobis_rows(rows, stats)
+            distances.extend(dm.tolist())
+            return dm
 
-        monkeypatch.setattr(refine, "mahalanobis", recorded)
+        monkeypatch.setattr(refine, "mahalanobis_rows", recorded)
         result = run_pipeline(RunManifest(
             visual_path=data / "visual.emb", text_path=data / "text.emb",
             captions_path=data / "captions.jsonl", out_dir=tmp_path / "out",

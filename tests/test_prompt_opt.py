@@ -21,7 +21,12 @@ from hypervad.prompt_opt import (
     total_loss,
 )
 
-from oracles import analytic_total_gradient, finite_difference_total_gradient, optimize_prompt_per_row
+from oracles import (
+    analytic_total_gradient,
+    finite_difference_total_gradient,
+    optimize_prompt_per_row,
+    stub_score_matmul,
+)
 
 
 def make_summaries(embs: np.ndarray) -> SummarySet:
@@ -112,6 +117,23 @@ class TestStubScorer:
         for _ in range(50):
             v = scorer.score(rng.normal(size=4) * 10, rng.normal(size=4) * 10)
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_equals_matmul_form_bit_for_bit(self, trial):
+        # dims drawn from 1 to 128, corners first; odd rows sit 60 along +u
+        # or -u, so |logit| > 40 and the score is 1.0 or about 1e-26
+        rng = np.random.default_rng([trial, 0xD07])
+        corners = [(1, 1), (1, 128), (128, 1), (128, 128)]
+        prompt_dim, emb_dim = corners[trial] if trial < 4 else rng.integers(1, 129, size=2)
+        scorer = StubScorer(int(prompt_dim), int(emb_dim), seed=trial)
+        q = rng.normal(size=prompt_dim)
+        embs = rng.normal(size=(40, emb_dim))
+        embs[1::2] += np.where(np.arange(20) % 2, -60.0, 60.0)[:, None] * scorer.u
+        logits = embs @ scorer.u + scorer.w @ q + scorer.b
+        assert np.min(np.abs(logits[1::2])) > 40
+        got = np.array([scorer.score(q, e) for e in embs])
+        want = np.array([stub_score_matmul(scorer, q, e) for e in embs])
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class CountingScorer(StubScorer):

@@ -7,20 +7,48 @@ import pytest
 
 from hypervad import captions
 from hypervad.core import Modality
-from hypervad.refine import VisualStats, fit_visual_stats, mahalanobis, neighbor_sets, refine_scores
+from hypervad.refine import (
+    VisualStats,
+    fit_visual_stats,
+    mahalanobis,
+    mahalanobis_rows,
+    neighbor_sets,
+    refine_scores,
+)
 
 from conftest import exact_cosine_rows, make_matrix, set_block_rows
 from oracles import (
     inverse_2x2,
     knn_refine_oracle,
+    mahalanobis_one_row,
     neighbor_sets_dense,
     neighbor_sets_oracle,
+    refine_scores_per_row,
     shrunk_precision_oracle,
 )
+
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 def identity_stats(dim):
     return VisualStats(mean=np.zeros(dim), precision=np.eye(dim))
+
+
+def refinement_case(rng, n, d, kind):
+    """Scores, text rows and visual stats for a refinement of n rows of
+    width d. ``kind`` "ties" copies row 0 over every third row; "extremes"
+    puts the text rows at float32's largest magnitude and fits the stats to
+    float32 visual rows of scale 1e-30 or 1."""
+    rows = rng.normal(size=(n, d)) * 3.0
+    scale = 1.0
+    if kind == "ties":
+        rows[::3] = rows[0]
+    elif kind == "extremes":
+        rows = np.where(rows > 0, F32_MAX, -F32_MAX)
+        scale = float(rng.choice([1e-30, 1.0]))
+    vis = (rng.normal(size=(n + d + 2, d)) * scale).astype(np.float32)
+    stats = fit_visual_stats(make_matrix(vis), shrinkage=float(rng.choice([0.0, 0.1])))
+    return rng.uniform(size=n), make_matrix(rows, Modality.TEXT), stats
 
 
 class TestFitVisualStats:
@@ -88,8 +116,22 @@ class TestMahalanobis:
         assert mahalanobis(np.array([2.0, 1.0]), stats) == pytest.approx(1.41421, abs=1e-5)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mahalanobis(np.zeros(3), identity_stats(2))
+        # a (1, 2) row would pass as a one-row stack of width 2
+        for shape in ((3,), (1, 2)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                mahalanobis(np.zeros(shape), identity_stats(2))
+
+    @pytest.mark.parametrize("kind", ["plain", "ties", "extremes"])
+    def test_rows_equal_one_row_products_bit_for_bit(self, kind):
+        for trial in range(10):
+            rng = np.random.default_rng([trial, len(kind)])
+            n, d = int(rng.integers(1, 200)), int(rng.integers(1, 33))
+            _, rows, stats = refinement_case(rng, n, d, kind)
+            got = mahalanobis_rows(rows, stats)
+            want = np.array([mahalanobis_one_row(x, stats) for x in rows])
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            assert [mahalanobis(x, stats) for x in rows] == want.tolist()
 
 
 class TestNeighborSets:
@@ -252,3 +294,22 @@ class TestRefineScores:
         m = make_matrix(rng.normal(size=(3, 2)), Modality.TEXT)
         with pytest.raises(ValueError, match="one score per"):
             refine_scores(np.array([0.5]), m, identity_stats(2), 1)
+
+    @pytest.mark.parametrize("mean_dim", [1, 2, 5])
+    def test_text_width_mismatch_raises(self, rng, mean_dim):
+        # a one-element mean would broadcast against the rows unchecked
+        m = make_matrix(rng.normal(size=(6, 3)), Modality.TEXT)
+        with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: (6, 3) vs mean ({mean_dim},)")):
+            refine_scores(rng.uniform(size=6), m, identity_stats(mean_dim), 2)
+
+    @pytest.mark.parametrize("kind", ["plain", "ties", "extremes"])
+    def test_equals_per_row_loop_bit_for_bit(self, kind):
+        # n = 1, then k = 1, k = n and k drawn between them
+        for trial in range(12):
+            rng = np.random.default_rng([trial, len(kind), 0x4EF])
+            n = 1 if trial == 0 else int(rng.integers(2, 300))
+            k = (1, 1, n, n)[trial] if trial < 4 else int(rng.integers(1, n + 1))
+            scores, rows, stats = refinement_case(rng, n, int(rng.integers(1, 33)), kind)
+            got = refine_scores(scores, rows, stats, k)
+            want = refine_scores_per_row(scores, rows, stats, k)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
