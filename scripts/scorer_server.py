@@ -5,10 +5,10 @@ for exercising the remote-scorer path end to end:
   python scripts/scorer_server.py --prompt-dim 32 --emb-dim 16 --seed 0 --port 8750
   hypervad run ... --scorer remote --endpoint http://127.0.0.1:8750
 
-The server answers HTTP/1.1 keep-alive with Nagle's algorithm off, so a
-run's client sends all its requests over one connection; error replies
-close the connection. A real deployment would put an actual language model
-behind the same POST /score contract.
+The server answers HTTP/1.1 keep-alive, so a run's client sends all its
+requests over one connection; each reply leaves in one write, and error
+replies (400, 404, 413, 431) close the connection. A real deployment would
+put an actual language model behind the same POST /score contract.
 """
 
 import argparse

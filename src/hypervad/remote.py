@@ -3,19 +3,25 @@
 Wire protocol: POST <endpoint>/score with UTF-8 JSON body
 {"prompt": [float, ...], "summary_text": str, "summary_embedding": [float, ...]}
 and response {"score": float}. Non-2xx status, transport failures, malformed
-bodies (not UTF-8, not JSON, not a JSON object), and out-of-range scores are
-all surfaced as TransportError; nothing is clamped silently. A refused,
-dropped, idle-closed or truncated exchange is retried ``RETRIES`` times
+bodies (empty, not UTF-8, not JSON, not a JSON object), out-of-range scores
+and a reply body over ``MAX_BODY_BYTES`` are all surfaced as TransportError;
+nothing is clamped silently. A refused, dropped, idle-closed or truncated
+exchange, or a reply head that does not parse, is retried ``RETRIES`` times
 first, each on a new connection, and waits at most ``TIMEOUT_S`` per step.
 Gradients are central differences with the fixed step ``FD_STEP`` (1e-6),
 costing 2 * prompt_dim requests per summary in every ``grad_sum``. The
 loopback server answers 400 to a prompt or embedding entry that is not a
 JSON number, or not finite as float64, and to a summary_text that is not a
-string.
+string; it answers 413 to a body over ``MAX_BODY_BYTES``.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
-each reply costs one connection per request instead.
+each reply costs one connection per request instead. A request leaves in
+one write. The client splits a reply's head by hand and reads only its
+Content-Length, Connection and Transfer-Encoding, so a reply body may be
+framed by Content-Length, by chunked transfer coding, or by the server
+closing the connection. The loopback server splits request heads by hand
+as well and buffers each reply, which then leaves in one write too.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ from __future__ import annotations
 import http.client
 import json
 import re
+import socket
+import ssl
 import threading
-from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -44,10 +51,39 @@ FD_STEP = 1e-6
 TIMEOUT_S = 10.0
 # How often a failed exchange is sent again, each time on a new connection.
 RETRIES = 2
+# Largest request or reply body either end accepts; a larger one is refused
+# before it is read, and so never allocated.
+MAX_BODY_BYTES = 1 << 20
+# Longest line, and most header lines, either end reads.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# "HTTP/1.x NNN reason": the minor version and the status.
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d+) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
 # Characters no endpoint may hold: "?" and "#" start a query or fragment,
 # where "/score" would land; urlsplit drops a tab or newline and strips a
-# leading space, and http.client refuses other whitespace and controls.
+# leading space, and no other whitespace or control can go in a request line.
 _REJECTED_CHARACTERS = re.compile(r"[?#\s\x00-\x1f\x7f]")
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("header line")
+    return line
+
+
+def _read_headers(reader) -> dict:
+    """Header lines up to the blank line that ends them, as a dict by
+    lower-cased name. Raises http.client's LineTooLong past ``_MAX_LINE``
+    bytes a line and HTTPException past ``_MAX_HEADERS`` lines."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("iso-8859-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
 def split_endpoint(endpoint: str):
@@ -56,7 +92,7 @@ def split_endpoint(endpoint: str):
     ValueError unless the endpoint is a str with the scheme http(s), a host
     and a valid port (1 to 65535, if given); for a query or fragment (even
     a bare "?" or "#"), where "/score" would otherwise land; and for what
-    http.client cannot send as given: whitespace or an ASCII control
+    the client cannot send as given: whitespace or an ASCII control
     character anywhere, or a non-ASCII character in the path
     (percent-encode it). User info
     (``user:password@``) is rejected first, by a message that does not echo
@@ -86,17 +122,31 @@ class RemoteScorer:
     ``close()``, to release its connection."""
 
     def __init__(self, endpoint: str):
-        scheme, host, port, self._selector = split_endpoint(endpoint)
+        scheme, host, port, selector = split_endpoint(endpoint)
         # the one name of the server in every TransportError
         self.url = f"{endpoint.rstrip('/')}/score"
-        connection_class = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
-        self._connect = partial(connection_class, host, port)
-        self._connection = None
+        default_port = 443 if scheme == "https" else 80
+        self._address = (host, port or default_port)
+        self._tls_host = host if scheme == "https" else None
+        # The head http.client would send, with %d for the Content-Length.
+        authority = host if host.isascii() else host.encode("idna").decode("ascii")
+        if ":" in host:
+            authority = f"[{authority}]"
+        if port not in (None, default_port):
+            authority = f"{authority}:{port}"
+        self._head = (
+            f"POST {selector} HTTP/1.1\r\nHost: {authority}\r\nAccept-Encoding: identity\r\n".replace("%", "%%")
+            + "Content-Length: %d\r\nContent-Type: application/json\r\n\r\n"
+        ).encode("ascii")
+        self._socket = None
+        self._reader = None
 
     def close(self) -> None:
-        if self._connection is not None:
-            self._connection.close()
-            self._connection = None
+        if self._reader is not None:
+            self._reader.close()
+        if self._socket is not None:
+            self._socket.close()
+        self._socket = self._reader = None
 
     def __enter__(self):
         return self
@@ -105,21 +155,29 @@ class RemoteScorer:
         self.close()
         return False
 
+    def _open(self) -> None:
+        self._socket = socket.create_connection(self._address, TIMEOUT_S)
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._tls_host is not None:
+            self._socket = ssl.create_default_context().wrap_socket(
+                self._socket, server_hostname=self._tls_host
+            )
+        self._reader = self._socket.makefile("rb")
+
     def _exchange(self, body: bytes) -> dict:
         """Send one request and return its reply object. Any failure closes
         the connection, so that the next exchange starts on a new one."""
-        if self._connection is None:
-            self._connection = self._connect(timeout=TIMEOUT_S)
         try:
-            self._connection.request("POST", self._selector, body, {"Content-Type": "application/json"})
-            response = self._connection.getresponse()
-            if not 200 <= response.status < 300:
-                response.close()
-                raise TransportError(f"scorer endpoint {self.url} returned status {response.status}")
-            raw = response.read()
+            if self._socket is None:
+                self._open()
+            self._socket.sendall(self._head % len(body) + body)
+            status, headers, closes = self._read_head()
+            if not 200 <= status < 300:
+                raise TransportError(f"scorer endpoint {self.url} returned status {status}")
+            raw = b"" if status == 204 else self._read_body(headers, closes)
             try:
                 reply = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:  # not UTF-8, or not JSON
+            except ValueError as exc:  # empty, not UTF-8, or not JSON
                 raise TransportError(f"scorer endpoint {self.url} returned malformed JSON: {exc}") from exc
             if not isinstance(reply, dict):
                 raise TransportError(f"scorer endpoint {self.url} returned {raw[:80]!r}, not a JSON object")
@@ -127,6 +185,76 @@ class RemoteScorer:
         except BaseException:
             self.close()
             raise
+
+    def _read_head(self) -> tuple[int, dict, bool]:
+        """Status, headers and whether the connection ends with the body, of
+        the next reply past any interim 100 Continue. http.client's
+        exceptions stand for a status line that is not HTTP/1.x NNN, a head
+        past its limits, or a connection closed before the reply."""
+        status = 100
+        while status == 100:
+            line = _read_line(self._reader)
+            if not line:
+                raise http.client.RemoteDisconnected("Remote end closed connection without response")
+            match = _STATUS_LINE.fullmatch(line)
+            if match is None:
+                raise http.client.BadStatusLine(repr(line))
+            headers = _read_headers(self._reader)
+            status = int(match[2])
+        connection = headers.get("connection", "").lower()
+        closes = "keep-alive" not in connection if match[1] == b"0" else "close" in connection
+        return status, headers, closes
+
+    def _read_body(self, headers: dict, closes: bool) -> bytes:
+        """The body of a reply, framed by chunked transfer coding, by its
+        Content-Length or else by the end of the connection, which is closed
+        after a reply that ends it. Raises IncompleteRead for a body cut
+        short, and TransportError for one over ``MAX_BODY_BYTES``, having
+        read at most one byte past the cap."""
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            body = self._read_chunked()
+        else:
+            try:
+                length = int(headers["content-length"])
+            except (KeyError, ValueError):
+                length = -1
+            if length < 0:  # the body runs to the end of the connection
+                body, closes = self._reader.read(MAX_BODY_BYTES + 1), True
+                self._check_size(len(body))
+            else:
+                self._check_size(length)
+                body = self._reader.read(length)
+                if len(body) < length:
+                    raise http.client.IncompleteRead(body, length - len(body))
+        if closes:
+            self.close()
+        return body
+
+    def _read_chunked(self) -> bytes:
+        chunks, size = [], 0
+        while True:
+            line = _read_line(self._reader)
+            try:
+                length = int(line.split(b";", 1)[0], 16)
+            except ValueError:  # also the empty line of a closed connection
+                length = -1
+            if length < 0:
+                raise http.client.IncompleteRead(b"".join(chunks))
+            if length == 0:
+                _read_headers(self._reader)  # the trailer, up to its blank line
+                return b"".join(chunks)
+            size += length
+            self._check_size(size)
+            chunk = self._reader.read(length + 2)  # with its CRLF
+            if len(chunk) < length + 2:
+                raise http.client.IncompleteRead(b"".join(chunks) + chunk)
+            chunks.append(chunk[:length])
+
+    def _check_size(self, size: int) -> None:
+        if size > MAX_BODY_BYTES:
+            raise TransportError(
+                f"scorer endpoint {self.url} sent a reply body over the {MAX_BODY_BYTES}-byte cap"
+            )
 
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
@@ -142,9 +270,9 @@ class RemoteScorer:
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
         payload = {
-            "prompt": [float(x) for x in np.asarray(q, dtype=np.float64)],
+            "prompt": np.asarray(q, dtype=np.float64).tolist(),
             "summary_text": text,
-            "summary_embedding": [float(x) for x in np.asarray(emb, dtype=np.float64)],
+            "summary_embedding": np.asarray(emb, dtype=np.float64).tolist(),
         }
         reply = self._post(payload)
         if "score" not in reply:
@@ -191,10 +319,13 @@ def _finite_vector(payload: dict, key: str) -> np.ndarray:
 
 class _StubHandler(BaseHTTPRequestHandler):
     scorer: StubScorer = None  # set by the server factory
-    # Keep-alive; send_error replies carry "Connection: close". Nagle off,
-    # because the reply goes out in two writes (headers, then body), and a
-    # client's delayed ACK of the first would hold the second back.
+    # Keep-alive; send_error replies carry "Connection: close". The buffered
+    # wfile holds a reply's head and body until handle_one_request flushes
+    # it after do_POST returns, so each reply leaves in one write. Nagle
+    # stays off so that no write waits for the client's delayed ACK of an
+    # earlier one (a 100 Continue is written before its reply).
     protocol_version = "HTTP/1.1"
+    wbufsize = -1
     disable_nagle_algorithm = True
     # An idle connection times out, which ends the connection and its thread.
     timeout = _IDLE_TIMEOUT_S
@@ -208,14 +339,58 @@ class _StubHandler(BaseHTTPRequestHandler):
         except ConnectionError:  # the client reset the connection: nothing to answer
             self.close_connection = True
 
+    def finish(self):
+        try:
+            super().finish()  # flushes, then closes wfile and rfile
+        except ConnectionError:  # a buffered reply to a client that reset the connection
+            self.rfile.close()
+
+    def parse_request(self):
+        """The request line and header lines, split by hand; ``headers`` is
+        a dict by lower-cased name. Answers 400 to a request line other than
+        "METHOD PATH HTTP/1.0" or "HTTP/1.1", and 431 to a header line over
+        ``_MAX_LINE`` bytes or more than ``_MAX_HEADERS`` of them. The
+        connection closes after the reply to an HTTP/1.0 request without
+        "Connection: keep-alive" and to a "Connection: close" request. An
+        HTTP/1.1 "Expect: 100-continue" goes to handle_expect_100."""
+        self.command = None
+        self.request_version = self.protocol_version  # not HTTP/0.9: a 400 gets a status line
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.0", "HTTP/1.1"):
+            self.send_error(400, f"Bad request line {self.requestline!r}")
+            return False
+        self.command, self.path, self.request_version = words
+        try:
+            self.headers = _read_headers(self.rfile)
+        except http.client.HTTPException as exc:  # LineTooLong is one too
+            self.send_error(431, str(exc))
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        if self.request_version == "HTTP/1.1" and self.headers.get("expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self):
+        super().handle_expect_100()
+        self.wfile.flush()  # the client holds the body back until the 100 Continue arrives
+        return True
+
     def do_POST(self):
         if self.path != "/score":
             self.send_error(404, "unknown path")
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("content-length", "0"))
             if length < 0:  # rfile.read(-1) would wait for the client to close
                 raise ValueError(f"negative Content-Length {length}")
+            if length > MAX_BODY_BYTES:  # refused before any of it is read
+                self.send_error(413, f"body of {length} bytes, over the {MAX_BODY_BYTES}-byte cap")
+                return
             payload = json.loads(self.rfile.read(length).decode("utf-8"))
             q = _finite_vector(payload, "prompt")
             emb = _finite_vector(payload, "summary_embedding")

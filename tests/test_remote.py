@@ -1,11 +1,15 @@
+import contextlib
+import gc
 import http.client
 import json
 import re
 import socket
 import struct
 import threading
+import time
 import urllib.error
 import urllib.request
+import warnings
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -93,6 +97,112 @@ def _join_all(threads, timeout=5.0):
     for thread in threads:
         thread.join(timeout)
     return [thread for thread in threads if thread.is_alive()]
+
+
+OK_REPLY = b'HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{"score": 0.5}'
+
+
+class _RawServer:
+    """TCP server that answers every request with ``reply``, sent verbatim,
+    and records each request's head and body. It serves one connection at a
+    time, so a client must close its connection before another client
+    connects; with ``close`` it closes the connection after each reply."""
+
+    def __init__(self, reply: bytes, close=False):
+        self.reply, self.close = reply, close
+        self.heads, self.bodies = [], []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(POLL_INTERVAL_S)
+        self.address = self._listener.getsockname()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def endpoint(self):
+        return f"http://{self.address[0]}:{self.address[1]}"
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as requests:
+                try:
+                    while self._answer(conn, requests) and not self.close:
+                        pass
+                except OSError:  # the client closed or reset the connection mid-reply
+                    pass
+
+    def _answer(self, conn, requests) -> bool:
+        head = b""
+        while (line := requests.readline()) not in (b"\r\n", b""):
+            head += line
+        if not head:
+            return False
+        self.heads.append(head)
+        self.bodies.append(requests.read(int(re.search(rb"Content-Length: (\d+)", head)[1])))
+        conn.sendall(self.reply)
+        return True
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(5)
+        self._listener.close()
+        return False
+
+
+def _count_writes(sock, writes: list):
+    """``sock``, from now on appending the data of each send or sendall
+    call to ``writes``."""
+    class Counted(socket.socket):
+        __slots__ = ()
+
+        def send(self, data, *args):
+            writes.append(bytes(data))
+            return super().send(data, *args)
+
+        def sendall(self, data, *args):
+            writes.append(bytes(data))
+            return super().sendall(data, *args)
+
+    sock.__class__ = Counted
+    return sock
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+
+
+def _raw_exchanges(address, requests, until_closed=False):
+    """Status, headers and body of the reply to each of ``requests``, sent
+    one after another on one new connection. With ``until_closed`` it then
+    reads on until the server closes the connection, which must send
+    nothing more."""
+    with socket.create_connection(address, timeout=5) as sock, sock.makefile("rb") as reply:
+        replies = []
+        for request in requests:
+            sock.sendall(request)
+            replies.append(_read_reply(reply))
+        if until_closed:
+            assert reply.read() == b""
+        return replies
 
 
 class TestLoopbackConformance:
@@ -203,6 +313,30 @@ class TestLoopbackConformance:
                 handlers = set(threading.enumerate()) - before
                 # linger 0: close sends a reset to the handler waiting for the next request
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            assert len(handlers) == 1 and _join_all(handlers) == []
+        assert capfd.readouterr().err == ""
+
+    def test_client_reset_before_reply_prints_nothing(self, capfd):
+        # the buffered reply cannot leave, and closing the handler's files
+        # must not turn that into a traceback
+        started, reset = threading.Event(), threading.Event()
+
+        class Held(StubScorer):
+            def score(self, q, emb, text=""):
+                started.set()
+                reset.wait(5)
+                return super().score(q, emb, text)
+
+        body = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
+        with LoopbackScorerServer(Held(2, 2, seed=0)) as server:
+            before = set(threading.enumerate())
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(_raw_post("/score", body))
+                assert started.wait(5)
+                handlers = set(threading.enumerate()) - before
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.set()
             assert len(handlers) == 1 and _join_all(handlers) == []
         assert capfd.readouterr().err == ""
 
@@ -510,3 +644,326 @@ class TestRemoteErrors:
         assert seen["prompt"] == [1.0, 2.0]
         assert seen["summary_text"] == "hello"
         assert seen["summary_embedding"] == [3.0]
+
+
+class TestReplyFraming:
+    """The reply framings a client must read, served byte for byte."""
+
+    def test_content_length_keeps_the_connection(self):
+        with _RawServer(OK_REPLY) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                assert [remote.score(np.zeros(2), np.zeros(2)) for _ in range(3)] == [0.5] * 3
+        assert len(server.heads) == 3 and server.connections == 1
+
+    def test_chunked_body_decoded(self):
+        reply = (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                 b"5\r\n{\"sco\r\n9;name=value\r\nre\": 0.25\r\n1\r\n}\r\n0\r\nX-Trailer: t\r\n\r\n")
+        with _RawServer(reply) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                assert [remote.score(np.zeros(2), np.zeros(2)) for _ in range(2)] == [0.25] * 2
+        assert server.connections == 1
+
+    @pytest.mark.parametrize("reply", [
+        b'HTTP/1.0 200 OK\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 14\r\n\r\n{"score": 0.5}',
+    ], ids=["http10", "connection-close", "connection-close-length"])
+    def test_reply_that_ends_the_connection(self, monkeypatch, reply):
+        # the body runs to the end of the connection where no length is
+        # given, and the next request goes on a new one without a retry
+        monkeypatch.setattr(remote_module, "RETRIES", 0)
+        with _RawServer(reply, close=True) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                assert [remote.score(np.zeros(2), np.zeros(2)) for _ in range(3)] == [0.5] * 3
+        assert len(server.heads) == 3 and server.connections == 3
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 204 No Content\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+    ], ids=["204", "empty-200"])
+    def test_empty_2xx_body_is_malformed_at_once(self, monkeypatch, reply):
+        # the server keeps the connection: waiting for a body would take TIMEOUT_S
+        monkeypatch.setattr(remote_module, "TIMEOUT_S", 30.0)
+        with _RawServer(reply) as server, RemoteScorer(server.endpoint) as remote:
+            start = time.monotonic()
+            with pytest.raises(TransportError, match="malformed"):
+                remote.score(np.zeros(2), np.zeros(2))
+            assert time.monotonic() - start < 5.0
+        assert len(server.heads) == 1
+
+    def test_interim_100_continue_skipped(self):
+        with _RawServer(b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                assert remote.score(np.zeros(2), np.zeros(2)) == 0.5
+
+    def test_100_headers_accepted(self):
+        reply = b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 99 + OK_REPLY.split(b"\r\n", 1)[1]
+        with _RawServer(reply) as server, RemoteScorer(server.endpoint) as remote:
+            assert remote.score(np.zeros(2), np.zeros(2)) == 0.5
+
+    @pytest.mark.parametrize("reply", [
+        b'HTTP/2 200 OK\r\nContent-Length: 14\r\n\r\n{"score": 0.5}',
+        b'ICY 200 OK\r\nContent-Length: 14\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 20 OK\r\nContent-Length: 14\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 OK\r\nContent-Length: 14\r\n\r\n{"score": 0.5}',
+        b'{"score": 0.5}\r\n',
+        b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n" + OK_REPLY.split(b"\r\n", 1)[1],
+        b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 100 + OK_REPLY.split(b"\r\n", 1)[1],
+        b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{"score": 0.5}\r\n0\r\n\r\n',
+    ], ids=["http2", "not-http", "two-digit-status", "no-status", "no-head", "long-header-line",
+            "101-headers", "bad-chunk-size"])
+    def test_unreadable_reply_retried_then_transport_error(self, reply):
+        with _RawServer(reply) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match="failed after 3 attempts"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert len(server.heads) == 3 and server.connections == 3
+
+    @pytest.mark.parametrize("reply, close", [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n", False),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n100001\r\n", False),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n80000\r\n" + b"0" * 0x80000
+         + b"\r\n80001\r\n", False),
+        (b"HTTP/1.0 200 OK\r\n\r\n" + b"0" * (remote_module.MAX_BODY_BYTES + 1), True),
+    ], ids=["content-length", "chunk", "chunks", "to-close"])
+    def test_reply_body_over_cap_is_transport_error(self, reply, close):
+        # refused before it is read: not an allocation, and not retried
+        assert remote_module.MAX_BODY_BYTES == 1 << 20
+        with _RawServer(reply, close=close) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match=r"reply body over the 1048576-byte cap"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert len(server.heads) == 1
+
+    @pytest.mark.parametrize("endpoint, address, host", [
+        ("http://[::1]:8750", ("::1", 8750), b"[::1]:8750"),
+        ("http://bücher.example:8750/v1", ("bücher.example", 8750), b"xn--bcher-kva.example:8750"),
+        ("http://bücher.example/v1", ("bücher.example", 80), b"xn--bcher-kva.example"),
+        ("http://127.0.0.1:80", ("127.0.0.1", 80), b"127.0.0.1"),
+    ])
+    def test_host_header(self, monkeypatch, endpoint, address, host):
+        create_connection, asked = socket.create_connection, []
+        with _RawServer(OK_REPLY) as server:
+            def connect(to, *args):
+                asked.append(to)
+                return create_connection(server.address, *args)
+
+            monkeypatch.setattr(remote_module.socket, "create_connection", connect)
+            with RemoteScorer(endpoint) as remote:
+                remote.score(np.zeros(2), np.zeros(2))
+        assert asked == [address]
+        assert server.heads[0].split(b"\r\n")[1] == b"Host: " + host
+
+    def test_request_head_is_http_clients(self):
+        # the bytes http.client sends for the same request
+        with _RawServer(OK_REPLY) as server:
+            with RemoteScorer(f"{server.endpoint}/v1/a%20b/") as remote:
+                remote.score(np.zeros(2), np.zeros(2), text="t")
+            connection = http.client.HTTPConnection(*server.address, timeout=5)
+            try:
+                connection.request("POST", "/v1/a%20b/score", server.bodies[0],
+                                   {"Content-Type": "application/json"})
+                connection.getresponse().read()
+            finally:
+                connection.close()
+        assert server.heads[0] == server.heads[1]
+        assert server.bodies[0] == server.bodies[1]
+
+    def test_request_body_bytes(self, rng):
+        # .tolist() writes what a float per entry wrote
+        rows = [np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, 1.0, 3.0])]
+        rows += list(rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7)))
+        rows += [rng.normal(size=7) for _ in range(5)]
+        with _RawServer(OK_REPLY) as server, RemoteScorer(server.endpoint) as remote:
+            for q in rows:
+                remote.score(q, q[::-1], text="t")
+        assert server.bodies == [
+            json.dumps({
+                "prompt": [float(x) for x in q],
+                "summary_text": "t",
+                "summary_embedding": [float(x) for x in q[::-1]],
+            }).encode("utf-8")
+            for q in rows
+        ]
+
+
+class TestStubHandlerParsing:
+    """The reference server's request head, split by hand."""
+
+    BODY = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
+
+    @pytest.fixture
+    def address(self):
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            yield host, int(port)
+
+    def test_body_over_cap_is_413_before_any_read(self, address, capfd):
+        # rfile.read(length) would allocate the declared length
+        request = b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: 1000000000000\r\n\r\n"
+        [(status, headers, _)] = _raw_exchanges(address, [request], until_closed=True)
+        assert status == 413 and headers["Connection"] == "close"
+        assert capfd.readouterr().err == ""
+
+    def test_body_at_cap_is_read(self, address):
+        body = self.BODY[:-1] + b" " * (remote_module.MAX_BODY_BYTES - len(self.BODY)) + b"}"
+        [(status, _, _)] = _raw_exchanges(address, [_raw_post("/score", body)])
+        assert status == 200
+
+    @pytest.mark.parametrize("line", [
+        b"POST /score", b"POST /score HTTP/1.1 extra", b"POST /score FTP/1.1", b"POST /score HTTP/1",
+        b"POST", b"HTTP/1.1",
+    ])
+    def test_bad_request_line_is_400(self, address, line):
+        request = line + b"\r\nContent-Length: 0\r\n\r\n"
+        [(status, headers, _)] = _raw_exchanges(address, [request], until_closed=True)
+        assert status == 400 and headers["Connection"] == "close"
+
+    @pytest.mark.parametrize("version, connection, closes", [
+        ("HTTP/1.1", None, False),
+        ("HTTP/1.1", "close", True),
+        ("HTTP/1.1", "Close", True),
+        ("HTTP/1.0", None, True),
+        ("HTTP/1.0", "keep-alive", False),
+    ])
+    def test_connection_rules(self, address, version, connection, closes):
+        header = f"Connection: {connection}\r\n" if connection else ""
+        request = (f"POST /score {version}\r\nHost: x\r\n{header}Content-Length: {len(self.BODY)}\r\n\r\n"
+                   ).encode() + self.BODY
+        # a kept connection answers a second request; a closed one ends after the first
+        replies = _raw_exchanges(address, [request] * (1 if closes else 2), until_closed=closes)
+        assert [status for status, _, _ in replies] == [200] * len(replies)
+
+    def test_expect_100_continue(self, address):
+        with socket.create_connection(address, timeout=5) as sock, sock.makefile("rb") as reply:
+            sock.sendall(_raw_post("/score", self.BODY).replace(b"Host: x", b"Host: x\r\nExpect: 100-continue")
+                         [:-len(self.BODY)])
+            assert reply.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reply.readline() == b"\r\n"
+            sock.sendall(self.BODY)  # only now
+            assert _read_reply(reply)[0] == 200
+
+    @pytest.mark.parametrize("extra, status", [
+        (b"X-N: 1\r\n" * 97, 200),  # 100 headers with Host, Content-Type and Content-Length
+        (b"X-N: 1\r\n" * 98, 431),
+        (b"X-Long: " + b"a" * 65536 + b"\r\n", 431),
+    ], ids=["100-headers", "101-headers", "long-line"])
+    def test_header_limits(self, address, extra, status):
+        request = _raw_post("/score", self.BODY).replace(b"Host: x\r\n", b"Host: x\r\n" + extra)
+        [(got, _, _)] = _raw_exchanges(address, [request], until_closed=status == 431)
+        assert got == status
+
+
+class TestOneWritePerMessage:
+    @pytest.mark.parametrize("path, q, status", [
+        ("", np.zeros(2), None),
+        ("", np.array([np.nan, 0.0]), 400),
+        ("/v1", np.zeros(2), 404),
+    ], ids=["200", "400", "404"])
+    def test_client_request_is_one_write(self, monkeypatch, path, q, status):
+        create_connection, writes = socket.create_connection, []
+        monkeypatch.setattr(remote_module.socket, "create_connection",
+                            lambda *args: _count_writes(create_connection(*args), writes))
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            with RemoteScorer(server.endpoint + path) as remote:
+                if status is None:
+                    remote.score(q, np.zeros(2))
+                    remote.score(q, np.zeros(2))
+                else:
+                    with pytest.raises(TransportError, match=f"status {status}"):
+                        remote.score(q, np.zeros(2))
+        assert len(writes) == (2 if status is None else 1)
+        assert all(write.startswith(b"POST ") and write.endswith(b"}") for write in writes)
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (_raw_post("/score", TestStubHandlerParsing.BODY), 200),
+        (_raw_post("/score", b"[1, 2]"), 400),
+        (_raw_post("/other", TestStubHandlerParsing.BODY), 404),
+        (b"POST /score\r\n\r\n", 400),
+        (b"POST /score HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n", 413),
+    ], ids=["200", "400", "404", "bad-request-line", "413"])
+    def test_server_reply_is_one_write(self, request_bytes, status):
+        writes = []
+
+        class Counted(remote_module._StubHandler):
+            scorer = StubScorer(2, 2, seed=0)
+
+            def setup(self):
+                super().setup()
+                _count_writes(self.connection, writes)
+
+        with _serving(Counted) as address:
+            requests = [request_bytes] * (2 if status == 200 else 1)
+            replies = _raw_exchanges(address, requests)
+        assert [got for got, _, _ in replies] == [status] * len(requests)
+        assert len(writes) == len(requests)
+
+
+class TestCountedBeforeReply:
+    def test_request_recorded_when_score_returns(self, monkeypatch):
+        # the way perfbench/scorer_proc.py counts: after do_POST returns, the
+        # reply still waits in the buffer, so no client can read it before
+        # the request is recorded
+        recorded = []
+        do_post = remote_module._StubHandler.do_POST
+
+        def counted_post(handler):
+            try:
+                do_post(handler)
+            finally:
+                time.sleep(0.05)
+                recorded.append(handler.path)
+
+        monkeypatch.setattr(remote_module._StubHandler, "do_POST", counted_post)
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server, RemoteScorer(server.endpoint) as remote:
+            for n in range(1, 4):
+                remote.score(np.zeros(2), np.zeros(2))
+                assert len(recorded) == n
+
+
+class TestSocketHygiene:
+    @contextlib.contextmanager
+    def _endpoint(self, case):
+        if case == "refused":  # nothing listens on a port just closed
+            with socket.create_server(("127.0.0.1", 0)) as listener:
+                port = listener.getsockname()[1]
+            yield f"http://127.0.0.1:{port}"
+        elif case == "tls-handshake":  # a plain-HTTP server cannot answer a TLS handshake
+            with _CannedServer(b'{"score": 0.5}') as server:
+                yield server.endpoint.replace("http://", "https://")
+        else:
+            reply = {
+                "mid-reply": b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"sc',
+                "non-2xx": b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\r\nboom",
+                "close-twice": OK_REPLY,
+            }[case]
+            with _RawServer(reply, close=case == "mid-reply") as server:
+                yield server.endpoint
+
+    @pytest.mark.parametrize("case", ["refused", "tls-handshake", "mid-reply", "non-2xx", "close-twice"])
+    def test_nothing_left_open(self, monkeypatch, case):
+        # every socket the scorer opened is closed, its reader too (a socket
+        # with a reader open keeps its descriptor), and nothing is left for
+        # the garbage collector to warn about
+        monkeypatch.setattr(remote_module, "RETRIES", 0)
+        create_connection, opened = socket.create_connection, []
+
+        def connect(*args):
+            opened.append(create_connection(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(remote_module.socket, "create_connection", connect)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with self._endpoint(case) as endpoint:
+                remote = RemoteScorer(endpoint)
+                if case == "close-twice":
+                    assert remote.score(np.zeros(2), np.zeros(2)) == 0.5
+                    remote.close()
+                else:
+                    with pytest.raises(TransportError, match="status 503" if case == "non-2xx" else "attempts"):
+                        remote.score(np.zeros(2), np.zeros(2))
+                remote.close()
+            assert remote._socket is None and remote._reader is None
+            assert all(sock.fileno() == -1 for sock in opened)
+            assert len(opened) == (case != "refused")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
