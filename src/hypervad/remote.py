@@ -17,21 +17,32 @@ string; it answers 413 to a body over ``MAX_BODY_BYTES``.
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
 each reply costs one connection per request instead. A request leaves in
-one write. The client splits a reply's head by hand and reads only its
-Content-Length, Connection and Transfer-Encoding, so a reply body may be
-framed by Content-Length, by chunked transfer coding, or by the server
-closing the connection. The loopback server splits request heads by hand
-as well and buffers each reply, which then leaves in one write too.
+one write. Its body is what ``json.dumps`` writes for the payload, byte for
+byte, but the client keeps the JSON of the last prompt and of the last
+summary (text and embedding), keyed on their float64 bits: the 2 *
+prompt_dim probes of one summary encode only their prompt, and the rows of
+one evaluation only their summary. The client splits a reply's head by hand
+and reads only its Content-Length, Connection and Transfer-Encoding, so a
+reply body may be framed by Content-Length, by chunked transfer coding, or
+by the server closing the connection. The loopback server splits request
+heads by hand as well and buffers each reply, which then leaves in one
+write too. It accepts a list of finite floats without a check per entry,
+formats its Date header once per second, and formats a 200 reply's head in
+one step; every reply keeps the bytes http.server would write.
 """
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import http.client
 import json
+import math
 import re
 import socket
 import ssl
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
@@ -93,8 +104,8 @@ def split_endpoint(endpoint: str):
     and a valid port (1 to 65535, if given); for a query or fragment (even
     a bare "?" or "#"), where "/score" would otherwise land; and for what
     the client cannot send as given: whitespace or an ASCII control
-    character anywhere, or a non-ASCII character in the path
-    (percent-encode it). User info
+    character anywhere, a non-ASCII character in the path (percent-encode
+    it), or a non-ASCII host that IDNA cannot encode. User info
     (``user:password@``) is rejected first, by a message that does not echo
     the endpoint, and so not the password."""
     authority = str(endpoint).split("//", 1)[-1].split("/", 1)[0]  # with or without a scheme
@@ -107,7 +118,9 @@ def split_endpoint(endpoint: str):
             port = parts.port  # raises for a port that is not a number or is above 65535
             valid = (parts.scheme in ("http", "https") and bool(parts.hostname) and port != 0
                      and parts.path.isascii())
-        except ValueError:  # also an unclosed "[" in an IPv6 host
+            if valid and not parts.hostname.isascii():
+                parts.hostname.encode("idna")  # what the Host header will carry
+        except ValueError:  # also an unclosed "[" in an IPv6 host, and a host IDNA cannot encode
             valid = False
     if not valid:
         raise ValueError("need an http:// or https:// endpoint with a host, a valid port, no query or "
@@ -140,6 +153,10 @@ class RemoteScorer:
         ).encode("ascii")
         self._socket = None
         self._reader = None
+        # (key, JSON) of the last prompt and of the last summary: a summary
+        # repeats over its 2 * prompt_dim probes, a prompt over a whole
+        # evaluation; texts are str, so a key cannot change in place
+        self._prompt = self._summary = (None, b"")
 
     def close(self) -> None:
         if self._reader is not None:
@@ -256,8 +273,7 @@ class RemoteScorer:
                 f"scorer endpoint {self.url} sent a reply body over the {MAX_BODY_BYTES}-byte cap"
             )
 
-    def _post(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode("utf-8")
+    def _post(self, body: bytes) -> dict:
         attempts = RETRIES + 1
         for _ in range(attempts):
             try:
@@ -268,13 +284,26 @@ class RemoteScorer:
             f"scorer endpoint {self.url} failed after {attempts} attempts: {last_error}"
         ) from last_error
 
+    def _body(self, q, emb, text) -> bytes:
+        """``json.dumps`` of {"prompt": q, "summary_text": text,
+        "summary_embedding": emb} as UTF-8, from the memos of the last
+        prompt's JSON and the last summary's. Each memo is keyed on the
+        float64 bits and shape of its array (so 0.0 and -0.0 differ, and an
+        array changed in place is encoded anew), the summary's on its text
+        too."""
+        q = np.asarray(q, dtype=np.float64)
+        key = (q.shape, q.tobytes())
+        if key != self._prompt[0]:
+            self._prompt = key, b'{"prompt": ' + json.dumps(q.tolist()).encode("utf-8")
+        emb = np.asarray(emb, dtype=np.float64)
+        key = (text, emb.shape, emb.tobytes())
+        if key != self._summary[0]:
+            self._summary = key, b', "summary_text": %b, "summary_embedding": %b}' % (
+                json.dumps(text).encode("utf-8"), json.dumps(emb.tolist()).encode("utf-8"))
+        return self._prompt[1] + self._summary[1]
+
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
-        payload = {
-            "prompt": np.asarray(q, dtype=np.float64).tolist(),
-            "summary_text": text,
-            "summary_embedding": np.asarray(emb, dtype=np.float64).tolist(),
-        }
-        reply = self._post(payload)
+        reply = self._post(self._body(q, emb, text))
         if "score" not in reply:
             raise TransportError(f"scorer endpoint {self.url} reply missing 'score' field")
         value = reply["score"]
@@ -310,11 +339,22 @@ class RemoteScorer:
 def _finite_vector(payload: dict, key: str) -> np.ndarray:
     """A request's ``key`` entry as float64. ValueError unless it is a list
     of :func:`finite_real` numbers (NaN, Infinity, 1e400, true and an
-    integer beyond float64 are not)."""
+    integer beyond float64 are not). A list of finite floats, what JSON
+    numbers with a fraction or an exponent parse to, is accepted without a
+    call per entry."""
     values = payload[key]
-    if not isinstance(values, list) or not all(finite_real(x) for x in values):
+    if not isinstance(values, list) or not (
+        (set(map(type, values)) <= {float} and all(map(math.isfinite, values)))
+        or all(map(finite_real, values))
+    ):
         raise ValueError(f"{key} must be a list of finite numbers")
     return np.asarray(values, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The Date value of a whole second, as http.server formats it."""
+    return email.utils.formatdate(second, usegmt=True)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -332,6 +372,10 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def log_message(self, *args):  # silence per-request stderr noise
         pass
+
+    def date_time_string(self, timestamp=None):
+        """http.server's Date value, formatted once per whole second."""
+        return _http_date(int(time.time() if timestamp is None else timestamp))
 
     def handle(self):
         try:
@@ -402,11 +446,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_error(400, f"bad request: {exc}")
             return
         body = json.dumps({"score": score}).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # what send_response(200), the two headers and end_headers would
+        # buffer, formatted at once; log_request has nothing to log here
+        self.wfile.write(
+            (f"{self.protocol_version} 200 OK\r\nServer: {self.version_string()}\r\n"
+             f"Date: {self.date_time_string()}\r\nContent-Type: application/json\r\n"
+             f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1") + body
+        )
 
 
 class LoopbackScorerServer:

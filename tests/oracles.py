@@ -19,7 +19,9 @@ last four are the package's bodies from before they ran array at a time,
 which the new code must match byte for byte: the stub score by ``@``, the
 Mahalanobis distance of one row, refinement by one loop over rows (on the
 package's ``neighbor_sets``) and the window summaries by one loop over
-windows (on the package's ``SummarySet`` and ``window_slices``).
+windows (on the package's ``SummarySet`` and ``window_slices``). The
+loopback server's check of a request vector is its body from before its
+all-float fast path, on the package's ``finite_real``.
 """
 
 import csv
@@ -30,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows, window_slices
-from hypervad.core import ValidationError
+from hypervad.core import ValidationError, finite_real
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, _sigmoid, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
@@ -448,3 +450,12 @@ def build_summaries_per_window(cleaned, caption_embs, audio_captions, window):
         audio_part = " ".join(audio_parts) if audio_parts else "none"
         texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
     return SummarySet(texts=tuple(texts), embeddings=means, segment_to_window=mapping)
+
+
+def finite_vector_oracle(payload: dict, key: str) -> np.ndarray:
+    """A request's ``key`` entry as float64. ValueError unless it is a list
+    of :func:`finite_real` numbers, each checked in turn."""
+    values = payload[key]
+    if not isinstance(values, list) or not all(finite_real(x) for x in values):
+        raise ValueError(f"{key} must be a list of finite numbers")
+    return np.asarray(values, dtype=np.float64)

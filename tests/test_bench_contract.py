@@ -21,7 +21,7 @@ from hypervad.pipeline import (
     LOSS_FILE, REPORT_FILE, SCORES_FILE, RunManifest, load_dataset, run_pipeline,
 )
 from hypervad.prompt_opt import StubScorer
-from hypervad.remote import RemoteScorer
+from hypervad.remote import LoopbackScorerServer, RemoteScorer
 from hypervad.synth import gen_synthetic
 
 from oracles import window_means_oracle
@@ -111,6 +111,36 @@ def test_traced_window_means_count_per_size_group(tracer, tmp_path):
     assert metrics["hyperbolic.karcher_iterations"] == sum(iterations) > 0
     assert metrics["hyperbolic.karcher_failures"] == len(failures)
     assert json.loads(json.dumps(metrics)) == metrics
+
+
+def test_traced_remote_run_counts_requests(tracer, tmp_path):
+    # the closed forms perfbench/worker.py's check_trace holds a traced
+    # remote run to: one _post per request, and every window scored through
+    # score_all once per evaluation
+    data = gen_synthetic(tmp_path / "data", n_segments=15, dim=5, seed=6)
+    window, opt_iters, prompt_dim = 2, 2, 3
+    config = PipelineConfig(seed=6, window=window, opt_iters=opt_iters, prompt_dim=prompt_dim)
+    trace = tracer.Tracer()
+    with LoopbackScorerServer(StubScorer(prompt_dim, 5, seed=6)) as server:
+        manifest = RunManifest(
+            visual_path=data.paths["visual"], text_path=data.paths["text"],
+            captions_path=data.paths["captions"], labels_path=data.paths["labels"],
+            out_dir=tmp_path / "out", config=config, scorer="remote", endpoint=server.endpoint,
+        )
+        with trace.installed(tracer.pipeline_patches()), trace.span(tracer.ROOT_SPAN):
+            run_pipeline(manifest)
+    metrics = trace.layer_metrics(server_busy_s=0.0)
+
+    n_windows = -(-data.n_segments // window)
+    requests = n_windows * (1 + opt_iters * (1 + 2 * prompt_dim))
+    assert metrics["remote.requests"] == requests == 120
+    assert metrics["remote.failed_requests"] == 0
+    # one client score per request, and one stub score behind it: the
+    # server runs in this process, so the tracer counts both
+    assert trace.calls["RemoteScorer.score"] == trace.calls["StubScorer.score"] == requests
+    assert metrics["prompt_opt.score_calls"] == 2 * requests
+    assert metrics["prompt_opt.score_all_calls"] == n_windows * (opt_iters + 1)
+    assert metrics["prompt_opt.grad_calls"] == n_windows * opt_iters
 
 
 def test_workload_arguments_pass_validation(tmp_path):

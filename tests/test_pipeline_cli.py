@@ -463,6 +463,7 @@ class TestCli:
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/a\nb"], "no whitespace or control character"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/\u00e9"], "an ASCII path"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:0"], "a valid port"),
+        (["--scorer", "remote", "--endpoint", "http://b\u00fc..x:8750"], "http:// or https:// endpoint"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"

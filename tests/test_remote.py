@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import http.client
+import io
 import json
 import re
 import socket
@@ -20,6 +21,8 @@ from hypervad import remote as remote_module
 from hypervad.core import TransportError
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer, RemoteScorer, split_endpoint
+
+from oracles import finite_vector_oracle
 
 # serve_forever's shutdown check; each server's shutdown waits up to this long
 POLL_INTERVAL_S = 0.05
@@ -453,6 +456,8 @@ class TestRemoteErrors:
         "http://127.0.0.1:9/a\u00a0b", "http://exa mple.org", "http://127.0.0.1:9/\u00e9",
         # no client can connect to port 0
         "http://127.0.0.1:0", "https://scorer.example:00/v1",
+        # a non-ASCII host IDNA cannot encode: the Host header could not be written
+        "http://b\u00fc..x:8750",
     ])
     def test_split_endpoint_rejects(self, endpoint):
         message = re.escape(
@@ -784,6 +789,55 @@ class TestReplyFraming:
             for q in rows
         ]
 
+    def test_bodies_are_json_dumps_of_the_payload(self):
+        # the client memoizes the JSON of the last prompt and of the last
+        # summary; every body must still be what json.dumps wrote before
+        def payload(q, emb, text):
+            return json.dumps({
+                "prompt": np.asarray(q, dtype=np.float64).tolist(),
+                "summary_text": text,
+                "summary_embedding": np.asarray(emb, dtype=np.float64).tolist(),
+            }).encode("utf-8")
+
+        q, emb = np.array([0.0, 1.5, -2.0]), np.array([0.25, -0.5])
+        q_mut, emb_mut = q.copy(), emb.copy()
+
+        def change_in_place():
+            q_mut[1], emb_mut[0] = -q_mut[1], 7.0
+
+        def zero_sign_in_place():
+            emb_mut[1] = -0.0
+
+        steps = [
+            (q, emb, "t"), (q, emb, "t"),
+            # -0.0 == 0.0, but their bits differ, and so does their JSON
+            (np.array([-0.0, 1.5, -2.0]), emb, "t"), (q, emb, "t"),
+            (q, np.array([0.25, -0.0]), "t"), (q, np.array([0.25, 0.0]), "t"),
+            (q_mut, emb_mut, "t"), change_in_place, (q_mut, emb_mut, "t"),
+            zero_sign_in_place, (q_mut, emb_mut, "t"),
+            (q, emb, "new text"), (q, emb, 'a "quoted" \\ caf\u00e9 \u2603\n\t'),
+            (np.array([5e-324, 1e308, -1e308]), np.array([-1e308, 5e-324]), "t"),
+            (np.array([np.nan, np.inf, -np.inf]), emb, "t"),
+            (q.reshape(3, 1), emb, "t"), (q, emb, "t"), (q[::-1], emb[::-1], "t"), ([1, 2, 3], (4, 5), "t"),
+        ]
+        # grad_sum's probes: -0.0 + 0.0 is 0.0, while -0.0 - 0.0 stays -0.0
+        q0, embs, texts = np.array([-0.0, 0.5]), np.array([[0.1, 0.2], [0.1, 0.2], [5e-324, -1e308]]), "xyy"
+        sent = []
+        with _RawServer(OK_REPLY) as server, RemoteScorer(server.endpoint) as remote:
+            for step in steps:
+                if callable(step):
+                    step()
+                else:
+                    remote.score(*step)
+                    sent.append(payload(*step))
+            remote.grad_sum(q0, embs, texts, np.ones(3), np.full(3, 0.5))
+        for t in range(3):
+            for i in range(2):
+                probe = np.zeros(2)
+                probe[i] = remote_module.FD_STEP
+                sent += [payload(q0 + probe, embs[t], texts[t]), payload(q0 - probe, embs[t], texts[t])]
+        assert server.bodies == sent
+
 
 class TestStubHandlerParsing:
     """The reference server's request head, split by hand."""
@@ -850,6 +904,84 @@ class TestStubHandlerParsing:
         request = _raw_post("/score", self.BODY).replace(b"Host: x\r\n", b"Host: x\r\n" + extra)
         [(got, _, _)] = _raw_exchanges(address, [request], until_closed=status == 431)
         assert got == status
+
+
+class _Recording:
+    """Scorer that keeps the vectors the server parsed and answers 0.5."""
+
+    def __init__(self):
+        self.seen = []
+
+    def score(self, q, emb, text=""):
+        self.seen.append({"prompt": q, "summary_embedding": emb})
+        return 0.5
+
+
+def _bare_handler(cls, **attributes):
+    """A handler of ``cls`` with no connection behind it, writing to a
+    BytesIO ``wfile``; enough to call its reply methods in process."""
+    handler = object.__new__(cls)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "POST /score HTTP/1.1"
+    handler.wfile = io.BytesIO()
+    for name, value in attributes.items():
+        setattr(handler, name, value)
+    return handler
+
+
+class TestStubHandlerReplies:
+    """The reference server's vector check and its 200 reply, against the
+    code they replaced."""
+
+    @pytest.mark.parametrize("key", ["prompt", "summary_embedding"])
+    @pytest.mark.parametrize("entries, status", [
+        (b"[0.5, -2.5]", 200), (b"[-0.0, 0.5]", 200), (b"[3, 4]", 200), (b"[1" + b"0" * 400 + b"]", 400),
+        (b"[true, 0.5]", 400), (b"[null]", 400), (b'["1"]', 400), (b"[NaN]", 400), (b"[0.5, Infinity]", 400),
+        (b"[1e400]", 400), (b"[1, 0.5, -2]", 200), (b"[]", 200), (b"0.5", 400),
+    ], ids=["float", "negative-zero", "int", "int-beyond-float64", "true", "null", "string", "nan",
+            "infinity", "1e400", "mixed", "empty", "not-a-list"])
+    def test_vector_check_matches_oracle(self, key, entries, status):
+        vectors = {"prompt": b"[0.1]", "summary_embedding": b"[0.2]", key: entries}
+        body = b'{"prompt": %b, "summary_text": "t", "summary_embedding": %b}' % (
+            vectors["prompt"], vectors["summary_embedding"])
+        try:
+            expected = finite_vector_oracle(json.loads(body), key)
+        except ValueError:
+            expected = None
+        assert (expected is not None) == (status == 200)
+        scorer = _Recording()
+        with LoopbackScorerServer(scorer) as server:
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            [(got, _, _)] = _raw_exchanges((host, int(port)), [_raw_post("/score", body)])
+        assert got == status
+        if expected is not None:
+            [seen] = scorer.seen
+            assert seen[key].dtype == np.float64 and seen[key].shape == expected.shape
+            assert seen[key].tobytes() == expected.tobytes()  # -0.0 keeps its sign
+
+    @pytest.mark.parametrize("clock", [1_700_000_000.25, 1_700_000_000.75, 1_700_000_001.0, 1_800_000_000.5])
+    def test_reply_is_http_servers_under_a_fixed_clock(self, monkeypatch, clock):
+        monkeypatch.setattr(time, "time", lambda: clock)
+        body = TestStubHandlerParsing.BODY
+        stub = StubScorer(2, 2, seed=0)
+        handler = _bare_handler(remote_module._StubHandler, scorer=stub, path="/score",
+                                headers={"content-length": str(len(body))}, rfile=io.BytesIO(body))
+        handler.do_POST()
+
+        class Reference(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, *args):
+                pass
+
+        reply_body = json.dumps({"score": stub.score(np.array([0.1, 0.2]), np.array([0.3, 0.4]))}).encode()
+        reference = _bare_handler(Reference)
+        reference.send_response(200)
+        reference.send_header("Content-Type", "application/json")
+        reference.send_header("Content-Length", str(len(reply_body)))
+        reference.end_headers()
+        reference.wfile.write(reply_body)
+        assert handler.wfile.getvalue() == reference.wfile.getvalue()
 
 
 class TestOneWritePerMessage:
