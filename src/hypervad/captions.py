@@ -5,6 +5,11 @@ video whose text embedding is most cosine-similar to that segment's visual
 embedding. Exactly equal cosines break to the lowest index; zero-norm rows
 are reported and score minus infinity against everything. The search runs
 over row blocks (see :func:`row_blocks`), so it never holds an n x n matrix.
+
+The window layout is stated here only: windows of ``window`` consecutive
+segments, then one shorter trailing window, so every frame gets a score.
+:func:`window_slices` gives their segment ranges and :func:`window_stacks`
+their rows; every per-window aggregate reads one of the two.
 """
 
 from __future__ import annotations
@@ -49,9 +54,8 @@ class CaptionSet:
 class SummarySet:
     """Per-window textual summaries with their (n_windows, d) embeddings.
 
-    Every segment maps to exactly one window of consecutive segments, laid
-    out by :func:`window_slices`; a trailing partial window is kept so every
-    frame gets a score.
+    Every segment maps to exactly one window, in the layout the module
+    docstring states.
     """
 
     texts: tuple
@@ -145,10 +149,22 @@ def identity_captions(raw_captions: Sequence[str]) -> CaptionSet:
 
 
 def window_slices(n_segments: int, window: int):
-    """Consecutive windows of ``window`` segments; the trailing partial one is kept."""
+    """The (lo, hi) segment range of each window, in order."""
     if window < 1:
         raise ValueError("window must be at least 1")
     return [(start, min(start + window, n_segments)) for start in range(0, n_segments, window)]
+
+
+def window_stacks(rows: np.ndarray, window: int):
+    """The windows of an (n, ...) array as at most two (count, size, ...)
+    views, the full windows then the trailing one, each paired with the
+    index of its first window; a run with no window is left out."""
+    if window < 1:
+        raise ValueError("window must be at least 1")
+    full = len(rows) // window
+    cut = full * window
+    runs = [(0, rows[:cut].reshape(full, window, *rows.shape[1:])), (full, rows[cut:][None])]
+    return [(first, stack) for first, stack in runs if 0 not in stack.shape[:2]]
 
 
 def build_summaries(
@@ -162,21 +178,16 @@ def build_summaries(
     Template: "VISUAL: <cleaned captions joined by spaces> | AUDIO: <audio
     captions joined by spaces, or 'none'>". The window embedding is the
     arithmetic mean of the member segments' cleaned caption embeddings, i.e.
-    rows caption_embs[cleaned_index[t]]: one mean over the full windows
-    stacked as (windows, window, d), plus one for a trailing partial window,
-    each adding its rows in order as a per-window mean does.
+    rows caption_embs[cleaned_index[t]]: one mean per stack of
+    :func:`window_stacks`, each adding its rows in order as a per-window
+    mean does.
     """
     n = len(cleaned.raw)
-    windows = window_slices(n, window)
     rows = caption_embs[cleaned.cleaned_index]
-    full, d = n // window, caption_embs.shape[1]
-    means = np.empty((len(windows), d))
-    means[:full] = rows[: full * window].reshape(full, window, d).mean(axis=1)
-    if full < len(windows):
-        means[full] = rows[full * window:].mean(axis=0)
+    means = np.concatenate([rows[:0]] + [stack.mean(axis=1) for _, stack in window_stacks(rows, window)])
     texts = []
     cleaned_texts = cleaned.cleaned
-    for lo, hi in windows:
+    for lo, hi in window_slices(n, window):
         visual_part = " ".join(cleaned_texts[lo:hi])
         audio_parts = []
         if audio_captions is not None:

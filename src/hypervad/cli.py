@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import PipelineConfig, PipelineError, ValidationError
 from .dataio import read_config
-from .pipeline import RunManifest, eval_only, load_dataset, run_pipeline
+from .pipeline import RunManifest, eval_only, load_dataset, require_files, run_pipeline
 from .synth import gen_synthetic
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="run the scoring pipeline", argument_default=unset)
     _add_dataset_args(r)
-    r.add_argument("--config", help="key=value config file")
+    r.add_argument("--config", type=_optional_path, help="key=value config file")
     r.add_argument("--out", dest="out_dir", type=Path, required=True, help="output directory")
     r.add_argument("--seed", type=int, help="override config seed")
     r.add_argument("--no-clean", dest="cleaning", action="store_false",
@@ -100,6 +100,7 @@ def _cmd_validate(**paths) -> int:
 
 
 def _cmd_run(config=None, seed=None, **options) -> int:
+    require_files(("config", config))
     config = read_config(config) if config else PipelineConfig()
     if seed is not None:
         config = replace(config, seed=seed)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -99,6 +101,15 @@ def kind_issues(values: dict, ints=(), bools=()) -> list:
         elif not finite_real(value):
             issues.append(f"{name} must be finite, got {value}")
     return issues
+
+
+def out_dir_issues(out_dir) -> list:
+    """The issue, if any, that would stop ``out_dir`` from being made and
+    written as a directory: it must be a directory or not exist, and its
+    nearest existing ancestor must be a directory."""
+    path = Path(out_dir)
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    return [] if nearest.is_dir() else [f"output directory {path} is unusable: {nearest} is not a directory"]
 
 
 @dataclass(frozen=True)

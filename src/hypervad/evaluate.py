@@ -1,7 +1,7 @@
 """Frame-level evaluation: score expansion, AUC-ROC, and AP.
 
-Both read one descending-score threshold sweep, tied scores grouped into a
-single step: AUC is its trapezoidal ROC area, the Mann-Whitney statistic with
+Each reads its own descending-score threshold sweep, tied scores grouped into
+one step: AUC is its trapezoidal ROC area, the Mann-Whitney statistic with
 ties at half credit; AP sums precision times the recall gained per step.
 Metrics are reported as explicitly undefined when a class is missing, never
 defaulted to 0 or NaN.

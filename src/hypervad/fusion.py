@@ -11,11 +11,9 @@ Neither iterates, and both run on the (n, d) arrays of all segments at once.
 
 from __future__ import annotations
 
-from itertools import groupby
-
 import numpy as np
 
-from .captions import window_slices
+from .captions import window_stacks
 from .core import Dataset, PipelineConfig
 from .hyperbolic import exp_map_origin, geodesic_point, weighted_geodesic_mean
 
@@ -54,28 +52,21 @@ def fuse_sequence_euclidean(dataset: Dataset, config: PipelineConfig) -> np.ndar
 
 def window_fused_points(fused: np.ndarray, config: PipelineConfig):
     """Aggregate per-segment fused points (n, d) to one point per summary
-    window, the windows laid out by :func:`window_slices`.
+    window, the windows stacked by :func:`captions.window_stacks`.
 
     Returns the (n_windows, d) points and the list of windows whose mean did
     not converge. Single-segment windows pass their point through untouched;
     larger windows take the equal-weight geodesic mean of their members,
-    exact for two and iterated for more. Windows of one size are averaged as
-    one stack, so there is one mean call for the full windows and one for a
-    trailing partial window, each window stopping at its own iteration.
+    exact for two and iterated for more. Each stack is one mean call, each
+    window stopping at its own iteration.
     """
-    n, d = fused.shape
-    out, failures, first = [fused[:0]], [], 0
-    # runs of equal-size windows (the full ones, then a shorter trailing one)
-    # are contiguous, so each run is one (count, size, d) stack
-    for size, run in groupby(window_slices(n, config.window), key=lambda window: window[1] - window[0]):
-        run = list(run)
-        lo, count = run[0][0], len(run)
-        stack = fused[lo : lo + count * size].reshape(count, size, d)
+    out, failures = [fused[:0]], []
+    for first, stack in window_stacks(fused, config.window):
+        size = stack.shape[1]
         if size < 2:
             out.append(stack[:, 0])
         else:
             result = weighted_geodesic_mean(stack, np.full(size, 1.0 / size), config.curvature)
             out.append(result.point)
             failures.extend(first + int(k) for k in np.flatnonzero(result.unconverged))
-        first += count
     return np.concatenate(out), failures

@@ -25,6 +25,7 @@ from .core import (
     StageError,
     ValidationError,
     kind_issues,
+    out_dir_issues,
     validate_dataset,
 )
 from .evaluate import EvalReport, build_report, expand_to_frames
@@ -56,7 +57,7 @@ class RunManifest:
 
     def __post_init__(self):
         toggles = {"cleaning": self.cleaning, "optimizer": self.optimizer, "refinement": self.refinement}
-        issues = kind_issues(toggles, bools=toggles)
+        issues = kind_issues(toggles, bools=toggles) + out_dir_issues(self.out_dir)
         if issues:
             raise ValidationError(issues)
         if self.fusion_mode not in ("hyperbolic", "euclidean"):
@@ -82,7 +83,7 @@ class RunManifest:
         }
 
 
-def _require_files(*named_paths) -> None:
+def require_files(*named_paths) -> None:
     """Raise ValidationError for the first (name, path) pair whose path is
     set but names no file."""
     for name, path in named_paths:
@@ -93,7 +94,7 @@ def _require_files(*named_paths) -> None:
 def load_dataset(manifest: RunManifest):
     """Fail-fast ingestion: every referenced file must exist and parse, and
     the assembled dataset must validate, before any stage runs."""
-    _require_files(
+    require_files(
         ("visual embeddings", manifest.visual_path),
         ("text embeddings", manifest.text_path),
         ("captions", manifest.captions_path),
@@ -272,7 +273,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
 
 def eval_only(scores_path, labels_path) -> EvalReport:
     """Score a written scores CSV against a labels CSV."""
-    _require_files(("scores", scores_path), ("labels", labels_path))
+    require_files(("scores", scores_path), ("labels", labels_path))
     scores = dataio.read_scores(scores_path)
     labels = dataio.read_labels(labels_path)
     if scores.size != labels.size:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Modality, SegmentRecord, ValidationError, kind_issues, seeded_unit_vector
+from .core import Modality, SegmentRecord, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
 from .dataio import write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
@@ -55,12 +55,13 @@ def gen_synthetic(
     with_audio: bool = False,
 ) -> SynthResult:
     """Write a complete synthetic dataset and its generation metadata. An
-    argument of the wrong kind (by ``core.kind_issues``) or out of range
+    argument of the wrong kind (by ``core.kind_issues``) or out of range, or
+    an ``out_dir`` that cannot be a directory (by ``core.out_dir_issues``),
     raises ValidationError before anything is written."""
     issues = kind_issues(
         dict(n_segments=n_segments, dim=dim, anomaly_fraction=anomaly_fraction, shift=shift, seed=seed,
              frames_per_segment=frames_per_segment, with_audio=with_audio),
-        ints={"n_segments", "dim", "seed", "frames_per_segment"}, bools={"with_audio"})
+        ints={"n_segments", "dim", "seed", "frames_per_segment"}, bools={"with_audio"}) + out_dir_issues(out_dir)
     if issues:
         raise ValidationError(issues)
     if not 0.0 < anomaly_fraction < 1.0:

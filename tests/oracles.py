@@ -19,9 +19,11 @@ last four are the package's bodies from before they ran array at a time,
 which the new code must match byte for byte: the stub score by ``@``, the
 Mahalanobis distance of one row, refinement by one loop over rows (on the
 package's ``neighbor_sets``) and the window summaries by one loop over
-windows (on the package's ``SummarySet`` and ``window_slices``). The
-loopback server's check of a request vector is its body from before its
-all-float fast path, on the package's ``finite_real``.
+windows (on the package's ``SummarySet``). The two window references lay
+out their windows with their own loop over window starts, not with the
+package's layout helpers, so they check the layout too. The loopback
+server's check of a request vector is its body from before its all-float
+fast path, on the package's ``finite_real``.
 """
 
 import csv
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
-from hypervad.captions import SummarySet, normalize_rows, window_slices
+from hypervad.captions import SummarySet, normalize_rows
 from hypervad.core import ValidationError, finite_real
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, _sigmoid, loss_score_gradient, resolve_target_mass, total_loss
@@ -311,12 +313,14 @@ def karcher_mean_oracle(points, weights, c: float, tol: float = 1e-10, max_iter:
 
 
 def window_means_oracle(fused, config, max_iter=200):
-    """Per-window loop over the windows of :func:`window_slices`: one
-    equal-weight :func:`karcher_mean_oracle` per window of two or more
-    segments, each capped at ``max_iter`` iterations. Returns (points,
-    failed windows, per-window iterations)."""
+    """Per-window loop over windows of ``config.window`` segments, the last
+    one shorter if the segments run out: one equal-weight
+    :func:`karcher_mean_oracle` per window of two or more segments, each
+    capped at ``max_iter`` iterations. Returns (points, failed windows,
+    per-window iterations)."""
     points, failures, iterations = [], [], []
-    for k, (lo, hi) in enumerate(window_slices(len(fused), config.window)):
+    for k, lo in enumerate(range(0, len(fused), config.window)):
+        hi = min(lo + config.window, len(fused))
         if hi - lo < 2:
             point, its, converged = fused[lo], 0, True
         else:
@@ -434,7 +438,7 @@ def build_summaries_per_window(cleaned, caption_embs, audio_captions, window):
     """``build_summaries`` as one loop over windows: each window's map
     entries, mean, visual text and audio text in turn."""
     n = len(cleaned.raw)
-    windows = window_slices(n, window)
+    windows = [(lo, min(lo + window, n)) for lo in range(0, n, window)]
     texts = []
     means = np.zeros((len(windows), caption_embs.shape[1]))
     mapping = np.zeros(n, dtype=np.int64)

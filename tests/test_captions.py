@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from hypervad import captions as captions_module
 from hypervad.captions import (
     CaptionSet,
+    SummarySet,
     build_summaries,
     clean_caption_indices,
     clean_captions,
     identity_captions,
     window_slices,
+    window_stacks,
 )
 from hypervad.core import Modality
 
@@ -168,6 +171,21 @@ class TestCaptionSetType:
         with pytest.raises(ValueError, match="out of range"):
             CaptionSet(raw=("a", "b"), cleaned_index=np.array([0, 5]))
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CaptionSet(raw=("a", "b"), cleaned_index=np.array([0])), "one cleaned index per caption"),
+        (lambda: SummarySet(texts=("w",), embeddings=np.zeros((2, 3)), segment_to_window=np.array([0])),
+         "one embedding row per summary"),
+        (lambda: SummarySet(texts=("w",), embeddings=np.zeros((1, 3)), segment_to_window=np.array([0, 1])),
+         "segment_to_window references a missing window"),
+        (lambda: clean_caption_indices(np.ones((2, 3)), np.ones((2, 4))), "dim mismatch: 3 vs 4"),
+        (lambda: clean_captions(["a"], np.eye(2), np.eye(2)), "caption count must match embedding count"),
+        (lambda: window_slices(3, 0), "window must be at least 1"),
+        (lambda: window_stacks(np.zeros((3, 2)), 0), "window must be at least 1"),
+    ], ids=["caption-set", "summary-rows", "summary-map", "clean-dim", "clean-count", "slices", "stacks"])
+    def test_direct_calls_check_their_arguments(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
     def test_identity_captions(self):
         cs = identity_captions(["x", "y"])
         assert cs.cleaned == ("x", "y")
@@ -201,11 +219,29 @@ class TestSummaries:
         assert mapping.tolist() == [0, 0, 0, 1]
 
     def test_window_slices_cover_every_segment(self):
-        for n in range(0, 12):
-            for w in range(1, 5):
+        for n in range(0, 41):
+            for w in range(1, 13):
                 slices = window_slices(n, w)
                 covered = [t for lo, hi in slices for t in range(lo, hi)]
                 assert covered == list(range(n))
+                # the stacks against a plain loop over window starts: runs of
+                # equal-size windows, in order, as views of the rows
+                rows = np.arange(3.0 * n).reshape(n, 3)
+                windows = [rows[lo : lo + w] for lo in range(0, n, w)]
+                runs = []  # [first window, window count, window size]
+                for k, win in enumerate(windows):
+                    if runs and runs[-1][2] == len(win):
+                        runs[-1][1] += 1
+                    else:
+                        runs.append([k, 1, len(win)])
+                stacks = window_stacks(rows, w)
+                assert [(first, stack.shape) for first, stack in stacks] == [
+                    (k, (count, size, 3)) for k, count, size in runs
+                ]
+                assert all(stack.size and np.shares_memory(stack, rows) for _, stack in stacks)
+                got = [win for _, stack in stacks for win in stack]
+                assert len(got) == len(windows)
+                assert all(np.array_equal(a, b) for a, b in zip(got, windows))
 
     def test_summary_embeddings_average_cleaned_rows(self, rng):
         captions = rng.normal(size=(4, 3))

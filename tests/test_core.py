@@ -11,6 +11,7 @@ from hypervad.core import (
     PipelineConfig,
     SegmentRecord,
     ValidationError,
+    out_dir_issues,
     seeded_unit_vector,
     validate_dataset,
 )
@@ -45,6 +46,7 @@ class TestPipelineConfig:
             {"window": 0},
             {"seed": -1},
             {"audio_weight": 1.0 + 1e-12},
+            {"prompt_dim": 0},
         ],
     )
     def test_invariant_violations(self, overrides):
@@ -183,3 +185,24 @@ def test_seeded_unit_vector_deterministic_unit():
     assert np.array_equal(a, b)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-12)
     assert not np.array_equal(a, seeded_unit_vector(8, 16))
+
+
+@pytest.mark.parametrize("out, blocker", [
+    ("d", None),              # an existing directory
+    ("new", None),            # missing, under a directory
+    ("new/deeper", None),
+    ("f", "f"),               # an existing file
+    ("f/sub", "f"),           # under a file
+    ("f/sub/deeper", "f"),
+    ("link", "link"),         # a dangling symlink: mkdir would fail on it
+    ("link/sub", "link"),
+])
+def test_out_dir_must_be_a_directory_or_makeable(tmp_path, out, blocker):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("x", encoding="utf-8")
+    (tmp_path / "link").symlink_to(tmp_path / "gone")
+    issues = out_dir_issues(tmp_path / out)
+    if blocker is None:
+        assert issues == []
+    else:
+        assert issues == [f"output directory {tmp_path / out} is unusable: {tmp_path / blocker} is not a directory"]

@@ -165,6 +165,15 @@ class TestCaptionsFormat:
         with pytest.raises(ValidationError, match=f":2: bad caption record: '{key}' must be"):
             read_captions(path)
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = '{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}'
+        path.write_text(f"\n{record}\n   \n", encoding="utf-8")
+        assert read_captions(path) == [SegmentRecord(0, 0, 3, "v", None)]
+        path.write_text(f"{record}\n\n[0]\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=":3: bad caption record"):
+            read_captions(path)
+
     def test_non_object_record_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("[0, 0, 3]\n", encoding="utf-8")

@@ -228,6 +228,16 @@ class TestBuildReport:
             with pytest.raises(ValueError, match="scores must be finite"):
                 metric(scores, labels)
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.9, 0.1], [1]),
+        ([0.9], [1, 0]),
+        ([[0.9, 0.1]], [[1, 0]]),  # equal shapes, but not vectors
+    ])
+    def test_unequal_or_non_vector_shapes_rejected(self, scores, labels):
+        for metric in (auc_roc, average_precision, build_report):
+            with pytest.raises(ValueError, match="scores and labels must be equal-length vectors"):
+                metric(scores, labels)
+
     def test_as_dict_round(self):
         d = build_report([0.9, 0.1], [1, 0]).as_dict()
         assert d["defined"] is True and d["auc_roc"] == 1.0

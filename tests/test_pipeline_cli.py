@@ -2,6 +2,7 @@ import argparse
 import inspect
 import json
 import re
+import socket
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -310,6 +311,14 @@ class TestRunPipeline:
         with pytest.raises(ValidationError, match=re.escape(f"{toggle} must be a bool, got {value!r}")):
             manifest_for(synth_dir, tmp_path / "z", **{toggle: value})
 
+    @pytest.mark.parametrize("mode, value, message", [
+        ("fusion_mode", "flat", "fusion_mode must be hyperbolic or euclidean, got 'flat'"),
+        ("scorer", "llm", "scorer must be stub or remote, got 'llm'"),
+    ])
+    def test_modes_must_be_known(self, synth_dir, tmp_path, mode, value, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            manifest_for(synth_dir, tmp_path / "z", **{mode: value})
+
     def test_remote_requires_endpoint(self, synth_dir, tmp_path):
         with pytest.raises(ValidationError, match="endpoint"):
             manifest_for(synth_dir, tmp_path / "z", scorer="remote")
@@ -464,6 +473,12 @@ class TestCli:
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:9/\u00e9"], "an ASCII path"),
         (["--scorer", "remote", "--endpoint", "http://127.0.0.1:0"], "a valid port"),
         (["--scorer", "remote", "--endpoint", "http://b\u00fc..x:8750"], "http:// or https:// endpoint"),
+        # a later --out wins: the output path is a file, or lies under one
+        (["--out", "{file}"], "output directory {file} is unusable: {file} is not a directory"),
+        (["--out", "{file}/sub"], "output directory {file}/sub is unusable: {file} is not a directory"),
+        (["--config", "{missing_cfg}"], "config file not found: {missing_cfg}"),
+        (["--config", "{data}"], "config file not found: {data}"),
+        (["--config", "{noeq_cfg}"], "noeq.cfg:1: expected key=value, got 'seed 3'"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
@@ -471,28 +486,41 @@ class TestCli:
         (tmp_path / "run.cfg").write_text("seed = -3\n", encoding="utf-8")
         (tmp_path / "inf.cfg").write_text("target_mass = inf\n", encoding="utf-8")
         (tmp_path / "vw.cfg").write_text("visual_weight = 0.5\n", encoding="utf-8")
+        (tmp_path / "noeq.cfg").write_text("seed 3\n", encoding="utf-8")
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        names = dict(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg", vw_cfg=tmp_path / "vw.cfg",
+                     noeq_cfg=tmp_path / "noeq.cfg", missing_cfg=tmp_path / "nope.cfg",
+                     file=tmp_path / "file", data=data)
         out = tmp_path / "run"
         code = main([
             "run", "--visual", str(data / "visual.emb"),
             "--text", str(data / "text.emb"),
             "--captions", str(data / "captions.jsonl"),
             "--out", str(out),
-        ] + [a.format(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg", vw_cfg=tmp_path / "vw.cfg")
-             for a in args])
+        ] + [a.format(**names) for a in args])
         assert code == 1
         err = capsys.readouterr().err
-        assert message in err and "secret" not in err
+        assert message.format(**names) in err and "secret" not in err
         assert not out.exists()
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "x"
 
     @pytest.mark.parametrize("option", [
         ["--dim", "0"], ["--n-segments", "-1"], ["--anomaly-fraction", "2"], ["--seed", "-1"],
         ["--shift", "nan"], ["--shift", "inf"],
+        # a later --out wins: the output path is a file, or lies under one
+        ["--out", "{file}"], ["--out", "{file}/sub"],
     ])
     def test_synth_bad_argument_exit_1_no_output(self, tmp_path, capsys, option):
-        out = tmp_path / "data"
+        out, file = tmp_path / "data", tmp_path / "file"
+        file.write_text("x", encoding="utf-8")
+        option = [a.format(file=file) for a in option]
         assert main(["synth", "--out", str(out)] + option) == 1
-        assert "validation error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "validation error:" in err
+        if option[0] == "--out":
+            assert f"output directory {option[-1]} is unusable: {file} is not a directory" in err
         assert not out.exists()
+        assert file.read_text(encoding="utf-8") == "x"
 
     def test_empty_audio_and_labels_mean_absent(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -527,6 +555,38 @@ class TestCli:
             f"validation error: {text}: header has modality code 2, "
             "but visual embeddings need code 0\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_labels_must_cover_the_segments_frames(self, tmp_path, capsys, verb):
+        from hypervad.dataio import write_labels
+
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        write_labels(data / "labels.csv", [0, 1] * 10)  # 20 segments of 3 frames cover 60
+        out = tmp_path / "run"
+        args = [verb, "--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                "--captions", str(data / "captions.jsonl"), "--labels", str(data / "labels.csv")]
+        if verb == "run":
+            args += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == "validation error: labels cover 20 frames but segments cover 60\n"
+        assert not out.exists()
+
+    def test_runtime_error_exit_2_no_outputs(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        with socket.socket() as sock:  # a loopback port nothing listens on once closed
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run", "--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                     "--captions", str(data / "captions.jsonl"), "--scorer", "remote",
+                     "--endpoint", f"http://127.0.0.1:{port}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [score] ") and "failed after 3 attempts" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["scores", "labels"])
@@ -734,6 +794,8 @@ class TestSynthGenerator:
         ({"shift": np.int64(6)}, "shift must be a number, got np.int64(6)"),
         ({"anomaly_fraction": Fraction(1, 4)}, "anomaly_fraction must be a number, got Fraction(1, 4)"),
         ({"shift": 10**400}, "shift must be finite"),  # an int beyond float64
+        ({"shift": -1.0}, "shift must be non-negative, got -1.0"),
+        ({"frames_per_segment": 0}, "frames_per_segment must be at least 1"),
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)

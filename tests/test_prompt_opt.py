@@ -311,6 +311,19 @@ class TestOptimizePrompt:
                 PipelineConfig(opt_iters=3),
             )
 
+    @pytest.mark.parametrize("value", [1.5, -0.25, math.nan])
+    def test_score_outside_unit_interval_aborts(self, rng, value):
+        class OutOfRangeScorer:
+            def score(self, q, emb, text=""):
+                return value if text == "summary 1" else 0.5
+
+            def grad_sum(self, q, embs, texts, coeff, scores):
+                return np.zeros(q.shape)
+
+        with pytest.raises(ValueError, match=re.escape(f"scorer returned {value} outside [0, 1] for summary 1")):
+            optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(3, 4))), OutOfRangeScorer(),
+                            PipelineConfig(opt_iters=2))
+
     def test_scorer_takes_only_prompt_embedding_and_text(self, rng):
         # the Scorer protocol's parameters and nothing else: no keyword
         # beyond text reaches a scorer

@@ -85,6 +85,15 @@ class TestFitVisualStats:
         precision = fit_visual_stats(make_matrix(X), shrinkage).precision
         assert np.max(np.abs(precision - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
+    @pytest.mark.parametrize("mean, precision, message", [
+        (np.zeros(2), np.eye(3), "precision must be d x d"),
+        (np.zeros(2), np.eye(2)[:1], "precision must be d x d"),
+        (np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]), "precision must be symmetric"),
+    ])
+    def test_stats_check_their_shapes(self, mean, precision, message):
+        with pytest.raises(ValueError, match=message):
+            VisualStats(mean=mean, precision=precision)
+
     def test_needs_two_rows(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_visual_stats(make_matrix(np.ones((1, 3))), shrinkage=0.5)
@@ -289,6 +298,10 @@ class TestRefineScores:
             ValueError, match=re.escape("non-finite Mahalanobis distance for row(s) [1]")
         ):
             refine_scores(np.array([0.2, 0.4, 0.9]), make_matrix(rows, Modality.TEXT), identity_stats(2), 2)
+
+    def test_no_rows_refine_to_no_scores(self):
+        refined = refine_scores(np.zeros(0), make_matrix(np.zeros((0, 2)), Modality.TEXT), identity_stats(2), 1)
+        assert refined.shape == (0,) and refined.dtype == np.float64
 
     def test_score_length_mismatch(self, rng):
         m = make_matrix(rng.normal(size=(3, 2)), Modality.TEXT)

@@ -723,6 +723,14 @@ class TestReplyFraming:
                 remote.score(np.zeros(2), np.zeros(2))
         assert len(server.heads) == 3 and server.connections == 3
 
+    def test_reply_cut_inside_a_chunk_retried_then_transport_error(self):
+        # the server closes before the chunk's 32 bytes and CRLF arrive
+        reply = b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n20\r\n{"score": 0.5}'
+        with _RawServer(reply, close=True) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match="failed after 3 attempts"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert len(server.heads) == 3 and server.connections == 3
+
     @pytest.mark.parametrize("reply, close", [
         (b"HTTP/1.1 200 OK\r\nContent-Length: 1000000000000\r\n\r\n", False),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n100001\r\n", False),
