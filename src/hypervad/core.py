@@ -105,9 +105,12 @@ def kind_issues(values: dict, ints=(), bools=()) -> list:
 
 def out_dir_issues(out_dir) -> list:
     """The issue, if any, that would stop ``out_dir`` from being made and
-    written as a directory: it must be a directory or not exist, and its
-    nearest existing ancestor must be a directory."""
-    path = Path(out_dir)
+    written as a directory: it must be a path that names a directory or
+    nothing, and its nearest existing ancestor must be a directory."""
+    try:
+        path = Path(out_dir)
+    except TypeError:
+        return [f"output directory must be a path, got {out_dir!r}"]
     nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
     return [] if nearest.is_dir() else [f"output directory {path} is unusable: {nearest} is not a directory"]
 

@@ -4,13 +4,21 @@ key=value config files, and the JSON run report.
 Embedding container (little-endian): magic "MMVE", version u32 = 1,
 modality u8 (0=visual, 1=audio, 2=text), dim u32, count u32, then
 count * dim float32 values row-major. Values are widened to float64 on
-load; all other formats are plain UTF-8 text.
+load; all other formats are UTF-8 text, and a byte that is not UTF-8 is a
+ValidationError naming the file and the line that holds it.
+
+A captions line is parsed by the C scanner behind ``json.loads`` and built
+into a record after one exact type test of its fields. A frame CSV in the
+form it is written is read in blocks of ``_BLOCK_CHARS`` characters, each
+ended at a line end and taken only if its values write it back byte for
+byte. Any other line or text takes the per-line path, which words every
+error.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import functools
 import json
 import math
 import struct
@@ -104,12 +112,55 @@ def _caption_record(obj) -> SegmentRecord:
     return SegmentRecord(**values)
 
 
+def _utf8_text(read):
+    """``read(path, ...)``, with a file that is not UTF-8 rejected as a
+    ValidationError naming the line of its first byte that does not decode
+    (CR, LF and CRLF each end a line)."""
+    @functools.wraps(read)
+    def wrapper(path, *args):
+        try:
+            return read(path, *args)
+        except UnicodeDecodeError:
+            raw = Path(path).read_bytes()  # the reader's error counts from its buffer, not the file
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                head = raw[: exc.start]
+                lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                raise ValidationError(
+                    f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                    f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})"
+                ) from exc
+            raise  # the file changed between the two reads
+    return wrapper
+
+
+# The scanner ``json.loads`` runs, without its per-call wrapping: it returns
+# the value that starts at an index and the index just past it.
+_scan_json = json.JSONDecoder().scan_once
+
+
+@_utf8_text
 def read_captions(path):
+    """One record per non-blank line. A line that is one JSON object whose
+    ``_CAPTION_FIELDS`` have their exact types is built at once; any other
+    line goes through ``json.loads`` and ``_caption_record``, which word
+    what is wrong with it."""
     segments = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
+                continue
+            try:
+                obj, stop = _scan_json(line, 0)
+                index, start, end, visual, audio = (
+                    obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
+            except (StopIteration, ValueError, KeyError, TypeError):
+                stop = None
+            if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
+                    and type(visual) is str and (audio is None or type(audio) is str)):
+                segments.append(SegmentRecord(index, start, end, visual, audio))
                 continue
             try:
                 segments.append(_caption_record(json.loads(line)))
@@ -118,9 +169,11 @@ def read_captions(path):
     return segments
 
 
-# Rows per block of a frame CSV, read or written: bounds the text held at
+# Rows per block a frame CSV is written in, and characters per block it is
+# read in (each then ended at its line end): they bound the text held at
 # once, whatever the file's length.
 _BLOCK_LINES = 4096
+_BLOCK_CHARS = 1 << 15
 
 
 def _frame_text(start, values) -> str:
@@ -151,6 +204,7 @@ def _write_frame_csv(path, header, values) -> None:
         )
 
 
+@_utf8_text
 def _read_frame_csv(path, column, parse, dtype) -> np.ndarray:
     """Rows ``frame,<column>`` after an optional header, frames contiguous
     from 0. ``parse`` turns a field into a value or raises ValueError. Text
@@ -168,12 +222,15 @@ def _read_canonical(fh, column, parse, dtype):
     """The values of a file holding exactly the text ``_write_frame_csv``
     writes, block by block; None for any other text. A block is taken only
     if its values write it back byte for byte, so each value is the one
-    ``_read_csv_rows`` would parse from the same field."""
+    ``_read_csv_rows`` would parse from the same field. A block is
+    ``_BLOCK_CHARS`` characters and the rest of the line they end in, so a
+    CRLF split between the two halves stays whole."""
     if fh.readline() != f"frame,{column}\r\n":
         return None
     blocks = [np.empty(0, dtype=dtype)]
     start = 0
-    while block := "".join(itertools.islice(fh, _BLOCK_LINES)):
+    while block := fh.read(_BLOCK_CHARS):
+        block += fh.readline()
         fields = block.replace("\r\n", ",").split(",")[1::2]
         try:
             parsed = {field: parse(field) for field in set(fields)}
@@ -254,6 +311,7 @@ _CONFIG_PARSERS = {
 }
 
 
+@_utf8_text
 def read_config(path) -> PipelineConfig:
     """Parse a flat key=value file. Unknown keys are hard errors, catching
     typos before a long run."""

@@ -15,8 +15,12 @@ package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
 their indices. The frame-CSV reader is the package's per-row reader from
 before its canonical fast path, which must return what it returns. The
-last four are the package's bodies from before they ran array at a time,
-which the new code must match byte for byte: the stub score by ``@``, the
+captions reader from before the C scanner and the canonical frame-CSV
+reader from before character blocks are the package's bodies, on the
+package's ``_caption_record`` and ``_frame_text``: the new readers must
+give the same records, values and error messages. The last four are the
+package's bodies from before they ran array at a time, which the new code
+must match byte for byte: the stub score by ``@``, the
 Mahalanobis distance of one row, refinement by one loop over rows (on the
 package's ``neighbor_sets``) and the window summaries by one loop over
 windows (on the package's ``SummarySet``). The two window references lay
@@ -27,6 +31,8 @@ fast path, on the package's ``finite_real``.
 """
 
 import csv
+import itertools
+import json
 import math
 
 import numpy as np
@@ -35,6 +41,7 @@ from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows
 from hypervad.core import ValidationError, finite_real
+from hypervad.dataio import _caption_record, _frame_text
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, _sigmoid, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
@@ -167,6 +174,44 @@ def read_frame_csv_oracle(path, column):
                 )
             values.append(value)
     return np.asarray(values, dtype=dtype)
+
+
+def read_captions_per_line(path):
+    """The package's captions reader from before the C scanner: one
+    ``json.loads`` per stripped, non-blank line."""
+    segments = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                segments.append(_caption_record(json.loads(line)))
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
+    return segments
+
+
+def read_canonical_by_lines(fh, column, parse, dtype):
+    """The package's canonical frame-CSV block reader from before it read
+    fixed-size character blocks: blocks of 4,096 lines, each taken only if
+    its values write it back byte for byte; None for any other text."""
+    if fh.readline() != f"frame,{column}\r\n":
+        return None
+    blocks = [np.empty(0, dtype=dtype)]
+    start = 0
+    while block := "".join(itertools.islice(fh, 4096)):
+        fields = block.replace("\r\n", ",").split(",")[1::2]
+        try:
+            parsed = {field: parse(field) for field in set(fields)}
+        except ValueError:
+            return None
+        values = np.fromiter(map(parsed.__getitem__, fields), dtype)
+        if _frame_text(start, values) != block:
+            return None
+        blocks.append(values)
+        start += len(values)
+    return np.concatenate(blocks)
 
 
 def knn_refine_oracle(scores, text_rows, mean, precision, k):

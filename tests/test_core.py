@@ -196,11 +196,17 @@ def test_seeded_unit_vector_deterministic_unit():
     ("f/sub/deeper", "f"),
     ("link", "link"),         # a dangling symlink: mkdir would fail on it
     ("link/sub", "link"),
+    (None, "kind"),           # not a path at all
+    (3, "kind"),
+    (b"d", "kind"),
 ])
 def test_out_dir_must_be_a_directory_or_makeable(tmp_path, out, blocker):
     (tmp_path / "d").mkdir()
     (tmp_path / "f").write_text("x", encoding="utf-8")
     (tmp_path / "link").symlink_to(tmp_path / "gone")
+    if blocker == "kind":
+        assert out_dir_issues(out) == [f"output directory must be a path, got {out!r}"]
+        return
     issues = out_dir_issues(tmp_path / out)
     if blocker is None:
         assert issues == []

@@ -3,10 +3,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypervad import dataio
 from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError
 from hypervad.dataio import (
+    _BLOCK_CHARS,
     _BLOCK_LINES,
     MAGIC,
     MODALITY_CODES,
@@ -26,7 +29,34 @@ from hypervad.dataio import (
 )
 
 from conftest import make_segments
-from oracles import frame_csv_oracle, read_frame_csv_oracle
+from oracles import frame_csv_oracle, read_canonical_by_lines, read_captions_per_line, read_frame_csv_oracle
+
+# Caption records for the reader comparisons: audio given, absent and null.
+R0 = '{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v0", "audio": "a0"}'
+R1 = '{"index": 1, "frame_start": 4, "frame_end": 7, "visual": "v1"}'
+R2 = '{"index": 2, "frame_start": 8, "frame_end": 9, "visual": "v2", "audio": null}'
+# The parse rule and dtype of each frame-CSV column.
+COLUMNS = {"label": (dataio._label, np.int64), "score": (dataio._score, np.float64)}
+
+
+def assert_same_outcome(read, oracle, path):
+    """``read(path)`` returns what ``oracle(path)`` returns, or raises a
+    ValidationError with the same issues."""
+    try:
+        want = oracle(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            read(path)
+        assert excinfo.value.issues == exc.issues
+        return None
+    got = read(path)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    else:
+        assert repr(got) == repr(want)  # repr tells 0 from 0.0 and False
+    return got
 
 
 class TestEmbeddingFormat:
@@ -180,6 +210,86 @@ class TestCaptionsFormat:
         with pytest.raises(ValidationError, match=":1: bad caption record: expected a JSON object"):
             read_captions(path)
 
+    @pytest.mark.parametrize("text", [
+        pytest.param("", id="empty"),
+        pytest.param("\n \n\t\n", id="blank_only"),
+        pytest.param(f"\n{R0}\n\n   \n\t\n{R1}\n", id="blank_and_space_lines"),
+        pytest.param(f"{R0}\r{R1}\r", id="cr"),
+        pytest.param(f"{R0}\r\n{R1}\n{R2}\r\n\r{R0}", id="mixed_line_ends"),
+        # str.splitlines would split these lines; a file iterator does not
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\u2028b"}\n', id="u2028"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\x85b", "audio": "\x85"}\n',
+                     id="u0085"),
+        pytest.param(f"{R0}\u2028\n{R1}\x85\n", id="u2028_after_record"),
+        pytest.param(f"\ufeff{R0}\n", id="bom"),
+        pytest.param(f"{R0}   \n{R1} \t\n", id="trailing_spaces"),
+        pytest.param('{ "index" :0 ,"frame_start":0,\t"frame_end":3,"visual":"v"}\n', id="json_whitespace"),
+        pytest.param('{"index": NaN, "frame_start": 0, "frame_end": 3, "visual": "v"}\n', id="nan_index"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": Infinity, "visual": "v"}\n', id="inf_frame"),
+        pytest.param('{"index": true, "frame_start": 0, "frame_end": 3, "visual": "v"}\n', id="bool_index"),
+        pytest.param('{"index": 0.0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n', id="float_index"),
+        pytest.param('{"index": 1e0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n', id="exponent_index"),
+        pytest.param(f"{R2}\n", id="audio_null"),
+        pytest.param(f"{R1}\n", id="audio_absent"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v", "audio": 5}\n',
+                     id="audio_number"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": null}\n', id="visual_null"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3}\n', id="visual_absent"),
+        pytest.param('{"x": [1, {"y": 2}], "index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
+                     id="extra_keys"),
+        pytest.param('{"index": 5, "index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
+                     id="duplicate_key"),
+        pytest.param('{"index": 10000000000000000000000, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
+                     id="big_int"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\\"b\\n\\u00e9"}\n',
+                     id="escapes"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\tb"}\n', id="raw_tab"),
+        # a joined-array parse, json.loads("[" + ",".join(lines) + "]"), would take both
+        pytest.param(f"{R0} {R1}\n", id="two_records_one_line"),
+        pytest.param('{"index": 0, "frame_start": 0,\n"frame_end": 3, "visual": "v0"}\n', id="record_over_two_lines"),
+        pytest.param(f"{R0}x\n", id="trailing_text"),
+        pytest.param(f"x{R0}\n", id="leading_text"),
+        pytest.param(f"{R0}\n[0]\n", id="array"),
+        pytest.param(f"{R0}\n7\n", id="number"),
+        pytest.param(f'{R0}\n"s"\n', id="string"),
+        pytest.param(f"{R0}\nnull\n", id="null"),
+        pytest.param(f"{R0}\n{{\n", id="unclosed"),
+    ])
+    def test_matches_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(read_captions, read_captions_per_line, path)
+
+    def test_written_files_never_reach_json_loads(self, tmp_path, monkeypatch):
+        segs = make_segments(50, audio=True)
+        segs[7] = SegmentRecord(7, 28, 31, "no audio", None)
+        write_captions(tmp_path / "c.jsonl", segs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.loads called")
+
+        monkeypatch.setattr(dataio.json, "loads", refuse)
+        assert read_captions(tmp_path / "c.jsonl") == segs
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(st.tuples(
+            st.integers(-2**70, 2**70), st.integers(-2**70, 2**70), st.integers(-2**70, 2**70),
+            st.text(), st.none() | st.text())),
+        ascii_only=st.booleans(),
+    )
+    def test_roundtrip_matches_per_line_reader(self, tmp_path_factory, records, ascii_only):
+        # with ascii_only false, U+2028, U+0085 and the like reach the file raw
+        segs = [SegmentRecord(*record) for record in records]
+        path = tmp_path_factory.mktemp("captions") / "c.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for seg in segs:
+                record = {"index": seg.index, "frame_start": seg.frame_start, "frame_end": seg.frame_end,
+                          "visual": seg.visual_caption, "audio": seg.audio_caption}
+                fh.write(json.dumps(record, ensure_ascii=ascii_only) + "\n")
+        assert read_captions(path) == segs
+        assert read_captions_per_line(path) == segs
+
 
 class TestLabelScoreCsv:
     def test_labels_roundtrip(self, tmp_path):
@@ -307,21 +417,97 @@ class TestLabelScoreCsv:
         pytest.param("label", "frame,label\r\n0,1\r\n1,2\r\n", id="label_2"),
         pytest.param("label", "frame,label\r\n0,1\r\n2,0\r\n", id="gap"),
         pytest.param("score", "frame,score\r\n0,0.5\r\n1,nan\r\n", id="nan"),
+        pytest.param("label", "frame,label\r\n0,1\n1,0\r\n2,0\r1,0\r\n", id="mixed_line_ends"),
+        pytest.param("label", "frame,label\r\n0,1\r\n1,0", id="no_final_crlf"),
+        pytest.param("label", "frame,label\r\n0,1\r\r\n1,0\r\n", id="cr_crlf"),
+        pytest.param("label", "\ufeffframe,label\r\n0,1\r\n", id="bom"),
+        pytest.param("label", "frame,label\r\n", id="label_header_only"),
+        pytest.param("score", "frame,score\r\n0,0.5 \r\n1,0.25\t\r\n", id="trailing_spaces"),
+        pytest.param("score", "frame,score\r\n0,0.5\r\n1,NaN\r\n", id="NaN"),
+        pytest.param("score", "frame,score\r\n0,0.50\r\n", id="not_shortest"),
+        pytest.param("label", "frame,label\r\n0,1\u2028\r\n", id="u2028"),
+        pytest.param("label", "frame,label\r\n0,True\r\n", id="bool"),
+        pytest.param("label", "frame,label\r\n0,1.0\r\n", id="float_label"),
+        pytest.param("label", "frame,label\r\n0,99999999999999999999\r\n", id="huge_label"),
     ])
     def test_other_text_reads_as_csv_rows(self, tmp_path, column, text):
         path = tmp_path / f"{column}.csv"
         path.write_bytes(text.encode())
         read = {"label": read_labels, "score": read_scores}[column]
-        try:
-            want = read_frame_csv_oracle(path, column)
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as excinfo:
-                read(path)
-            assert excinfo.value.issues == exc.issues
-        else:
-            got = read(path)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        assert_same_outcome(read, lambda p: read_frame_csv_oracle(p, column), path)
+        # the block reader takes the text the line-block reader took, and no other
+        outcomes = []
+        for canonical in (dataio._read_canonical, read_canonical_by_lines):
+            with open(path, encoding="utf-8", newline="") as fh:
+                values = canonical(fh, column, *COLUMNS[column])
+            outcomes.append(None if values is None else (values.dtype, values.tolist()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("end", [-2, -1, 0, 1, 2], ids=lambda end: f"block{end:+d}")
+    def test_row_ends_near_the_block_boundary(self, tmp_path, monkeypatch, end):
+        # rows of 0.5 and 0.25 (one character longer) put the end of a row at
+        # _BLOCK_CHARS + end characters past the header, then 50 rows follow;
+        # at +1 that row's CRLF is split between a block and the next line
+        values, length = [], 0
+        while length + len(f"{len(values)},0.5\r\n") <= _BLOCK_CHARS + end:
+            length += len(f"{len(values)},0.5\r\n")
+            values.append(0.5)
+        short = _BLOCK_CHARS + end - length
+        values[:short] = [0.25] * short
+        values += [0.75] * 50
+        path = tmp_path / "s.csv"
+        write_scores(path, values)
+        body = path.read_bytes().decode()[len("frame,score\r\n"):]
+        assert body[_BLOCK_CHARS + end - 2 : _BLOCK_CHARS + end] == "\r\n"
+        monkeypatch.setattr(dataio.csv, "reader", None)  # the block path must take it all
+        assert read_scores(path).tolist() == values
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert read_canonical_by_lines(fh, "score", *COLUMNS["score"]).tolist() == values
+
+    LABELS = "frame,label\r\n" + "".join(f"{i},{i % 3 // 2}\r\n" for i in range(40))
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(LABELS, id="canonical"),
+        pytest.param(LABELS[:-2], id="no_final_crlf"),
+        pytest.param(LABELS[:-1], id="final_cr"),
+        pytest.param(LABELS.replace(",0\r\n", ",0\n"), id="lf_rows"),
+        pytest.param(LABELS.replace(",1\r\n", ",2\r\n"), id="label_2"),
+    ])
+    def test_every_block_size_matches_line_blocks(self, tmp_path, monkeypatch, text):
+        # blocks of 1 to 30 characters end at every offset of every row,
+        # inside a CRLF too
+        path = tmp_path / "label.csv"
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            want = read_canonical_by_lines(fh, "label", *COLUMNS["label"])
+        for block_chars in range(1, 31):
+            monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
+            with open(path, encoding="utf-8", newline="") as fh:
+                got = dataio._read_canonical(fh, "label", *COLUMNS["label"])
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scores=st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                        | st.sampled_from([0.0, -0.0, 0.5, 1 / 3]), max_size=300),
+        labels=st.lists(st.integers(0, 1), max_size=300),
+        block_chars=st.integers(1, 200),
+    )
+    def test_roundtrip_in_any_block_size(self, tmp_path_factory, scores, labels, block_chars):
+        folder = tmp_path_factory.mktemp("frames")
+        write_scores(folder / "s.csv", scores)
+        write_labels(folder / "l.csv", labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_BLOCK_CHARS", block_chars)
+            mp.setattr(dataio.csv, "reader", None)  # written text never needs the row reader
+            got_scores, got_labels = read_scores(folder / "s.csv"), read_labels(folder / "l.csv")
+        assert got_scores.tolist() == scores
+        assert np.array_equal(np.signbit(got_scores), np.signbit(scores))
+        assert got_labels.dtype == np.int64 and got_labels.tolist() == labels
+        assert np.array_equal(read_frame_csv_oracle(folder / "s.csv", "score"), got_scores)
 
     def test_written_files_never_reach_csv_reader(self, tmp_path, rng, monkeypatch):
         labels = np.repeat(rng.integers(0, 2, size=1000), 9)
@@ -335,6 +521,35 @@ class TestLabelScoreCsv:
         monkeypatch.setattr(dataio.csv, "reader", refuse)
         assert np.array_equal(read_labels(tmp_path / "l.csv"), labels)
         assert np.array_equal(read_scores(tmp_path / "s.csv"), scores)
+
+
+class TestNotUtf8Text:
+    LABELS = b"frame,label\r\n" + b"".join(b"%d,0\r\n" % i for i in range(20_000))
+
+    @pytest.mark.parametrize("read, raw, bad, line, reason", [
+        pytest.param(read_captions, (R0 + "\r\n\r" + R1 + "\n").encode() + b'\xff"x"\n', b"\xff", 4,
+                     "invalid start byte", id="captions"),
+        # past the first buffer a text file is decoded in
+        pytest.param(read_captions, (R0 + "\n").encode() * 200 + b"\xe9t\xe9\n", b"\xe9t", 201,
+                     "invalid continuation byte", id="captions_late"),
+        pytest.param(read_labels, b"frame,label\r\n0,1\r\n1,0\r\n2,\xe2\x82", b"\xe2\x82", 4,
+                     "unexpected end of data", id="labels_at_end"),
+        pytest.param(read_labels, LABELS + b"20000,\xff\r\n", b"\xff", 20_002, "invalid start byte",
+                     id="labels_late_block"),
+        pytest.param(read_scores, b"frame,score\n0,0.5\n1,0.\xff5\n", b"\xff", 3, "invalid start byte",
+                     id="scores_rows"),
+        pytest.param(read_config, b"seed = 3\n# caf\xe9 au lait\n", b"\xe9 ", 2, "invalid continuation byte",
+                     id="config"),
+    ])
+    def test_names_file_and_line(self, tmp_path, read, raw, bad, line, reason):
+        path = tmp_path / "input.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as excinfo:
+            read(path)
+        offset = raw.index(bad)
+        assert excinfo.value.issues == [
+            f"{path}:{line}: not UTF-8 text: {reason} (byte 0x{bad[0]:02x} at offset {offset})"
+        ]
 
 
 class TestConfigFormat:

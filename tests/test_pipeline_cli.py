@@ -479,6 +479,7 @@ class TestCli:
         (["--config", "{missing_cfg}"], "config file not found: {missing_cfg}"),
         (["--config", "{data}"], "config file not found: {data}"),
         (["--config", "{noeq_cfg}"], "noeq.cfg:1: expected key=value, got 'seed 3'"),
+        (["--config", "{latin_cfg}"], "latin.cfg:2: not UTF-8 text: invalid continuation byte (byte 0xe9 at offset 14)"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
@@ -487,9 +488,10 @@ class TestCli:
         (tmp_path / "inf.cfg").write_text("target_mass = inf\n", encoding="utf-8")
         (tmp_path / "vw.cfg").write_text("visual_weight = 0.5\n", encoding="utf-8")
         (tmp_path / "noeq.cfg").write_text("seed 3\n", encoding="utf-8")
+        (tmp_path / "latin.cfg").write_bytes("seed = 3\n# café\n".encode("latin-1"))
         (tmp_path / "file").write_text("x", encoding="utf-8")
         names = dict(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg", vw_cfg=tmp_path / "vw.cfg",
-                     noeq_cfg=tmp_path / "noeq.cfg", missing_cfg=tmp_path / "nope.cfg",
+                     noeq_cfg=tmp_path / "noeq.cfg", latin_cfg=tmp_path / "latin.cfg", missing_cfg=tmp_path / "nope.cfg",
                      file=tmp_path / "file", data=data)
         out = tmp_path / "run"
         code = main([
@@ -587,6 +589,37 @@ class TestCli:
                      "--endpoint", f"http://127.0.0.1:{port}", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [score] ") and "failed after 3 attempts" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, target", [
+        ("validate", "captions"), ("validate", "labels"), ("run", "captions"), ("run", "labels"),
+        ("eval", "scores"), ("eval", "labels"),
+    ])
+    def test_text_input_not_utf8_exit_1(self, tmp_path, capsys, verb, target):
+        # one 0xff byte after the last line used to exit 2 with a bare codec error
+        from hypervad.dataio import write_scores
+
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        write_scores(data / "scores.csv", np.linspace(0.0, 1.0, 60))
+        paths = {name: data / f"{name}.{ext}" for name, ext in
+                 (("captions", "jsonl"), ("labels", "csv"), ("scores", "csv"))}
+        raw = paths[target].read_bytes()
+        paths[target].write_bytes(raw + b"\xff")
+        line = len(raw.decode().splitlines()) + 1
+        out = tmp_path / "run"
+        if verb == "eval":
+            args = ["eval", "--scores", str(paths["scores"]), "--labels", str(paths["labels"])]
+        else:
+            args = [verb, "--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                    "--captions", str(paths["captions"]), "--labels", str(paths["labels"])]
+            args += ["--out", str(out)] if verb == "run" else []
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {paths[target]}:{line}: not UTF-8 text: invalid start byte "
+            f"(byte 0xff at offset {len(raw)})\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("missing", ["scores", "labels"])
@@ -796,11 +829,13 @@ class TestSynthGenerator:
         ({"shift": 10**400}, "shift must be finite"),  # an int beyond float64
         ({"shift": -1.0}, "shift must be non-negative, got -1.0"),
         ({"frames_per_segment": 0}, "frames_per_segment must be at least 1"),
+        ({"out_dir": None}, "output directory must be a path, got None"),
+        ({"out_dir": 7}, "output directory must be a path, got 7"),
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
-        args = dict(n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)
+        args = dict(out_dir=tmp_path / "x", n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)
         with pytest.raises(ValidationError, match=re.escape(message)):
-            gen_synthetic(tmp_path / "x", **{**args, **overrides})
+            gen_synthetic(**{**args, **overrides})
         assert not (tmp_path / "x").exists()
 
     def test_files_parse_back(self, tmp_path):
