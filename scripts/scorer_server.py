@@ -6,9 +6,13 @@ for exercising the remote-scorer path end to end:
   hypervad run ... --scorer remote --endpoint http://127.0.0.1:8750
 
 The server answers HTTP/1.1 keep-alive, so a run's client sends all its
-requests over one connection; each reply leaves in one write, and error
-replies (400, 404, 413, 431) close the connection. A real deployment would
-put an actual language model behind the same POST /score contract.
+requests over one connection. Within a batch call the client pipelines:
+it writes up to 64 KiB of requests ahead of their replies, which the server
+answers in the order they came (RFC 9112 section 9.3.2), as any server
+behind this contract must; requests left unanswered when a connection
+closes are sent again. Each reply leaves in one write, and error replies
+(400, 404, 413, 431) close the connection. A real deployment would put an
+actual language model behind the same POST /score contract.
 """
 
 import argparse

@@ -156,7 +156,7 @@ def read_captions(path):
                 obj, stop = _scan_json(line, 0)
                 index, start, end, visual, audio = (
                     obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
-            except (StopIteration, ValueError, KeyError, TypeError):
+            except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
                 stop = None
             if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
                     and type(visual) is str and (audio is None or type(audio) is str)):
@@ -164,7 +164,7 @@ def read_captions(path):
                 continue
             try:
                 segments.append(_caption_record(json.loads(line)))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
     return segments
 

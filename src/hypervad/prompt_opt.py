@@ -60,11 +60,14 @@ def loss_score_gradient(scores: np.ndarray, target_mass: float, sparsity_weight:
 class Scorer(Protocol):
     """Backend that maps (prompt, summary) to an anomaly likelihood in [0, 1].
 
-    A scorer is exactly the two calls :func:`optimize_prompt` makes:
-    ``score`` of one summary, and ``grad_sum``, the whole batch's weighted
-    prompt gradient sum_t coeff[t] * d score(q, embs[t], texts[t]) / dq in
-    one call per step. ``scores`` are the scores at ``q`` that the optimizer
-    already holds, for backends that can reuse them. ``emb`` is a summary's
+    A scorer is two calls: ``score`` of one summary, and ``grad_sum``, the
+    whole batch's weighted prompt gradient sum_t coeff[t] * d score(q,
+    embs[t], texts[t]) / dq in one call per step. ``scores`` are the scores
+    at ``q`` that the optimizer already holds, for backends that can reuse
+    them. A scorer may add ``score_batch``, the (n,) scores of every
+    summary under one prompt, which :func:`score_all` then calls once per
+    evaluation in place of ``score`` per summary; a remote scorer sends
+    that call's requests ahead of their replies. ``emb`` is a summary's
     embedding row and ``text`` its decoded string, for backends that prompt
     a language model; numeric backends may ignore the text.
     """
@@ -101,6 +104,10 @@ class StubScorer:
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
         # ndarray.dot skips the matmul gufunc's per-call dispatch; same bytes as @
         return _sigmoid(float(self.w.dot(q) + self.u.dot(emb) + self.b))
+
+    def score_batch(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+        return np.array([self.score(q, embs[t], text=texts[t]) for t in range(embs.shape[0])],
+                        dtype=np.float64)
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)
@@ -148,14 +155,21 @@ def resolve_target_mass(explicit: Optional[float], n_summaries: int) -> float:
 
 
 def score_all(scorer: Scorer, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+    """The (n,) float64 scores of every summary under ``q``, by the scorer's
+    ``score_batch`` if it has one, else by ``score`` row by row. Raises
+    ValueError naming the first summary whose score is outside [0, 1]."""
     n = embs.shape[0]
-    out = np.empty(n)
-    for t in range(n):
-        s = scorer.score(q, embs[t], text=texts[t])
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"scorer returned {s} outside [0, 1] for summary {t}")
-        out[t] = s
-    return out
+    if hasattr(scorer, "score_batch"):
+        scores = np.asarray(scorer.score_batch(q, embs, texts))
+    else:
+        scores = np.array([scorer.score(q, embs[t], text=texts[t]) for t in range(n)])
+    if scores.shape != (n,):
+        raise ValueError(f"scorer returned scores of shape {scores.shape} for {n} summaries")
+    outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN too
+    if outside.size:
+        t = outside[0]
+        raise ValueError(f"scorer returned {scores[t]} outside [0, 1] for summary {t}")
+    return scores.astype(np.float64, copy=False)
 
 
 def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineConfig):

@@ -16,23 +16,33 @@ string; it answers 413 to a body over ``MAX_BODY_BYTES``.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
-each reply costs one connection per request instead. A request leaves in
-one write. Its body is what ``json.dumps`` writes for the payload, byte for
-byte, but the client keeps the JSON of the last prompt and of the last
-summary (text and embedding), keyed on their float64 bits: the 2 *
-prompt_dim probes of one summary encode only their prompt, and the rows of
-one evaluation only their summary. The client splits a reply's head by hand
-and reads only its Content-Length, Connection and Transfer-Encoding, so a
-reply body may be framed by Content-Length, by chunked transfer coding, or
-by the server closing the connection. The loopback server splits request
-heads by hand as well and buffers each reply, which then leaves in one
-write too. It accepts a list of finite floats without a check per entry,
-formats its Date header once per second, and formats a 200 reply's head in
-one step; every reply keeps the bytes http.server would write.
+each reply costs one connection per request instead. Within a batch call
+(``score_batch``, ``grad_sum``) it writes the call's next requests before
+it reads the reply it waits for, up to ``PIPELINE_BYTES`` (64 KiB) of
+requests in flight, and reads the replies in order (HTTP/1.1 pipelining,
+RFC 9112 section 9.3.2): a server must answer pipelined requests in the
+order they came. It does so only on a connection that has already returned
+a keep-alive HTTP/1.1 reply, so the first request on every connection goes
+alone, and a server that speaks HTTP/1.0 or answers ``Connection: close``
+never sees a request sent ahead. A failure or a close drops what is in
+flight, and each request left unanswered is sent again in its turn, since
+``/score`` is a pure function. The bytes on the wire are those of the same
+requests sent one after another; each body is what ``json.dumps`` writes
+for the payload, and a batch call encodes each of its prompts and
+summaries once. The client splits a reply's head by hand and reads only
+its Content-Length, Connection and Transfer-Encoding, so a reply body may
+be framed by Content-Length, by chunked transfer coding, or by the server
+closing the connection. The loopback server splits request heads by hand
+as well and buffers each reply, which then leaves in one write. It accepts
+a list of finite floats without a check per entry, formats its Date header
+once per second, and formats a 200 reply's head in one step; every reply
+keeps the bytes http.server would write.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import email.utils
 import functools
 import http.client
@@ -65,6 +75,10 @@ RETRIES = 2
 # Largest request or reply body either end accepts; a larger one is refused
 # before it is read, and so never allocated.
 MAX_BODY_BYTES = 1 << 20
+# Most bytes of requests the client has written and not yet had answered,
+# within one batch call; below the default TCP receive buffer (128 KiB), so
+# a write cannot block while the server is blocked writing replies.
+PIPELINE_BYTES = 1 << 16
 # Longest line, and most header lines, either end reads.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -131,8 +145,8 @@ def split_endpoint(endpoint: str):
 
 class RemoteScorer:
     """Scorer backend that defers to the HTTP service at ``endpoint``, with
-    the module's TIMEOUT_S and RETRIES. Use it as a context manager, or call
-    ``close()``, to release its connection."""
+    the module's TIMEOUT_S, RETRIES and PIPELINE_BYTES. Use it as a context
+    manager, or call ``close()``, to release its connection."""
 
     def __init__(self, endpoint: str):
         scheme, host, port, selector = split_endpoint(endpoint)
@@ -153,10 +167,14 @@ class RemoteScorer:
         ).encode("ascii")
         self._socket = None
         self._reader = None
-        # (key, JSON) of the last prompt and of the last summary: a summary
-        # repeats over its 2 * prompt_dim probes, a prompt over a whole
-        # evaluation; texts are str, so a key cannot change in place
-        self._prompt = self._summary = (None, b"")
+        # whether the connection has returned a keep-alive HTTP/1.1 reply
+        self._kept = False
+        # the running batch call's requests not yet drawn, or None
+        self._batch = None
+        # requests drawn from it whose replies are unread, oldest first; the
+        # first _sent of them, _sent_bytes in all, are on this connection
+        self._queue = collections.deque()
+        self._sent = self._sent_bytes = 0
 
     def close(self) -> None:
         if self._reader is not None:
@@ -164,6 +182,7 @@ class RemoteScorer:
         if self._socket is not None:
             self._socket.close()
         self._socket = self._reader = None
+        self._kept, self._sent, self._sent_bytes = False, 0, 0
 
     def __enter__(self):
         return self
@@ -181,13 +200,15 @@ class RemoteScorer:
             )
         self._reader = self._socket.makefile("rb")
 
-    def _exchange(self, body: bytes) -> dict:
-        """Send one request and return its reply object. Any failure closes
-        the connection, so that the next exchange starts on a new one."""
+    def _exchange(self, request: bytes) -> dict:
+        """Send one request, unless it went ahead of its turn, and return its
+        reply object. Any failure closes the connection, so that the next
+        exchange starts on a new one and every request still unanswered is
+        sent again."""
         try:
             if self._socket is None:
                 self._open()
-            self._socket.sendall(self._head % len(body) + body)
+            self._send(request)
             status, headers, closes = self._read_head()
             if not 200 <= status < 300:
                 raise TransportError(f"scorer endpoint {self.url} returned status {status}")
@@ -198,10 +219,40 @@ class RemoteScorer:
                 raise TransportError(f"scorer endpoint {self.url} returned malformed JSON: {exc}") from exc
             if not isinstance(reply, dict):
                 raise TransportError(f"scorer endpoint {self.url} returned {raw[:80]!r}, not a JSON object")
-            return reply
         except BaseException:
             self.close()
             raise
+        if self._queue:
+            self._queue.popleft()
+            if self._sent:  # none are once the reply has closed the connection
+                self._sent -= 1
+                self._sent_bytes -= len(request)
+        return reply
+
+    def _send(self, request: bytes) -> None:
+        """Write ``request`` unless it is on the wire already; then, inside a
+        batch call on a connection that has returned a keep-alive HTTP/1.1
+        reply, the batch's next requests while their bytes in flight stay
+        within ``PIPELINE_BYTES``. A request larger than that goes alone."""
+        queue, out = self._queue, []
+        if not self._sent:
+            out.append(request)
+            if queue:
+                self._sent, self._sent_bytes = 1, len(request)
+        while queue and self._kept:
+            if self._sent == len(queue):
+                ahead = next(self._batch, None)
+                if ahead is None:
+                    break
+                queue.append(ahead)
+            ahead = queue[self._sent]
+            if self._sent_bytes + len(ahead) > PIPELINE_BYTES:
+                break
+            out.append(ahead)
+            self._sent += 1
+            self._sent_bytes += len(ahead)
+        if out:
+            self._socket.sendall(b"".join(out))
 
     def _read_head(self) -> tuple[int, dict, bool]:
         """Status, headers and whether the connection ends with the body, of
@@ -220,6 +271,7 @@ class RemoteScorer:
             status = int(match[2])
         connection = headers.get("connection", "").lower()
         closes = "keep-alive" not in connection if match[1] == b"0" else "close" in connection
+        self._kept = not closes and match[1] != b"0"
         return status, headers, closes
 
     def _read_body(self, headers: dict, closes: bool) -> bytes:
@@ -273,37 +325,54 @@ class RemoteScorer:
                 f"scorer endpoint {self.url} sent a reply body over the {MAX_BODY_BYTES}-byte cap"
             )
 
-    def _post(self, body: bytes) -> dict:
+    def _post(self, request: bytes) -> dict:
         attempts = RETRIES + 1
         for _ in range(attempts):
             try:
-                return self._exchange(body)
+                return self._exchange(request)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc  # refused, dropped, truncated or idle-closed: try again
         raise TransportError(
             f"scorer endpoint {self.url} failed after {attempts} attempts: {last_error}"
         ) from last_error
 
-    def _body(self, q, emb, text) -> bytes:
-        """``json.dumps`` of {"prompt": q, "summary_text": text,
-        "summary_embedding": emb} as UTF-8, from the memos of the last
-        prompt's JSON and the last summary's. Each memo is keyed on the
-        float64 bits and shape of its array (so 0.0 and -0.0 differ, and an
-        array changed in place is encoded anew), the summary's on its text
-        too."""
-        q = np.asarray(q, dtype=np.float64)
-        key = (q.shape, q.tobytes())
-        if key != self._prompt[0]:
-            self._prompt = key, b'{"prompt": ' + json.dumps(q.tolist()).encode("utf-8")
-        emb = np.asarray(emb, dtype=np.float64)
-        key = (text, emb.shape, emb.tobytes())
-        if key != self._summary[0]:
-            self._summary = key, b', "summary_text": %b, "summary_embedding": %b}' % (
-                json.dumps(text).encode("utf-8"), json.dumps(emb.tolist()).encode("utf-8"))
-        return self._prompt[1] + self._summary[1]
+    def _requests(self, prompts, embs, texts):
+        """The request of each of ``prompts`` for each summary, summary by
+        summary, its body what ``json.dumps`` writes for {"prompt": q,
+        "summary_text": text, "summary_embedding": emb}; each prompt and each
+        summary is encoded once."""
+        prompts = [b'{"prompt": ' + json.dumps(np.asarray(q, dtype=np.float64).tolist()).encode("utf-8")
+                   for q in prompts]
+        for t in range(len(embs)):
+            summary = b', "summary_text": %b, "summary_embedding": %b}' % (
+                json.dumps(texts[t]).encode("utf-8"),
+                json.dumps(np.asarray(embs[t], dtype=np.float64).tolist()).encode("utf-8"))
+            for prompt in prompts:
+                body = prompt + summary
+                yield self._head % len(body) + body
+
+    @contextlib.contextmanager
+    def _sending_ahead(self, requests):
+        """Run a batch call whose ``score`` calls send ``requests``, in order."""
+        self._batch = requests
+        try:
+            yield
+        finally:
+            if self._sent:  # replies still due would answer the next requests
+                self.close()
+            self._batch = None
+            self._queue.clear()
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
-        reply = self._post(self._body(q, emb, text))
+        """Score of one summary. Inside a batch call the request is the
+        batch's oldest one unanswered, which it built from the same row."""
+        if self._batch is None:
+            request = next(self._requests([q], [emb], [text]))
+        else:
+            if not self._queue:
+                self._queue.append(next(self._batch))
+            request = self._queue[0]
+        reply = self._post(request)
         if "score" not in reply:
             raise TransportError(f"scorer endpoint {self.url} reply missing 'score' field")
         value = reply["score"]
@@ -314,26 +383,38 @@ class RemoteScorer:
             raise TransportError(f"scorer endpoint {self.url} returned score {value} outside [0, 1]")
         return value
 
+    def score_batch(self, q: np.ndarray, embs: np.ndarray, texts) -> np.ndarray:
+        """``score`` of each summary, the requests sent ahead of their replies."""
+        rows = range(embs.shape[0])
+        with self._sending_ahead(self._requests([q], embs, texts)):
+            return np.array([self.score(q, embs[t], text=texts[t]) for t in rows], dtype=np.float64)
+
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        grad = np.zeros_like(q)
-        for i in range(q.size):
-            probe = np.zeros_like(q)
-            probe[i] = FD_STEP
-            up = self.score(q + probe, emb, text=text)
-            down = self.score(q - probe, emb, text=text)
-            grad[i] = (up - down) / (2.0 * FD_STEP)
-        return grad
+        scores = np.array([self.score(probe, emb, text=text) for probe in _probes(q)])
+        return (scores[0::2] - scores[1::2]) / (2.0 * FD_STEP)
 
     def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts, coeff: np.ndarray,
                  scores: np.ndarray) -> np.ndarray:
         """sum_t coeff[t] * grad_q(q, embs[t], texts[t]), one central
-        difference per summary; the wire has no batch call, so ``scores``
-        go unused."""
+        difference per summary, all the step's requests sent ahead of their
+        replies; the wire has no batch call, so ``scores`` go unused."""
         grad = np.zeros_like(q, dtype=np.float64)
-        for t in range(embs.shape[0]):
-            grad += coeff[t] * self.grad_q(q, embs[t], text=texts[t])
+        with self._sending_ahead(self._requests(_probes(q), embs, texts)):
+            for t in range(embs.shape[0]):
+                grad += coeff[t] * self.grad_q(q, embs[t], text=texts[t])
         return grad
+
+
+def _probes(q) -> list:
+    """The prompts of q's central differences: q + FD_STEP e_i, then
+    q - FD_STEP e_i, for each i."""
+    q = np.asarray(q, dtype=np.float64)
+    probes = []
+    for i in range(q.size):
+        step = np.zeros_like(q)
+        step[i] = FD_STEP
+        probes += [q + step, q - step]
+    return probes
 
 
 def _finite_vector(payload: dict, key: str) -> np.ndarray:

@@ -4,6 +4,7 @@ scripts/run_synthetic_experiment.py, and its remote workload serves the stub
 scorer through perfbench/scorer_proc.py. A refactor that moves or renames one
 of them must fail here, not in a traced benchmark run."""
 
+import contextlib
 import importlib
 import json
 import select
@@ -21,7 +22,7 @@ from hypervad.pipeline import (
     LOSS_FILE, REPORT_FILE, SCORES_FILE, RunManifest, load_dataset, run_pipeline,
 )
 from hypervad.prompt_opt import StubScorer
-from hypervad.remote import LoopbackScorerServer, RemoteScorer
+from hypervad.remote import RemoteScorer
 from hypervad.synth import gen_synthetic
 
 from oracles import window_means_oracle
@@ -113,32 +114,63 @@ def test_traced_window_means_count_per_size_group(tracer, tmp_path):
     assert json.loads(json.dumps(metrics)) == metrics
 
 
+@contextlib.contextmanager
+def _scorer_process(prompt_dim, emb_dim, seed):
+    """perfbench/scorer_proc.py in a process of its own: yields its endpoint
+    and a function that reads its cumulative counters."""
+    proc = subprocess.Popen(
+        [sys.executable, str(PERFBENCH / "scorer_proc.py"), "--prompt-dim", str(prompt_dim),
+         "--emb-dim", str(emb_dim), "--seed", str(seed)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+
+    def stats():
+        proc.stdin.write("stats\n")
+        proc.stdin.flush()
+        return json.loads(_readline(proc))
+
+    try:
+        verb, endpoint, _echo = _readline(proc).split()
+        assert verb == "ready"
+        yield endpoint, stats
+    finally:
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 def test_traced_remote_run_counts_requests(tracer, tmp_path):
     # the closed forms perfbench/worker.py's check_trace holds a traced
     # remote run to: one _post per request, and every window scored through
-    # score_all once per evaluation
+    # score_all once per evaluation. The scorer is served from its own
+    # process, as the benchmark serves it: the tracer counts every stub call
+    # made in this process, a server thread's too.
     data = gen_synthetic(tmp_path / "data", n_segments=15, dim=5, seed=6)
     window, opt_iters, prompt_dim = 2, 2, 3
     config = PipelineConfig(seed=6, window=window, opt_iters=opt_iters, prompt_dim=prompt_dim)
     trace = tracer.Tracer()
-    with LoopbackScorerServer(StubScorer(prompt_dim, 5, seed=6)) as server:
+    with _scorer_process(prompt_dim, 5, seed=6) as (endpoint, stats):
         manifest = RunManifest(
             visual_path=data.paths["visual"], text_path=data.paths["text"],
             captions_path=data.paths["captions"], labels_path=data.paths["labels"],
-            out_dir=tmp_path / "out", config=config, scorer="remote", endpoint=server.endpoint,
+            out_dir=tmp_path / "out", config=config, scorer="remote", endpoint=endpoint,
         )
         with trace.installed(tracer.pipeline_patches()), trace.span(tracer.ROOT_SPAN):
             run_pipeline(manifest)
+        served = stats()
     metrics = trace.layer_metrics(server_busy_s=0.0)
 
     n_windows = -(-data.n_segments // window)
     requests = n_windows * (1 + opt_iters * (1 + 2 * prompt_dim))
     assert metrics["remote.requests"] == requests == 120
+    assert served["requests"] == requests and served["non_2xx"] == 0
     assert metrics["remote.failed_requests"] == 0
-    # one client score per request, and one stub score behind it: the
-    # server runs in this process, so the tracer counts both
-    assert trace.calls["RemoteScorer.score"] == trace.calls["StubScorer.score"] == requests
-    assert metrics["prompt_opt.score_calls"] == 2 * requests
+    # one client score per request; the stub scores in the server's process
+    assert trace.calls["RemoteScorer.score"] == metrics["prompt_opt.score_calls"] == requests
     assert metrics["prompt_opt.score_all_calls"] == n_windows * (opt_iters + 1)
     assert metrics["prompt_opt.grad_calls"] == n_windows * opt_iters
 

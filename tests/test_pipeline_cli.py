@@ -622,6 +622,21 @@ class TestCli:
         )
         assert not out.exists()
 
+    def test_deeply_nested_caption_line_exit_1(self, tmp_path, capsys):
+        # the JSON scanner's RecursionError used to escape as a traceback
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        captions = data / "captions.jsonl"
+        line = len(captions.read_text().splitlines()) + 1
+        with open(captions, "a") as fh:
+            fh.write("[" * 100_000 + "\n")
+        capsys.readouterr()
+        assert main(["validate", "--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                     "--captions", str(captions), "--labels", str(data / "labels.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {captions}:{line}: bad caption record: ")
+        assert "recursion" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("missing", ["scores", "labels"])
     def test_eval_missing_file_exit_1(self, tmp_path, capsys, missing):
         from hypervad.dataio import write_labels, write_scores

@@ -324,6 +324,16 @@ class TestOptimizePrompt:
             optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(3, 4))), OutOfRangeScorer(),
                             PipelineConfig(opt_iters=2))
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_score_batch_of_another_length_aborts(self, rng, extra):
+        class WrongLengthScorer(StubScorer):
+            def score_batch(self, q, embs, texts):
+                return np.full(embs.shape[0] + extra, 0.5)
+
+        with pytest.raises(ValueError, match=re.escape(f"scores of shape ({3 + extra},) for 3 summaries")):
+            optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(3, 4))), WrongLengthScorer(3, 4, seed=0),
+                            PipelineConfig(opt_iters=2))
+
     def test_scorer_takes_only_prompt_embedding_and_text(self, rng):
         # the Scorer protocol's parameters and nothing else: no keyword
         # beyond text reaches a scorer

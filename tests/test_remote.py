@@ -2,6 +2,7 @@ import contextlib
 import gc
 import http.client
 import io
+import itertools
 import json
 import re
 import socket
@@ -798,8 +799,8 @@ class TestReplyFraming:
         ]
 
     def test_bodies_are_json_dumps_of_the_payload(self):
-        # the client memoizes the JSON of the last prompt and of the last
-        # summary; every body must still be what json.dumps wrote before
+        # the client encodes a prompt's JSON and a summary's apart and joins
+        # them; every body must still be what json.dumps wrote before
         def payload(q, emb, text):
             return json.dumps({
                 "prompt": np.asarray(q, dtype=np.float64).tolist(),
@@ -1105,5 +1106,244 @@ class TestSocketHygiene:
             assert remote._socket is None and remote._reader is None
             assert all(sock.fileno() == -1 for sock in opened)
             assert len(opened) == (case != "refused")
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class _StubWireServer:
+    """TCP server that answers each request with the stub's score for its
+    body, in the order the requests arrive, and records every request it
+    answers with the number of its connection. It serves one connection at a
+    time. Its replies are HTTP/1.1 keep-alive unless ``version`` and
+    ``connection`` say otherwise, in which case it closes the connection
+    after each reply; with ``per_connection`` it closes after that many
+    replies without saying so. ``replies`` maps the index of an answered
+    request to a reply sent in place of the stub's. Before it closes, it
+    reads what the client sent on until the client closes, so that unread
+    requests never turn its close into a reset."""
+
+    def __init__(self, stub, version=b"HTTP/1.1", connection=None, per_connection=None, replies=None):
+        self.stub, self.version, self.connection = stub, version, connection
+        self.per_connection, self.replies = per_connection, replies or {}
+        self.closes = connection == b"close" or (version == b"HTTP/1.0" and connection != b"keep-alive")
+        self.answered = []  # (connection number, request bytes)
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(POLL_INTERVAL_S)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def endpoint(self):
+        host, port = self._listener.getsockname()
+        return f"http://{host}:{port}"
+
+    def _reply(self, body: bytes) -> bytes:
+        payload = json.loads(body)
+        score = self.stub.score(np.array(payload["prompt"]), np.array(payload["summary_embedding"]))
+        reply = json.dumps({"score": score}).encode()
+        header = b"Connection: %b\r\n" % self.connection if self.connection else b""
+        return b"%b 200 OK\r\n%bContent-Length: %d\r\n\r\n%b" % (self.version, header, len(reply), reply)
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.connections += 1
+            conn.settimeout(5)
+            with conn, conn.makefile("rb") as requests:
+                try:
+                    for answered in itertools.count(1):
+                        head = b""
+                        while (line := requests.readline()) not in (b"\r\n", b""):
+                            head += line
+                        if not head:
+                            break
+                        body = requests.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+                        conn.sendall(self.replies.get(len(self.answered)) or self._reply(body))
+                        self.answered.append((self.connections, head + b"\r\n" + body))
+                        if self.closes or answered == self.per_connection:
+                            conn.shutdown(socket.SHUT_WR)
+                            while requests.read(65536):
+                                pass
+                            break
+                except OSError:  # the client closed or reset the connection
+                    pass
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(5)
+        self._listener.close()
+        return False
+
+
+def _messages(writes) -> list:
+    """The request messages in a client's writes, in order, each ending
+    with its JSON body's closing brace."""
+    return [b"POST " + message for message in b"".join(writes).split(b"POST ")[1:]]
+
+
+class TestPipelining:
+    """Batch calls send their requests ahead of the replies, on a connection
+    that has returned a keep-alive HTTP/1.1 reply."""
+
+    PROMPT_DIM, EMB_DIM, N = 3, 2, 5
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        create_connection, writes = socket.create_connection, []
+        monkeypatch.setattr(remote_module.socket, "create_connection",
+                            lambda *args: _count_writes(create_connection(*args), writes))
+        return writes
+
+    @pytest.fixture
+    def stub(self):
+        return StubScorer(self.PROMPT_DIM, self.EMB_DIM, seed=5)
+
+    @pytest.fixture
+    def rows(self, rng):
+        q = rng.normal(size=self.PROMPT_DIM)
+        embs = rng.normal(size=(self.N, self.EMB_DIM))
+        texts = tuple(f"summary {t}" for t in range(self.N))
+        return q, embs, texts, rng.normal(size=self.N)
+
+    def _batch(self, remote, q, embs, texts, coeff):
+        """One evaluation and one gradient step, as the optimizer makes them."""
+        scores = remote.score_batch(q, embs, texts)
+        return scores, remote.grad_sum(q, embs, texts, coeff, scores)
+
+    def _serial(self, remote, q, embs, texts, coeff):
+        """The same requests, each sent after the reply to the one before."""
+        scores = np.array([remote.score(q, embs[t], text=texts[t]) for t in range(self.N)])
+        grad = np.zeros_like(q)
+        for t in range(self.N):
+            grad += coeff[t] * remote.grad_q(q, embs[t], text=texts[t])
+        return scores, grad
+
+    def test_same_bytes_as_serial_calls(self, writes, stub, rows):
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                serial = self._serial(remote, q, embs, texts, coeff)
+            serial_writes = writes[:]
+            writes.clear()
+            with RemoteScorer(server.endpoint) as remote:
+                batch = self._batch(remote, q, embs, texts, coeff)
+        assert b"".join(writes) == b"".join(serial_writes)
+        n_requests = self.N * (1 + 2 * self.PROMPT_DIM)
+        assert len(serial_writes) == n_requests and len(writes) < n_requests
+        assert len(_messages(writes[:1])) == 1  # the first request on a connection goes alone
+        assert len(_messages(writes[1:2])) > 1
+        assert np.array_equal(batch[0], serial[0]) and np.array_equal(batch[1], serial[1])
+        assert np.array_equal(batch[0], stub.score_batch(q, embs, texts))
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("version, connection", [
+        (b"HTTP/1.0", None), (b"HTTP/1.1", b"close"), (b"HTTP/1.0", b"keep-alive"),
+    ], ids=["http10", "connection-close", "http10-keep-alive"])
+    def test_no_request_ahead_without_an_http11_keep_alive_reply(self, writes, stub, rows, version,
+                                                                  connection):
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub, version=version, connection=connection) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                scores, grad = self._batch(remote, q, embs, texts, coeff)
+            with RemoteScorer(server.endpoint) as remote:
+                expected = self._serial(remote, q, embs, texts, coeff)
+        assert all(len(_messages([write])) == 1 for write in writes)
+        n_requests = self.N * (1 + 2 * self.PROMPT_DIM)
+        assert len(server.answered) == 2 * n_requests
+        if server.closes:
+            assert server.connections == 2 * n_requests
+        assert np.array_equal(scores, expected[0]) and np.array_equal(grad, expected[1])
+
+    @pytest.mark.parametrize("per_connection", [1, 4])
+    def test_requests_left_unanswered_are_sent_again(self, writes, stub, rows, per_connection):
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            expected = self._serial(remote, q, embs, texts, coeff)
+        serial = _messages(writes)
+        writes.clear()
+        with (
+            _StubWireServer(stub, per_connection=per_connection) as server,
+            RemoteScorer(server.endpoint) as remote,
+        ):
+            scores, grad = self._batch(remote, q, embs, texts, coeff)
+        # every request answered once, in order; the Host header names another port
+        bodies = [request.split(b"\r\n\r\n", 1)[1] for request in serial]
+        assert [request.split(b"\r\n\r\n", 1)[1] for _, request in server.answered] == bodies
+        assert len(_messages(writes)) > len(serial)  # some went ahead unanswered, and again
+        assert np.array_equal(scores, expected[0]) and np.array_equal(grad, expected[1])
+
+    def test_dropped_pipeline_without_retries_is_transport_error(self, monkeypatch, stub, rows):
+        monkeypatch.setattr(remote_module, "RETRIES", 0)
+        q, embs, texts, _ = rows
+        with _StubWireServer(stub, per_connection=2) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match=re.escape(f"{server.endpoint}/score failed after 1 attempts")):
+                remote.score_batch(q, embs, texts)
+        assert len(server.answered) == 2
+
+    def test_failed_reply_mid_batch_leaves_no_reply_behind(self, stub, rows):
+        # the batch's later requests went ahead; their replies must not
+        # answer the next call's requests
+        q, embs, texts, coeff = rows
+        missing = b'HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{"value": 0.5}'
+        with _StubWireServer(stub, replies={2: missing}) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match="missing 'score'"):
+                remote.score_batch(q, embs, texts)
+            assert remote._socket is None
+            scores, grad = self._batch(remote, q, embs, texts, coeff)
+        assert np.array_equal(scores, stub.score_batch(q, embs, texts))
+        assert np.max(np.abs(grad - stub.grad_sum(q, embs, texts, coeff, scores))) < 1e-4
+
+    def test_window_below_one_request_sends_one_at_a_time(self, monkeypatch, writes, stub, rows):
+        monkeypatch.setattr(remote_module, "PIPELINE_BYTES", 64)
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            scores, grad = self._batch(remote, q, embs, texts, coeff)
+            expected = self._serial(remote, q, embs, texts, coeff)
+        assert all(len(_messages([write])) == 1 for write in writes)
+        assert server.connections == 1
+        assert np.array_equal(scores, expected[0]) and np.array_equal(grad, expected[1])
+
+    def test_window_bounds_the_bytes_in_flight(self, monkeypatch, writes, stub, rows):
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            self._batch(remote, q, embs, texts, coeff)
+        size = len(_messages(writes)[1])
+        monkeypatch.setattr(remote_module, "PIPELINE_BYTES", 3 * size + size // 2)
+        writes.clear()
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            self._batch(remote, q, embs, texts, coeff)
+        assert max(len(_messages([write])) for write in writes) == 3
+
+
+class TestSocketHygieneMidPipeline:
+    def test_non_2xx_mid_pipeline_leaves_nothing_open(self, monkeypatch, rng):
+        # as TestSocketHygiene::test_nothing_left_open, with requests in flight
+        monkeypatch.setattr(remote_module, "RETRIES", 0)
+        create_connection, opened = socket.create_connection, []
+
+        def connect(*args):
+            opened.append(create_connection(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(remote_module.socket, "create_connection", connect)
+        stub = StubScorer(3, 2, seed=5)
+        failing = b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\r\nboom"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with _StubWireServer(stub, replies={3: failing}) as server:
+                remote = RemoteScorer(server.endpoint)
+                with pytest.raises(TransportError, match="status 503"):
+                    remote.score_batch(np.zeros(3), rng.normal(size=(6, 2)), "abcdef")
+                remote.close()
+            assert remote._socket is None and remote._reader is None
+            assert all(sock.fileno() == -1 for sock in opened) and len(opened) == 1
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
