@@ -10,9 +10,13 @@ requests over one connection. Within a batch call the client pipelines:
 it writes up to 64 KiB of requests ahead of their replies, which the server
 answers in the order they came (RFC 9112 section 9.3.2), as any server
 behind this contract must; requests left unanswered when a connection
-closes are sent again. Each reply leaves in one write, and error replies
-(400, 404, 413, 431) close the connection. A real deployment would put an
-actual language model behind the same POST /score contract.
+closes are sent again. The server holds its replies until its next read
+would wait for the client, so the replies to requests that arrived
+together leave in one write; error replies (400, 404, 413, 431) close the
+connection after the replies before them. The "serving ... at URL" line
+is flushed at once, so a caller that starts the server with --port 0 can
+read the port from a pipe. A real deployment would put an actual
+language model behind the same POST /score contract.
 """
 
 import argparse
@@ -34,7 +38,9 @@ def main() -> int:
 
     scorer = StubScorer(args.prompt_dim, args.emb_dim, seed=args.seed)
     with LoopbackScorerServer(scorer, host=args.host, port=args.port) as server:
-        print(f"serving stub scorer (seed {args.seed}) at {server.endpoint}/score")
+        # flushed: under a pipe or a file this line is how a caller learns
+        # the port of --port 0
+        print(f"serving stub scorer (seed {args.seed}) at {server.endpoint}/score", flush=True)
         try:
             while True:
                 time.sleep(3600)

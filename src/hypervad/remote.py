@@ -20,11 +20,12 @@ each reply costs one connection per request instead. Within a batch call
 (``score_batch``, ``grad_sum``) it writes the call's next requests before
 it reads the reply it waits for, up to ``PIPELINE_BYTES`` (64 KiB) of
 requests in flight, and reads the replies in order (HTTP/1.1 pipelining,
-RFC 9112 section 9.3.2): a server must answer pipelined requests in the
-order they came. It does so only on a connection that has already returned
-a keep-alive HTTP/1.1 reply, so the first request on every connection goes
-alone, and a server that speaks HTTP/1.0 or answers ``Connection: close``
-never sees a request sent ahead. A failure or a close drops what is in
+RFC 9112 section 9.3.2). It tops the window up only once at most half of
+it is in flight, so requests leave in bursts. A server must answer
+pipelined requests in the order they came. The client pipelines only on a
+connection that has already returned a keep-alive HTTP/1.1 reply, so the
+first request on every connection goes alone, and a server that speaks
+HTTP/1.0 or answers ``Connection: close`` never sees a request sent ahead. A failure or a close drops what is in
 flight, and each request left unanswered is sent again in its turn, since
 ``/score`` is a pure function. The bytes on the wire are those of the same
 requests sent one after another; each body is what ``json.dumps`` writes
@@ -33,10 +34,13 @@ summaries once. The client splits a reply's head by hand and reads only
 its Content-Length, Connection and Transfer-Encoding, so a reply body may
 be framed by Content-Length, by chunked transfer coding, or by the server
 closing the connection. The loopback server splits request heads by hand
-as well and buffers each reply, which then leaves in one write. It accepts
-a list of finite floats without a check per entry, formats its Date header
-once per second, and formats a 200 reply's head in one step; every reply
-keeps the bytes http.server would write.
+as well. It holds the replies it writes until its next read would wait
+for the client, ``_HELD_BYTES`` are held or the connection closes, and
+then sends them in one write, so the replies to requests that arrived
+together leave together and no read waits while a reply is held. It
+accepts a list of finite floats without a check per entry, formats its
+Date header once per second, and formats a 200 reply's head in one step;
+every reply keeps the bytes http.server would write.
 """
 
 from __future__ import annotations
@@ -46,9 +50,11 @@ import contextlib
 import email.utils
 import functools
 import http.client
+import io
 import json
 import math
 import re
+import select
 import socket
 import ssl
 import threading
@@ -79,6 +85,9 @@ MAX_BODY_BYTES = 1 << 20
 # within one batch call; below the default TCP receive buffer (128 KiB), so
 # a write cannot block while the server is blocked writing replies.
 PIPELINE_BYTES = 1 << 16
+# Most bytes of replies the loopback server holds before it writes them; a
+# reply is shorter than its request, so one write answers a full window.
+_HELD_BYTES = 1 << 16
 # Longest line, and most header lines, either end reads.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -232,14 +241,16 @@ class RemoteScorer:
     def _send(self, request: bytes) -> None:
         """Write ``request`` unless it is on the wire already; then, inside a
         batch call on a connection that has returned a keep-alive HTTP/1.1
-        reply, the batch's next requests while their bytes in flight stay
-        within ``PIPELINE_BYTES``. A request larger than that goes alone."""
+        reply, once at most half of ``PIPELINE_BYTES`` is in flight, the
+        batch's next requests while their bytes in flight stay within
+        ``PIPELINE_BYTES``. A request larger than that goes alone."""
         queue, out = self._queue, []
         if not self._sent:
             out.append(request)
             if queue:
                 self._sent, self._sent_bytes = 1, len(request)
-        while queue and self._kept:
+        refill = self._kept and self._sent_bytes <= PIPELINE_BYTES // 2
+        while queue and refill:
             if self._sent == len(queue):
                 ahead = next(self._batch, None)
                 if ahead is None:
@@ -438,16 +449,47 @@ def _http_date(second: int) -> str:
     return email.utils.formatdate(second, usegmt=True)
 
 
+class _HeldReplies(socket.SocketIO):
+    """A server connection as one raw stream that holds what is written to
+    it. The held bytes leave in one write when a read would wait for the
+    client, when ``_HELD_BYTES`` are held, or at close, so the replies to
+    pipelined requests that arrived together leave together, and no read
+    waits while a reply is held. ``flush()`` sends nothing."""
+
+    def __init__(self, sock):
+        super().__init__(sock, "rwb")
+        self._held = bytearray()
+
+    def readinto(self, buffer):
+        if self._held and not select.select([self._sock], [], [], 0)[0]:
+            self._send_held()
+        return super().readinto(buffer)
+
+    def write(self, data):
+        self._held += data
+        if len(self._held) >= _HELD_BYTES:
+            self._send_held()
+        return len(data)
+
+    def _send_held(self):
+        held, self._held = self._held, bytearray()
+        self._sock.sendall(held)
+
+    def close(self):
+        try:
+            if self._held:
+                self._send_held()
+        finally:  # also when the client has reset the connection
+            super().close()
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     scorer: StubScorer = None  # set by the server factory
-    # Keep-alive; send_error replies carry "Connection: close". The buffered
-    # wfile holds a reply's head and body until handle_one_request flushes
-    # it after do_POST returns, so each reply leaves in one write. Nagle
-    # stays off so that no write waits for the client's delayed ACK of an
-    # earlier one (a 100 Continue is written before its reply).
+    # Keep-alive; send_error replies carry "Connection: close". Replies are
+    # held (see _HeldReplies) and leave when the handler would otherwise
+    # wait to read, so handle_one_request's flush after do_POST sends
+    # nothing.
     protocol_version = "HTTP/1.1"
-    wbufsize = -1
-    disable_nagle_algorithm = True
     # An idle connection times out, which ends the connection and its thread.
     timeout = _IDLE_TIMEOUT_S
 
@@ -458,6 +500,16 @@ class _StubHandler(BaseHTTPRequestHandler):
         """http.server's Date value, formatted once per whole second."""
         return _http_date(int(time.time() if timestamp is None else timestamp))
 
+    def setup(self):
+        """rfile reads, and wfile holds replies, through one _HeldReplies."""
+        self.connection = self.request
+        self.connection.settimeout(self.timeout)
+        # Nagle stays off so that no write waits for the client's delayed
+        # ACK of an earlier one (a 100 Continue leaves before its reply).
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.wfile = _HeldReplies(self.connection)
+        self.rfile = io.BufferedReader(self.wfile)
+
     def handle(self):
         try:
             super().handle()
@@ -466,9 +518,9 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def finish(self):
         try:
-            super().finish()  # flushes, then closes wfile and rfile
-        except ConnectionError:  # a buffered reply to a client that reset the connection
-            self.rfile.close()
+            super().finish()  # closes wfile, which sends the held replies
+        except ConnectionError:  # held replies to a client that reset the connection
+            pass  # wfile, and so rfile, closed all the same
 
     def parse_request(self):
         """The request line and header lines, split by hand; ``headers`` is
@@ -498,11 +550,6 @@ class _StubHandler(BaseHTTPRequestHandler):
         )
         if self.request_version == "HTTP/1.1" and self.headers.get("expect", "").lower() == "100-continue":
             return self.handle_expect_100()
-        return True
-
-    def handle_expect_100(self):
-        super().handle_expect_100()
-        self.wfile.flush()  # the client holds the body back until the 100 Continue arrives
         return True
 
     def do_POST(self):

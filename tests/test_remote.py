@@ -4,9 +4,13 @@ import http.client
 import io
 import itertools
 import json
+import os
 import re
+import select
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -14,6 +18,7 @@ import urllib.request
 import warnings
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from oracles import finite_vector_oracle
 
 # serve_forever's shutdown check; each server's shutdown waits up to this long
 POLL_INTERVAL_S = 0.05
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class _CannedServer:
@@ -904,6 +910,18 @@ class TestStubHandlerParsing:
             sock.sendall(self.BODY)  # only now
             assert _read_reply(reply)[0] == 200
 
+    def test_reply_not_held_while_the_next_body_waits(self, address):
+        # a server that held A's reply until B had come in whole would stall
+        # a client that sends B's body only after A's reply
+        request = _raw_post("/score", self.BODY)
+        with socket.create_connection(address, timeout=2) as sock, sock.makefile("rb") as reply:
+            sock.sendall(request)
+            assert _read_reply(reply)[0] == 200
+            sock.sendall(request + request[:-len(self.BODY)])
+            assert _read_reply(reply)[0] == 200  # A's, before B's body is sent
+            sock.sendall(self.BODY)
+            assert _read_reply(reply)[0] == 200
+
     @pytest.mark.parametrize("extra, status", [
         (b"X-N: 1\r\n" * 97, 200),  # 100 headers with Host, Content-Type and Content-Length
         (b"X-N: 1\r\n" * 98, 431),
@@ -1058,6 +1076,107 @@ class TestCountedBeforeReply:
             for n in range(1, 4):
                 remote.score(np.zeros(2), np.zeros(2))
                 assert len(recorded) == n
+
+
+def _reply_bytes(reader) -> bytes:
+    """One HTTP reply read from a binary file, as the bytes it came in."""
+    head = b""
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        head += line
+    return head + b"\r\n" + reader.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+
+
+class TestHeldReplies:
+    """The reference server holds its replies while more requests are
+    waiting, and sends them together."""
+
+    K = 5
+
+    @contextlib.contextmanager
+    def _counted_server(self, stub):
+        """The address of a reference server scoring by ``stub``, its writes,
+        and the handlers it has set up."""
+        writes, handlers = [], []
+
+        class Counted(remote_module._StubHandler):
+            scorer = stub
+
+            def setup(self):
+                super().setup()
+                handlers.append(self)
+                _count_writes(self.connection, writes)
+
+        with _serving(Counted) as address:
+            yield address, writes, handlers
+
+    @pytest.fixture
+    def server(self):
+        with self._counted_server(StubScorer(2, 2, seed=0)) as server:
+            yield server
+
+    def _requests(self, k):
+        return [_raw_post("/score", json.dumps({"prompt": [0.1 * i, 0.2], "summary_embedding": [0.3, 0.4]}
+                                               ).encode()) for i in range(k)]
+
+    @pytest.mark.parametrize("held_bytes", [None, 1], ids=["default", "cap-of-1-byte"])
+    def test_pipelined_replies_leave_together(self, monkeypatch, server, held_bytes):
+        monkeypatch.setattr(time, "time", lambda: 1_700_000_000.5)
+        if held_bytes is not None:  # a full buffer sends at once, each reply here
+            monkeypatch.setattr(remote_module, "_HELD_BYTES", held_bytes)
+        address, writes, _ = server
+        requests = self._requests(self.K)
+        with socket.create_connection(address, timeout=5) as sock, sock.makefile("rb") as reply:
+            serial = []
+            for request in requests:
+                sock.sendall(request)
+                serial.append(_reply_bytes(reply))
+            assert len(writes) == self.K
+            writes.clear()
+            sock.sendall(b"".join(requests))
+            pipelined = [_reply_bytes(reply) for _ in requests]
+        assert pipelined == serial
+        assert len(set(serial)) == self.K  # in order: each request has its own score
+        assert b"".join(writes) == b"".join(serial)
+        assert 1 <= len(writes) < self.K if held_bytes is None else len(writes) == self.K
+
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_error_reply_after_the_replies_before_it(self, server, position):
+        address, _, _ = server
+        requests = self._requests(position) + [_raw_post("/score", b"[1, 2]")]
+        with socket.create_connection(address, timeout=5) as sock, sock.makefile("rb") as reply:
+            sock.sendall(b"".join(requests))
+            statuses = [_read_reply(reply)[0] for _ in requests]
+            assert reply.read() == b""  # then the server closes
+        assert statuses == [200] * position + [400]
+
+    def test_client_reset_while_replies_are_held(self, capfd):
+        # the first request's scoring waits until the client has reset the
+        # connection, so the server meets the reset with both replies held
+        started, reset = threading.Event(), threading.Event()
+
+        class Held(StubScorer):
+            def score(self, q, emb, text=""):
+                if not started.is_set():
+                    started.set()
+                    reset.wait(5)
+                return super().score(q, emb, text)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with self._counted_server(Held(2, 2, seed=0)) as (address, _, handlers):
+                before = set(threading.enumerate())
+                with socket.create_connection(address, timeout=5) as sock:
+                    sock.sendall(b"".join(self._requests(2)))
+                    assert started.wait(5)
+                    threads = set(threading.enumerate()) - before
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                reset.set()
+                assert len(threads) == 1 and _join_all(threads) == []
+            [handler] = handlers
+            assert handler.wfile.closed and handler.rfile.closed and handler.connection.fileno() == -1
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert capfd.readouterr().err == ""
 
 
 class TestSocketHygiene:
@@ -1322,6 +1441,39 @@ class TestPipelining:
             self._batch(remote, q, embs, texts, coeff)
         assert max(len(_messages([write])) for write in writes) == 3
 
+    def test_window_refills_in_bursts(self, monkeypatch, writes, stub, rows):
+        q, embs, texts, coeff = rows
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            self._batch(remote, q, embs, texts, coeff)
+        size = len(_messages(writes)[1])
+        window = 4 * size + size // 2
+        monkeypatch.setattr(remote_module, "PIPELINE_BYTES", window)
+        read_head = RemoteScorer._read_head
+
+        def counted_head(remote):
+            writes.append(None)  # one reply read
+            return read_head(remote)
+
+        monkeypatch.setattr(RemoteScorer, "_read_head", counted_head)
+        writes.clear()
+        with _StubWireServer(stub) as server, RemoteScorer(server.endpoint) as remote:
+            self._batch(remote, q, embs, texts, coeff)
+        messages = _messages([write for write in writes if write is not None])
+        batch_ends = [self.N, self.N * (1 + 2 * self.PROMPT_DIM)]  # score_batch, then grad_sum
+        assert len(messages) == batch_ends[-1]
+        sent = answered = 0
+        for write in writes:
+            if write is None:
+                answered += 1
+                continue
+            carried = len(_messages([write]))
+            if sent > 1:  # past the first request alone and the window's first fill
+                assert sum(map(len, messages[answered:sent])) <= window // 2
+                left = next(end for end in batch_ends if end > sent) - sent
+                assert carried >= min(2, left)
+            sent += carried
+        assert sent == len(messages) and answered == sent
+
 
 class TestSocketHygieneMidPipeline:
     def test_non_2xx_mid_pipeline_leaves_nothing_open(self, monkeypatch, rng):
@@ -1347,3 +1499,26 @@ class TestSocketHygieneMidPipeline:
             assert all(sock.fileno() == -1 for sock in opened) and len(opened) == 1
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+class TestScorerServerScript:
+    def test_endpoint_line_reaches_a_pipe(self, rng):
+        # the line is the only way to learn the port of --port 0; without
+        # PYTHONUNBUFFERED a line printed to a pipe would wait in the
+        # buffer until the process exits
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        command = [sys.executable, str(ROOT / "scripts" / "scorer_server.py"),
+                   "--prompt-dim", "3", "--emb-dim", "2", "--seed", "4", "--port", "0"]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, env=env) as proc:
+            try:
+                assert select.select([proc.stdout], [], [], 10)[0], "no line within 10 s"
+                line = proc.stdout.readline().decode()
+                match = re.fullmatch(r"serving stub scorer \(seed 4\) at (http://\S+)/score\n", line)
+                assert match, line
+                q, emb = rng.normal(size=3), rng.normal(size=2)
+                with RemoteScorer(match[1]) as remote:
+                    score = remote.score(q, emb, text="t")
+                assert abs(score - StubScorer(3, 2, seed=4).score(q, emb, text="t")) < 1e-9
+            finally:
+                proc.terminate()
