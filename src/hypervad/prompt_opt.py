@@ -60,19 +60,20 @@ def loss_score_gradient(scores: np.ndarray, target_mass: float, sparsity_weight:
 class Scorer(Protocol):
     """Backend that maps (prompt, summary) to an anomaly likelihood in [0, 1].
 
-    A scorer is two calls: ``score`` of one summary, and ``grad_sum``, the
-    whole batch's weighted prompt gradient sum_t coeff[t] * d score(q,
-    embs[t], texts[t]) / dq in one call per step. ``scores`` are the scores
-    at ``q`` that the optimizer already holds, for backends that can reuse
-    them. A scorer may add ``score_batch``, the (n,) scores of every
-    summary under one prompt, which :func:`score_all` then calls once per
-    evaluation in place of ``score`` per summary; a remote scorer sends
-    that call's requests ahead of their replies. ``emb`` is a summary's
-    embedding row and ``text`` its decoded string, for backends that prompt
-    a language model; numeric backends may ignore the text.
+    A scorer is two batch calls: ``score_batch``, the (n,) scores of every
+    summary under one prompt, which :func:`score_all` makes once per
+    evaluation, and ``grad_sum``, the whole batch's weighted prompt
+    gradient sum_t coeff[t] * d score(q, embs[t], texts[t]) / dq in one
+    call per step. ``scores`` are the scores at ``q`` that the optimizer
+    already holds, for backends that can reuse them. ``embs`` holds the
+    summaries' embedding rows and ``texts`` their decoded strings, for
+    backends that prompt a language model; numeric backends may ignore the
+    text. The two built-in scorers keep ``score`` and ``grad_q`` as one-row
+    views, and their ``score_batch`` calls ``score`` once per row, so that
+    a tracer counting those calls by name still sees every row.
     """
 
-    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float: ...
+    def score_batch(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray: ...
 
     def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str],
                  coeff: np.ndarray, scores: np.ndarray) -> np.ndarray: ...
@@ -155,14 +156,11 @@ def resolve_target_mass(explicit: Optional[float], n_summaries: int) -> float:
 
 
 def score_all(scorer: Scorer, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
-    """The (n,) float64 scores of every summary under ``q``, by the scorer's
-    ``score_batch`` if it has one, else by ``score`` row by row. Raises
-    ValueError naming the first summary whose score is outside [0, 1]."""
+    """The (n,) float64 scores of every summary under ``q``, by one
+    ``score_batch`` call. Raises ValueError for scores of another shape, or
+    naming the first summary whose score is outside [0, 1]."""
     n = embs.shape[0]
-    if hasattr(scorer, "score_batch"):
-        scores = np.asarray(scorer.score_batch(q, embs, texts))
-    else:
-        scores = np.array([scorer.score(q, embs[t], text=texts[t]) for t in range(n)])
+    scores = np.asarray(scorer.score_batch(q, embs, texts))
     if scores.shape != (n,):
         raise ValueError(f"scorer returned scores of shape {scores.shape} for {n} summaries")
     outside = np.flatnonzero(~((scores >= 0.0) & (scores <= 1.0)))  # NaN too
@@ -179,8 +177,8 @@ def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineC
     ``config`` supplies the objective's ``learning_rate``, ``opt_iters``,
     ``target_mass`` and ``sparsity_weight``; constructing it validated them.
     With opt_iters = 0 the prompt is untouched and the initial scores are
-    returned. Aborts with the iteration index if the gradient goes
-    non-finite.
+    returned. Aborts with the iteration index if the gradient is not of
+    the prompt's shape or goes non-finite.
     """
     q = np.array(q0, dtype=np.float64)
     embs, texts = summaries.embeddings, summaries.texts
@@ -192,6 +190,9 @@ def optimize_prompt(q0: np.ndarray, summaries, scorer: Scorer, config: PipelineC
     for k in range(config.opt_iters):
         coeff = loss_score_gradient(scores, mu, config.sparsity_weight)
         grad = scorer.grad_sum(q, embs, texts, coeff, scores)
+        if np.shape(grad) != q.shape:  # a (1,) or (d, 1) gradient would broadcast
+            raise ValueError(f"scorer returned a prompt gradient of shape {np.shape(grad)} "
+                             f"for a prompt of shape {q.shape} at iteration {k}")
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite prompt gradient at iteration {k}")
         q = q - config.learning_rate * grad

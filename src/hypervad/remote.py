@@ -224,7 +224,7 @@ class RemoteScorer:
             raw = b"" if status == 204 else self._read_body(headers, closes)
             try:
                 reply = json.loads(raw.decode("utf-8"))
-            except ValueError as exc:  # empty, not UTF-8, or not JSON
+            except (ValueError, RecursionError) as exc:  # empty, not UTF-8, not JSON, or nested too deep
                 raise TransportError(f"scorer endpoint {self.url} returned malformed JSON: {exc}") from exc
             if not isinstance(reply, dict):
                 raise TransportError(f"scorer endpoint {self.url} returned {raw[:80]!r}, not a JSON object")
@@ -267,11 +267,12 @@ class RemoteScorer:
 
     def _read_head(self) -> tuple[int, dict, bool]:
         """Status, headers and whether the connection ends with the body, of
-        the next reply past any interim 100 Continue. http.client's
+        the next reply past any interim 1xx reply but 101 Switching
+        Protocols, which is final (RFC 9110 section 15.2). http.client's
         exceptions stand for a status line that is not HTTP/1.x NNN, a head
         past its limits, or a connection closed before the reply."""
         status = 100
-        while status == 100:
+        while status < 200 and status != 101:
             line = _read_line(self._reader)
             if not line:
                 raise http.client.RemoteDisconnected("Remote end closed connection without response")
@@ -570,7 +571,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             if not isinstance(text, str):
                 raise ValueError("summary_text must be a string")
             score = self.scorer.score(q, emb, text=text)
-        except (KeyError, TypeError, ValueError) as exc:  # TypeError: body not an object
+        # TypeError: body not an object; RecursionError: nested past the decoder's limit
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             self.send_error(400, f"bad request: {exc}")
             return
         body = json.dumps({"score": score}).encode("utf-8")

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import inspect
 import json
 import re
@@ -188,6 +189,25 @@ class TestRunPipeline:
             run_pipeline(manifest_for(synth_dir, out))
         assert info.value.stage == "refine"
         assert isinstance(info.value.__cause__, ValueError)
+        assert not (out / "scores.csv").exists()
+
+    def test_scorer_without_score_batch_fails_the_score_stage(self, synth_dir, tmp_path, monkeypatch):
+        from hypervad import pipeline
+
+        class RowScorer:
+            def score(self, q, emb, text=""):
+                raise AssertionError("scored row by row")
+
+            def grad_sum(self, q, embs, texts, coeff, scores):
+                raise AssertionError("gradient before the first evaluation")
+
+        monkeypatch.setattr(pipeline, "_open_scorer", lambda *args: contextlib.nullcontext(RowScorer()))
+        out = tmp_path / "rows"
+        message = "[score] 'RowScorer' object has no attribute 'score_batch'"
+        with pytest.raises(StageError, match=re.escape(message)) as info:
+            run_pipeline(manifest_for(synth_dir, out))
+        assert info.value.stage == "score"
+        assert isinstance(info.value.__cause__, AttributeError)
         assert not (out / "scores.csv").exists()
 
     def test_failed_write_keeps_previous_outputs(self, synth_dir, tmp_path, monkeypatch):

@@ -295,10 +295,8 @@ class TestOptimizePrompt:
 
     def test_non_finite_gradient_aborts_with_iteration(self, rng):
         class BrokenScorer:
-            info = None
-
-            def score(self, q, emb, text=""):
-                return 0.4
+            def score_batch(self, q, embs, texts):
+                return np.full(embs.shape[0], 0.4)
 
             def grad_sum(self, q, embs, texts, coeff, scores):
                 return np.full(q.shape, np.nan)
@@ -314,8 +312,8 @@ class TestOptimizePrompt:
     @pytest.mark.parametrize("value", [1.5, -0.25, math.nan])
     def test_score_outside_unit_interval_aborts(self, rng, value):
         class OutOfRangeScorer:
-            def score(self, q, emb, text=""):
-                return value if text == "summary 1" else 0.5
+            def score_batch(self, q, embs, texts):
+                return np.array([value if text == "summary 1" else 0.5 for text in texts])
 
             def grad_sum(self, q, embs, texts, coeff, scores):
                 return np.zeros(q.shape)
@@ -334,18 +332,33 @@ class TestOptimizePrompt:
             optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(3, 4))), WrongLengthScorer(3, 4, seed=0),
                             PipelineConfig(opt_iters=2))
 
+    @pytest.mark.parametrize("reshape", [lambda g: g[:1], lambda g: g[:, None], lambda g: np.append(g, 0.0)],
+                             ids=["first-entry", "column", "one-longer"])
+    def test_gradient_of_another_shape_aborts_with_iteration(self, rng, reshape):
+        # a (1,) or (3, 1) gradient would broadcast into the prompt unseen
+        class MisshapenScorer(StubScorer):
+            def grad_sum(self, q, embs, texts, coeff, scores):
+                return reshape(super().grad_sum(q, embs, texts, coeff, scores))
+
+        want = f"of shape {reshape(np.zeros(3)).shape} for a prompt of shape (3,) at iteration 0"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            optimize_prompt(np.zeros(3), make_summaries(rng.normal(size=(3, 4))), MisshapenScorer(3, 4, seed=0),
+                            PipelineConfig(opt_iters=3))
+
     def test_scorer_takes_only_prompt_embedding_and_text(self, rng):
-        # the Scorer protocol's parameters and nothing else: no keyword
-        # beyond text reaches a scorer
+        # the Scorer protocol's parameters and nothing else: each call gets
+        # the prompt, the summaries' embedding rows and their texts (and
+        # grad_sum the coefficients and scores), by position
         class MinimalScorer:
             def __init__(self, stub):
-                self.stub, self.texts = stub, []
+                self.stub, self.calls = stub, []
 
-            def score(self, q, emb, text=""):
-                self.texts.append(text)
-                return self.stub.score(q, emb, text)
+            def score_batch(self, q, embs, texts):
+                self.calls.append(("score_batch", embs, list(texts)))
+                return self.stub.score_batch(q, embs, texts)
 
             def grad_sum(self, q, embs, texts, coeff, scores):
+                self.calls.append(("grad_sum", embs, list(texts)))
                 return self.stub.grad_sum(q, embs, texts, coeff, scores)
 
         summaries = make_summaries(rng.normal(size=(4, 3)))
@@ -355,7 +368,9 @@ class TestOptimizePrompt:
         expected_state, expected = optimize_prompt(np.zeros(5), summaries, StubScorer(5, 3, seed=2), config)
         assert np.array_equal(scores, expected)
         assert state.loss_history == expected_state.loss_history
-        assert minimal.texts == list(summaries.texts) * 4
+        assert [name for name, _, _ in minimal.calls] == ["score_batch"] + ["grad_sum", "score_batch"] * 3
+        assert all(embs is summaries.embeddings and texts == list(summaries.texts)
+                   for _, embs, texts in minimal.calls)
 
     @pytest.mark.parametrize("setting, value, message", [
         ("sparsity_weight", -5.0, "sparsity_weight must be non-negative"),

@@ -233,6 +233,8 @@ class TestLoopbackConformance:
         pytest.param(b'{"prompt": [0, 0], "summary_embedding": [1' + b"0" * 400 + b', 0]}',
                      id="integer beyond float64"),
         b'{"prompt": [0, 0], "summary_embedding": [0, 0], "summary_text": 5}',
+        # answered, where a RecursionError would end the handler thread with no reply
+        pytest.param(b"[" * 200_000, id="nested past the recursion limit"),
     ])
     def test_non_object_body_is_400(self, body):
         stub = StubScorer(2, 2, seed=0)
@@ -565,6 +567,14 @@ class TestRemoteErrors:
             with pytest.raises(TransportError, match="malformed"):
                 remote.score(np.zeros(2), np.zeros(2))
 
+    def test_deeply_nested_reply_is_transport_error(self):
+        # past the JSON decoder's recursion limit: not a bare RecursionError
+        with _CannedServer(b"[" * 200_000) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match=re.escape(f"{remote.url} returned malformed JSON: maximum "
+                                                               "recursion depth exceeded")):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert server.requests == 1
+
     @pytest.mark.parametrize("body", [b"5", b"null", b'"no score"', b"[0.5]"])
     def test_non_object_reply_is_transport_error(self, body):
         with _CannedServer(body) as server, RemoteScorer(server.endpoint) as remote:
@@ -707,6 +717,25 @@ class TestReplyFraming:
         with _RawServer(b"HTTP/1.1 100 Continue\r\n\r\n" + OK_REPLY) as server:
             with RemoteScorer(server.endpoint) as remote:
                 assert remote.score(np.zeros(2), np.zeros(2)) == 0.5
+
+    @pytest.mark.parametrize("interim", [
+        b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n",
+        b"HTTP/1.1 102 Processing\r\n\r\n",
+        b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\n\r\nHTTP/1.1 199 Other\r\n\r\n",
+    ], ids=["103", "102", "several"])
+    def test_interim_1xx_skipped(self, interim):
+        with _RawServer(interim + OK_REPLY) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                assert [remote.score(np.zeros(2), np.zeros(2)) for _ in range(2)] == [0.5] * 2
+        assert len(server.heads) == 2 and server.connections == 1
+
+    def test_101_switching_protocols_is_transport_error(self):
+        # 101 is the final reply to the request: the connection would speak another protocol
+        with _RawServer(b"HTTP/1.1 101 Switching Protocols\r\nUpgrade: x\r\n\r\n" + OK_REPLY) as server:
+            with RemoteScorer(server.endpoint) as remote:
+                with pytest.raises(TransportError, match=f"{re.escape(remote.url)} returned status 101"):
+                    remote.score(np.zeros(2), np.zeros(2))
+        assert len(server.heads) == 1
 
     def test_100_headers_accepted(self):
         reply = b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 99 + OK_REPLY.split(b"\r\n", 1)[1]
