@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Desk-scale experiment: generate a synthetic dataset, run the pipeline
-under each ablation toggle, and print an AUC/AP comparison table.
+under each ablation toggle, and print an AUC/AP comparison table. A variant
+whose metrics are undefined (single-class labels) prints as undefined with
+its reason; the other variants still run, and the script then exits 3, as
+``hypervad run`` does.
 
 Usage:
   python scripts/run_synthetic_experiment.py [--out DIR] [--seed N]
@@ -12,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from hypervad.cli import EXIT_OK, EXIT_UNDEFINED_METRICS
 from hypervad.core import PipelineConfig
 from hypervad.pipeline import RunManifest, run_pipeline
 from hypervad.synth import gen_synthetic
@@ -53,6 +57,7 @@ def main() -> int:
     print(f"{'variant':<22} {'AUC-ROC':>8} {'AP':>8} {'final loss':>12}")
 
     config = PipelineConfig(seed=args.seed, window=args.window)
+    undefined = False
     for name, overrides in VARIANTS:
         overrides = dict(overrides)
         drop_audio = overrides.pop("drop_audio", False)
@@ -68,12 +73,14 @@ def main() -> int:
         )
         result = run_pipeline(manifest)
         metrics = result.eval_report
-        print(
-            f"{name:<22} {metrics.auc_roc:>8.4f} {metrics.average_precision:>8.4f} "
-            f"{result.prompt_state.loss_history[-1]:>12.4f}"
-        )
+        loss = f"{result.prompt_state.loss_history[-1]:>12.4f}"
+        if metrics.defined:
+            print(f"{name:<22} {metrics.auc_roc:>8.4f} {metrics.average_precision:>8.4f} {loss}")
+        else:
+            undefined = True
+            print(f"{name:<22} {'undefined':>17} {loss}  ({metrics.undefined_reason})")
     print(f"outputs under {root}")
-    return 0
+    return EXIT_UNDEFINED_METRICS if undefined else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -226,11 +226,14 @@ def weighted_geodesic_mean(points, weights, curvature: float) -> KarcherResult:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (points.shape[-2],):
         raise ValueError("one weight per point required")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be non-negative")
-    total = float(w.sum())
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
+    with np.errstate(over="ignore"):  # an overflowing sum is reported below
+        total = float(w.sum())
+    if not 0 < total < np.inf:
+        raise ValueError("weights must sum to a finite positive value")
     w = w / total
 
     support = w > 0

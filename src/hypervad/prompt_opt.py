@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -79,13 +80,6 @@ class Scorer(Protocol):
                  coeff: np.ndarray, scores: np.ndarray) -> np.ndarray: ...
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 class StubScorer:
     """Deterministic differentiable stand-in for a frozen language model.
 
@@ -103,12 +97,19 @@ class StubScorer:
         self.u = seeded_unit_vector(seed, emb_dim)
 
     def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
-        # ndarray.dot skips the matmul gufunc's per-call dispatch; same bytes as @
-        return _sigmoid(float(self.w.dot(q) + self.u.dot(emb) + self.b))
+        # ndarray.dot skips the matmul gufunc's per-call dispatch; same bytes
+        # as @. Python floats add in the same order and rounding as numpy's
+        # scalars, for less work per addition.
+        x = float(self.w.dot(q)) + float(self.u.dot(emb)) + self.b
+        if x >= 0:
+            return 1.0 / (1.0 + math.exp(-x))
+        e = math.exp(x)
+        return e / (1.0 + e)
 
     def score_batch(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
-        return np.array([self.score(q, embs[t], text=texts[t]) for t in range(embs.shape[0])],
-                        dtype=np.float64)
+        # texts shorter than embs ends the map early, and fromiter raises
+        n = embs.shape[0]
+        return np.fromiter(map(self.score, repeat(q), embs, texts), np.float64, n)
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)
@@ -117,13 +118,19 @@ class StubScorer:
     def grad_sum(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str],
                  coeff: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """sum_t coeff[t] * scores[t] * (1 - scores[t]) * w, its rows added
-        in order onto a zero row, as a running total adds them: a pairwise
-        sum (``.sum(axis=0)``) would round differently."""
-        rows = np.zeros((scores.size + 1, self.w.size))
-        np.multiply.outer(scores * (1.0 - scores), self.w, out=rows[1:])
-        rows[1:] *= coeff[:, None]
-        np.add.accumulate(rows, axis=0, out=rows)
-        return rows[-1]
+        in order onto a zero row, as a running total adds them.
+
+        ``.sum(axis=0)`` over two or more columns adds row after row, each
+        column in order; over a single column numpy sums pairwise, which
+        rounds differently. So the rows are at least two columns wide, a
+        one-dimensional prompt padded by a zero column that is dropped.
+        """
+        d = self.w.size
+        rows = np.zeros((scores.size + 1, max(d, 2)))
+        grads = rows[1:, :d]
+        np.multiply.outer(scores * (1.0 - scores), self.w, out=grads)
+        grads *= coeff[:, None]
+        return rows.sum(axis=0)[:d]
 
 
 @dataclass

@@ -43,7 +43,7 @@ from hypervad.captions import SummarySet, normalize_rows
 from hypervad.core import ValidationError, finite_real
 from hypervad.dataio import _caption_record, _frame_text
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
-from hypervad.prompt_opt import PromptState, _sigmoid, loss_score_gradient, resolve_target_mass, total_loss
+from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
 
 
@@ -441,8 +441,16 @@ def optimize_prompt_per_row(q0, summaries, scorer, config):
 
 
 def stub_score_matmul(scorer, q, emb) -> float:
-    """``StubScorer.score`` with its two dot products written as ``@``."""
+    """``StubScorer.score`` with its two dot products written as ``@``, added
+    as numpy scalars, and its sigmoid as a helper function."""
     return _sigmoid(float(scorer.w @ q + scorer.u @ emb + scorer.b))
+
+
+def _sigmoid(x: float) -> float:
+    if x >= 0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
 def mahalanobis_one_row(x, stats) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,19 @@ class TestKarcherMean:
             weighted_geodesic_mean([x, x], [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="at least one"):
             weighted_geodesic_mean([], [], 1.0)
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, math.nan, 0.5], "weights must be finite"),
+        ([0.5, math.inf, 0.5], "weights must be finite"),
+        ([1e308, 1e308, 1.0, 1.0], "weights must sum to a finite positive value"),
+    ])
+    def test_rejects_weights_without_a_finite_total(self, rng, weights, message):
+        # checked before any division, so no RuntimeWarning comes first
+        pts = random_points(rng, len(weights), 3, radius=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                weighted_geodesic_mean(pts, weights, 1.0)
 
     def test_rejects_points_outside_ball(self, rng):
         x = random_point(rng)

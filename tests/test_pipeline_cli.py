@@ -2,8 +2,11 @@ import argparse
 import contextlib
 import inspect
 import json
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -22,7 +25,8 @@ from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 from hypervad.synth import gen_synthetic
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -884,3 +888,30 @@ class TestSynthGenerator:
         assert dataset.n_segments == 12
         assert labels.size == 24
         assert int(labels.sum()) == 3 * 2  # 25% of 12 segments, 2 frames each
+
+
+class TestSyntheticExperimentScript:
+    def run_script(self, tmp_path, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        command = [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
+                   "--out", str(tmp_path), *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+    def test_undefined_metrics_print_per_variant_and_exit_3(self, tmp_path):
+        # two segments give one anomalous-free label set: every variant's
+        # metrics are undefined, and each still runs
+        proc = self.run_script(tmp_path, "--n-segments", "2")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        rows = lines[2:-1]  # between the two header lines and the output path
+        assert len(rows) == 6
+        assert all(re.fullmatch(r".{22} +undefined +\d+\.\d{4}  \(AUC-ROC needs both classes present\)", line)
+                   for line in rows), rows
+        assert lines[-1] == f"outputs under {tmp_path}"
+
+    def test_defined_metrics_exit_0(self, tmp_path):
+        proc = self.run_script(tmp_path, "--n-segments", "40")
+        assert proc.returncode == 0, proc.stderr
+        assert not any(" undefined " in line for line in proc.stdout.splitlines())

@@ -98,6 +98,15 @@ class TestStubScorer:
         scorer.b = -float(scorer.u @ s)
         assert scorer.score(np.zeros(6), s) == pytest.approx(0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("logit, want", [(1000.0, 1.0), (-1000.0, 0.0)])
+    def test_saturated_logit_scores_exactly(self, rng, logit, want):
+        # math.exp(1000) overflows: each sign must take the branch that does not
+        s = rng.normal(size=4)
+        scorer = StubScorer(6, 4, seed=0)
+        scorer.b = logit - float(scorer.u @ s)
+        got = scorer.score(np.zeros(6), s)
+        assert type(got) is float and got == want
+
     def test_analytic_grad_matches_finite_difference(self, rng):
         h = 1e-6
         for seed in range(20):
@@ -135,6 +144,29 @@ class TestStubScorer:
         want = np.array([stub_score_matmul(scorer, q, e) for e in embs])
         assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("layout", [
+        lambda wide: wide[:, :3].copy(),
+        lambda wide: np.asfortranarray(wide[:, :3]),
+        lambda wide: wide[:, 2:5],
+        lambda wide: wide[:0, :3].copy(),
+    ], ids=["c", "fortran", "column_slice", "empty"])
+    def test_score_batch_is_the_one_row_view(self, layout):
+        rng = np.random.default_rng(0xBA7)
+        scorer = StubScorer(5, 3, seed=7)
+        q = rng.normal(size=5)
+        embs = layout(rng.normal(size=(60, 7)) * 3.0)
+        texts = tuple(f"summary {t}" for t in range(len(embs)))
+        got = scorer.score_batch(q, embs, texts)
+        want = np.array([scorer.score(q, embs[t], texts[t]) for t in range(len(embs))], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (len(embs),)
+        assert got.tobytes() == want.tobytes()
+
+    def test_score_batch_rejects_short_texts(self, rng):
+        scorer = StubScorer(5, 3, seed=7)
+        embs = rng.normal(size=(4, 3))
+        with pytest.raises(ValueError, match="too short"):
+            scorer.score_batch(rng.normal(size=5), embs, ("a", "b", "c"))
+
 
 class CountingScorer(StubScorer):
     """The stub, counting the calls it receives by name."""
@@ -159,7 +191,7 @@ class CountingScorer(StubScorer):
 class TestGradSum:
     @pytest.mark.parametrize("prompt_dim, n, saturated", [
         (1, 1, False), (1, 50, False), (1, 50, True), (6, 1, True),
-        (16, 200, False), (16, 200, True), (32, 1500, False),
+        (2, 1, True), (2, 8001, True), (16, 200, False), (16, 200, True), (32, 1500, False),
     ])
     def test_equals_per_row_sum_bit_for_bit(self, prompt_dim, n, saturated):
         # saturated rows sit 60 along u, alternating in sign from +: scores
