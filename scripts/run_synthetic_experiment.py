@@ -3,7 +3,9 @@
 under each ablation toggle, and print an AUC/AP comparison table. A variant
 whose metrics are undefined (single-class labels) prints as undefined with
 its reason; the other variants still run, and the script then exits 3, as
-``hypervad run`` does.
+``hypervad run`` does. Errors exit as ``hypervad`` does too: a rejected
+setting prints one ``validation error:`` line per issue and exits 1, a
+failed run prints one ``error:`` line and exits 2.
 
 Usage:
   python scripts/run_synthetic_experiment.py [--out DIR] [--seed N]
@@ -15,8 +17,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypervad.cli import EXIT_OK, EXIT_UNDEFINED_METRICS
-from hypervad.core import PipelineConfig
+from hypervad.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED_METRICS, EXIT_VALIDATION
+from hypervad.core import PipelineConfig, PipelineError, ValidationError
 from hypervad.pipeline import RunManifest, run_pipeline
 from hypervad.synth import gen_synthetic
 
@@ -40,7 +42,20 @@ def main() -> int:
     parser.add_argument("--anomaly-fraction", type=float, default=0.1)
     parser.add_argument("--window", type=int, default=PipelineConfig().window)
     args = parser.parse_args()
+    try:
+        return run(args)
+    except ValidationError as exc:
+        for issue in exc.issues:
+            print(f"validation error: {issue}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (PipelineError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
+
+def run(args) -> int:
+    """Generate the dataset, run every variant and print the table."""
+    config = PipelineConfig(seed=args.seed, window=args.window)
     root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="hypervad_"))
     data = gen_synthetic(
         root / "data",
@@ -56,7 +71,6 @@ def main() -> int:
           f"dim {data.dim}, generator oracle AUC {oracle}")
     print(f"{'variant':<22} {'AUC-ROC':>8} {'AP':>8} {'final loss':>12}")
 
-    config = PipelineConfig(seed=args.seed, window=args.window)
     undefined = False
     for name, overrides in VARIANTS:
         overrides = dict(overrides)

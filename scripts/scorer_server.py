@@ -17,6 +17,9 @@ connection after the replies before them. The "serving ... at URL" line
 is flushed at once, so a caller that starts the server with --port 0 can
 read the port from a pipe. A real deployment would put an actual
 language model behind the same POST /score contract.
+
+A dimension below 1, a negative seed, a port outside 0-65535, or an
+address the server cannot bind prints one line to stderr and exits 1.
 """
 
 import argparse
@@ -27,6 +30,11 @@ from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 
 
+def fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--prompt-dim", type=int, default=32)
@@ -35,9 +43,20 @@ def main() -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8750)
     args = parser.parse_args()
+    for name in ("prompt_dim", "emb_dim"):
+        if getattr(args, name) < 1:
+            return fail(f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}")
+    if args.seed < 0:
+        return fail(f"--seed must be non-negative, got {args.seed}")
+    if not 0 <= args.port <= 65535:
+        return fail(f"--port must lie in 0-65535, got {args.port}")
 
     scorer = StubScorer(args.prompt_dim, args.emb_dim, seed=args.seed)
-    with LoopbackScorerServer(scorer, host=args.host, port=args.port) as server:
+    try:
+        server = LoopbackScorerServer(scorer, host=args.host, port=args.port)
+    except OSError as exc:
+        return fail(f"cannot serve at {args.host}:{args.port}: {exc}")
+    with server:
         # flushed: under a pipe or a file this line is how a caller learns
         # the port of --port 0
         print(f"serving stub scorer (seed {args.seed}) at {server.endpoint}/score", flush=True)

@@ -71,7 +71,9 @@ class Scorer(Protocol):
     backends that prompt a language model; numeric backends may ignore the
     text. The two built-in scorers keep ``score`` and ``grad_q`` as one-row
     views, and their ``score_batch`` calls ``score`` once per row, so that
-    a tracer counting those calls by name still sees every row.
+    a tracer counting those calls by name still sees every row. The stub
+    computes its prompt term once per ``score_batch`` and hands it to each
+    row's ``score``.
     """
 
     def score_batch(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray: ...
@@ -88,6 +90,10 @@ class StubScorer:
     is the seed's unit vector from :func:`seeded_unit_vector`. A synthetic
     dataset built with the same seed therefore has its anomaly shift aligned
     with u, making the classes linearly separable to this scorer.
+
+    Every row of a batch is scored under one prompt, so ``score_batch``
+    computes the prompt term w . q once and passes it to each row's
+    ``score``, which adds only u . s and b to it.
     """
 
     def __init__(self, prompt_dim: int, emb_dim: int, seed: int):
@@ -96,20 +102,35 @@ class StubScorer:
         self.b = float(rng.standard_normal())
         self.u = seeded_unit_vector(seed, emb_dim)
 
-    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> float:
+    def score(self, q: np.ndarray, emb: np.ndarray, text: str = "", wq: Optional[float] = None) -> float:
+        """sigmoid(w . q + u . emb + b) as a Python float.
+
+        ``wq`` is ``float(w . q)`` when the caller already holds it, as
+        :meth:`score_batch` does for all its rows; left out, it is computed
+        here. Either way the logit is the same three additions in the same
+        order. A subclass that overrides ``score`` must accept ``wq`` and
+        pass it on. The argument goes once ``score_batch`` takes its logits
+        from one stacked product.
+        """
         # ndarray.dot skips the matmul gufunc's per-call dispatch; same bytes
         # as @. Python floats add in the same order and rounding as numpy's
         # scalars, for less work per addition.
-        x = float(self.w.dot(q)) + float(self.u.dot(emb)) + self.b
+        if wq is None:
+            wq = float(self.w.dot(q))
+        x = wq + float(self.u.dot(emb)) + self.b
         if x >= 0:
             return 1.0 / (1.0 + math.exp(-x))
         e = math.exp(x)
         return e / (1.0 + e)
 
     def score_batch(self, q: np.ndarray, embs: np.ndarray, texts: Sequence[str]) -> np.ndarray:
+        """One ``score`` call per row, each given the batch's ``w . q``,
+        which is computed once, so a prompt not of ``w``'s shape raises
+        even for no rows."""
         # texts shorter than embs ends the map early, and fromiter raises
         n = embs.shape[0]
-        return np.fromiter(map(self.score, repeat(q), embs, texts), np.float64, n)
+        wq = float(self.w.dot(q))
+        return np.fromiter(map(self.score, repeat(q), embs, texts, repeat(wq)), np.float64, n)
 
     def grad_q(self, q: np.ndarray, emb: np.ndarray, text: str = "") -> np.ndarray:
         s = self.score(q, emb)

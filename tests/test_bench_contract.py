@@ -263,3 +263,21 @@ def test_scorer_process_serves_and_counts():
             proc.wait()
         proc.stdout.close()
     assert proc.returncode == 0
+
+
+def test_output_hashes_are_stable_and_name_every_workload_and_ablation_row(ablation):
+    command = [sys.executable, str(ROOT / "scripts" / "output_hashes.py"), "--seeds", "0"]
+    runs = [subprocess.run(command, capture_output=True, text=True, timeout=300) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    hashes = json.loads(runs[0].stdout)
+    workloads = _perfbench_module("workloads").WORKLOADS
+    assert sorted(hashes["workloads"]) == sorted(workloads)
+    for per_seed in hashes["workloads"].values():
+        assert list(per_seed) == ["seed 0"]
+        assert sorted(per_seed["seed 0"]) == sorted([SCORES_FILE, LOSS_FILE, REPORT_FILE])
+    assert list(hashes["ablation"]) == [name for name, _ in ablation.load_variants(ROOT)]
+    assert len(hashes["ablation"]) == 6
+    digests = [d for per_seed in hashes["workloads"].values() for d in per_seed["seed 0"].values()]
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests + list(hashes["ablation"].values()))

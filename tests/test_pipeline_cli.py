@@ -915,3 +915,37 @@ class TestSyntheticExperimentScript:
         proc = self.run_script(tmp_path, "--n-segments", "40")
         assert proc.returncode == 0, proc.stderr
         assert not any(" undefined " in line for line in proc.stdout.splitlines())
+
+    @pytest.mark.parametrize("args, issue", [
+        (("--window", "0"), "window must be at least 1"),
+        (("--dim", "0"), "dim must be at least 1"),
+    ])
+    def test_rejected_setting_is_one_validation_line_and_exit_1(self, tmp_path, args, issue):
+        proc = self.run_script(tmp_path, "--n-segments", "20", *args)
+        assert proc.returncode == 1
+        assert proc.stderr == f"validation error: {issue}\n"
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("error", [
+        "PipelineError('stage failed')", "ValueError('stage failed')", "OSError('stage failed')",
+    ])
+    def test_runtime_error_is_one_error_line_and_exit_2(self, tmp_path, error):
+        # the script run as __main__, with run_pipeline raising once the
+        # dataset is written
+        script = ROOT / "scripts" / "run_synthetic_experiment.py"
+        code = (
+            "import runpy, sys\n"
+            "import hypervad.pipeline\n"
+            "from hypervad.core import PipelineError\n"
+            "def failing(manifest):\n"
+            f"    raise {error}\n"
+            "hypervad.pipeline.run_pipeline = failing\n"
+            f"sys.argv = [{str(script)!r}, '--out', {str(tmp_path)!r}, '--n-segments', '20']\n"
+            f"runpy.run_path({str(script)!r}, run_name='__main__')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: stage failed\n"

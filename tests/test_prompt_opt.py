@@ -168,6 +168,78 @@ class TestStubScorer:
             scorer.score_batch(rng.normal(size=5), embs, ("a", "b", "c"))
 
 
+def per_row_scores(scorer, q, embs, texts) -> np.ndarray:
+    """Each row by the three-argument ``score``, which computes w . q itself."""
+    return np.array([scorer.score(q, embs[t], texts[t]) for t in range(len(embs))], dtype=np.float64)
+
+
+class TestScoreBatchPromptTerm:
+    """``score_batch`` computes w . q once and hands it to every row's
+    ``score``; the bytes must be those of rows that each compute it."""
+
+    @pytest.mark.parametrize("n, emb_dim, prompt_dim", [(1500, 16, 32), (80, 16, 32), (100, 16, 6)],
+                             ids=["unimodal-window1", "audio-window10", "remote-loopback"])
+    def test_workload_shapes_match_per_row_bytes(self, n, emb_dim, prompt_dim):
+        for seed in range(3):
+            rng = np.random.default_rng([seed, n, prompt_dim])
+            scorer = StubScorer(prompt_dim, emb_dim, seed=seed)
+            q = rng.normal(size=prompt_dim)
+            embs = rng.normal(size=(n, emb_dim)) * 3.0
+            texts = tuple(f"summary {t}" for t in range(n))
+            got = scorer.score_batch(q, embs, texts)
+            want = per_row_scores(scorer, q, embs, texts)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 41])
+    def test_saturated_logits_match_per_row_bytes(self, n):
+        # rows sit 60 along u, alternating in sign from +: |logit| > 40
+        rng = np.random.default_rng([0x5A7, n])
+        scorer = StubScorer(6, 4, seed=3)
+        q = rng.normal(size=6)
+        embs = np.where(np.arange(n) % 2, -60.0, 60.0)[:, None] * scorer.u
+        embs += rng.normal(size=(n, 4)) * 0.1
+        logits = embs @ scorer.u + scorer.w @ q + scorer.b
+        assert n == 0 or np.min(np.abs(logits)) > 40
+        assert (logits > 0).sum() == (n + 1) // 2 and (logits < 0).sum() == n // 2
+        texts = tuple(f"summary {t}" for t in range(n))
+        got = scorer.score_batch(q, embs, texts)
+        want = per_row_scores(scorer, q, embs, texts)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+
+    def test_given_prompt_term_scores_as_computed_one(self, rng):
+        for seed in range(20):
+            scorer = StubScorer(7, 5, seed=seed)
+            q, e = rng.normal(size=7), rng.normal(size=5) * 3.0
+            given = scorer.score(q, e, "t", float(scorer.w.dot(q)))
+            assert type(given) is float and given == scorer.score(q, e, "t")
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_one_prompt_dot_per_batch(self, rng, n):
+        dots = []
+
+        class CountedDots(np.ndarray):
+            def dot(self, *args, **kwargs):
+                dots.append(1)
+                return np.asarray(self).dot(*args, **kwargs)
+
+        scorer = StubScorer(5, 3, seed=2)
+        want_w = scorer.w.copy()
+        scorer.w = scorer.w.view(CountedDots)
+        q, embs = rng.normal(size=5), rng.normal(size=(n, 3))
+        texts = ("",) * n
+        got = scorer.score_batch(q, embs, texts)
+        assert len(dots) == 1
+        scorer.w = want_w
+        assert got.tobytes() == per_row_scores(scorer, q, embs, texts).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_prompt_of_another_shape_raises_even_without_rows(self, rng, n):
+        scorer = StubScorer(5, 3, seed=2)
+        with pytest.raises(ValueError, match="not aligned"):
+            scorer.score_batch(rng.normal(size=4), rng.normal(size=(n, 3)), ("",) * n)
+
+
 class CountingScorer(StubScorer):
     """The stub, counting the calls it receives by name."""
 
@@ -175,9 +247,9 @@ class CountingScorer(StubScorer):
         super().__init__(*args, **kwargs)
         self.calls = Counter()
 
-    def score(self, q, emb, text=""):
+    def score(self, q, emb, text="", wq=None):
         self.calls["score"] += 1
-        return super().score(q, emb, text)
+        return super().score(q, emb, text, wq)
 
     def grad_q(self, q, emb, text=""):
         self.calls["grad_q"] += 1

@@ -1531,6 +1531,23 @@ class TestSocketHygieneMidPipeline:
 
 
 class TestScorerServerScript:
+    @pytest.mark.parametrize("args, message", [
+        (("--prompt-dim", "-2"), "--prompt-dim must be at least 1, got -2"),
+        (("--prompt-dim", "0"), "--prompt-dim must be at least 1, got 0"),
+        (("--emb-dim", "0"), "--emb-dim must be at least 1, got 0"),
+        (("--seed", "-1"), "--seed must be non-negative, got -1"),
+        (("--port", "99999"), "--port must lie in 0-65535, got 99999"),
+        (("--port", "-1"), "--port must lie in 0-65535, got -1"),
+    ])
+    def test_bad_argument_is_one_line_and_exit_1(self, args, message):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        command = [sys.executable, str(ROOT / "scripts" / "scorer_server.py"), "--port", "0", *args]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""
+
     def test_endpoint_line_reaches_a_pipe(self, rng):
         # the line is the only way to learn the port of --port 0; without
         # PYTHONUNBUFFERED a line printed to a pipe would wait in the
