@@ -4,6 +4,12 @@ ablation row's scores, as one JSON object, so that two trees compare by diff:
 
   python3 scripts/output_hashes.py [--seeds 0 1] > hashes.json
 
+With ``--parent REV`` it compares instead: REV's src, perfbench and scripts
+are extracted by ``git archive`` into a temporary directory (the checkout
+and its .git are left untouched), REV's own copy of this script hashes that
+tree, and every hash that differs from this tree's is printed. The exit
+status is 1 on any difference, 0 when all match.
+
 Each workload of perfbench/workloads.py is generated and run once per seed as
 the benchmark runs it, and its scores.csv, loss_history.csv and report.json
 are hashed; remote-loopback is scored by an in-process loopback server. The
@@ -13,8 +19,11 @@ checkout's src/, so each tree hashes its own code.
 
 import argparse
 import hashlib
+import io
 import json
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -63,22 +72,60 @@ def workload_hashes(wl, seed: int, work: Path) -> dict:
         return run(server.endpoint)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    args = parser.parse_args()
-
+def tree_hashes(seeds) -> dict:
     hashes = {"workloads": {}, "ablation": {}}
     with tempfile.TemporaryDirectory(prefix="hypervad_hashes_") as tmp:
         work = Path(tmp)
         for name, wl in WORKLOADS.items():
             hashes["workloads"][name] = {
-                f"seed {seed}": workload_hashes(wl, seed, work / f"{name}-s{seed}") for seed in args.seeds
+                f"seed {seed}": workload_hashes(wl, seed, work / f"{name}-s{seed}") for seed in seeds
             }
         for row in ablation_table(ROOT, work / "ablation"):
             hashes["ablation"][row["variant"]] = row["scores_sha256"]
-    print(json.dumps(hashes, indent=2))
-    return 0
+    return hashes
+
+
+def parent_hashes(rev: str, seeds) -> dict:
+    """The hashes REV's own script prints for REV's tree."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "perfbench", "scripts"],
+        capture_output=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory(prefix="hypervad_parent_") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        out = subprocess.run(
+            [sys.executable, str(Path(tmp) / "scripts" / "output_hashes.py"), "--seeds", *map(str, seeds)],
+            capture_output=True, text=True, check=True,
+        ).stdout
+    return json.loads(out)
+
+
+def leaves(tree: dict, prefix=()):
+    """(path, hash) for every hash in a nested hash object."""
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, prefix + (key,))
+        else:
+            yield "/".join(prefix + (key,)), value
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--parent", metavar="REV", help="compare with the hashes of git revision REV")
+    args = parser.parse_args()
+
+    hashes = tree_hashes(args.seeds)
+    if args.parent is None:
+        print(json.dumps(hashes, indent=2))
+        return 0
+    ours, theirs = dict(leaves(hashes)), dict(leaves(parent_hashes(args.parent, args.seeds)))
+    differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
+    for key in differ:
+        print(f"differs: {key}: {args.parent} {theirs.get(key)}, this tree {ours.get(key)}")
+    print(f"{len(ours) - len(differ)} of {len(ours)} hashes match {args.parent}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Cleaning replaces each segment's caption with the caption from the whole
 video whose text embedding is most cosine-similar to that segment's visual
 embedding. Exactly equal cosines break to the lowest index; zero-norm rows
 are reported and score minus infinity against everything. The search runs
-over row blocks (see :func:`row_blocks`), so it never holds an n x n matrix.
+over row blocks (see :func:`block_products`), so it never holds an n x n
+matrix.
 
 The window layout is stated here only: windows of ``window`` consecutive
 segments, then one shorter trailing window, so every frame gets a score.
@@ -92,19 +93,34 @@ def row_blocks(n_rows: int, n_cols: int):
         yield lo, min(lo + step, n_rows)
 
 
+def block_products(a: np.ndarray, b: np.ndarray):
+    """(lo, hi, a[lo:hi] @ b.T) for each block of :func:`row_blocks` over
+    len(a) x len(b).
+
+    Every product is written into one buffer sized by the first block, so
+    a single block is live at a time: each yielded product is overwritten
+    by the next one.
+    """
+    buffer = None
+    for lo, hi in row_blocks(len(a), len(b)):
+        if buffer is None:
+            buffer = np.empty((hi - lo, len(b)), dtype=np.result_type(a, b))
+        yield lo, hi, np.matmul(a[lo:hi], b.T, out=buffer[: hi - lo])
+
+
 def clean_caption_indices(frame_embs: np.ndarray, caption_embs: np.ndarray):
     """Argmax cosine alignment of each visual row against all caption rows.
 
     Returns (indices, zero_norm_rows) where zero_norm_rows lists
     ("visual"|"text", row) pairs whose similarities were pinned to -inf.
 
-    Each block of :func:`row_blocks` multiplies its visual rows against all
-    caption rows and takes the row-wise argmax, so memory is O(n) plus one
-    block of BLOCK_BYTES. Exactly equal cosines break to the lowest index.
-    Identical caption rows are not guaranteed exactly equal cosines: the
-    similarities come from matrix products, whose blocked summation can
-    differ by 1 ulp between two identical columns, and the higher index
-    then wins.
+    Each block of :func:`block_products` multiplies its visual rows against
+    all caption rows into the one block buffer and takes the row-wise
+    argmax, so memory is O(n) plus one block of BLOCK_BYTES. Exactly equal
+    cosines break to the lowest index. Identical caption rows are not
+    guaranteed exactly equal cosines: the similarities come from matrix
+    products, whose blocked summation can differ by 1 ulp between two
+    identical columns, and the higher index then wins.
     """
     (n, dim), (n_captions, caption_dim) = frame_embs.shape, caption_embs.shape
     if n != n_captions:
@@ -117,8 +133,7 @@ def clean_caption_indices(frame_embs: np.ndarray, caption_embs: np.ndarray):
     f_unit, f_zero = normalize_rows(frame_embs)
     c_unit, c_zero = normalize_rows(caption_embs)
     indices = np.empty(n, dtype=np.int64)
-    for lo, hi in row_blocks(n, n):
-        sim = f_unit[lo:hi] @ c_unit.T
+    for lo, hi, sim in block_products(f_unit, c_unit):
         sim[f_zero[lo:hi], :] = -np.inf
         sim[:, c_zero] = -np.inf
         # np.argmax returns the first maximum, which is the lowest-index tie break

@@ -36,20 +36,26 @@ _HEADER = struct.Struct("<4sIBII")
 MODALITY_CODES = {Modality.VISUAL: 0, Modality.AUDIO: 1, Modality.TEXT: 2}
 
 
+FLOAT32_RANGE = f"float32's range (±{float(np.finfo(np.float32).max):.4g})"
+
+
+def float32_rows(data: np.ndarray):
+    """An (n, d) float64 array as little-endian float32, plus the first row
+    holding a finite value beyond float32's range, or None."""
+    with np.errstate(over="ignore"):
+        values = data.astype("<f4")
+    overflow = np.isinf(values) & np.isfinite(data)
+    return values, int(np.argmax(overflow.any(axis=1))) if overflow.any() else None
+
+
 def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
     """Write an (n, d) array as a ``modality`` embedding file. A finite
     value beyond float32's range is a ValueError, and no file is written."""
     data = np.asarray(data, dtype=np.float64)
     count, dim = data.shape
-    with np.errstate(over="ignore"):
-        values = data.astype("<f4")
-    overflow = np.isinf(values) & np.isfinite(data)
-    if overflow.any():
-        row = int(np.argmax(overflow.any(axis=1)))
-        raise ValueError(
-            f"{path}: row {row} has a value beyond float32's range "
-            f"(±{float(np.finfo(np.float32).max):.4g})"
-        )
+    values, row = float32_rows(data)
+    if row is not None:
+        raise ValueError(f"{path}: row {row} has a value beyond {FLOAT32_RANGE}")
     header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[modality], dim, count)
     Path(path).write_bytes(header + values.tobytes())
 

@@ -2,7 +2,10 @@
 
 Each reads its own descending-score threshold sweep, tied scores grouped into
 one step: AUC is its trapezoidal ROC area, the Mann-Whitney statistic with
-ties at half credit; AP sums precision times the recall gained per step.
+ties at half credit; AP sums precision times the recall gained per step. The
+sweep sorts runs of equal consecutive scores, each carrying its positive and
+negative counts, not single frames; its counts at each distinct score are
+the integers a sweep over sorted frames gives.
 Metrics are reported as explicitly undefined when a class is missing, never
 defaulted to 0 or NaN.
 """
@@ -61,7 +64,7 @@ def _check_binary(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores and labels must be equal-length vectors, got {scores.shape} vs {labels.shape}")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValueError("labels must be 0 or 1")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
@@ -70,12 +73,20 @@ def _check_binary(scores, labels):
 
 def _threshold_sweep(scores: np.ndarray, labels: np.ndarray):
     """Cumulative (tp, fp) counts of frames scoring at or above each distinct
-    score, highest first: each step ends at the last of a tied-score group."""
-    order = np.argsort(-scores, kind="stable")
-    sorted_labels = labels[order]
-    tp = np.cumsum(sorted_labels)
-    fp = np.cumsum(1 - sorted_labels)
-    idx = np.append(np.nonzero(np.diff(scores[order]))[0], scores.size - 1)
+    score, highest first: each step ends at the last of a tied-score group.
+
+    The sweep sorts runs of equal consecutive scores, each carrying its
+    positive and negative counts, rather than frames: a window's frames
+    share its score, so there are at most as many runs as windows.
+    """
+    starts = np.append(0, np.flatnonzero(scores[1:] != scores[:-1]) + 1)
+    positives = np.add.reduceat(labels, starts)
+    negatives = np.diff(starts, append=scores.size) - positives
+    run_scores = scores[starts]
+    order = np.argsort(-run_scores, kind="stable")
+    tp = np.cumsum(positives[order])
+    fp = np.cumsum(negatives[order])
+    idx = np.append(np.nonzero(np.diff(run_scores[order]))[0], run_scores.size - 1)
     return tp[idx], fp[idx]
 
 

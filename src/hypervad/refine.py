@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .captions import normalize_rows, row_blocks
+from .captions import block_products, normalize_rows
 
 
 @dataclass(frozen=True)
@@ -96,20 +96,19 @@ def neighbor_sets(text_embs: np.ndarray, k: int) -> np.ndarray:
     products, whose blocked summation can differ by 1 ulp between two
     identical columns, and the higher index then wins.
 
-    Each block of :func:`captions.row_blocks` takes its rows' distances to
-    all rows, pins its part of the diagonal to -inf, then makes k passes of
-    a row-wise argmin (whose first-index rule is the tie break), each
-    marking the taken entries +inf: O(k n^2) time, and O(n k) memory plus
-    one block of BLOCK_BYTES. A full sort of every row costs more for k up
-    to about 200; refinement uses k = neighbors = 5.
+    Each block of :func:`captions.block_products` takes its rows' distances
+    to all rows in the one block buffer, pins its part of the diagonal to
+    -inf, then makes k passes of a row-wise argmin (whose first-index rule
+    is the tie break), each marking the taken entries +inf: O(k n^2) time,
+    and O(n k) memory plus one block of BLOCK_BYTES. A full sort of every
+    row costs more for k up to about 200; refinement uses k = neighbors = 5.
     """
     n = len(text_embs)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     unit, _ = normalize_rows(text_embs)
     out = np.empty((n, k), dtype=np.int64)
-    for lo, hi in row_blocks(n, n):
-        cos_dist = unit[lo:hi] @ unit.T
+    for lo, hi, cos_dist in block_products(unit, unit):
         np.subtract(1.0, cos_dist, out=cos_dist)
         rows = np.arange(hi - lo)
         cos_dist[rows, rows + lo] = -np.inf

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Modality, SegmentRecord, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
-from .dataio import write_captions, write_embeddings, write_labels
+from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
 # Correlation between text and visual embeddings of a segment. High enough
@@ -55,9 +55,10 @@ def gen_synthetic(
     with_audio: bool = False,
 ) -> SynthResult:
     """Write a complete synthetic dataset and its generation metadata. An
-    argument of the wrong kind (by ``core.kind_issues``) or out of range, or
-    an ``out_dir`` that cannot be a directory (by ``core.out_dir_issues``),
-    raises ValidationError before anything is written."""
+    argument of the wrong kind (by ``core.kind_issues``) or out of range, an
+    ``out_dir`` that cannot be a directory (by ``core.out_dir_issues``), or
+    a ``shift`` that puts an embedding beyond float32's range raises
+    ValidationError before anything is written."""
     issues = kind_issues(
         dict(n_segments=n_segments, dim=dim, anomaly_fraction=anomaly_fraction, shift=shift, seed=seed,
              frames_per_segment=frames_per_segment, with_audio=with_audio),
@@ -77,8 +78,6 @@ def gen_synthetic(
     if frames_per_segment < 1:
         raise ValidationError("frames_per_segment must be at least 1")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     direction = seeded_unit_vector(seed, dim)
 
@@ -93,6 +92,15 @@ def gen_synthetic(
 
     mix = TEXT_VISUAL_MIX
     text = mix * visual + np.sqrt(1.0 - mix * mix) * rng.standard_normal((n_segments, dim))
+    embeddings = {Modality.VISUAL: visual, Modality.TEXT: text}
+    if with_audio:
+        audio = rng.standard_normal((n_segments, dim))
+        audio += seg_labels[:, None] * shift * direction[None, :]
+        embeddings[Modality.AUDIO] = audio
+    for modality, rows in embeddings.items():
+        row = float32_rows(rows)[1]
+        if row is not None:
+            raise ValidationError(f"shift {shift} puts {modality.value} row {row} beyond {FLOAT32_RANGE}")
 
     segments = []
     for i in range(n_segments):
@@ -112,6 +120,8 @@ def gen_synthetic(
 
     frame_labels = np.repeat(seg_labels, frames_per_segment)
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "visual": out_dir / "visual.emb",
         "text": out_dir / "text.emb",
@@ -119,13 +129,10 @@ def gen_synthetic(
         "labels": out_dir / "labels.csv",
         "meta": out_dir / "meta.json",
     }
-    write_embeddings(paths["visual"], visual, Modality.VISUAL)
-    write_embeddings(paths["text"], text, Modality.TEXT)
     if with_audio:
-        audio = rng.standard_normal((n_segments, dim))
-        audio += seg_labels[:, None] * shift * direction[None, :]
         paths["audio"] = out_dir / "audio.emb"
-        write_embeddings(paths["audio"], audio, Modality.AUDIO)
+    for modality, rows in embeddings.items():
+        write_embeddings(paths[modality.value], rows, modality)
     write_captions(paths["captions"], segments)
     write_labels(paths["labels"], frame_labels)
 

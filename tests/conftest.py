@@ -46,3 +46,18 @@ def set_block_rows(monkeypatch, n_cols, rows):
     """Shrink the row-block budget so that a block of an n_cols-column
     search holds ``rows`` rows."""
     monkeypatch.setattr(captions, "BLOCK_BYTES", 8 * n_cols * rows)
+
+
+def all_pairs_cases(rng, dim=16):
+    """(name, a, b) row pairs for an all-pairs search: random rows, zero
+    rows, identical rows, and n = 1 and 2. ``b`` is an independent draw."""
+    for n in (1, 2, 23):
+        yield f"random n={n}", rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
+    a, b = rng.normal(size=(23, dim)), rng.normal(size=(23, dim))
+    a[[0, 6, 7, 22]] = 0.0
+    b[[1, 6, 21]] = 0.0
+    yield "zero rows", a, b
+    a, b = rng.normal(size=(23, dim)), rng.normal(size=(23, dim))
+    a[::3] = a[1]
+    b[::4] = b[2]
+    yield "identical rows", a, b

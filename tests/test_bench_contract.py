@@ -281,3 +281,30 @@ def test_output_hashes_are_stable_and_name_every_workload_and_ablation_row(ablat
     assert len(hashes["ablation"]) == 6
     digests = [d for per_seed in hashes["workloads"].values() for d in per_seed["seed 0"].values()]
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests + list(hashes["ablation"].values()))
+
+
+def _clean_git_checkout_reason():
+    """Why ``--parent HEAD`` cannot run here, or None when it can."""
+    try:
+        status = subprocess.run(
+            ["git", "-C", str(ROOT), "status", "--porcelain", "--", "src", "perfbench", "scripts"],
+            capture_output=True, text=True, timeout=60,
+        )
+    except OSError as exc:
+        return f"git cannot run: {exc}"
+    if status.returncode != 0:
+        return f"not a git checkout: {status.stderr.strip()}"
+    if status.stdout:
+        return "src, perfbench or scripts differ from HEAD, so HEAD's hashes need not match"
+    return None
+
+
+def test_output_hashes_match_parent_head_on_a_clean_tree():
+    reason = _clean_git_checkout_reason()
+    if reason:
+        pytest.skip(reason)
+    command = [sys.executable, str(ROOT / "scripts" / "output_hashes.py"), "--seeds", "0", "--parent", "HEAD"]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    # three workloads of three files at one seed, and six ablation rows
+    assert proc.stdout == "15 of 15 hashes match HEAD\n"

@@ -19,8 +19,13 @@ from hypervad.captions import (
 )
 from hypervad.core import Modality
 
-from conftest import exact_cosine_rows, make_matrix, set_block_rows
-from oracles import build_summaries_per_window, clean_caption_indices_dense, cosine_argmax_oracle
+from conftest import all_pairs_cases, exact_cosine_rows, make_matrix, set_block_rows
+from oracles import (
+    build_summaries_per_window,
+    clean_caption_indices_dense,
+    clean_caption_indices_per_block,
+    cosine_argmax_oracle,
+)
 
 
 class TestCleanCaptions:
@@ -141,10 +146,39 @@ class TestCleanCaptions:
         )
         assert np.array_equal(idx, clean_caption_indices_dense(frames, captions)[0])
 
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_block_buffer_matches_per_block_products(self, rng, monkeypatch, block):
+        # n = 23 leaves a short last block at 3 and 7 rows; None keeps the
+        # default budget, one block
+        for name, frames, captions in all_pairs_cases(rng):
+            if block is not None:
+                set_block_rows(monkeypatch, len(frames), block)
+            got = clean_caption_indices(
+                make_matrix(frames, Modality.VISUAL), make_matrix(captions, Modality.TEXT)
+            )
+            want = clean_caption_indices_per_block(frames, captions)
+            assert np.array_equal(got[0], want[0]) and got[0].tobytes() == want[0].tobytes(), name
+            assert got[1] == want[1], name
+
+    def test_peak_memory_holds_one_block_at_n_800(self, rng):
+        # 163 rows of 800 similarities make a block: the search holds that
+        # one block, both sets of unit rows and a few n-vectors, never a
+        # second block made while the last one is still referenced
+        n, dim = 800, 16
+        frames = make_matrix(rng.normal(size=(n, dim)), Modality.VISUAL)
+        captions = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)
+        block = captions_module.BLOCK_BYTES // (8 * n) * 8 * n
+        tracemalloc.start()
+        try:
+            clean_caption_indices(frames, captions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 8 * n * (2 * dim + 16)
+
     def test_peak_memory_one_block(self, rng):
-        # no n x n buffer (72 MB at n = 3,000): two blocks of similarities
-        # (the next block's product is made before the last one is freed)
-        # plus both sets of unit rows and the indices
+        # no n x n buffer (72 MB at n = 3,000): one block of similarities
+        # plus both sets of unit rows and the indices, with a loose margin
         n, dim = 3000, 16
         frames = make_matrix(rng.normal(size=(n, dim)), Modality.VISUAL)
         captions = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)

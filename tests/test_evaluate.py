@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypervad import evaluate
 from hypervad.core import SegmentRecord, ValidationError, validate_dataset
 from hypervad.evaluate import (
     UndefinedMetricError,
@@ -19,7 +20,13 @@ from hypervad.evaluate import (
     expand_to_frames,
 )
 
-from oracles import ap_sweep_oracle, auc_pairwise_oracle, auc_rank_sum_oracle, paint_frames_oracle
+from oracles import (
+    ap_sweep_oracle,
+    auc_pairwise_oracle,
+    auc_rank_sum_oracle,
+    paint_frames_oracle,
+    threshold_sweep_per_frame,
+)
 
 
 @st.composite
@@ -196,6 +203,57 @@ class TestAveragePrecision:
             scores = rng.permutation(np.linspace(0.001, 0.999, n))
             values.append(average_precision(scores, labels))
         assert abs(float(np.mean(values)) - prevalence) < 0.05
+
+
+def sweep_cases(rng):
+    """(name, scores, labels) cases for the threshold sweep, each with both
+    classes present."""
+    n = 200
+    yield "all distinct", rng.uniform(size=n), rng.integers(0, 2, size=n)
+    # mostly one-frame runs of five tied scores
+    yield "one-frame runs", rng.choice(rng.uniform(size=5), size=n), rng.integers(0, 2, size=n)
+    signed_zeros = rng.choice([0.0, -0.0, 0.5, -0.5], size=n)
+    yield "+-0.0", signed_zeros, rng.integers(0, 2, size=n)
+    # runs of one score far apart, with mixed labels inside each run
+    runs = rng.choice([0.1, 0.7, 0.3], size=40)
+    yield "tied non-adjacent runs", np.repeat(runs, 5), rng.integers(0, 2, size=200)
+    yield "one run", np.full(30, 0.25), np.arange(30) % 2
+    lengths = rng.integers(1, 20, size=30)
+    yield "segment runs", np.repeat(rng.choice(rng.uniform(size=8), size=30), lengths), \
+        rng.integers(0, 2, size=int(lengths.sum()))
+
+
+class TestThresholdSweepByRuns:
+    """The sweep over runs of equal consecutive scores gives the per-frame
+    sweep's counts, and so each metric's bytes."""
+
+    def test_counts_match_per_frame_sweep(self, rng):
+        for name, scores, labels in sweep_cases(rng):
+            got = evaluate._threshold_sweep(scores, labels.astype(np.int64))
+            want = threshold_sweep_per_frame(scores, labels.astype(np.int64))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+    def test_metrics_match_per_frame_sweep(self, rng, monkeypatch):
+        cases = list(sweep_cases(rng))
+        got = [(auc_roc(s, y), average_precision(s, y)) for _, s, y in cases]
+        monkeypatch.setattr(evaluate, "_threshold_sweep", threshold_sweep_per_frame)
+        want = [(auc_roc(s, y), average_precision(s, y)) for _, s, y in cases]
+        assert [np.float64(v).tobytes() for pair in got for v in pair] == \
+            [np.float64(v).tobytes() for pair in want for v in pair]
+
+    @pytest.mark.filterwarnings("ignore:Casting complex values")
+    @pytest.mark.parametrize("labels", [
+        [0, 1], [0.0, 1.0], [True, False], np.array([0, 1], dtype=np.uint8), [1 + 0j, 0j],
+        [0.5, 1.0], [2, 1], ["0", "1"], [b"1", b"0"], [None, 1], [1 + 1j, 0], [np.nan, 1], [2**70, 0],
+    ])
+    def test_label_check_accepts_what_isin_accepts(self, labels):
+        scores = np.zeros(len(labels))
+        if np.isin(np.asarray(labels), (0, 1)).all():
+            evaluate._check_binary(scores, labels)
+        else:
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                evaluate._check_binary(scores, labels)
 
 
 class TestBuildReport:

@@ -535,6 +535,8 @@ class TestCli:
         ["--shift", "nan"], ["--shift", "inf"],
         # a later --out wins: the output path is a file, or lies under one
         ["--out", "{file}"], ["--out", "{file}/sub"],
+        # finite, but it puts the shifted rows beyond float32's range
+        ["--shift", "1e200"],
     ])
     def test_synth_bad_argument_exit_1_no_output(self, tmp_path, capsys, option):
         out, file = tmp_path / "data", tmp_path / "file"
@@ -870,6 +872,9 @@ class TestSynthGenerator:
         ({"frames_per_segment": 0}, "frames_per_segment must be at least 1"),
         ({"out_dir": None}, "output directory must be a path, got None"),
         ({"out_dir": 7}, "output directory must be a path, got 7"),
+        # finite, but it puts the shifted rows beyond float32's range
+        ({"shift": 1e200}, "shift 1e+200 puts visual row 3 beyond float32's range (±3.403e+38)"),
+        ({"shift": 1e200, "with_audio": True}, "puts visual row 3 beyond float32's range"),
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(out_dir=tmp_path / "x", n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)

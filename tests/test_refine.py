@@ -16,13 +16,14 @@ from hypervad.refine import (
     refine_scores,
 )
 
-from conftest import exact_cosine_rows, make_matrix, set_block_rows
+from conftest import all_pairs_cases, exact_cosine_rows, make_matrix, set_block_rows
 from oracles import (
     inverse_2x2,
     knn_refine_oracle,
     mahalanobis_one_row,
     neighbor_sets_dense,
     neighbor_sets_oracle,
+    neighbor_sets_per_block,
     refine_scores_per_row,
     shrunk_precision_oracle,
 )
@@ -205,10 +206,36 @@ class TestNeighborSets:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * n * n
 
+    @pytest.mark.parametrize("block", [1, 3, 7, None])
+    def test_block_buffer_matches_per_block_products(self, rng, monkeypatch, block):
+        # n = 23 leaves a short last block at 3 and 7 rows; None keeps the
+        # default budget, one block
+        for name, rows, _ in all_pairs_cases(rng):
+            if block is not None:
+                set_block_rows(monkeypatch, len(rows), block)
+            for k in sorted({1, min(2, len(rows)), min(5, len(rows)), len(rows)}):
+                got = neighbor_sets(make_matrix(rows, Modality.TEXT), k)
+                want = neighbor_sets_per_block(rows, k)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (name, k)
+
+    def test_peak_memory_holds_one_block_at_n_800(self, rng):
+        # 163 rows of 800 distances make a block: the search holds that one
+        # block, the unit rows, the (n, k) result and a few n-vectors, never
+        # a second block made while the last one is still referenced
+        n, dim, k = 800, 16, 5
+        m = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)
+        block = captions.BLOCK_BYTES // (8 * n) * 8 * n
+        tracemalloc.start()
+        try:
+            neighbor_sets(m, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block + 8 * n * (dim + k + 16)
+
     def test_peak_memory_one_block(self, rng):
-        # no n x n buffer (72 MB at n = 3,000): two blocks of distances (the
-        # next block's product is made before the last one is freed) plus
-        # the unit rows and the (n, k) result
+        # no n x n buffer (72 MB at n = 3,000): one block of distances plus
+        # the unit rows and the (n, k) result, with a loose margin
         n, dim, k = 3000, 16, 5
         m = make_matrix(rng.normal(size=(n, dim)), Modality.TEXT)
         tracemalloc.start()
