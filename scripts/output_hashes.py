@@ -8,7 +8,8 @@ With ``--parent REV`` it compares instead: REV's src, perfbench and scripts
 are extracted by ``git archive`` into a temporary directory (the checkout
 and its .git are left untouched), REV's own copy of this script hashes that
 tree, and every hash that differs from this tree's is printed. The exit
-status is 1 on any difference, 0 when all match.
+status is 1 on any difference, 0 when all match, and 2 when REV's script
+or git archive fails (its standard error is printed).
 
 Each workload of perfbench/workloads.py is generated and run once per seed as
 the benchmark runs it, and its scores.csv, loss_history.csv and report.json
@@ -89,16 +90,27 @@ def parent_hashes(rev: str, seeds) -> dict:
     """The hashes REV's own script prints for REV's tree."""
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src", "perfbench", "scripts"],
-        capture_output=True, check=True,
-    ).stdout
+        capture_output=True,
+    )
+    if archive.returncode:
+        _fail(archive.stderr.decode(errors="replace"), f"git archive {rev} exited {archive.returncode}")
+    # extraction filters came with Python 3.10.12 and 3.11.4
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tempfile.TemporaryDirectory(prefix="hypervad_parent_") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        out = subprocess.run(
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, **safe)
+        child = subprocess.run(
             [sys.executable, str(Path(tmp) / "scripts" / "output_hashes.py"), "--seeds", *map(str, seeds)],
-            capture_output=True, text=True, check=True,
-        ).stdout
-    return json.loads(out)
+            capture_output=True, text=True,
+        )
+    if child.returncode:
+        _fail(child.stderr, f"{rev}'s output_hashes.py exited {child.returncode}")
+    return json.loads(child.stdout)
+
+
+def _fail(stderr: str, what: str):
+    sys.stderr.write(f"{stderr}{what}\n")
+    raise SystemExit(2)
 
 
 def leaves(tree: dict, prefix=()):
@@ -116,11 +128,11 @@ def main() -> int:
     parser.add_argument("--parent", metavar="REV", help="compare with the hashes of git revision REV")
     args = parser.parse_args()
 
-    hashes = tree_hashes(args.seeds)
     if args.parent is None:
-        print(json.dumps(hashes, indent=2))
+        print(json.dumps(tree_hashes(args.seeds), indent=2))
         return 0
-    ours, theirs = dict(leaves(hashes)), dict(leaves(parent_hashes(args.parent, args.seeds)))
+    theirs = dict(leaves(parent_hashes(args.parent, args.seeds)))
+    ours = dict(leaves(tree_hashes(args.seeds)))
     differ = sorted(k for k in ours.keys() | theirs.keys() if ours.get(k) != theirs.get(k))
     for key in differ:
         print(f"differs: {key}: {args.parent} {theirs.get(key)}, this tree {ours.get(key)}")

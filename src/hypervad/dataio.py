@@ -51,11 +51,16 @@ def float32_rows(data: np.ndarray):
 def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
     """Write an (n, d) array as a ``modality`` embedding file. A finite
     value beyond float32's range is a ValueError, and no file is written."""
-    data = np.asarray(data, dtype=np.float64)
-    count, dim = data.shape
-    values, row = float32_rows(data)
+    values, row = float32_rows(np.asarray(data, dtype=np.float64))
     if row is not None:
         raise ValueError(f"{path}: row {row} has a value beyond {FLOAT32_RANGE}")
+    write_float32_embeddings(path, values, modality)
+
+
+def write_float32_embeddings(path, values: np.ndarray, modality: Modality) -> None:
+    """Write (n, d) little-endian float32 values, as :func:`float32_rows`
+    gives them, as a ``modality`` embedding file."""
+    count, dim = values.shape
     header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[modality], dim, count)
     Path(path).write_bytes(header + values.tobytes())
 

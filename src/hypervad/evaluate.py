@@ -64,7 +64,7 @@ def _check_binary(scores, labels):
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores and labels must be equal-length vectors, got {scores.shape} vs {labels.shape}")
-    if not ((labels == 0) | (labels == 1)).all():
+    if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")

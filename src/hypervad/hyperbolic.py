@@ -22,13 +22,8 @@ Formulas follow the standard gyrovector-space treatment (Ungar; Ganea et al.,
 
 The origin maps exp_0 and log_0 are these at x = 0, where lambda_0 = 2 and
 0 (+) y = y: exp_0(v) = tanh(sqrt(c) |v|) v / (sqrt(c) |v|) and
-log_0(p) = artanh(sqrt(c) |p|) p / (sqrt(c) |p|). exp_map_origin evaluates
-exp_map's own float expressions at x = 0 without the zero basepoint, so it
-gives exp_map's bytes. exp_map and log_map reduce |x|^2 once, for both
-lambda_x and the Mobius sum, and take their per-row branches (zero tangent,
-zero log, projection past the margin) only when some row needs one. A row
-of a batched result is computed by the same elementwise code as a call on
-that row alone.
+log_0(p) = artanh(sqrt(c) |p|) p / (sqrt(c) |p|). A row of a batched result
+is computed by the same elementwise code as a call on that row alone.
 
 Inputs are checked at the entry points that take them from outside:
 exp_map_origin (finite tangents), log_map_origin and weighted_geodesic_mean
@@ -88,24 +83,16 @@ def project_to_ball(x, curvature: float) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     max_radius = (1.0 - BALL_EPS) / np.sqrt(curvature)
     norm = _norm(x)
-    beyond = norm > max_radius
-    if not beyond.any():
-        return x.copy(order="K")  # the layout np.where gives
-    return np.where(beyond, x * (max_radius / np.maximum(norm, _MIN_NORM)), x)
+    return np.where(norm > max_radius, x * (max_radius / np.maximum(norm, _MIN_NORM)), x)
 
 
 def mobius_add(x, y, curvature: float) -> np.ndarray:
     """Mobius addition x (+) y, unprojected: the log map and the distance
     take the raw sum, and :func:`exp_map` projects its own result."""
     x = np.asarray(x, dtype=np.float64)
-    return _mobius_add(x, y, curvature, _dot(x, x))
-
-
-def _mobius_add(x: np.ndarray, y, c: float, x2: np.ndarray) -> np.ndarray:
-    """:func:`mobius_add` given x2 = |x|^2, which the maps also need for the
-    conformal factor at their basepoint."""
     y = np.asarray(y, dtype=np.float64)
-    y2, xy = _dot(y, y), _dot(x, y)
+    c = curvature
+    x2, y2, xy = _dot(x, x), _dot(y, y), _dot(x, y)
     num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
     denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
     return num / np.maximum(denom, _MIN_NORM)
@@ -121,15 +108,7 @@ def exp_map_origin(v, curvature: float) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("tangent vector must be finite")
-    # exp_map's expressions at x = 0: lambda_0 = 2, and 0 (+) y = y + 0.0
-    # exactly (the sum turns -0.0 into 0.0)
-    sqrt_c = np.sqrt(curvature)
-    norm = _norm(v)
-    zero = norm < _MIN_NORM
-    norm = np.maximum(norm, _MIN_NORM)
-    second = np.tanh(sqrt_c * 2.0 * norm / 2.0) * v / (sqrt_c * norm)
-    out = project_to_ball(second + 0.0, curvature)
-    return np.where(zero, 0.0, out) if zero.any() else out
+    return exp_map(np.zeros_like(v), v, curvature)
 
 
 def log_map_origin(p, curvature: float) -> np.ndarray:
@@ -139,9 +118,8 @@ def log_map_origin(p, curvature: float) -> np.ndarray:
     return log_map(np.zeros_like(p), p, curvature)
 
 
-def _conformal_factor(x2: np.ndarray, c: float) -> np.ndarray:
-    """lambda_x from x2 = |x|^2."""
-    return 2.0 / np.maximum(1.0 - c * x2, _MIN_NORM)
+def _conformal_factor(x: np.ndarray, c: float) -> np.ndarray:
+    return 2.0 / np.maximum(1.0 - c * _dot(x, x), _MIN_NORM)
 
 
 def exp_map(base, v, curvature: float) -> np.ndarray:
@@ -153,27 +131,22 @@ def exp_map(base, v, curvature: float) -> np.ndarray:
     norm = _norm(v)
     zero = norm < _MIN_NORM
     norm = np.maximum(norm, _MIN_NORM)
-    base2 = _dot(base, base)
-    lam = _conformal_factor(base2, curvature)
+    lam = _conformal_factor(base, curvature)
     second = np.tanh(sqrt_c * lam * norm / 2.0) * v / (sqrt_c * norm)
-    out = project_to_ball(_mobius_add(base, second, curvature, base2), curvature)
-    return np.where(zero, base, out) if zero.any() else out
+    return np.where(zero, base, project_to_ball(mobius_add(base, second, curvature), curvature))
 
 
 def log_map(base, p, curvature: float) -> np.ndarray:
     """Logarithmic map at basepoints, via Mobius translation."""
     base = np.asarray(base, dtype=np.float64)
     sqrt_c = np.sqrt(curvature)
-    # |-x|^2 and |x|^2 are the same bits: negation is exact
-    base2 = _dot(base, base)
-    u = _mobius_add(-base, p, curvature, base2)
+    u = mobius_add(-base, p, curvature)
     norm = _norm(u)
     zero = norm < _MIN_NORM
     norm = np.maximum(norm, _MIN_NORM)
-    lam = _conformal_factor(base2, curvature)
+    lam = _conformal_factor(base, curvature)
     scaled = np.minimum(sqrt_c * norm, _MAX_ARTANH_ARG)
-    out = (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm
-    return np.where(zero, 0.0, out) if zero.any() else out
+    return np.where(zero, 0.0, (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm)
 
 
 def distance(x, y, curvature: float) -> np.ndarray:

@@ -26,24 +26,16 @@ EPS_P = 1e-7
 
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p) elementwise, with H(0) = H(1) = 0 by
-    continuity. A scalar p gives a float. When every p lies strictly inside
-    (0, 1) the masks are skipped, and the expression runs on the values in
-    the order an all-true mask takes them."""
+    continuity. A scalar p gives a float."""
     p = np.asarray(p, dtype=np.float64)
-    if p.size and 0.0 < p.min() and p.max() < 1.0:
-        out = _entropy_terms(p.ravel()).reshape(p.shape)
-    else:
-        outside = p[~((p >= 0.0) & (p <= 1.0))]
-        if outside.size:
-            raise ValueError(f"p must lie in [0, 1], got {outside[0]}")
-        out = np.zeros_like(p)
-        interior = (p > 0.0) & (p < 1.0)
-        out[interior] = _entropy_terms(p[interior])
+    outside = p[~((p >= 0.0) & (p <= 1.0))]
+    if outside.size:
+        raise ValueError(f"p must lie in [0, 1], got {outside[0]}")
+    out = np.zeros_like(p)
+    interior = (p > 0.0) & (p < 1.0)
+    s = p[interior]
+    out[interior] = -s * np.log(s) - (1.0 - s) * np.log(1.0 - s)
     return float(out) if out.ndim == 0 else out
-
-
-def _entropy_terms(s: np.ndarray) -> np.ndarray:
-    return -s * np.log(s) - (1.0 - s) * np.log(1.0 - s)
 
 
 def total_loss(scores, target_mass: float, sparsity_weight: float) -> float:

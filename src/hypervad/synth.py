@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Modality, SegmentRecord, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
-from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_embeddings, write_labels
+from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_float32_embeddings, write_labels
 from .evaluate import auc_roc
 
 # Correlation between text and visual embeddings of a segment. High enough
@@ -97,8 +97,9 @@ def gen_synthetic(
         audio = rng.standard_normal((n_segments, dim))
         audio += seg_labels[:, None] * shift * direction[None, :]
         embeddings[Modality.AUDIO] = audio
+    float32 = {}
     for modality, rows in embeddings.items():
-        row = float32_rows(rows)[1]
+        float32[modality], row = float32_rows(rows)
         if row is not None:
             raise ValidationError(f"shift {shift} puts {modality.value} row {row} beyond {FLOAT32_RANGE}")
 
@@ -131,8 +132,8 @@ def gen_synthetic(
     }
     if with_audio:
         paths["audio"] = out_dir / "audio.emb"
-    for modality, rows in embeddings.items():
-        write_embeddings(paths[modality.value], rows, modality)
+    for modality, values in float32.items():
+        write_float32_embeddings(paths[modality.value], values, modality)
     write_captions(paths["captions"], segments)
     write_labels(paths["labels"], frame_labels)
 

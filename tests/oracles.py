@@ -27,13 +27,12 @@ windows (on the package's ``SummarySet``). The two window references lay
 out their windows with their own loop over window starts, not with the
 package's layout helpers, so they check the layout too. The loopback
 server's check of a request vector is its body from before its all-float
-fast path, on the package's ``finite_real``. The per-block searches, the
-Poincare maps, the per-frame threshold sweep and the masked entropy are the
-package's bodies from before the searches reused one block buffer, the maps
-reduced each norm once, the sweep ran over score runs and the entropy
-skipped its masks; the new bodies must match them byte for byte. The
-searches run on the package's ``normalize_rows`` and ``row_blocks``, so the
-block layout is shared and only the products are checked.
+fast path, on the package's ``finite_real``. The per-block searches and
+the per-frame threshold sweep are the package's bodies from before the
+searches reused one block buffer and the sweep ran over score runs; the new
+bodies must match them byte for byte. The searches run on the package's
+``normalize_rows`` and ``row_blocks``, so the block layout is shared and
+only the products are checked.
 """
 
 import csv
@@ -48,9 +47,7 @@ from scipy.stats import rankdata
 from hypervad.captions import SummarySet, normalize_rows, row_blocks
 from hypervad.core import ValidationError, finite_real
 from hypervad.dataio import _caption_record, _frame_text
-from hypervad.hyperbolic import (
-    _MAX_ARTANH_ARG, _MIN_NORM, BALL_EPS, exp_map, geodesic_point, log_map, project_to_ball,
-)
+from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
 
@@ -173,69 +170,6 @@ def neighbor_sets_per_block(text_embs: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _dot(x, y):
-    return np.sum(x * y, axis=-1, keepdims=True)
-
-
-def project_to_ball_where(x, curvature):
-    """``project_to_ball`` as one ``np.where`` over every row."""
-    x = np.asarray(x, dtype=np.float64)
-    max_radius = (1.0 - BALL_EPS) / np.sqrt(curvature)
-    norm = np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.where(norm > max_radius, x * (max_radius / np.maximum(norm, _MIN_NORM)), x)
-
-
-def mobius_add_three_reductions(x, y, curvature):
-    """``mobius_add`` reducing |x|^2, |y|^2 and <x, y> itself."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    c = curvature
-    x2, y2, xy = _dot(x, x), _dot(y, y), _dot(x, y)
-    num = (1.0 + 2.0 * c * xy + c * y2) * x + (1.0 - c * x2) * y
-    denom = 1.0 + 2.0 * c * xy + c * c * x2 * y2
-    return num / np.maximum(denom, _MIN_NORM)
-
-
-def _conformal_factor(x, c):
-    return 2.0 / np.maximum(1.0 - c * _dot(x, x), _MIN_NORM)
-
-
-def exp_map_reducing_twice(base, v, curvature):
-    """``exp_map`` reducing |base|^2 once for the conformal factor and once
-    more inside the Mobius sum, with ``np.where`` over every row."""
-    base = np.asarray(base, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    sqrt_c = np.sqrt(curvature)
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    zero = norm < _MIN_NORM
-    norm = np.maximum(norm, _MIN_NORM)
-    lam = _conformal_factor(base, curvature)
-    second = np.tanh(sqrt_c * lam * norm / 2.0) * v / (sqrt_c * norm)
-    return np.where(
-        zero, base, project_to_ball_where(mobius_add_three_reductions(base, second, curvature), curvature)
-    )
-
-
-def log_map_reducing_twice(base, p, curvature):
-    """``log_map`` reducing |base|^2 once inside the Mobius sum and once more
-    for the conformal factor, with ``np.where`` over every row."""
-    base = np.asarray(base, dtype=np.float64)
-    sqrt_c = np.sqrt(curvature)
-    u = mobius_add_three_reductions(-base, p, curvature)
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    zero = norm < _MIN_NORM
-    norm = np.maximum(norm, _MIN_NORM)
-    lam = _conformal_factor(base, curvature)
-    scaled = np.minimum(sqrt_c * norm, _MAX_ARTANH_ARG)
-    return np.where(zero, 0.0, (2.0 / (sqrt_c * lam)) * np.arctanh(scaled) * u / norm)
-
-
-def exp_map_origin_at_zero_base(v, curvature):
-    """``exp_map_origin`` as :func:`exp_map_reducing_twice` at a zero base."""
-    v = np.asarray(v, dtype=np.float64)
-    return exp_map_reducing_twice(np.zeros_like(v), v, curvature)
-
-
 def threshold_sweep_per_frame(scores, labels):
     """The threshold sweep over single frames: one stable sort of every
     frame, cumulative counts, read at the last frame of each tied group."""
@@ -245,19 +179,6 @@ def threshold_sweep_per_frame(scores, labels):
     fp = np.cumsum(1 - sorted_labels)
     idx = np.append(np.nonzero(np.diff(scores[order]))[0], scores.size - 1)
     return tp[idx], fp[idx]
-
-
-def binary_entropy_masked(p):
-    """``binary_entropy`` through its masks on every input."""
-    p = np.asarray(p, dtype=np.float64)
-    outside = p[~((p >= 0.0) & (p <= 1.0))]
-    if outside.size:
-        raise ValueError(f"p must lie in [0, 1], got {outside[0]}")
-    out = np.zeros_like(p)
-    interior = (p > 0.0) & (p < 1.0)
-    s = p[interior]
-    out[interior] = -s * np.log(s) - (1.0 - s) * np.log(1.0 - s)
-    return float(out) if out.ndim == 0 else out
 
 
 def frame_csv_oracle(path, header, values, fmt) -> None:

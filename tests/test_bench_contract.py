@@ -8,6 +8,7 @@ import contextlib
 import importlib
 import json
 import select
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -308,3 +309,14 @@ def test_output_hashes_match_parent_head_on_a_clean_tree():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # three workloads of three files at one seed, and six ablation rows
     assert proc.stdout == "15 of 15 hashes match HEAD\n"
+
+
+def test_output_hashes_parent_reports_a_failing_git_archive():
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    command = [sys.executable, str(ROOT / "scripts" / "output_hashes.py"), "--parent", "no-such-revision"]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    # it fails before hashing either tree, with git's own message shown
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == "git archive no-such-revision exited 128", proc.stderr
+    assert len(proc.stderr.splitlines()) > 1

@@ -242,19 +242,6 @@ class TestThresholdSweepByRuns:
         assert [np.float64(v).tobytes() for pair in got for v in pair] == \
             [np.float64(v).tobytes() for pair in want for v in pair]
 
-    @pytest.mark.filterwarnings("ignore:Casting complex values")
-    @pytest.mark.parametrize("labels", [
-        [0, 1], [0.0, 1.0], [True, False], np.array([0, 1], dtype=np.uint8), [1 + 0j, 0j],
-        [0.5, 1.0], [2, 1], ["0", "1"], [b"1", b"0"], [None, 1], [1 + 1j, 0], [np.nan, 1], [2**70, 0],
-    ])
-    def test_label_check_accepts_what_isin_accepts(self, labels):
-        scores = np.zeros(len(labels))
-        if np.isin(np.asarray(labels), (0, 1)).all():
-            evaluate._check_binary(scores, labels)
-        else:
-            with pytest.raises(ValueError, match="labels must be 0 or 1"):
-                evaluate._check_binary(scores, labels)
-
 
 class TestBuildReport:
     def test_defined_case(self):
