@@ -8,11 +8,13 @@ load; all other formats are UTF-8 text, and a byte that is not UTF-8 is a
 ValidationError naming the file and the line that holds it.
 
 A captions line is parsed by the C scanner behind ``json.loads`` and built
-into a record after one exact type test of its fields. A frame CSV in the
-form it is written is read in blocks of ``_BLOCK_CHARS`` characters, each
-ended at a line end and taken only if its values write it back byte for
-byte. Any other line or text takes the per-line path, which words every
-error.
+into a record after one exact type test of its fields. A labels file in the
+form it is written is read whole as bytes: the rows of frames with the same
+number of digits have one width, so each such slab is checked column by
+column, each column one strided bytes slice. A scores file in the form it
+is written is read in blocks of ``_BLOCK_CHARS`` characters, each ended at
+a line end and taken only if its values write it back byte for byte. Any
+other line or text takes the per-line path, which words every error.
 """
 
 from __future__ import annotations
@@ -180,9 +182,9 @@ def read_captions(path):
     return segments
 
 
-# Rows per block a frame CSV is written in, and characters per block it is
-# read in (each then ended at its line end): they bound the text held at
-# once, whatever the file's length.
+# Rows per block a frame CSV is written in, and characters per block a
+# scores file is read in (each then ended at its line end): they bound the
+# text held at once, whatever the file's length.
 _BLOCK_LINES = 4096
 _BLOCK_CHARS = 1 << 15
 
@@ -271,6 +273,8 @@ def _read_csv_rows(path, fh, column, parse) -> list:
         try:
             if "_" in row[0] or "_" in row[1]:
                 raise ValueError(f"'_' is not allowed in a number, got {row}")
+            if not (row[0].isascii() and row[1].isascii()):
+                raise ValueError(f"a number must be ASCII, got {row}")
             frame, value = int(row[0]), parse(row[1])
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
@@ -301,8 +305,59 @@ def write_labels(path, labels) -> None:
     _write_frame_csv(path, "frame,label", np.asarray(labels, dtype=np.int64))
 
 
+_LABELS_HEADER = b"frame,label\r\n"
+_DIGIT_BYTES = [b"%d" % digit for digit in range(10)]
+_LABEL_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _digit_column(lo, hi, place) -> bytes:
+    """The ASCII digit at ``place`` (1, 10, 100, ...) of each frame in
+    ``range(lo, hi)``: runs of ``place`` equal digits. At most ten runs,
+    one period, are built and then repeated, so the bytes built exceed the
+    column by fewer than eleven runs."""
+    first, last = lo // place, (hi - 1) // place
+    period = b"".join([_DIGIT_BYTES[q % 10] * place for q in range(first, min(last, first + 9) + 1)])
+    start = lo - first * place
+    return (period * ((start + hi - lo - 1) // len(period) + 1))[start : start + hi - lo]
+
+
+def _fixed_width_labels(raw: bytes):
+    """The labels of a file holding exactly the bytes ``write_labels``
+    writes; None for any other bytes. A frame of k digits is a row of
+    k + 4 bytes, ``<frame>,<label>`` and CR LF, so the rows of one digit
+    count form a fixed-width slab, each of whose columns is one strided
+    slice of ``raw``, compared whole. The slabs must cover ``raw`` to its
+    last byte."""
+    if not raw.startswith(_LABELS_HEADER):
+        return None
+    labels = []
+    pos, lo, digits = len(_LABELS_HEADER), 0, 1
+    while pos < len(raw):
+        width = digits + 4
+        hi = min(10**digits, lo + (len(raw) - pos) // width)
+        if hi == lo:  # fewer bytes left than one row holds
+            return None
+        count = hi - lo
+        end = pos + count * width
+        *frame, comma, label, cr, lf = [raw[pos + j : end : width] for j in range(width)]
+        if (comma, cr, lf) != (b"," * count, b"\r" * count, b"\n" * count) or label.translate(None, b"01"):
+            return None
+        if any(column != _digit_column(lo, hi, 10**place) for place, column in enumerate(reversed(frame))):
+            return None
+        labels.append(label)
+        pos, lo, digits = end, hi, digits + 1
+    return np.frombuffer(b"".join(labels).translate(_LABEL_VALUES), dtype=np.int8).astype(np.int64)
+
+
+@_utf8_text
 def read_labels(path) -> np.ndarray:
-    return _read_frame_csv(path, "label", _label, np.int64)
+    """Labels written by ``write_labels`` are read as fixed-width byte rows;
+    any other text, and every error, goes row by row."""
+    labels = _fixed_width_labels(Path(path).read_bytes())
+    if labels is None:
+        with open(path, encoding="utf-8", newline="") as fh:
+            labels = np.asarray(_read_csv_rows(path, fh, "label", _label), dtype=np.int64)
+    return labels
 
 
 def write_scores(path, frame_scores) -> None:
@@ -342,6 +397,8 @@ def read_config(path) -> PipelineConfig:
             if key in overrides:
                 raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
+                if not value.isascii():
+                    raise ValueError(f"a number must be ASCII, got {value!r}")
                 overrides[key] = _CONFIG_PARSERS[key](value)
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc

@@ -14,7 +14,11 @@ same rows are what make a bit-for-bit comparison possible. The dense references 
 package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
 their indices. The frame-CSV reader is the package's per-row reader from
-before its canonical fast path, which must return what it returns. The
+before its canonical fast path, which must return what it returns; it
+rejects non-ASCII digits as the package does. The labels reader from
+before fixed-width byte rows is the package's path for them then, its
+character-block reader and then rows: the new reader must give the same
+values and error messages. The
 captions reader from before the C scanner and the canonical frame-CSV
 reader from before character blocks are the package's bodies, on the
 package's ``_caption_record`` and ``_frame_text``: the new readers must
@@ -46,7 +50,7 @@ from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows, row_blocks
 from hypervad.core import ValidationError, finite_real
-from hypervad.dataio import _caption_record, _frame_text
+from hypervad.dataio import _caption_record, _frame_text, _label, _read_frame_csv
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
@@ -216,6 +220,8 @@ def read_frame_csv_oracle(path, column):
             if len(row) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
             try:
+                if not (row[0].isascii() and row[1].isascii()):
+                    raise ValueError(f"a number must be ASCII, got {row}")
                 frame, value = int(row[0]), parse(row[1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
@@ -226,6 +232,12 @@ def read_frame_csv_oracle(path, column):
                 )
             values.append(value)
     return np.asarray(values, dtype=dtype)
+
+
+def read_labels_by_blocks(path):
+    """The package's labels reader from before it read fixed-width byte
+    rows: the character-block reader scores still take, then rows."""
+    return _read_frame_csv(path, "label", _label, np.int64)
 
 
 def read_captions_per_line(path):

@@ -29,7 +29,13 @@ from hypervad.dataio import (
 )
 
 from conftest import make_segments
-from oracles import frame_csv_oracle, read_canonical_by_lines, read_captions_per_line, read_frame_csv_oracle
+from oracles import (
+    frame_csv_oracle,
+    read_canonical_by_lines,
+    read_captions_per_line,
+    read_frame_csv_oracle,
+    read_labels_by_blocks,
+)
 
 # Caption records for the reader comparisons: audio given, absent and null.
 R0 = '{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v0", "audio": "a0"}'
@@ -300,6 +306,8 @@ class TestLabelScoreCsv:
     @pytest.mark.parametrize("field, message", [
         pytest.param("2", "label must be 0 or 1", id="2"),
         pytest.param("0_1", "'_' is not allowed in a number", id="0_1"),
+        # int() takes any Unicode decimal digit: this is ARABIC-INDIC DIGIT ONE
+        pytest.param("\u0661", "a number must be ASCII", id="arabic_indic_1"),
     ])
     def test_labels_reject_non_binary(self, tmp_path, field, message):
         path = tmp_path / "labels.csv"
@@ -323,6 +331,7 @@ class TestLabelScoreCsv:
         pytest.param("inf", "score must be finite", id="inf"),
         pytest.param("-inf", "score must be finite", id="-inf"),
         pytest.param("0_5", "'_' is not allowed in a number", id="0_5"),
+        pytest.param("\uff10.5", "a number must be ASCII", id="fullwidth_0.5"),
     ])
     def test_scores_reject_non_finite(self, tmp_path, bad, message):
         path = tmp_path / "scores.csv"
@@ -429,6 +438,9 @@ class TestLabelScoreCsv:
         pytest.param("label", "frame,label\r\n0,True\r\n", id="bool"),
         pytest.param("label", "frame,label\r\n0,1.0\r\n", id="float_label"),
         pytest.param("label", "frame,label\r\n0,99999999999999999999\r\n", id="huge_label"),
+        pytest.param("label", "frame,label\r\n\u0660,\u0661\r\n", id="arabic_indic_digits"),
+        pytest.param("label", "frame,label\r\n0,1\r\n\uff11,0\r\n", id="fullwidth_frame"),
+        pytest.param("score", "frame,score\r\n0,\uff10.5\r\n", id="fullwidth_score"),
     ])
     def test_other_text_reads_as_csv_rows(self, tmp_path, column, text):
         path = tmp_path / f"{column}.csv"
@@ -523,6 +535,97 @@ class TestLabelScoreCsv:
         assert np.array_equal(read_scores(tmp_path / "s.csv"), scores)
 
 
+def mutations(raw: bytes, kind: str):
+    """``raw`` with one byte inserted, deleted or replaced at each position
+    in its header, around each change of row width and at its end; inserted
+    and replacing bytes are those a row holds or a slip could add."""
+    body = len(b"frame,label\r\n")
+    edges = [body, body + 10 * 5, body + 10 * 5 + 90 * 6, len(raw)]
+    positions = sorted({i for edge in edges for i in range(edge - 7, edge + 8) if 0 <= i <= len(raw)}
+                       | set(range(min(body, len(raw)))))
+    for i in positions:
+        if kind == "delete":
+            if i < len(raw):
+                yield raw[:i] + raw[i + 1 :]
+            continue
+        for byte in b"0129,\r\n _\xff":
+            if kind == "insert":
+                yield raw[:i] + bytes([byte]) + raw[i:]
+            elif i < len(raw) and raw[i] != byte:
+                yield raw[:i] + bytes([byte]) + raw[i + 1 :]
+
+
+class TestFixedWidthLabels:
+    # frames 0-9 are 5-byte rows, 10-99 6-byte rows and so on; 0 frames is
+    # the header-only file
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101, 9_999, 10_000])
+    def test_written_labels_skip_the_row_reader(self, tmp_path, rng, monkeypatch, n):
+        labels = rng.integers(0, 2, size=n)
+        path = tmp_path / "labels.csv"
+        write_labels(path, labels)
+        assert dataio._fixed_width_labels(path.read_bytes()) is not None
+        assert_same_outcome(read_labels, read_labels_by_blocks, path)
+        assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
+        monkeypatch.setattr(dataio.csv, "reader", None)
+        assert np.array_equal(read_labels(path), labels)
+
+    @pytest.mark.parametrize("kind", ["insert", "delete", "replace"])
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 99, 100, 101])
+    def test_mutated_bytes_match_block_reader(self, tmp_path, kind, n):
+        path = tmp_path / "labels.csv"
+        write_labels(path, np.arange(n) % 3 // 2)
+        for raw in mutations(path.read_bytes(), kind):
+            path.write_bytes(raw)
+            got = assert_same_outcome(read_labels, read_labels_by_blocks, path)
+            # the fixed-width reader takes exactly the bytes write_labels writes
+            fast = dataio._fixed_width_labels(raw)
+            if fast is not None or got is not None:
+                write_labels(tmp_path / "back.csv", got)
+                assert ((tmp_path / "back.csv").read_bytes() == raw) == (fast is not None)
+
+    ROWS = "".join(f"{i},{i % 2}\r\n" for i in range(12))
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(("frame,label\r\n" + ROWS).replace("\r\n", "\n").encode(), id="lf"),
+        pytest.param(ROWS.encode(), id="no_header"),
+        pytest.param(("\ufeffframe,label\r\n" + ROWS).encode(), id="bom"),
+        pytest.param(("frame,label\r\n" + ROWS).replace("\r\n1,1", "\r\n01,1").encode(), id="frame_01"),
+        pytest.param(("frame,label\r\n" + ROWS).replace("\r\n0,0", "\r\n00,0").encode(), id="frame_00"),
+        pytest.param(("frame,label\r\n" + ROWS).replace("3,1", "3,2").encode(), id="label_2"),
+        pytest.param(("frame,label\r\n" + ROWS).replace("5,1", "5, 1").encode(), id="space"),
+        pytest.param(("frame,label\r\n" + ROWS)[:-2].encode(), id="no_final_crlf"),
+        pytest.param(("frame,label\r\n" + ROWS).encode() + b"12,\xff\r\n", id="not_utf8"),
+        pytest.param(("frame,label\r\n" + ROWS + "12,\u0661\r\n").encode(), id="arabic_indic_1"),
+    ])
+    def test_other_bytes_take_the_row_reader(self, tmp_path, raw):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(raw)
+        assert dataio._fixed_width_labels(raw) is None
+        assert_same_outcome(read_labels, read_labels_by_blocks, path)
+        if b"\xff" not in raw:  # the oracle has no UTF-8 wrapper
+            assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (0, 10), (3, 7), (10, 11), (10, 100), (57, 63),
+                                        (100, 101), (998, 1003), (1000, 10_000), (10_000, 10_001)])
+    def test_digit_column(self, lo, hi):
+        for place in (1, 10, 100, 1000, 10_000):
+            want = "".join(str(frame // place % 10) for frame in range(lo, hi)).encode()
+            assert dataio._digit_column(lo, hi, place) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), max_size=120), repeat=st.integers(1, 12))
+    def test_roundtrip(self, tmp_path_factory, labels, repeat):
+        # up to 1,440 frames, so every row width up to four digits
+        labels = np.repeat(np.array(labels, dtype=np.int64), repeat)
+        path = tmp_path_factory.mktemp("labels") / "l.csv"
+        write_labels(path, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio.csv, "reader", None)  # written text never needs the row reader
+            got = read_labels(path)
+        assert got.dtype == np.int64 and np.array_equal(got, labels)
+        assert np.array_equal(read_labels_by_blocks(path), labels)
+
+
 class TestNotUtf8Text:
     LABELS = b"frame,label\r\n" + b"".join(b"%d,0\r\n" % i for i in range(20_000))
 
@@ -596,6 +699,19 @@ class TestConfigFormat:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nseed = 5\n", encoding="utf-8")
         assert read_config(path).seed == 5
+
+    @pytest.mark.parametrize("key, value", [
+        # int() and float() take any Unicode decimal digit
+        pytest.param("seed", "\u0663", id="arabic_indic_3"),
+        pytest.param("curvature", "\uff12.0", id="fullwidth_2.0"),
+    ])
+    def test_non_ascii_digits_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# comment\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_config(path)
+        message = f"bad value for {key}: a number must be ASCII, got {value!r}"
+        assert excinfo.value.issues == [f"{path}:2: {message}"]
 
     def test_bad_value_reports_key(self, tmp_path):
         path = tmp_path / "run.cfg"

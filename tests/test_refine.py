@@ -1,6 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +357,33 @@ class TestRefineScores:
             got = refine_scores(scores, rows, stats, k)
             want = refine_scores_per_row(scores, rows, stats, k)
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+# Fits the stats of 400 rows of width 16 and prints the bytes of the
+# precision and of every row's distance, in hex.
+STATS_BYTES = """
+import numpy as np
+from hypervad.refine import fit_visual_stats, mahalanobis_rows
+rows = np.random.default_rng(16).normal(size=(400, 16))
+stats = fit_visual_stats(rows, 0.1)
+print((stats.precision.tobytes() + mahalanobis_rows(rows, stats).tobytes()).hex())
+"""
+
+
+def test_stats_bytes_match_across_blas_thread_counts():
+    # README scopes byte-identical outputs to one build and one BLAS thread
+    # count; at width 16 the two thread counts also agree (ROADMAP item 13
+    # holds the wider widths that do not)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("fewer than two usable CPUs: a second BLAS thread cannot run, so the bytes cannot differ")
+    # the children do not read pytest's pythonpath setting, so they get src here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", STATS_BYTES], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
