@@ -11,7 +11,7 @@ from .core import (
     Modality,
     PipelineConfig,
     PipelineError,
-    SegmentRecord,
+    SegmentTable,
     StageError,
     TransportError,
     ValidationError,

@@ -48,7 +48,7 @@ class CaptionSet:
 
     @property
     def cleaned(self) -> tuple:
-        return tuple(self.raw[j] for j in self.cleaned_index)
+        return tuple([self.raw[j] for j in self.cleaned_index.tolist()])
 
 
 @dataclass(frozen=True)

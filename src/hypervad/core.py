@@ -3,6 +3,10 @@
 All floating-point state is float64 internally regardless of on-disk storage;
 downstream covariance inversion and the Karcher iteration are sensitive to
 rounding. Segment ids are 0-based everywhere, including file formats.
+
+A video's segments are one :class:`SegmentTable`, a column per field, with
+no object per segment: the tiling check, the frame expansion and every
+caption list read the columns.
 """
 
 from __future__ import annotations
@@ -53,23 +57,56 @@ class Modality(enum.Enum):
     TEXT = "text"
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One temporal segment: inclusive frame range plus its captions."""
+INT64_MAX = int(np.iinfo(np.int64).max)
 
-    index: int
-    frame_start: int
-    frame_end: int
-    visual_caption: str
-    audio_caption: Optional[str] = None
 
-    @property
-    def has_audio(self) -> bool:
-        return self.audio_caption is not None
+def _int64_column(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a read-only int64 copy of length ``n``; a ValueError if
+    they are not ``n`` integers within int64."""
+    column = np.asarray(values)
+    if column.shape != (n,):
+        raise ValueError(f"{name} must hold one value per segment, got shape {column.shape}")
+    if n and not (column.dtype.kind == "i" or column.dtype.kind == "u" and column.max() <= INT64_MAX):
+        raise ValueError(f"{name} must hold integers within int64")
+    column = column.astype(np.int64)
+    column.flags.writeable = False
+    return column
 
-    @property
-    def n_frames(self) -> int:
-        return self.frame_end - self.frame_start + 1
+
+@dataclass(frozen=True, eq=False)
+class SegmentTable:
+    """The temporal segments of one video as columns, row t for segment t:
+    the inclusive frame range ``frame_start[t]..frame_end[t]``, the caption
+    ``visual[t]`` and the audio caption ``audio[t]``, None for a segment
+    without audio. ``index`` holds each record's own index field.
+
+    ``index``, ``frame_start`` and ``frame_end`` are read-only int64 copies;
+    ``visual`` and ``audio`` are tuples. Whether the rows tile the frames in
+    order is :func:`segment_tiling`'s check, not the table's.
+    """
+
+    index: np.ndarray
+    frame_start: np.ndarray
+    frame_end: np.ndarray
+    visual: tuple
+    audio: tuple
+
+    def __post_init__(self):
+        n = len(self.visual)
+        for name in ("index", "frame_start", "frame_end"):
+            object.__setattr__(self, name, _int64_column(name, getattr(self, name), n))
+        object.__setattr__(self, "visual", tuple(self.visual))
+        object.__setattr__(self, "audio", tuple(self.audio))
+        if len(self.audio) != n:
+            raise ValueError(f"audio must hold one caption or None per segment, got {len(self.audio)} for {n}")
+
+    @classmethod
+    def from_rows(cls, rows) -> "SegmentTable":
+        """The table of ``(index, frame_start, frame_end, visual, audio)`` rows."""
+        return cls(*(tuple(zip(*rows)) or ((),) * 5))
+
+    def __len__(self) -> int:
+        return len(self.visual)
 
 
 def finite_real(value) -> bool:
@@ -180,14 +217,14 @@ INT_SETTINGS = frozenset(
 
 @dataclass(frozen=True)
 class Dataset:
-    """A validated bundle of segments and their (n, d) embedding arrays, one
-    row per segment; ``audio`` is None when the video has no audio.
+    """A validated segment table and its (n, d) embedding arrays, one row
+    per segment; ``audio`` is None when the video has no audio.
 
     The arrays are read-only views, so no stage can write to them; safe to
     share read-only across workers.
     """
 
-    segments: tuple
+    segments: SegmentTable
     visual: np.ndarray
     text: np.ndarray
     audio: Optional[np.ndarray] = None
@@ -204,7 +241,7 @@ class Dataset:
     @property
     def audio_rows(self) -> np.ndarray:
         """Boolean mask of the segments that carry an audio caption."""
-        return np.array([seg.has_audio for seg in self.segments], dtype=bool)
+        return np.array([caption is not None for caption in self.segments.audio], dtype=bool)
 
 
 def validate_dataset(segments, visual, text, audio=None) -> Dataset:
@@ -218,7 +255,6 @@ def validate_dataset(segments, visual, text, audio=None) -> Dataset:
     audio rows. The Dataset holds read-only float64 views of the arrays.
     """
     issues = []
-    segments = tuple(segments)
     n = len(segments)
     arrays = {"visual": visual, "text": text}
     if audio is not None:
@@ -261,27 +297,36 @@ def validate_dataset(segments, visual, text, audio=None) -> Dataset:
     return Dataset(segments=segments, n_frames=n_frames, **arrays)
 
 
-def segment_tiling(segments):
+def segment_tiling(segments: SegmentTable):
     """Check that the segments tile frames 0..n_frames-1 in order: segment i
-    has index i, frame_start <= frame_end, and starts one frame after
-    segment i-1 ends. Returns (issues, n_frames), one issue per violation."""
+    has index i, frame_start <= frame_end, and starts one frame after the
+    previous segment ends. A segment with frame_start > frame_end is not
+    checked for contiguity and does not move where the next one must start.
+    Returns (issues, n_frames), the issues segment by segment in order, one
+    per violation. The check runs on the columns at once."""
+    index, start, end = segments.index, segments.frame_start, segments.frame_end
+    n = len(index)
+    rows = np.arange(n)
+    ordered = start <= end
+    # before[i] is the last ordered row before row i, -1 for none, and
+    # before[n] the last ordered row of all. The -1 appended to ``end`` is
+    # the end "before" frame 0, so segment i must start at prev_end[i] + 1.
+    before = np.maximum.accumulate(np.concatenate(([-1], np.where(ordered, rows, -1))))
+    prev_end = np.append(end, -1)[before]
+    # prev_end + 1 wraps at int64's top, which no start can follow
+    gap = ordered & ((prev_end[:n] == INT64_MAX) | (start != prev_end[:n] + 1))
     issues = []
-    expected_start = 0
-    for i, seg in enumerate(segments):
-        if seg.index != i:
-            issues.append(f"segment {i}: index field is {seg.index}, expected {i}")
-        if seg.frame_start > seg.frame_end:
+    for i in np.flatnonzero((index != rows) | ~ordered | gap).tolist():
+        if index[i] != i:
+            issues.append(f"segment {i}: index field is {index[i]}, expected {i}")
+        if not ordered[i]:
+            issues.append(f"segment {i}: frame_start {start[i]} > frame_end {end[i]}")
+        elif gap[i]:
             issues.append(
-                f"segment {i}: frame_start {seg.frame_start} > frame_end {seg.frame_end}"
+                f"segment {i}: non-contiguous, starts at frame {start[i]} "
+                f"but previous segment ended at {prev_end[i]}"
             )
-            continue
-        if seg.frame_start != expected_start:
-            issues.append(
-                f"segment {i}: non-contiguous, starts at frame {seg.frame_start} "
-                f"but previous segment ended at {expected_start - 1}"
-            )
-        expected_start = seg.frame_end + 1
-    return issues, expected_start
+    return issues, int(prev_end[n]) + 1
 
 
 def seeded_unit_vector(seed: int, dim: int) -> np.ndarray:

@@ -7,14 +7,16 @@ count * dim float32 values row-major. Values are widened to float64 on
 load; all other formats are UTF-8 text, and a byte that is not UTF-8 is a
 ValidationError naming the file and the line that holds it.
 
-A captions line is parsed by the C scanner behind ``json.loads`` and built
-into a record after one exact type test of its fields. A labels file in the
-form it is written is read whole as bytes: the rows of frames with the same
-number of digits have one width, so each such slab is checked column by
-column, each column one strided bytes slice. A scores file in the form it
-is written is read in blocks of ``_BLOCK_CHARS`` characters, each ended at
-a line end and taken only if its values write it back byte for byte. Any
-other line or text takes the per-line path, which words every error.
+A captions line is parsed by the C scanner behind ``json.loads``, and its
+values become one row of the SegmentTable after one exact test of their
+types and int64 range; the table's columns are built from the rows at the
+end. A labels file in the form it is written is read whole as bytes: the
+rows of frames with the same number of digits have one width, so each such
+slab is checked column by column, each column one strided bytes slice. A
+scores file in the form it is written is read in blocks of
+``_BLOCK_CHARS`` characters, each ended at a line end and taken only if
+its values write it back byte for byte. Any other line or text takes the
+per-line path, which words every error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import INT_SETTINGS, Modality, PipelineConfig, SegmentRecord, ValidationError
+from .core import INT64_MAX, INT_SETTINGS, Modality, PipelineConfig, SegmentTable, ValidationError
 
 MAGIC = b"MMVE"
 VERSION = 1
@@ -92,37 +94,48 @@ def read_embeddings(path, modality: Modality) -> np.ndarray:
     return np.frombuffer(body, dtype="<f4").reshape(count, dim).astype(np.float64)
 
 
-# One row per caption-record key: JSON key, SegmentRecord field, required
-# type, and whether the key may be null or absent. Types are checked exactly
-# (``type(v) is int``), so a bool, a float or a list never passes as a value.
+# One row per caption-record key, in the order of the SegmentTable columns
+# they fill: JSON key, required type, and whether the key may be null or
+# absent. Types are checked exactly (``type(v) is int``), so a bool, a float
+# or a list never passes as a value, and an int must lie within int64.
 _CAPTION_FIELDS = (
-    ("index", "index", int, False),
-    ("frame_start", "frame_start", int, False),
-    ("frame_end", "frame_end", int, False),
-    ("visual", "visual_caption", str, False),
-    ("audio", "audio_caption", str, True),
+    ("index", int, False),
+    ("frame_start", int, False),
+    ("frame_end", int, False),
+    ("visual", str, False),
+    ("audio", str, True),
 )
+_INT64_MIN = -INT64_MAX - 1
 
 
-def write_captions(path, segments) -> None:
+def write_captions(path, segments: SegmentTable) -> None:
+    """One JSON object per segment, its keys in ``_CAPTION_FIELDS`` order."""
+    keys = [key for key, _, _ in _CAPTION_FIELDS]
+    rows = zip(segments.index.tolist(), segments.frame_start.tolist(), segments.frame_end.tolist(),
+               segments.visual, segments.audio)
     with open(path, "w", encoding="utf-8") as fh:
-        for seg in segments:
-            record = {key: getattr(seg, name) for key, name, _, _ in _CAPTION_FIELDS}
-            fh.write(json.dumps(record) + "\n")
+        for row in rows:
+            fh.write(json.dumps(dict(zip(keys, row))) + "\n")
 
 
-def _caption_record(obj) -> SegmentRecord:
+def _caption_row(obj) -> tuple:
+    """The table row of one parsed record, or a ValueError that words what
+    is wrong with it: the type of each field in order, then the int64 range
+    of each integer."""
     if type(obj) is not dict:
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    values = {}
-    for key, name, kind, optional in _CAPTION_FIELDS:
+    row = []
+    for key, kind, optional in _CAPTION_FIELDS:
         if key not in obj and not optional:
             raise ValueError(f"missing key {key!r}")
         value = obj.get(key)
         if type(value) is not kind and not (optional and value is None):
             raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
-        values[name] = value
-    return SegmentRecord(**values)
+        row.append(value)
+    for (key, kind, _), value in zip(_CAPTION_FIELDS, row):
+        if kind is int and not _INT64_MIN <= value <= INT64_MAX:
+            raise ValueError(f"{key!r} must fit in int64, got {value}")
+    return tuple(row)
 
 
 def _utf8_text(read):
@@ -154,12 +167,13 @@ _scan_json = json.JSONDecoder().scan_once
 
 
 @_utf8_text
-def read_captions(path):
-    """One record per non-blank line. A line that is one JSON object whose
-    ``_CAPTION_FIELDS`` have their exact types is built at once; any other
-    line goes through ``json.loads`` and ``_caption_record``, which word
-    what is wrong with it."""
-    segments = []
+def read_captions(path) -> SegmentTable:
+    """The SegmentTable of a captions file, one row per non-blank line. A
+    line that is one JSON object whose ``_CAPTION_FIELDS`` have their exact
+    types and ranges is taken as the scanner returns its values; any other
+    line goes through ``json.loads`` and ``_caption_row``, which word what
+    is wrong with it."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -167,19 +181,21 @@ def read_captions(path):
                 continue
             try:
                 obj, stop = _scan_json(line, 0)
-                index, start, end, visual, audio = (
+                row = index, start, end, visual, audio = (
                     obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
             except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
                 stop = None
             if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
-                    and type(visual) is str and (audio is None or type(audio) is str)):
-                segments.append(SegmentRecord(index, start, end, visual, audio))
+                    and type(visual) is str and (audio is None or type(audio) is str)
+                    and _INT64_MIN <= index <= INT64_MAX and _INT64_MIN <= start <= INT64_MAX
+                    and _INT64_MIN <= end <= INT64_MAX):
+                rows.append(row)
                 continue
             try:
-                segments.append(_caption_record(json.loads(line)))
+                rows.append(_caption_row(json.loads(line)))
             except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
-    return segments
+    return SegmentTable.from_rows(rows)
 
 
 # Rows per block a frame CSV is written in, and characters per block a
@@ -397,6 +413,8 @@ def read_config(path) -> PipelineConfig:
             if key in overrides:
                 raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
             try:
+                if "_" in value:
+                    raise ValueError("'_' is not allowed in a number")
                 if not value.isascii():
                     raise ValueError(f"a number must be ASCII, got {value!r}")
                 overrides[key] = _CONFIG_PARSERS[key](value)

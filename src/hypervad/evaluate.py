@@ -56,7 +56,7 @@ def expand_to_frames(segment_scores, segments) -> np.ndarray:
     if issues:
         raise ValueError(issues[0])
     segment_scores = np.asarray(segment_scores, dtype=np.float64)
-    return np.repeat(segment_scores, [seg.n_frames for seg in segments])
+    return np.repeat(segment_scores, segments.frame_end - segments.frame_start + 1)
 
 
 def _check_binary(scores, labels):

@@ -161,7 +161,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
     n = dataset.n_segments
 
     with _stage("clean"):
-        raw_captions = [seg.visual_caption for seg in dataset.segments]
+        raw_captions = dataset.segments.visual
         if manifest.cleaning:
             caption_set = cap.clean_captions(raw_captions, dataset.visual, dataset.text)
         else:
@@ -175,7 +175,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             fusion.fuse_sequence_euclidean(dataset, config)  # no scorer reads it yet
 
     with _stage("summarize"):
-        audio_caps = [seg.audio_caption for seg in dataset.segments] if dataset.has_audio else None
+        audio_caps = dataset.segments.audio if dataset.has_audio else None
         summaries = cap.build_summaries(caption_set, dataset.text, audio_caps, config.window)
         karcher_failures = []  # no scorer reads the window points yet (ROADMAP item 1)
         if fused is not None:

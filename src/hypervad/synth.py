@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Modality, SegmentRecord, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
+from .core import Modality, SegmentTable, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
 from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_float32_embeddings, write_labels
 from .evaluate import auc_roc
 
@@ -103,21 +103,18 @@ def gen_synthetic(
         if row is not None:
             raise ValidationError(f"shift {shift} puts {modality.value} row {row} beyond {FLOAT32_RANGE}")
 
-    segments = []
-    for i in range(n_segments):
-        template = ANOMALY_CAPTION if seg_labels[i] else NORMAL_CAPTION
-        audio_caption = None
-        if with_audio:
-            audio_caption = (ANOMALY_AUDIO if seg_labels[i] else NORMAL_AUDIO).format(i=i)
-        segments.append(
-            SegmentRecord(
-                index=i,
-                frame_start=i * frames_per_segment,
-                frame_end=(i + 1) * frames_per_segment - 1,
-                visual_caption=template.format(i=i),
-                audio_caption=audio_caption,
-            )
-        )
+    anomalous = list(enumerate(seg_labels.tolist()))
+    audio_captions = [None] * n_segments
+    if with_audio:
+        audio_captions = [(ANOMALY_AUDIO if a else NORMAL_AUDIO).format(i=i) for i, a in anomalous]
+    index = np.arange(n_segments)
+    segments = SegmentTable(
+        index=index,
+        frame_start=index * frames_per_segment,
+        frame_end=(index + 1) * frames_per_segment - 1,
+        visual=[(ANOMALY_CAPTION if a else NORMAL_CAPTION).format(i=i) for i, a in anomalous],
+        audio=audio_captions,
+    )
 
     frame_labels = np.repeat(seg_labels, frames_per_segment)
 

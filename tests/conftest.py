@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypervad import captions
-from hypervad.core import Modality, SegmentRecord
+from hypervad.core import Modality, SegmentTable
 
 
 @pytest.fixture
@@ -10,17 +10,31 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def make_segments(n, frames_per_segment=4, audio=False):
+def make_rows(n, frames_per_segment=4, audio=False):
+    """The (index, frame_start, frame_end, visual, audio) rows of n segments
+    that tile their frames, for a test to edit and pass to
+    ``SegmentTable.from_rows``."""
     return [
-        SegmentRecord(
-            index=i,
-            frame_start=i * frames_per_segment,
-            frame_end=(i + 1) * frames_per_segment - 1,
-            visual_caption=f"caption {i}",
-            audio_caption=f"audio {i}" if audio else None,
-        )
+        (i, i * frames_per_segment, (i + 1) * frames_per_segment - 1, f"caption {i}", f"audio {i}" if audio else None)
         for i in range(n)
     ]
+
+
+def make_segments(n, frames_per_segment=4, audio=False):
+    return SegmentTable.from_rows(make_rows(n, frames_per_segment, audio))
+
+
+def table_columns(table) -> dict:
+    """A SegmentTable's columns as lists, comparable with
+    ``oracles.record_columns``."""
+    columns = {name: getattr(table, name).tolist() for name in ("index", "frame_start", "frame_end")}
+    return {**columns, "visual": list(table.visual), "audio": list(table.audio)}
+
+
+def records_table(records) -> SegmentTable:
+    """The SegmentTable of ``oracles.SegmentRecord`` records."""
+    return SegmentTable.from_rows(
+        (r.index, r.frame_start, r.frame_end, r.visual_caption, r.audio_caption) for r in records)
 
 
 def make_matrix(rows, modality=Modality.VISUAL):

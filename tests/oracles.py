@@ -19,10 +19,14 @@ rejects non-ASCII digits as the package does. The labels reader from
 before fixed-width byte rows is the package's path for them then, its
 character-block reader and then rows: the new reader must give the same
 values and error messages. The
-captions reader from before the C scanner and the canonical frame-CSV
-reader from before character blocks are the package's bodies, on the
-package's ``_caption_record`` and ``_frame_text``: the new readers must
-give the same records, values and error messages. The last four are the
+canonical frame-CSV reader from before character blocks is the package's
+body, on the package's ``_frame_text``: the new reader must give the same
+values and error messages. The segment records are the package's from
+before segments became columns: its record type, its captions reader and
+writer, the synthetic generator's record loop, its tiling loop and its
+frame expansion, with no package code but the generator's caption
+templates. The segment table must hold their values column by column, give
+their issue lists in order and write their bytes. The last four are the
 package's bodies from before they ran array at a time, which the new code
 must match byte for byte: the stub score by ``@``, the
 Mahalanobis distance of one row, refinement by one loop over rows (on the
@@ -43,6 +47,8 @@ import csv
 import itertools
 import json
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -50,10 +56,11 @@ from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows, row_blocks
 from hypervad.core import ValidationError, finite_real
-from hypervad.dataio import _caption_record, _frame_text, _label, _read_frame_csv
+from hypervad.dataio import _frame_text, _label, _read_frame_csv
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
+from hypervad.synth import ANOMALY_AUDIO, ANOMALY_CAPTION, NORMAL_AUDIO, NORMAL_CAPTION
 
 
 def cosine_argmax_oracle(frame_rows: np.ndarray, caption_rows: np.ndarray) -> np.ndarray:
@@ -240,9 +247,73 @@ def read_labels_by_blocks(path):
     return _read_frame_csv(path, "label", _label, np.int64)
 
 
-def read_captions_per_line(path):
-    """The package's captions reader from before the C scanner: one
-    ``json.loads`` per stripped, non-blank line."""
+@dataclass(frozen=True)
+class SegmentRecord:
+    """One temporal segment: inclusive frame range plus its captions."""
+
+    index: int
+    frame_start: int
+    frame_end: int
+    visual_caption: str
+    audio_caption: Optional[str] = None
+
+    @property
+    def n_frames(self) -> int:
+        return self.frame_end - self.frame_start + 1
+
+
+def record_columns(records) -> dict:
+    """The records' fields as the SegmentTable columns they become, each a
+    list: ``{"index": [...], ..., "audio": [...]}``."""
+    return {
+        "index": [r.index for r in records],
+        "frame_start": [r.frame_start for r in records],
+        "frame_end": [r.frame_end for r in records],
+        "visual": [r.visual_caption for r in records],
+        "audio": [r.audio_caption for r in records],
+    }
+
+
+# JSON key, SegmentRecord field, required type, and whether the key may be
+# null or absent.
+CAPTION_FIELDS = (
+    ("index", "index", int, False),
+    ("frame_start", "frame_start", int, False),
+    ("frame_end", "frame_end", int, False),
+    ("visual", "visual_caption", str, False),
+    ("audio", "audio_caption", str, True),
+)
+
+
+def write_caption_records(path, segments) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for seg in segments:
+            record = {key: getattr(seg, name) for key, name, _, _ in CAPTION_FIELDS}
+            fh.write(json.dumps(record) + "\n")
+
+
+def caption_record(obj) -> SegmentRecord:
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    values = {}
+    for key, name, kind, optional in CAPTION_FIELDS:
+        if key not in obj and not optional:
+            raise ValueError(f"missing key {key!r}")
+        value = obj.get(key)
+        if type(value) is not kind and not (optional and value is None):
+            raise ValueError(f"{key!r} must be {kind.__name__}, got {value!r}")
+        values[name] = value
+    return SegmentRecord(**values)
+
+
+_scan_json = json.JSONDecoder().scan_once
+
+
+def read_caption_records(path):
+    """One record per non-blank line. A line that is one JSON object whose
+    ``CAPTION_FIELDS`` have their exact types is built at once; any other
+    line goes through ``json.loads`` and ``caption_record``, which word
+    what is wrong with it. (No UTF-8 wrapper: it reads only UTF-8 files.)"""
     segments = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -250,10 +321,73 @@ def read_captions_per_line(path):
             if not line:
                 continue
             try:
-                segments.append(_caption_record(json.loads(line)))
-            except ValueError as exc:
+                obj, stop = _scan_json(line, 0)
+                index, start, end, visual, audio = (
+                    obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
+            except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
+                stop = None
+            if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
+                    and type(visual) is str and (audio is None or type(audio) is str)):
+                segments.append(SegmentRecord(index, start, end, visual, audio))
+                continue
+            try:
+                segments.append(caption_record(json.loads(line)))
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
                 raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
     return segments
+
+
+def synthetic_records(seg_labels, frames_per_segment, with_audio):
+    """gen_synthetic's records of segments labelled ``seg_labels``."""
+    segments = []
+    for i in range(len(seg_labels)):
+        template = ANOMALY_CAPTION if seg_labels[i] else NORMAL_CAPTION
+        audio_caption = None
+        if with_audio:
+            audio_caption = (ANOMALY_AUDIO if seg_labels[i] else NORMAL_AUDIO).format(i=i)
+        segments.append(
+            SegmentRecord(
+                index=i,
+                frame_start=i * frames_per_segment,
+                frame_end=(i + 1) * frames_per_segment - 1,
+                visual_caption=template.format(i=i),
+                audio_caption=audio_caption,
+            )
+        )
+    return segments
+
+
+def segment_tiling_loop(segments):
+    """Check that the segments tile frames 0..n_frames-1 in order: segment i
+    has index i, frame_start <= frame_end, and starts one frame after
+    segment i-1 ends. Returns (issues, n_frames), one issue per violation."""
+    issues = []
+    expected_start = 0
+    for i, seg in enumerate(segments):
+        if seg.index != i:
+            issues.append(f"segment {i}: index field is {seg.index}, expected {i}")
+        if seg.frame_start > seg.frame_end:
+            issues.append(
+                f"segment {i}: frame_start {seg.frame_start} > frame_end {seg.frame_end}"
+            )
+            continue
+        if seg.frame_start != expected_start:
+            issues.append(
+                f"segment {i}: non-contiguous, starts at frame {seg.frame_start} "
+                f"but previous segment ended at {expected_start - 1}"
+            )
+        expected_start = seg.frame_end + 1
+    return issues, expected_start
+
+
+def expand_records(segment_scores, segments) -> np.ndarray:
+    """Piecewise-constant expansion: every frame of segment t gets score t.
+    Raises the first violation of the tiling that validate_dataset enforces."""
+    issues, _ = segment_tiling_loop(segments)
+    if issues:
+        raise ValueError(issues[0])
+    segment_scores = np.asarray(segment_scores, dtype=np.float64)
+    return np.repeat(segment_scores, [seg.n_frames for seg in segments])
 
 
 def read_canonical_by_lines(fh, column, parse, dtype):

@@ -9,23 +9,60 @@ from hypothesis import strategies as st
 
 from hypervad.core import (
     PipelineConfig,
-    SegmentRecord,
+    SegmentTable,
     ValidationError,
     out_dir_issues,
     seeded_unit_vector,
+    segment_tiling,
     validate_dataset,
 )
 
-from conftest import make_segments
+from conftest import make_rows, make_segments
 
 
-class TestSegmentRecord:
+class TestSegmentTable:
     def test_has_audio_tracks_caption(self):
-        assert not SegmentRecord(0, 0, 3, "x").has_audio
-        assert SegmentRecord(0, 0, 3, "x", "a").has_audio
+        segs = SegmentTable.from_rows([(0, 0, 3, "x", None), (1, 4, 7, "y", "a")])
+        dataset = validate_dataset(segs, np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
+        assert dataset.audio_rows.tolist() == [False, True]
 
     def test_n_frames_inclusive(self):
-        assert SegmentRecord(0, 4, 7, "x").n_frames == 4
+        segs = SegmentTable.from_rows([(0, 0, 3, "x", None), (1, 4, 7, "y", None)])
+        assert segment_tiling(segs) == ([], 8)
+
+    def test_columns_are_read_only_int64_copies(self):
+        start = np.array([0, 4], dtype=np.int32)
+        segs = SegmentTable([0, 1], start, np.array([3, 7]), ["x", "y"], [None, "a"])
+        for column in (segs.index, segs.frame_start, segs.frame_end):
+            assert column.dtype == np.int64
+            with pytest.raises(ValueError):
+                column[0] = 9
+        start[0] = 9  # the caller's own array stays writable
+        assert segs.frame_start.tolist() == [0, 4]
+        assert (segs.visual, segs.audio, len(segs)) == (("x", "y"), (None, "a"), 2)
+
+    def test_no_rows(self):
+        segs = SegmentTable.from_rows([])
+        assert len(segs) == 0 and segs.frame_end.dtype == np.int64
+        assert segment_tiling(segs) == ([], 0)
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("frame_end", [3.0, 7.0], "frame_end must hold integers within int64"),
+        ("frame_end", [True, False], "frame_end must hold integers within int64"),
+        ("index", [2**63, 2**63 + 1], "index must hold integers within int64"),  # uint64
+        ("index", [0, 2**63], "index must hold integers within int64"),  # float64
+        ("frame_start", [0, -2**63 - 1], "frame_start must hold integers within int64"),  # object
+        ("frame_start", [0], r"frame_start must hold one value per segment, got shape \(1,\)"),
+    ])
+    def test_rejects_columns_beyond_int64(self, column, values, message):
+        columns = {"index": [0, 1], "frame_start": [0, 4], "frame_end": [3, 7], "visual": ["x", "y"],
+                   "audio": [None, None], column: values}
+        with pytest.raises(ValueError, match=message):
+            SegmentTable(**columns)
+
+    def test_rejects_audio_of_another_length(self):
+        with pytest.raises(ValueError, match="audio must hold one caption or None per segment, got 1 for 2"):
+            SegmentTable([0, 1], [0, 4], [3, 7], ["x", "y"], [None])
 
 
 class TestPipelineConfig:
@@ -138,13 +175,13 @@ class TestValidateDataset:
             validate_dataset(make_segments(3), **embs)
 
     def test_non_contiguous_segments(self):
-        segs = make_segments(3)
-        segs[1] = SegmentRecord(1, 5, 7, "caption 1")  # gap: segment 0 ends at 3
+        rows = make_rows(3)
+        rows[1] = (1, 5, 7, "caption 1", None)  # gap: segment 0 ends at 3
         with pytest.raises(ValidationError, match="segment 1: non-contiguous"):
-            validate_dataset(segs, **self._embs(3))
+            validate_dataset(SegmentTable.from_rows(rows), **self._embs(3))
 
     def test_inverted_frame_range(self):
-        segs = [SegmentRecord(0, 3, 1, "x")]
+        segs = SegmentTable.from_rows([(0, 3, 1, "x", None)])
         with pytest.raises(ValidationError, match="frame_start"):
             validate_dataset(segs, **self._embs(1))
 
@@ -157,7 +194,7 @@ class TestValidateDataset:
     )
     def test_accepts_iff_invariants_hold(self, n, dim, mutation, seed):
         rng = np.random.default_rng(seed)
-        segs = make_segments(n)
+        rows = make_rows(n)
         embs = self._embs(n, dim, rng)
         if mutation == "count":
             embs["visual"] = rng.normal(size=(n + 1, dim))
@@ -165,13 +202,14 @@ class TestValidateDataset:
             embs["text"][rng.integers(n), rng.integers(dim)] = np.inf
         elif mutation == "gap" and n >= 2:
             i = int(rng.integers(1, n))
-            segs[i] = SegmentRecord(i, segs[i].frame_start + 1, segs[i].frame_end, "zz")
+            rows[i] = (i, rows[i][1] + 1, rows[i][2], "zz", None)
         elif mutation == "inverted" and n >= 1:
             i = int(rng.integers(n))
-            segs[i] = SegmentRecord(i, segs[i].frame_start, segs[i].frame_start - 1, "zz")
+            rows[i] = (i, rows[i][1], rows[i][1] - 1, "zz", None)
         else:
             mutation = "none"
 
+        segs = SegmentTable.from_rows(rows)
         if mutation == "none":
             validate_dataset(segs, **embs)
         else:

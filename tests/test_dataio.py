@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypervad import dataio
-from hypervad.core import Modality, PipelineConfig, SegmentRecord, ValidationError
+from hypervad.core import Modality, PipelineConfig, SegmentTable, ValidationError
 from hypervad.dataio import (
     _BLOCK_CHARS,
     _BLOCK_LINES,
@@ -28,13 +28,19 @@ from hypervad.dataio import (
     write_scores,
 )
 
-from conftest import make_segments
+from hypervad.synth import gen_synthetic
+
+from conftest import make_rows, table_columns
 from oracles import (
+    SegmentRecord,
     frame_csv_oracle,
     read_canonical_by_lines,
-    read_captions_per_line,
+    read_caption_records,
     read_frame_csv_oracle,
     read_labels_by_blocks,
+    record_columns,
+    synthetic_records,
+    write_caption_records,
 )
 
 # Caption records for the reader comparisons: audio given, absent and null.
@@ -62,6 +68,35 @@ def assert_same_outcome(read, oracle, path):
         assert np.array_equal(np.signbit(got), np.signbit(want))
     else:
         assert repr(got) == repr(want)  # repr tells 0 from 0.0 and False
+    return got
+
+
+def assert_same_captions(path):
+    """``read_captions(path)`` holds, column by column, what the records
+    reader returns, or raises a ValidationError with the same issues. The one
+    outcome that differs: a record whose integer field lies beyond int64 is
+    an error naming its line (the records reader takes any int)."""
+    try:
+        records = read_caption_records(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as excinfo:
+            read_captions(path)
+        assert excinfo.value.issues == exc.issues
+        return None
+    beyond = [(k, key, value) for k, record in enumerate(records)
+              for key, value in (("index", record.index), ("frame_start", record.frame_start),
+                                 ("frame_end", record.frame_end))
+              if not -2**63 <= value < 2**63]
+    if beyond:
+        k, key, value = beyond[0]
+        with open(path, encoding="utf-8") as fh:
+            lineno = [n for n, line in enumerate(fh, start=1) if line.strip()][k]
+        with pytest.raises(ValidationError) as excinfo:
+            read_captions(path)
+        assert excinfo.value.issues == [f"{path}:{lineno}: bad caption record: {key!r} must fit in int64, got {value}"]
+        return None
+    got = read_captions(path)
+    assert table_columns(got) == record_columns(records)
     return got
 
 
@@ -161,15 +196,14 @@ class TestEmbeddingFormat:
 class TestCaptionsFormat:
     def test_roundtrip_with_optional_audio(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        segs = make_segments(3, audio=True)
-        from hypervad.core import SegmentRecord
-
-        segs[1] = SegmentRecord(1, 4, 7, "no audio here", None)
+        rows = make_rows(3, audio=True)
+        rows[1] = (1, 4, 7, "no audio here", None)
+        segs = SegmentTable.from_rows(rows)
         write_captions(path, segs)
         back = read_captions(path)
-        assert back == segs
-        assert back[1].audio_caption is None
-        assert back[0].has_audio
+        assert table_columns(back) == table_columns(segs)
+        assert back.audio[1] is None
+        assert back.audio[0] is not None
 
     def test_bad_record_named_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -181,7 +215,7 @@ class TestCaptionsFormat:
         path = tmp_path / "c.jsonl"
         path.write_text('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
                         encoding="utf-8")
-        assert read_captions(path) == [SegmentRecord(0, 0, 3, "v", None)]
+        assert table_columns(read_captions(path)) == record_columns([SegmentRecord(0, 0, 3, "v", None)])
 
     @pytest.mark.parametrize("key, value", [
         ("index", 1.9),
@@ -205,7 +239,7 @@ class TestCaptionsFormat:
         path = tmp_path / "c.jsonl"
         record = '{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v"}'
         path.write_text(f"\n{record}\n   \n", encoding="utf-8")
-        assert read_captions(path) == [SegmentRecord(0, 0, 3, "v", None)]
+        assert table_columns(read_captions(path)) == record_columns([SegmentRecord(0, 0, 3, "v", None)])
         path.write_text(f"{record}\n\n[0]\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=":3: bad caption record"):
             read_captions(path)
@@ -215,6 +249,16 @@ class TestCaptionsFormat:
         path.write_text("[0, 0, 3]\n", encoding="utf-8")
         with pytest.raises(ValidationError, match=":1: bad caption record: expected a JSON object"):
             read_captions(path)
+
+    def test_beyond_int64_named_before_a_later_bad_line(self, tmp_path):
+        # the first line at fault is named, whichever rule it breaks
+        path = tmp_path / "c.jsonl"
+        big = '{"index": 1, "frame_start": 4, "frame_end": 9223372036854775808, "visual": "v1"}'
+        path.write_text(f"{R0}\n{big}\n[0]\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_captions(path)
+        assert excinfo.value.issues == [
+            f"{path}:2: bad caption record: 'frame_end' must fit in int64, got {2**63}"]
 
     @pytest.mark.parametrize("text", [
         pytest.param("", id="empty"),
@@ -247,6 +291,19 @@ class TestCaptionsFormat:
                      id="duplicate_key"),
         pytest.param('{"index": 10000000000000000000000, "frame_start": 0, "frame_end": 3, "visual": "v"}\n',
                      id="big_int"),
+        pytest.param('{"index": 0, "frame_start": -9223372036854775808, "frame_end": 9223372036854775807, '
+                     '"visual": "v"}\n', id="int64_ends"),
+        pytest.param(f'{R0}\n{{"index": 1, "frame_start": 4, "frame_end": 9223372036854775808, "visual": "v"}}\n',
+                     id="beyond_int64_top"),
+        pytest.param('{"index": 0, "frame_start": -9223372036854775809, "frame_end": 3, "visual": "v"}\n',
+                     id="beyond_int64_bottom"),
+        pytest.param('{"index": 0, "frame_start": 0, "frame_end": 10000000000000000000, "visual": "v"}\n',
+                     id="frame_end_1e19"),
+        pytest.param('{"index": -9223372036854775808, "frame_start": 0, "frame_end": 10000000000000000000, '
+                     '"visual": "v"}\n', id="int64_bottom_then_beyond"),
+        # a type error is named before any integer's range
+        pytest.param('{"index": 10000000000000000000000, "frame_start": 0, "frame_end": 3, "visual": 1}\n',
+                     id="beyond_int64_and_mistyped"),
         pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\\"b\\n\\u00e9"}\n',
                      id="escapes"),
         pytest.param('{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "a\tb"}\n', id="raw_tab"),
@@ -264,18 +321,19 @@ class TestCaptionsFormat:
     def test_matches_per_line_reader(self, tmp_path, text):
         path = tmp_path / "c.jsonl"
         path.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(read_captions, read_captions_per_line, path)
+        assert_same_captions(path)
 
     def test_written_files_never_reach_json_loads(self, tmp_path, monkeypatch):
-        segs = make_segments(50, audio=True)
-        segs[7] = SegmentRecord(7, 28, 31, "no audio", None)
+        rows = make_rows(50, audio=True)
+        rows[7] = (7, 28, 31, "no audio", None)
+        segs = SegmentTable.from_rows(rows)
         write_captions(tmp_path / "c.jsonl", segs)
 
         def refuse(*args, **kwargs):
             raise AssertionError("json.loads called")
 
         monkeypatch.setattr(dataio.json, "loads", refuse)
-        assert read_captions(tmp_path / "c.jsonl") == segs
+        assert table_columns(read_captions(tmp_path / "c.jsonl")) == table_columns(segs)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -293,8 +351,20 @@ class TestCaptionsFormat:
                 record = {"index": seg.index, "frame_start": seg.frame_start, "frame_end": seg.frame_end,
                           "visual": seg.visual_caption, "audio": seg.audio_caption}
                 fh.write(json.dumps(record, ensure_ascii=ascii_only) + "\n")
-        assert read_captions(path) == segs
-        assert read_captions_per_line(path) == segs
+        assert read_caption_records(path) == segs
+        table = assert_same_captions(path)
+        if table is not None:  # every integer within int64: the writers agree byte for byte
+            write_captions(path.with_name("table.jsonl"), table)
+            write_caption_records(path.with_name("records.jsonl"), segs)
+            assert path.with_name("table.jsonl").read_bytes() == path.with_name("records.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_gen_synthetic_writes_the_records_bytes(self, tmp_path, with_audio):
+        result = gen_synthetic(tmp_path / "d", n_segments=60, frames_per_segment=3, with_audio=with_audio)
+        seg_labels = read_labels(result.paths["labels"])[::3].tolist()
+        assert sum(seg_labels) == result.n_anomalous > 0
+        write_caption_records(tmp_path / "records.jsonl", synthetic_records(seg_labels, 3, with_audio))
+        assert result.paths["captions"].read_bytes() == (tmp_path / "records.jsonl").read_bytes()
 
 
 class TestLabelScoreCsv:
@@ -712,6 +782,20 @@ class TestConfigFormat:
             read_config(path)
         message = f"bad value for {key}: a number must be ASCII, got {value!r}"
         assert excinfo.value.issues == [f"{path}:2: {message}"]
+
+    @pytest.mark.parametrize("key, value", [
+        # int() and float() take Python's digit separator
+        pytest.param("seed", "1_0", id="seed"),
+        pytest.param("curvature", "1_0.5", id="curvature"),
+        pytest.param("target_mass", "0.000_1", id="target_mass_fraction"),
+        pytest.param("opt_iters", "_1", id="leading"),
+    ])
+    def test_digit_separator_rejected(self, tmp_path, key, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"window = 2\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as excinfo:
+            read_config(path)
+        assert excinfo.value.issues == [f"{path}:2: bad value for {key}: '_' is not allowed in a number"]
 
     def test_bad_value_reports_key(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypervad import evaluate
-from hypervad.core import SegmentRecord, ValidationError, validate_dataset
+from hypervad.core import SegmentTable, ValidationError, segment_tiling, validate_dataset
 from hypervad.evaluate import (
     UndefinedMetricError,
     auc_roc,
@@ -20,11 +20,15 @@ from hypervad.evaluate import (
     expand_to_frames,
 )
 
+from conftest import records_table
 from oracles import (
+    SegmentRecord,
     ap_sweep_oracle,
     auc_pairwise_oracle,
     auc_rank_sum_oracle,
+    expand_records,
     paint_frames_oracle,
+    segment_tiling_loop,
     threshold_sweep_per_frame,
 )
 
@@ -63,51 +67,82 @@ random_segment_lists = st.lists(
     st.builds(SegmentRecord, st.integers(0, 4), st.integers(0, 8), st.integers(0, 8), st.just("")),
     max_size=5,
 )
+# Records whose fields sit at and next to int64's ends, where an int64
+# frame_end + 1 would wrap.
+INT64_EDGES = [-2**63, -2**63 + 1, -1, 0, 1, 2, 2**63 - 2, 2**63 - 1]
+edge_segment_lists = st.lists(
+    st.builds(SegmentRecord, *[st.sampled_from(INT64_EDGES) | st.integers(0, 3)] * 3, st.just("")),
+    max_size=5,
+)
+
+
+def table(*rows):
+    """The SegmentTable of (index, frame_start, frame_end) rows."""
+    return SegmentTable.from_rows((*row, "x", None) for row in rows)
 
 
 class TestExpandToFrames:
     def test_single_window_single_segment(self):
-        segs = [SegmentRecord(0, 0, 4, "x")]
-        out = expand_to_frames([0.7], segs)
+        out = expand_to_frames([0.7], table((0, 0, 4)))
         assert np.array_equal(out, np.full(5, 0.7))
 
     def test_two_windows_uneven_segments(self):
-        segs = [SegmentRecord(0, 0, 2, "x"), SegmentRecord(1, 3, 4, "y")]
-        out = expand_to_frames([0.2, 0.9], segs)
+        out = expand_to_frames([0.2, 0.9], table((0, 0, 2), (1, 3, 4)))
         assert out.tolist() == [0.2, 0.2, 0.2, 0.9, 0.9]
 
     def test_gap_raises_named_range(self):
-        segs = [SegmentRecord(0, 0, 1, "x"), SegmentRecord(1, 4, 5, "y")]
         with pytest.raises(ValueError, match="segment 1: non-contiguous, starts at frame 4"):
-            expand_to_frames([0.2, 0.9], segs)
+            expand_to_frames([0.2, 0.9], table((0, 0, 1), (1, 4, 5)))
 
     def test_empty(self):
-        assert expand_to_frames([], []).size == 0
+        assert expand_to_frames([], table()).size == 0
 
     def test_overlap_raises(self):
-        segs = [SegmentRecord(0, 0, 3, "x"), SegmentRecord(1, 2, 5, "y")]
         with pytest.raises(ValueError, match="segment 1: non-contiguous, starts at frame 2"):
-            expand_to_frames([0.2, 0.9], segs)
+            expand_to_frames([0.2, 0.9], table((0, 0, 3), (1, 2, 5)))
 
     def test_swapped_index_raises(self):
-        segs = [SegmentRecord(1, 0, 3, "x"), SegmentRecord(0, 4, 5, "y")]
         with pytest.raises(ValueError, match="segment 0: index field is 1, expected 0"):
-            expand_to_frames([0.2, 0.9], segs)
+            expand_to_frames([0.2, 0.9], table((1, 0, 3), (0, 4, 5)))
 
     @settings(max_examples=300, deadline=None)
     @given(segs=st.one_of(mutated_tilings(), random_segment_lists), data=st.data())
     def test_same_tiling_rule_as_validate_dataset(self, segs, data):
+        # the records' own tiling loop and expansion against the columns'
         n = len(segs)
+        segments = records_table(segs)
+        issues, n_frames = segment_tiling_loop(segs)
+        assert segment_tiling(segments) == (issues, n_frames)
         scores = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
         try:
-            dataset = validate_dataset(segs, np.zeros((n, 2)), np.zeros((n, 2)))
+            dataset = validate_dataset(segments, np.zeros((n, 2)), np.zeros((n, 2)))
         except ValidationError as exc:
+            assert exc.issues == issues
             with pytest.raises(ValueError, match=re.escape(exc.issues[0])):
-                expand_to_frames(scores, segs)
+                expand_to_frames(scores, segments)
+            with pytest.raises(ValueError, match=re.escape(exc.issues[0])):
+                expand_records(scores, segs)
             return
-        frames = expand_to_frames(scores, segs)
-        assert frames.shape == (dataset.n_frames,)
+        assert issues == []
+        frames = expand_to_frames(scores, segments)
+        assert frames.shape == (dataset.n_frames,) == (n_frames,)
+        assert np.array_equal(frames, expand_records(scores, segs))
         assert np.array_equal(frames, paint_frames_oracle(scores, segs, dataset.n_frames))
+
+    @settings(max_examples=300, deadline=None)
+    @given(segs=edge_segment_lists)
+    def test_same_tiling_rule_at_int64_ends(self, segs):
+        # a frame_end of 2**63 - 1 ends the frames: no start can follow it
+        assert segment_tiling(records_table(segs)) == segment_tiling_loop(segs)
+
+    def test_last_frame_of_int64(self):
+        top = 2**63 - 1
+        segs = table((0, 0, top), (1, -2**63, 0))
+        assert segment_tiling(segs) == (
+            [f"segment 1: non-contiguous, starts at frame {-2**63} but previous segment ended at {top}"],
+            1,
+        )
+        assert segment_tiling(table((0, 0, top))) == ([], 2**63)
 
 
 class TestAucRoc:

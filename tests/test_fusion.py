@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hypervad import fusion, hyperbolic
-from hypervad.core import PipelineConfig, SegmentRecord, ValidationError, validate_dataset
+from hypervad.core import PipelineConfig, ValidationError, validate_dataset
 from hypervad.fusion import (
     fuse_sequence,
     fuse_sequence_euclidean,
@@ -20,8 +22,7 @@ def make_dataset(rng, n=6, dim=4, audio="all"):
     if audio in ("all", "mixed"):
         segs = make_segments(n, audio=True)
         if audio == "mixed":
-            s = segs[2]
-            segs[2] = SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
+            segs = replace(segs, audio=segs.audio[:2] + (None,) + segs.audio[3:])
     visual, text = rng.normal(size=(n, dim)), rng.normal(size=(n, dim))
     audio = None if audio == "none" else rng.normal(size=(n, dim))
     return validate_dataset(segs, visual, text, audio)
@@ -127,10 +128,7 @@ class TestFuseSequence:
 
     def test_modality_deletion_invariance(self, rng):
         ds_with = make_dataset(rng, audio="all")
-        segs_mono = [
-            SegmentRecord(s.index, s.frame_start, s.frame_end, s.visual_caption, None)
-            for s in ds_with.segments
-        ]
+        segs_mono = replace(ds_with.segments, audio=(None,) * ds_with.n_segments)
         ds_without = validate_dataset(segs_mono, ds_with.visual, ds_with.text)
         config = PipelineConfig()
         mono = fuse_sequence(ds_without, config)
@@ -147,7 +145,7 @@ class TestFuseSequence:
         assert np.max(np.abs(hyperbolic - euclidean)) < 1e-5
 
     def test_empty_dataset(self):
-        ds = validate_dataset([], np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4)))
+        ds = validate_dataset(make_segments(0), np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 4)))
         assert fuse_sequence(ds, PipelineConfig()).shape == (0, 4)
         assert fuse_sequence_euclidean(ds, PipelineConfig()).shape == (0, 4)
 

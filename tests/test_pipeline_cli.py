@@ -133,12 +133,8 @@ class TestRunPipeline:
         dataset, _ = load_dataset(manifest_for(synth_dir, tmp_path / "unused"))
         from hypervad.captions import build_summaries, clean_captions
 
-        cs = clean_captions(
-            [s.visual_caption for s in dataset.segments], dataset.visual, dataset.text
-        )
-        summaries = build_summaries(
-            cs, dataset.text, [s.audio_caption for s in dataset.segments], 2,
-        )
+        cs = clean_captions(dataset.segments.visual, dataset.visual, dataset.text)
+        summaries = build_summaries(cs, dataset.text, dataset.segments.audio, 2)
         stub = StubScorer(32, 8, seed=5)
         expected = [stub.score(np.zeros(32), e) for e in summaries.embeddings]
         window_scores = result.segment_scores[::2]
@@ -449,6 +445,32 @@ class TestCli:
                      "--text", str(data / "text.emb"), "--captions", str(captions)]) == 1
         assert "captions.jsonl:2: bad caption record: 'frame_end' must be int" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key, value", [
+        (3, "frame_end", 10**19),  # the tiling holds: only int64 stops it
+        (0, "index", 10**30),
+        (1, "frame_start", -2**63 - 1),
+    ])
+    def test_validate_and_run_reject_fields_beyond_int64(self, tmp_path, capsys, line, key, value):
+        # np.repeat could not expand these frames: both verbs stop at reading
+        data = tmp_path / "data"
+        main(self._synth_args(data, n=4))
+        captions = data / "captions.jsonl"
+        lines = captions.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[line])
+        record[key] = value
+        lines[line] = json.dumps(record)
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        inputs = ["--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                  "--captions", str(captions), "--labels", str(data / "labels.csv")]
+        message = f"captions.jsonl:{line + 1}: bad caption record: '{key}' must fit in int64, got {value}\n"
+        capsys.readouterr()
+        assert main(["validate"] + inputs) == 1
+        assert capsys.readouterr().err.endswith(message)
+        out = tmp_path / "run"
+        assert main(["run"] + inputs + ["--no-refine", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(message)
+        assert not out.exists()
+
     def test_validate_rejects_zero_width_embeddings(self, tmp_path, capsys):
         from hypervad.dataio import write_embeddings
 
@@ -504,6 +526,7 @@ class TestCli:
         (["--config", "{data}"], "config file not found: {data}"),
         (["--config", "{noeq_cfg}"], "noeq.cfg:1: expected key=value, got 'seed 3'"),
         (["--config", "{latin_cfg}"], "latin.cfg:2: not UTF-8 text: invalid continuation byte (byte 0xe9 at offset 14)"),
+        (["--config", "{sep_cfg}"], "sep.cfg:1: bad value for seed: '_' is not allowed in a number"),
     ])
     def test_run_rejects_bad_settings_before_any_stage(self, tmp_path, capsys, args, message):
         data = tmp_path / "data"
@@ -513,9 +536,11 @@ class TestCli:
         (tmp_path / "vw.cfg").write_text("visual_weight = 0.5\n", encoding="utf-8")
         (tmp_path / "noeq.cfg").write_text("seed 3\n", encoding="utf-8")
         (tmp_path / "latin.cfg").write_bytes("seed = 3\n# café\n".encode("latin-1"))
+        (tmp_path / "sep.cfg").write_text("seed = 1_0\n", encoding="utf-8")
         (tmp_path / "file").write_text("x", encoding="utf-8")
         names = dict(cfg=tmp_path / "run.cfg", inf_cfg=tmp_path / "inf.cfg", vw_cfg=tmp_path / "vw.cfg",
                      noeq_cfg=tmp_path / "noeq.cfg", latin_cfg=tmp_path / "latin.cfg", missing_cfg=tmp_path / "nope.cfg",
+                     sep_cfg=tmp_path / "sep.cfg",
                      file=tmp_path / "file", data=data)
         out = tmp_path / "run"
         code = main([
