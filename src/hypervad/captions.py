@@ -8,7 +8,8 @@ over row blocks (see :func:`block_products`), so it never holds an n x n
 matrix.
 
 The window layout is stated here only: windows of ``window`` consecutive
-segments, then one shorter trailing window, so every frame gets a score.
+segments, then one shorter trailing window, so every frame gets a score. A
+window at least as long as the video is one window of the whole video.
 :func:`window_slices` gives their segment ranges and :func:`window_stacks`
 their rows; every per-window aggregate reads one of the two.
 """
@@ -163,10 +164,17 @@ def identity_captions(raw_captions: Sequence[str]) -> CaptionSet:
     return CaptionSet(raw=tuple(raw_captions), cleaned_index=np.arange(n, dtype=np.int64))
 
 
-def window_slices(n_segments: int, window: int):
-    """The (lo, hi) segment range of each window, in order."""
+def _window_size(n_segments: int, window: int) -> int:
+    """``window``, or the whole video's length (at least 1) if that is
+    shorter, so that no array is shaped by a window beyond the video."""
     if window < 1:
         raise ValueError("window must be at least 1")
+    return min(window, max(n_segments, 1))
+
+
+def window_slices(n_segments: int, window: int):
+    """The (lo, hi) segment range of each window, in order."""
+    window = _window_size(n_segments, window)
     return [(start, min(start + window, n_segments)) for start in range(0, n_segments, window)]
 
 
@@ -174,8 +182,7 @@ def window_stacks(rows: np.ndarray, window: int):
     """The windows of an (n, ...) array as at most two (count, size, ...)
     views, the full windows then the trailing one, each paired with the
     index of its first window; a run with no window is left out."""
-    if window < 1:
-        raise ValueError("window must be at least 1")
+    window = _window_size(len(rows), window)
     full = len(rows) // window
     cut = full * window
     runs = [(0, rows[:cut].reshape(full, window, *rows.shape[1:])), (full, rows[cut:][None])]
@@ -209,5 +216,5 @@ def build_summaries(
             audio_parts = [a for a in audio_captions[lo:hi] if a is not None]
         audio_part = " ".join(audio_parts) if audio_parts else "none"
         texts.append(f"VISUAL: {visual_part} | AUDIO: {audio_part}")
-    mapping = np.arange(n, dtype=np.int64) // window
+    mapping = np.arange(n, dtype=np.int64) // _window_size(n, window)
     return SummarySet(texts=tuple(texts), embeddings=means, segment_to_window=mapping)

@@ -12,11 +12,9 @@ values become one row of the SegmentTable after one exact test of their
 types and int64 range; the table's columns are built from the rows at the
 end. A labels file in the form it is written is read whole as bytes: the
 rows of frames with the same number of digits have one width, so each such
-slab is checked column by column, each column one strided bytes slice. A
-scores file in the form it is written is read in blocks of
-``_BLOCK_CHARS`` characters, each ended at a line end and taken only if
-its values write it back byte for byte. Any other line or text takes the
-per-line path, which words every error.
+slab is checked column by column, each column one strided bytes slice; any
+other labels text takes the per-row path, which words every error. A scores
+file is always read row by row on that path.
 """
 
 from __future__ import annotations
@@ -58,12 +56,6 @@ def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
     values, row = float32_rows(np.asarray(data, dtype=np.float64))
     if row is not None:
         raise ValueError(f"{path}: row {row} has a value beyond {FLOAT32_RANGE}")
-    write_float32_embeddings(path, values, modality)
-
-
-def write_float32_embeddings(path, values: np.ndarray, modality: Modality) -> None:
-    """Write (n, d) little-endian float32 values, as :func:`float32_rows`
-    gives them, as a ``modality`` embedding file."""
     count, dim = values.shape
     header = _HEADER.pack(MAGIC, VERSION, MODALITY_CODES[modality], dim, count)
     Path(path).write_bytes(header + values.tobytes())
@@ -198,11 +190,9 @@ def read_captions(path) -> SegmentTable:
     return SegmentTable.from_rows(rows)
 
 
-# Rows per block a frame CSV is written in, and characters per block a
-# scores file is read in (each then ended at its line end): they bound the
-# text held at once, whatever the file's length.
+# Rows per block a frame CSV is written in: it bounds the text held at
+# once, whatever the file's length.
 _BLOCK_LINES = 4096
-_BLOCK_CHARS = 1 << 15
 
 
 def _frame_text(start, values) -> str:
@@ -233,74 +223,36 @@ def _write_frame_csv(path, header, values) -> None:
         )
 
 
-@_utf8_text
-def _read_frame_csv(path, column, parse, dtype) -> np.ndarray:
-    """Rows ``frame,<column>`` after an optional header, frames contiguous
-    from 0. ``parse`` turns a field into a value or raises ValueError. Text
-    in the written form takes the block path; any other text, and every
-    error, goes row by row."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        values = _read_canonical(fh, column, parse, dtype)
-        if values is None:
-            fh.seek(0)
-            values = np.asarray(_read_csv_rows(path, fh, column, parse), dtype=dtype)
-    return values
-
-
-def _read_canonical(fh, column, parse, dtype):
-    """The values of a file holding exactly the text ``_write_frame_csv``
-    writes, block by block; None for any other text. A block is taken only
-    if its values write it back byte for byte, so each value is the one
-    ``_read_csv_rows`` would parse from the same field. A block is
-    ``_BLOCK_CHARS`` characters and the rest of the line they end in, so a
-    CRLF split between the two halves stays whole."""
-    if fh.readline() != f"frame,{column}\r\n":
-        return None
-    blocks = [np.empty(0, dtype=dtype)]
-    start = 0
-    while block := fh.read(_BLOCK_CHARS):
-        block += fh.readline()
-        fields = block.replace("\r\n", ",").split(",")[1::2]
-        try:
-            parsed = {field: parse(field) for field in set(fields)}
-        except ValueError:
-            return None
-        values = np.fromiter(map(parsed.__getitem__, fields), dtype)
-        if _frame_text(start, values) != block:
-            return None
-        blocks.append(values)
-        start += len(values)
-    return np.concatenate(blocks)
-
-
-def _read_csv_rows(path, fh, column, parse) -> list:
-    """Any text ``csv.reader`` splits into such rows; the one place that
-    words what is wrong with a row."""
+def _read_csv_rows(path, column, parse, dtype) -> np.ndarray:
+    """The values of any text ``csv.reader`` splits into rows
+    ``frame,<column>``, after an optional header, frames contiguous from 0;
+    the one place that words what is wrong with a row."""
     values = []
-    for lineno, row in enumerate(csv.reader(fh), start=1):
-        if not row:
-            continue
-        if lineno == 1 and row[0] == "frame":
-            if row != ["frame", column]:
-                raise ValidationError(f"{path}:1: expected the header 'frame,{column}', got {row}")
-            continue
-        if len(row) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
-        try:
-            if "_" in row[0] or "_" in row[1]:
-                raise ValueError(f"'_' is not allowed in a number, got {row}")
-            if not (row[0].isascii() and row[1].isascii()):
-                raise ValueError(f"a number must be ASCII, got {row}")
-            frame, value = int(row[0]), parse(row[1])
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        if frame != len(values):
-            raise ValidationError(
-                f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
-                f"at position {len(values)}"
-            )
-        values.append(value)
-    return values
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if lineno == 1 and row[0] == "frame":
+                if row != ["frame", column]:
+                    raise ValidationError(f"{path}:1: expected the header 'frame,{column}', got {row}")
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
+            try:
+                if "_" in row[0] or "_" in row[1]:
+                    raise ValueError(f"'_' is not allowed in a number, got {row}")
+                if not (row[0].isascii() and row[1].isascii()):
+                    raise ValueError(f"a number must be ASCII, got {row}")
+                frame, value = int(row[0]), parse(row[1])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if frame != len(values):
+                raise ValidationError(
+                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
+                    f"at position {len(values)}"
+                )
+            values.append(value)
+    return np.asarray(values, dtype=dtype)
 
 
 def _label(field: str) -> int:
@@ -370,18 +322,16 @@ def read_labels(path) -> np.ndarray:
     """Labels written by ``write_labels`` are read as fixed-width byte rows;
     any other text, and every error, goes row by row."""
     labels = _fixed_width_labels(Path(path).read_bytes())
-    if labels is None:
-        with open(path, encoding="utf-8", newline="") as fh:
-            labels = np.asarray(_read_csv_rows(path, fh, "label", _label), dtype=np.int64)
-    return labels
+    return _read_csv_rows(path, "label", _label, np.int64) if labels is None else labels
 
 
 def write_scores(path, frame_scores) -> None:
     _write_frame_csv(path, "frame,score", np.asarray(frame_scores, dtype=np.float64))
 
 
+@_utf8_text
 def read_scores(path) -> np.ndarray:
-    return _read_frame_csv(path, "score", _score, np.float64)
+    return _read_csv_rows(path, "score", _score, np.float64)
 
 
 def write_loss_history(path, loss_history) -> None:

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Modality, SegmentTable, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
-from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_float32_embeddings, write_labels
+from .core import INT64_MAX, Modality, SegmentTable, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
+from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_embeddings, write_labels
 from .evaluate import auc_roc
 
 # Correlation between text and visual embeddings of a segment. High enough
@@ -57,8 +57,10 @@ def gen_synthetic(
     """Write a complete synthetic dataset and its generation metadata. An
     argument of the wrong kind (by ``core.kind_issues``) or out of range, an
     ``out_dir`` that cannot be a directory (by ``core.out_dir_issues``), or
-    a ``shift`` that puts an embedding beyond float32's range raises
-    ValidationError before anything is written."""
+    a ``shift`` that puts an embedding beyond float32's range, or a frame
+    count ``n_segments * frames_per_segment`` (``frames_per_segment`` alone
+    when there are no segments) beyond int64, raises ValidationError before
+    anything is written."""
     issues = kind_issues(
         dict(n_segments=n_segments, dim=dim, anomaly_fraction=anomaly_fraction, shift=shift, seed=seed,
              frames_per_segment=frames_per_segment, with_audio=with_audio),
@@ -77,6 +79,10 @@ def gen_synthetic(
         raise ValidationError("seed must be non-negative")
     if frames_per_segment < 1:
         raise ValidationError("frames_per_segment must be at least 1")
+    most_frames = INT64_MAX // max(n_segments, 1)  # so that every frame number fits in int64
+    if frames_per_segment > most_frames:
+        raise ValidationError(f"frames_per_segment must be at most {most_frames} for {n_segments} segments, "
+                              f"got {frames_per_segment}")
 
     rng = np.random.default_rng(seed)
     direction = seeded_unit_vector(seed, dim)
@@ -97,9 +103,8 @@ def gen_synthetic(
         audio = rng.standard_normal((n_segments, dim))
         audio += seg_labels[:, None] * shift * direction[None, :]
         embeddings[Modality.AUDIO] = audio
-    float32 = {}
     for modality, rows in embeddings.items():
-        float32[modality], row = float32_rows(rows)
+        _, row = float32_rows(rows)
         if row is not None:
             raise ValidationError(f"shift {shift} puts {modality.value} row {row} beyond {FLOAT32_RANGE}")
 
@@ -129,8 +134,8 @@ def gen_synthetic(
     }
     if with_audio:
         paths["audio"] = out_dir / "audio.emb"
-    for modality, values in float32.items():
-        write_float32_embeddings(paths[modality.value], values, modality)
+    for modality, rows in embeddings.items():
+        write_embeddings(paths[modality.value], rows, modality)
     write_captions(paths["captions"], segments)
     write_labels(paths["labels"], frame_labels)
 

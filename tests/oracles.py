@@ -14,18 +14,16 @@ same rows are what make a bit-for-bit comparison possible. The dense references 
 package's own bodies from before the searches ran over row blocks, on the
 package's ``normalize_rows``: the blocked searches must return exactly
 their indices. The frame-CSV reader is the package's per-row reader from
-before its canonical fast path, which must return what it returns; it
-rejects non-ASCII digits as the package does. The labels reader from
-before fixed-width byte rows is the package's path for them then, its
-character-block reader and then rows: the new reader must give the same
-values and error messages. The
-canonical frame-CSV reader from before character blocks is the package's
-body, on the package's ``_frame_text``: the new reader must give the same
-values and error messages. The segment records are the package's from
-before segments became columns: its record type, its captions reader and
-writer, the synthetic generator's record loop, its tiling loop and its
-frame expansion, with no package code but the generator's caption
-templates. The segment table must hold their values column by column, give
+before its canonical fast paths, which must return what it returns; it
+rejects non-ASCII digits as the package does, but has neither the header
+and ``_`` rules nor the UTF-8 wrapper. The labels row reference is the
+package's labels reader without its fixed-width path, so every file takes
+the package's row path inside its UTF-8 wrapper: the fixed-width reader
+must give its values and error messages on any bytes. The segment records
+are the package's from before segments became columns: its record type,
+its captions reader and writer, the synthetic generator's record loop, its
+tiling loop and its frame expansion, with no package code but the
+generator's caption templates. The segment table must hold their values column by column, give
 their issue lists in order and write their bytes. The last four are the
 package's bodies from before they ran array at a time, which the new code
 must match byte for byte: the stub score by ``@``, the
@@ -44,7 +42,6 @@ only the products are checked.
 """
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -56,7 +53,7 @@ from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows, row_blocks
 from hypervad.core import ValidationError, finite_real
-from hypervad.dataio import _frame_text, _label, _read_frame_csv
+from hypervad.dataio import _label, _read_csv_rows, _utf8_text
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
@@ -241,10 +238,12 @@ def read_frame_csv_oracle(path, column):
     return np.asarray(values, dtype=dtype)
 
 
-def read_labels_by_blocks(path):
+@_utf8_text
+def read_labels_by_rows(path):
     """The package's labels reader from before it read fixed-width byte
-    rows: the character-block reader scores still take, then rows."""
-    return _read_frame_csv(path, "label", _label, np.int64)
+    rows, less the character-block path that then took written files: every
+    file goes row by row."""
+    return _read_csv_rows(path, "label", _label, np.int64)
 
 
 @dataclass(frozen=True)
@@ -388,28 +387,6 @@ def expand_records(segment_scores, segments) -> np.ndarray:
         raise ValueError(issues[0])
     segment_scores = np.asarray(segment_scores, dtype=np.float64)
     return np.repeat(segment_scores, [seg.n_frames for seg in segments])
-
-
-def read_canonical_by_lines(fh, column, parse, dtype):
-    """The package's canonical frame-CSV block reader from before it read
-    fixed-size character blocks: blocks of 4,096 lines, each taken only if
-    its values write it back byte for byte; None for any other text."""
-    if fh.readline() != f"frame,{column}\r\n":
-        return None
-    blocks = [np.empty(0, dtype=dtype)]
-    start = 0
-    while block := "".join(itertools.islice(fh, 4096)):
-        fields = block.replace("\r\n", ",").split(",")[1::2]
-        try:
-            parsed = {field: parse(field) for field in set(fields)}
-        except ValueError:
-            return None
-        values = np.fromiter(map(parsed.__getitem__, fields), dtype)
-        if _frame_text(start, values) != block:
-            return None
-        blocks.append(values)
-        start += len(values)
-    return np.concatenate(blocks)
 
 
 def knn_refine_oracle(scores, text_rows, mean, precision, k):

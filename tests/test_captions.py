@@ -277,6 +277,23 @@ class TestSummaries:
                 assert len(got) == len(windows)
                 assert all(np.array_equal(a, b) for a, b in zip(got, windows))
 
+    @pytest.mark.parametrize("window", [2**63 - 1, 10**30])
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_window_beyond_the_video_is_one_window(self, n, window):
+        # no array is shaped by the window itself: 2**63 - 1 would be too
+        # big for an array and 10**30 too big for an int64
+        rows = np.arange(3.0 * n).reshape(n, 3)
+        whole = max(n, 1)
+        assert window_slices(n, window) == window_slices(n, whole) == ([(0, n)] if n else [])
+        assert [(first, stack.shape) for first, stack in window_stacks(rows, window)] == [
+            (first, stack.shape) for first, stack in window_stacks(rows, whole)]
+        cs = identity_captions([f"c{t}" for t in range(n)])
+        got = build_summaries(cs, make_matrix(rows, Modality.TEXT), None, window)
+        want = build_summaries(cs, make_matrix(rows, Modality.TEXT), None, whole)
+        assert got.n_windows == min(n, 1) and got.texts == want.texts
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
+        assert np.array_equal(got.segment_to_window, want.segment_to_window)
+
     def test_summary_embeddings_average_cleaned_rows(self, rng):
         captions = rng.normal(size=(4, 3))
         cs = CaptionSet(raw=("a", "b", "c", "d"), cleaned_index=np.array([1, 1, 0, 3]))

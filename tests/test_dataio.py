@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypervad import dataio
 from hypervad.core import Modality, PipelineConfig, SegmentTable, ValidationError
 from hypervad.dataio import (
-    _BLOCK_CHARS,
     _BLOCK_LINES,
     MAGIC,
     MODALITY_CODES,
@@ -34,10 +33,9 @@ from conftest import make_rows, table_columns
 from oracles import (
     SegmentRecord,
     frame_csv_oracle,
-    read_canonical_by_lines,
     read_caption_records,
     read_frame_csv_oracle,
-    read_labels_by_blocks,
+    read_labels_by_rows,
     record_columns,
     synthetic_records,
     write_caption_records,
@@ -47,8 +45,6 @@ from oracles import (
 R0 = '{"index": 0, "frame_start": 0, "frame_end": 3, "visual": "v0", "audio": "a0"}'
 R1 = '{"index": 1, "frame_start": 4, "frame_end": 7, "visual": "v1"}'
 R2 = '{"index": 2, "frame_start": 8, "frame_end": 9, "visual": "v2", "audio": null}'
-# The parse rule and dtype of each frame-CSV column.
-COLUMNS = {"label": (dataio._label, np.int64), "score": (dataio._score, np.float64)}
 
 
 def assert_same_outcome(read, oracle, path):
@@ -179,6 +175,14 @@ class TestEmbeddingFormat:
         with pytest.raises(ValueError, match=rf"x\.emb: row {bad_row} has a value beyond float32"):
             write_embeddings(path, rows, Modality.VISUAL)
         assert not path.exists()
+
+    def test_float32_input_writes_float64_bytes(self, tmp_path, rng):
+        rows = rng.normal(size=(6, 5)) * 10.0 ** rng.uniform(-30, 30, size=(6, 1))
+        single = rows.astype(np.float32)
+        write_embeddings(tmp_path / "32.emb", single, Modality.TEXT)
+        write_embeddings(tmp_path / "64.emb", single.astype(np.float64), Modality.TEXT)
+        assert (tmp_path / "32.emb").read_bytes() == (tmp_path / "64.emb").read_bytes()
+        assert (tmp_path / "32.emb").read_bytes()[17:] == single.astype("<f4").tobytes()
 
     def test_float32_max_still_written(self, tmp_path):
         path = tmp_path / "x.emb"
@@ -517,75 +521,25 @@ class TestLabelScoreCsv:
         path.write_bytes(text.encode())
         read = {"label": read_labels, "score": read_scores}[column]
         assert_same_outcome(read, lambda p: read_frame_csv_oracle(p, column), path)
-        # the block reader takes the text the line-block reader took, and no other
-        outcomes = []
-        for canonical in (dataio._read_canonical, read_canonical_by_lines):
-            with open(path, encoding="utf-8", newline="") as fh:
-                values = canonical(fh, column, *COLUMNS[column])
-            outcomes.append(None if values is None else (values.dtype, values.tolist()))
-        assert outcomes[0] == outcomes[1]
-
-    @pytest.mark.parametrize("end", [-2, -1, 0, 1, 2], ids=lambda end: f"block{end:+d}")
-    def test_row_ends_near_the_block_boundary(self, tmp_path, monkeypatch, end):
-        # rows of 0.5 and 0.25 (one character longer) put the end of a row at
-        # _BLOCK_CHARS + end characters past the header, then 50 rows follow;
-        # at +1 that row's CRLF is split between a block and the next line
-        values, length = [], 0
-        while length + len(f"{len(values)},0.5\r\n") <= _BLOCK_CHARS + end:
-            length += len(f"{len(values)},0.5\r\n")
-            values.append(0.5)
-        short = _BLOCK_CHARS + end - length
-        values[:short] = [0.25] * short
-        values += [0.75] * 50
-        path = tmp_path / "s.csv"
-        write_scores(path, values)
-        body = path.read_bytes().decode()[len("frame,score\r\n"):]
-        assert body[_BLOCK_CHARS + end - 2 : _BLOCK_CHARS + end] == "\r\n"
-        monkeypatch.setattr(dataio.csv, "reader", None)  # the block path must take it all
-        assert read_scores(path).tolist() == values
-        with open(path, encoding="utf-8", newline="") as fh:
-            assert read_canonical_by_lines(fh, "score", *COLUMNS["score"]).tolist() == values
-
-    LABELS = "frame,label\r\n" + "".join(f"{i},{i % 3 // 2}\r\n" for i in range(40))
-
-    @pytest.mark.parametrize("text", [
-        pytest.param(LABELS, id="canonical"),
-        pytest.param(LABELS[:-2], id="no_final_crlf"),
-        pytest.param(LABELS[:-1], id="final_cr"),
-        pytest.param(LABELS.replace(",0\r\n", ",0\n"), id="lf_rows"),
-        pytest.param(LABELS.replace(",1\r\n", ",2\r\n"), id="label_2"),
-    ])
-    def test_every_block_size_matches_line_blocks(self, tmp_path, monkeypatch, text):
-        # blocks of 1 to 30 characters end at every offset of every row,
-        # inside a CRLF too
-        path = tmp_path / "label.csv"
-        path.write_bytes(text.encode())
-        with open(path, encoding="utf-8", newline="") as fh:
-            want = read_canonical_by_lines(fh, "label", *COLUMNS["label"])
-        for block_chars in range(1, 31):
-            monkeypatch.setattr(dataio, "_BLOCK_CHARS", block_chars)
-            with open(path, encoding="utf-8", newline="") as fh:
-                got = dataio._read_canonical(fh, "label", *COLUMNS["label"])
-            assert (got is None) == (want is None)
-            if want is not None:
-                assert np.array_equal(got, want) and got.dtype == want.dtype
-            assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
 
     @settings(max_examples=60, deadline=None)
     @given(
         scores=st.lists(st.floats(allow_nan=False, allow_infinity=False)
                         | st.sampled_from([0.0, -0.0, 0.5, 1 / 3]), max_size=300),
         labels=st.lists(st.integers(0, 1), max_size=300),
-        block_chars=st.integers(1, 200),
+        block_lines=st.integers(1, 200),
     )
-    def test_roundtrip_in_any_block_size(self, tmp_path_factory, scores, labels, block_chars):
+    def test_roundtrip_in_any_block_size(self, tmp_path_factory, scores, labels, block_lines):
+        # the rows a file is written in blocks of meet at any row
         folder = tmp_path_factory.mktemp("frames")
-        write_scores(folder / "s.csv", scores)
-        write_labels(folder / "l.csv", labels)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dataio, "_BLOCK_CHARS", block_chars)
-            mp.setattr(dataio.csv, "reader", None)  # written text never needs the row reader
-            got_scores, got_labels = read_scores(folder / "s.csv"), read_labels(folder / "l.csv")
+            mp.setattr(dataio, "_BLOCK_LINES", block_lines)
+            write_scores(folder / "s.csv", scores)
+            write_labels(folder / "l.csv", labels)
+        got_scores = read_scores(folder / "s.csv")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio.csv, "reader", None)  # written labels never need the row reader
+            got_labels = read_labels(folder / "l.csv")
         assert got_scores.tolist() == scores
         assert np.array_equal(np.signbit(got_scores), np.signbit(scores))
         assert got_labels.dtype == np.int64 and got_labels.tolist() == labels
@@ -593,16 +547,13 @@ class TestLabelScoreCsv:
 
     def test_written_files_never_reach_csv_reader(self, tmp_path, rng, monkeypatch):
         labels = np.repeat(rng.integers(0, 2, size=1000), 9)
-        scores = np.repeat(rng.uniform(size=1000), 9)
         write_labels(tmp_path / "l.csv", labels)
-        write_scores(tmp_path / "s.csv", scores)
 
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader called")
 
         monkeypatch.setattr(dataio.csv, "reader", refuse)
         assert np.array_equal(read_labels(tmp_path / "l.csv"), labels)
-        assert np.array_equal(read_scores(tmp_path / "s.csv"), scores)
 
 
 def mutations(raw: bytes, kind: str):
@@ -634,7 +585,7 @@ class TestFixedWidthLabels:
         path = tmp_path / "labels.csv"
         write_labels(path, labels)
         assert dataio._fixed_width_labels(path.read_bytes()) is not None
-        assert_same_outcome(read_labels, read_labels_by_blocks, path)
+        assert_same_outcome(read_labels, read_labels_by_rows, path)
         assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
         monkeypatch.setattr(dataio.csv, "reader", None)
         assert np.array_equal(read_labels(path), labels)
@@ -646,10 +597,13 @@ class TestFixedWidthLabels:
         write_labels(path, np.arange(n) % 3 // 2)
         for raw in mutations(path.read_bytes(), kind):
             path.write_bytes(raw)
-            got = assert_same_outcome(read_labels, read_labels_by_blocks, path)
-            # the fixed-width reader takes exactly the bytes write_labels writes
+            got = assert_same_outcome(read_labels, read_labels_by_rows, path)
+            # the fixed-width reader takes exactly the mutants whose values
+            # write_labels writes back byte for byte, and no file in error
             fast = dataio._fixed_width_labels(raw)
-            if fast is not None or got is not None:
+            if got is None:
+                assert fast is None
+            else:
                 write_labels(tmp_path / "back.csv", got)
                 assert ((tmp_path / "back.csv").read_bytes() == raw) == (fast is not None)
 
@@ -671,7 +625,7 @@ class TestFixedWidthLabels:
         path = tmp_path / "labels.csv"
         path.write_bytes(raw)
         assert dataio._fixed_width_labels(raw) is None
-        assert_same_outcome(read_labels, read_labels_by_blocks, path)
+        assert_same_outcome(read_labels, read_labels_by_rows, path)
         if b"\xff" not in raw:  # the oracle has no UTF-8 wrapper
             assert_same_outcome(read_labels, lambda p: read_frame_csv_oracle(p, "label"), path)
 
@@ -693,7 +647,7 @@ class TestFixedWidthLabels:
             mp.setattr(dataio.csv, "reader", None)  # written text never needs the row reader
             got = read_labels(path)
         assert got.dtype == np.int64 and np.array_equal(got, labels)
-        assert np.array_equal(read_labels_by_blocks(path), labels)
+        assert np.array_equal(read_labels_by_rows(path), labels)
 
 
 class TestNotUtf8Text:

@@ -124,6 +124,15 @@ class TestRunPipeline:
             tracemalloc.stop()
         assert peak < 24 * 2**20
 
+    @pytest.mark.parametrize("window", [2**63 - 1, 10**30])
+    def test_window_beyond_the_video_scores_one_window(self, synth_dir, tmp_path, window):
+        # 40 segments: any longer window is the window of all 40
+        for out, size in (("whole", 40), ("long", window)):
+            result = run_pipeline(manifest_for(synth_dir, tmp_path / out, config=PipelineConfig(seed=5, window=size)))
+        assert result.report["dataset"]["windows"] == 1
+        for name in ("scores.csv", "loss_history.csv"):
+            assert (tmp_path / "long" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
     def test_optimizer_off_scores_from_initial_prompt(self, synth_dir, tmp_path):
         result = run_pipeline(
             manifest_for(synth_dir, tmp_path / "o", optimizer=False, refinement=False)
@@ -394,6 +403,20 @@ class TestCli:
         assert (out / "report.json").is_file()
         assert main(["eval", "--scores", str(out / "scores.csv"),
                      "--labels", str(data / "labels.csv")]) == 0
+
+    def test_window_beyond_the_video_exits_0(self, synth_dir, tmp_path, capsys):
+        # a window of 2**63 - 1 used to fail the summarize stage with "array
+        # is too big" and 10**30 with "Maximum allowed dimension exceeded"
+        data = ["--visual", str(synth_dir / "visual.emb"), "--text", str(synth_dir / "text.emb"),
+                "--captions", str(synth_dir / "captions.jsonl"), "--audio", str(synth_dir / "audio.emb"),
+                "--labels", str(synth_dir / "labels.csv")]
+        for window in (40, 2**63 - 1, 10**30):
+            (tmp_path / f"{window}.cfg").write_text(f"window = {window}\n")
+            code = main(["run", *data, "--out", str(tmp_path / str(window)),
+                         "--config", str(tmp_path / f"{window}.cfg")])
+            assert code == 0, capsys.readouterr().err
+            scores = (tmp_path / str(window) / "scores.csv").read_bytes()
+            assert scores == (tmp_path / "40" / "scores.csv").read_bytes()
 
     def test_validate_ok_and_failure(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -900,11 +923,30 @@ class TestSynthGenerator:
         # finite, but it puts the shifted rows beyond float32's range
         ({"shift": 1e200}, "shift 1e+200 puts visual row 3 beyond float32's range (±3.403e+38)"),
         ({"shift": 1e200, "with_audio": True}, "puts visual row 3 beyond float32's range"),
+        # every frame number must fit in int64, with no segments too
+        ({"frames_per_segment": 2**61}, "frames_per_segment must be at most 2305843009213693951 for 4 segments"),
+        ({"n_segments": 0, "frames_per_segment": 2**63}, "must be at most 9223372036854775807 for 0 segments"),
     ])
     def test_bad_arguments_rejected_before_writing(self, tmp_path, overrides, message):
         args = dict(out_dir=tmp_path / "x", n_segments=4, dim=4, anomaly_fraction=0.25, shift=1.0, seed=0)
         with pytest.raises(ValidationError, match=re.escape(message)):
             gen_synthetic(**{**args, **overrides})
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("n_segments", [4, 2])
+    def test_frame_count_beyond_int64_exits_1(self, tmp_path, n_segments):
+        # 4 * 2**62 frames used to crash the interpreter (SIGSEGV) in
+        # np.repeat; a subprocess keeps a crash from taking pytest with it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypervad.cli", "synth", "--out", str(tmp_path / "x"),
+             "--n-segments", str(n_segments), "--frames-per-segment", str(2**62)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"validation error: frames_per_segment must be at most "
+                               f"{(2**63 - 1) // n_segments} for {n_segments} segments, got {2**62}\n")
+        assert proc.stdout == ""
         assert not (tmp_path / "x").exists()
 
     def test_files_parse_back(self, tmp_path):
