@@ -30,7 +30,6 @@ from .core import (
 )
 from .evaluate import EvalReport, build_report, expand_to_frames
 from .prompt_opt import PromptState, StubScorer, optimize_prompt, resolve_target_mass
-from .remote import RemoteScorer, split_endpoint
 
 SCORES_FILE = "scores.csv"
 LOSS_FILE = "loss_history.csv"
@@ -65,6 +64,8 @@ class RunManifest:
         if self.scorer not in ("stub", "remote"):
             raise ValidationError(f"scorer must be stub or remote, got {self.scorer!r}")
         if self.scorer == "remote":
+            from .remote import split_endpoint
+
             try:
                 split_endpoint(self.endpoint)
             except ValueError as exc:
@@ -124,6 +125,8 @@ def _open_scorer(manifest: RunManifest, emb_dim: int):
     """The configured scorer; a remote scorer's connection is closed when
     the block ends, whether or not it failed."""
     if manifest.scorer == "remote":
+        from .remote import RemoteScorer
+
         with RemoteScorer(manifest.endpoint) as scorer:
             yield scorer
     else:

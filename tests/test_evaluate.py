@@ -324,9 +324,11 @@ class TestBuildReport:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # numpy is the only runtime dependency: no scipy module at all
+    # numpy is the only runtime dependency: no scipy module at all. The
+    # package root imports nothing, so the child imports cli and remote,
+    # which between them load every module
     code = (
-        "import sys, hypervad\n"
+        "import sys, hypervad.cli, hypervad.remote\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     # the child does not read pytest's pythonpath setting, so it gets src here

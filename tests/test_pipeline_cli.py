@@ -665,6 +665,16 @@ class TestCli:
         assert err.startswith("error: [score] ") and "failed after 3 attempts" in err
         assert not out.exists()
 
+    def test_synth_out_of_memory_exit_2_no_output(self, tmp_path, capsys):
+        # 4 * 2**55 int64 labels are 1 EiB, past any address space, so the
+        # allocation fails at once whatever the host's overcommit setting
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--n-segments", "4",
+                     "--frames-per-segment", str(2**55)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "allocate" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, target", [
         ("validate", "captions"), ("validate", "labels"), ("run", "captions"), ("run", "labels"),
         ("eval", "scores"), ("eval", "labels"),
