@@ -48,7 +48,7 @@ def main() -> int:
         for issue in exc.issues:
             print(f"validation error: {issue}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (PipelineError, ValueError, OSError) as exc:
+    except (PipelineError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -104,8 +104,9 @@ def _cmd_run(config=None, seed=None, **options) -> int:
     config = read_config(config) if config else PipelineConfig()
     if seed is not None:
         config = replace(config, seed=seed)
-    result = run_pipeline(RunManifest(**options, config=config))
-    print(f"wrote {result.out_dir}/scores.csv, loss_history.csv, report.json")
+    manifest = RunManifest(**options, config=config)
+    result = run_pipeline(manifest)
+    print(f"wrote {manifest.out_dir}/scores.csv, loss_history.csv, report.json")
     if result.eval_report is not None:
         if not result.eval_report.defined:
             print(f"metrics undefined: {result.eval_report.undefined_reason}")

@@ -1,6 +1,7 @@
-"""End-to-end orchestration: ingest files, run the stage chain
-(clean, fuse, summarize, optimize, refine, expand, evaluate), and write
-scores, loss history, and a JSON report.
+"""End-to-end orchestration: ``run_pipeline`` loads the input files,
+``score_video`` runs the stages clean, fuse, summarize, score, refine,
+expand and evaluate on the loaded video, and the write stage writes scores,
+loss history and a JSON report.
 
 Stage toggles mirror the component ablation grid: caption cleaning on/off,
 hyperbolic vs euclidean fusion, prompt optimizer on/off, refinement on/off,
@@ -10,7 +11,7 @@ audio present or absent (driven by the manifest), stub vs remote scorer.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -57,6 +58,14 @@ class RunManifest:
     def __post_init__(self):
         toggles = {"cleaning": self.cleaning, "optimizer": self.optimizer, "refinement": self.refinement}
         issues = kind_issues(toggles, bools=toggles) + out_dir_issues(self.out_dir)
+        paths = {"visual_path": self.visual_path, "text_path": self.text_path,
+                 "captions_path": self.captions_path, "audio_path": self.audio_path,
+                 "labels_path": self.labels_path}
+        issues += [f"{name} must be a path, got {path!r}" for name, path in paths.items()
+                   if not isinstance(path, (str, os.PathLike))
+                   and not (path is None and name in ("audio_path", "labels_path"))]
+        if not isinstance(self.config, PipelineConfig):
+            issues.append(f"config must be a PipelineConfig, got {self.config!r}")
         if issues:
             raise ValidationError(issues)
         if self.fusion_mode not in ("hyperbolic", "euclidean"):
@@ -72,16 +81,6 @@ class RunManifest:
                 raise ValidationError(f"remote scorer: {exc}") from exc
         elif self.endpoint is not None:  # the stub would run with the endpoint unused
             raise ValidationError(f"an endpoint needs scorer 'remote', got scorer {self.scorer!r}")
-
-    def toggles(self) -> dict:
-        return {
-            "cleaning": self.cleaning,
-            "fusion": self.fusion_mode,
-            "optimizer": self.optimizer,
-            "refinement": self.refinement,
-            "scorer": self.scorer,
-            "audio": self.audio_path is not None,
-        }
 
 
 def require_files(*named_paths) -> None:
@@ -120,17 +119,14 @@ def load_dataset(manifest: RunManifest):
     return dataset, labels
 
 
-@contextmanager
 def _open_scorer(manifest: RunManifest, emb_dim: int):
-    """The configured scorer; a remote scorer's connection is closed when
-    the block ends, whether or not it failed."""
+    """The configured scorer as a context manager; a remote scorer's
+    connection is closed when the block ends, whether or not it failed."""
     if manifest.scorer == "remote":
         from .remote import RemoteScorer
 
-        with RemoteScorer(manifest.endpoint) as scorer:
-            yield scorer
-    else:
-        yield StubScorer(manifest.config.prompt_dim, emb_dim, manifest.config.seed)
+        return RemoteScorer(manifest.endpoint)
+    return nullcontext(StubScorer(manifest.config.prompt_dim, emb_dim, manifest.config.seed))
 
 
 @dataclass
@@ -140,7 +136,6 @@ class RunResult:
     eval_report: Optional[EvalReport]
     prompt_state: PromptState
     report: dict
-    out_dir: Path
 
 
 @contextmanager
@@ -155,13 +150,10 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def run_pipeline(manifest: RunManifest) -> RunResult:
-    """Execute the configured stages and write outputs to the manifest's
-    output directory. Output files appear only after every stage succeeded;
-    a stage failure leaves no partial outputs behind."""
-    dataset, labels = load_dataset(manifest)
+def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
+    """Run the stages clean to evaluate on a validated dataset with ``scorer``
+    and build the report; reads no manifest path and writes nothing."""
     config = manifest.config
-    n = dataset.n_segments
 
     with _stage("clean"):
         raw_captions = dataset.segments.visual
@@ -184,7 +176,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         if fused is not None:
             _, karcher_failures = fusion.window_fused_points(fused, config)
 
-    with _stage("score"), _open_scorer(manifest, dataset.text.shape[1]) as scorer:
+    with _stage("score"):
         state, window_scores = optimize_prompt(
             np.zeros(config.prompt_dim),
             summaries,
@@ -210,7 +202,14 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
 
     report = {
         "config": config.as_dict(),
-        "toggles": manifest.toggles(),
+        "toggles": {
+            "cleaning": manifest.cleaning,
+            "fusion": manifest.fusion_mode,
+            "optimizer": manifest.optimizer,
+            "refinement": manifest.refinement,
+            "scorer": manifest.scorer,
+            "audio": dataset.has_audio,
+        },
         "active_components": sorted(
             name
             for name, on in [
@@ -224,7 +223,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             if on
         ),
         "dataset": {
-            "segments": n,
+            "segments": dataset.n_segments,
             "frames": dataset.n_frames,
             "windows": summaries.n_windows,
             "has_audio": dataset.has_audio,
@@ -242,6 +241,22 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         },
         "metrics": eval_report.as_dict() if eval_report is not None else None,
     }
+    return RunResult(
+        segment_scores=segment_scores,
+        frame_scores=frame_scores,
+        eval_report=eval_report,
+        prompt_state=state,
+        report=report,
+    )
+
+
+def run_pipeline(manifest: RunManifest) -> RunResult:
+    """Load the manifest's files, score them with the configured scorer and
+    write outputs to its output directory. Output files appear only after
+    every stage succeeded; a stage failure leaves no partial outputs behind."""
+    dataset, labels = load_dataset(manifest)
+    with _open_scorer(manifest, dataset.text.shape[1]) as scorer:
+        result = score_video(dataset, labels, manifest, scorer)
 
     with _stage("write"):
         out_dir = Path(manifest.out_dir)
@@ -251,9 +266,9 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         staged = []
         try:
             for name, writer in (
-                (SCORES_FILE, lambda p: dataio.write_scores(p, frame_scores)),
-                (LOSS_FILE, lambda p: dataio.write_loss_history(p, state.loss_history)),
-                (REPORT_FILE, lambda p: dataio.write_report(p, report)),
+                (SCORES_FILE, lambda p: dataio.write_scores(p, result.frame_scores)),
+                (LOSS_FILE, lambda p: dataio.write_loss_history(p, result.prompt_state.loss_history)),
+                (REPORT_FILE, lambda p: dataio.write_report(p, result.report)),
             ):
                 tmp = out_dir / f".{name}.{os.getpid()}.tmp"
                 staged.append((tmp, out_dir / name))
@@ -263,15 +278,7 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         finally:
             for tmp, _ in staged:
                 tmp.unlink(missing_ok=True)
-
-    return RunResult(
-        segment_scores=segment_scores,
-        frame_scores=frame_scores,
-        eval_report=eval_report,
-        prompt_state=state,
-        report=report,
-        out_dir=out_dir,
-    )
+    return result
 
 
 def eval_only(scores_path, labels_path) -> EvalReport:

@@ -1,5 +1,4 @@
 import argparse
-import contextlib
 import inspect
 import json
 import os
@@ -20,7 +19,7 @@ from hypervad import remote
 from hypervad.cli import build_parser, main
 from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, StageError, ValidationError
 from hypervad.dataio import read_config, read_embeddings, write_embeddings
-from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline
+from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline, score_video
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 from hypervad.synth import gen_synthetic
@@ -200,9 +199,7 @@ class TestRunPipeline:
         assert isinstance(info.value.__cause__, ValueError)
         assert not (out / "scores.csv").exists()
 
-    def test_scorer_without_score_batch_fails_the_score_stage(self, synth_dir, tmp_path, monkeypatch):
-        from hypervad import pipeline
-
+    def test_scorer_without_score_batch_fails_the_score_stage(self, synth_dir, tmp_path):
         class RowScorer:
             def score(self, q, emb, text=""):
                 raise AssertionError("scored row by row")
@@ -210,14 +207,25 @@ class TestRunPipeline:
             def grad_sum(self, q, embs, texts, coeff, scores):
                 raise AssertionError("gradient before the first evaluation")
 
-        monkeypatch.setattr(pipeline, "_open_scorer", lambda *args: contextlib.nullcontext(RowScorer()))
         out = tmp_path / "rows"
+        manifest = manifest_for(synth_dir, out)
         message = "[score] 'RowScorer' object has no attribute 'score_batch'"
         with pytest.raises(StageError, match=re.escape(message)) as info:
-            run_pipeline(manifest_for(synth_dir, out))
+            score_video(*load_dataset(manifest), manifest, RowScorer())
         assert info.value.stage == "score"
         assert isinstance(info.value.__cause__, AttributeError)
         assert not (out / "scores.csv").exists()
+
+    def test_score_video_matches_run_pipeline_and_writes_nothing(self, synth_dir, tmp_path):
+        written = run_pipeline(manifest_for(synth_dir, tmp_path / "written"))
+        manifest = manifest_for(synth_dir, tmp_path / "core")
+        dataset, labels = load_dataset(manifest)
+        scorer = StubScorer(manifest.config.prompt_dim, dataset.text.shape[1], manifest.config.seed)
+        result = score_video(dataset, labels, manifest, scorer)
+        assert np.array_equal(result.frame_scores, written.frame_scores)
+        assert result.report == written.report
+        assert result.prompt_state.loss_history == written.prompt_state.loss_history
+        assert not manifest.out_dir.exists()
 
     def test_failed_write_keeps_previous_outputs(self, synth_dir, tmp_path, monkeypatch):
         from hypervad import dataio
@@ -309,8 +317,8 @@ class TestRunPipeline:
             remote_result.frame_scores - local_result.frame_scores
         )) < 1e-9
         # which scorer ran is a toggle; the report keeps no other record of it
-        for result, scorer in ((remote_result, "remote"), (local_result, "stub")):
-            report = json.loads((result.out_dir / "report.json").read_text())
+        for out, scorer in (("remote", "remote"), ("local", "stub")):
+            report = json.loads((tmp_path / out / "report.json").read_text())
             assert "scorer" not in report and report["toggles"]["scorer"] == scorer
 
     def test_remote_run_uses_one_connection_and_closes_it(self, synth_dir, tmp_path, connection_log):
@@ -339,6 +347,20 @@ class TestRunPipeline:
         # "no" would run with cleaning on, and report.json would echo it
         with pytest.raises(ValidationError, match=re.escape(f"{toggle} must be a bool, got {value!r}")):
             manifest_for(synth_dir, tmp_path / "z", **{toggle: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("config", None, "config must be a PipelineConfig, got None"),
+        ("config", {"seed": 1}, "config must be a PipelineConfig, got {'seed': 1}"),
+        ("visual_path", None, "visual_path must be a path, got None"),
+        ("captions_path", None, "captions_path must be a path, got None"),
+        ("text_path", 5, "text_path must be a path, got 5"),
+        ("audio_path", 5, "audio_path must be a path, got 5"),
+        ("labels_path", b"labels.csv", "labels_path must be a path, got b'labels.csv'"),
+    ])
+    def test_config_and_paths_must_be_of_their_kind(self, synth_dir, tmp_path, name, value, message):
+        # caught before load: a dict config would fail in the fuse stage, a None path as a raw TypeError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            manifest_for(synth_dir, tmp_path / "z", **{name: value})
 
     @pytest.mark.parametrize("mode, value, message", [
         ("fusion_mode", "flat", "fusion_mode must be hyperbolic or euclidean, got 'flat'"),
@@ -1010,6 +1032,7 @@ class TestSyntheticExperimentScript:
 
     @pytest.mark.parametrize("error", [
         "PipelineError('stage failed')", "ValueError('stage failed')", "OSError('stage failed')",
+        "MemoryError('stage failed')",
     ])
     def test_runtime_error_is_one_error_line_and_exit_2(self, tmp_path, error):
         # the script run as __main__, with run_pipeline raising once the
