@@ -3,9 +3,7 @@
 under each ablation toggle, and print an AUC/AP comparison table. A variant
 whose metrics are undefined (single-class labels) prints as undefined with
 its reason; the other variants still run, and the script then exits 3, as
-``hypervad run`` does. Errors exit as ``hypervad`` does too: a rejected
-setting prints one ``validation error:`` line per issue and exits 1, a
-failed run prints one ``error:`` line and exits 2.
+``hypervad run`` does. Errors exit through ``hypervad.cli.exit_status``.
 
 Usage:
   python scripts/run_synthetic_experiment.py [--out DIR] [--seed N]
@@ -17,8 +15,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hypervad.cli import EXIT_OK, EXIT_RUNTIME, EXIT_UNDEFINED_METRICS, EXIT_VALIDATION
-from hypervad.core import PipelineConfig, PipelineError, ValidationError
+from hypervad.cli import EXIT_OK, EXIT_UNDEFINED_METRICS, exit_status
+from hypervad.core import PipelineConfig
 from hypervad.pipeline import RunManifest, run_pipeline
 from hypervad.synth import gen_synthetic
 
@@ -41,16 +39,7 @@ def main() -> int:
     parser.add_argument("--shift", type=float, default=6.0)
     parser.add_argument("--anomaly-fraction", type=float, default=0.1)
     parser.add_argument("--window", type=int, default=PipelineConfig().window)
-    args = parser.parse_args()
-    try:
-        return run(args)
-    except ValidationError as exc:
-        for issue in exc.issues:
-            print(f"validation error: {issue}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (PipelineError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    return exit_status(run, parser.parse_args())
 
 
 def run(args) -> int:

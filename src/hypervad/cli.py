@@ -142,8 +142,13 @@ def main(argv=None) -> int:
         "eval": _cmd_eval,
         "synth": _cmd_synth,
     }[args.pop("verb")]
+    return exit_status(handler, **args)
+
+
+def exit_status(action, *args, **kwargs) -> int:
+    """Run ``action``; map what it raises to its stderr lines and exit code (1 validation, 2 runtime)."""
     try:
-        return handler(**args)
+        return action(*args, **kwargs)
     except ValidationError as exc:
         for issue in exc.issues:
             print(f"validation error: {issue}", file=sys.stderr)

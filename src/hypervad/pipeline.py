@@ -39,7 +39,7 @@ REPORT_FILE = "report.json"
 
 @dataclass
 class RunManifest:
-    """Input paths, output directory, resolved config, and stage toggles."""
+    """Input paths, output directory, config and stage toggles; one ValidationError lists every bad field."""
 
     visual_path: Path
     text_path: Path
@@ -66,21 +66,21 @@ class RunManifest:
                    and not (path is None and name in ("audio_path", "labels_path"))]
         if not isinstance(self.config, PipelineConfig):
             issues.append(f"config must be a PipelineConfig, got {self.config!r}")
-        if issues:
-            raise ValidationError(issues)
         if self.fusion_mode not in ("hyperbolic", "euclidean"):
-            raise ValidationError(f"fusion_mode must be hyperbolic or euclidean, got {self.fusion_mode!r}")
+            issues.append(f"fusion_mode must be hyperbolic or euclidean, got {self.fusion_mode!r}")
         if self.scorer not in ("stub", "remote"):
-            raise ValidationError(f"scorer must be stub or remote, got {self.scorer!r}")
+            issues.append(f"scorer must be stub or remote, got {self.scorer!r}")
         if self.scorer == "remote":
             from .remote import split_endpoint
 
             try:
                 split_endpoint(self.endpoint)
             except ValueError as exc:
-                raise ValidationError(f"remote scorer: {exc}") from exc
+                issues.append(f"remote scorer: {exc}")
         elif self.endpoint is not None:  # the stub would run with the endpoint unused
-            raise ValidationError(f"an endpoint needs scorer 'remote', got scorer {self.scorer!r}")
+            issues.append(f"an endpoint needs scorer 'remote', got scorer {self.scorer!r}")
+        if issues:
+            raise ValidationError(issues)
 
 
 def require_files(*named_paths) -> None:
@@ -152,7 +152,7 @@ def _stage(name: str):
 
 def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
     """Run the stages clean to evaluate on a validated dataset with ``scorer``
-    and build the report; reads no manifest path and writes nothing."""
+    and build the report from the manifest's config and toggles; writes nothing."""
     config = manifest.config
 
     with _stage("clean"):
@@ -207,7 +207,7 @@ def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
             "fusion": manifest.fusion_mode,
             "optimizer": manifest.optimizer,
             "refinement": manifest.refinement,
-            "scorer": manifest.scorer,
+            "scorer": getattr(scorer, "name", type(scorer).__name__),
             "audio": dataset.has_audio,
         },
         "active_components": sorted(

@@ -96,6 +96,8 @@ class StubScorer:
     ``score``, which adds only u . s and b to it.
     """
 
+    name = "stub"  # a run report's toggles.scorer
+
     def __init__(self, prompt_dim: int, emb_dim: int, seed: int):
         rng = np.random.default_rng([seed, 0x57AB])
         self.w = rng.standard_normal(prompt_dim) / math.sqrt(prompt_dim)

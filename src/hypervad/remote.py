@@ -157,6 +157,8 @@ class RemoteScorer:
     the module's TIMEOUT_S, RETRIES and PIPELINE_BYTES. Use it as a context
     manager, or call ``close()``, to release its connection."""
 
+    name = "remote"  # a run report's toggles.scorer
+
     def __init__(self, endpoint: str):
         scheme, host, port, selector = split_endpoint(endpoint)
         # the one name of the server in every TransportError

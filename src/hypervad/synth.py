@@ -54,35 +54,37 @@ def gen_synthetic(
     frames_per_segment: int = 16,
     with_audio: bool = False,
 ) -> SynthResult:
-    """Write a complete synthetic dataset and its generation metadata. An
-    argument of the wrong kind (by ``core.kind_issues``) or out of range, an
-    ``out_dir`` that cannot be a directory (by ``core.out_dir_issues``), or
-    a ``shift`` that puts an embedding beyond float32's range, or a frame
-    count ``n_segments * frames_per_segment`` (``frames_per_segment`` alone
-    when there are no segments) beyond int64, raises ValidationError before
-    anything is written."""
+    """Write a complete synthetic dataset and its generation metadata. Before
+    anything is written, one ValidationError lists every argument of the wrong
+    kind (by ``core.kind_issues``) or, if all are of their kind, out of range
+    (a frame count ``n_segments * frames_per_segment``, ``frames_per_segment``
+    alone for no segments, beyond int64 included), and an ``out_dir`` that
+    cannot be a directory (by ``core.out_dir_issues``). A ``shift`` that puts
+    an embedding beyond float32's range raises next, also before writing."""
     issues = kind_issues(
         dict(n_segments=n_segments, dim=dim, anomaly_fraction=anomaly_fraction, shift=shift, seed=seed,
              frames_per_segment=frames_per_segment, with_audio=with_audio),
-        ints={"n_segments", "dim", "seed", "frames_per_segment"}, bools={"with_audio"}) + out_dir_issues(out_dir)
+        ints={"n_segments", "dim", "seed", "frames_per_segment"}, bools={"with_audio"})
+    if not issues:  # the range checks need numbers of the right kind
+        if not 0.0 < anomaly_fraction < 1.0:
+            issues.append(f"anomaly_fraction must lie in (0, 1), got {anomaly_fraction}")
+        if shift < 0:
+            issues.append(f"shift must be non-negative, got {shift}")
+        if n_segments < 0:
+            issues.append("n_segments must be non-negative")
+        if dim < 1:
+            issues.append("dim must be at least 1")
+        if seed < 0:
+            issues.append("seed must be non-negative")
+        if frames_per_segment < 1:
+            issues.append("frames_per_segment must be at least 1")
+        most_frames = INT64_MAX // max(n_segments, 1)  # so that every frame number fits in int64
+        if frames_per_segment > most_frames:
+            issues.append(f"frames_per_segment must be at most {most_frames} for {n_segments} segments, "
+                          f"got {frames_per_segment}")
+    issues += out_dir_issues(out_dir)
     if issues:
         raise ValidationError(issues)
-    if not 0.0 < anomaly_fraction < 1.0:
-        raise ValidationError(f"anomaly_fraction must lie in (0, 1), got {anomaly_fraction}")
-    if shift < 0:
-        raise ValidationError(f"shift must be non-negative, got {shift}")
-    if n_segments < 0:
-        raise ValidationError("n_segments must be non-negative")
-    if dim < 1:
-        raise ValidationError("dim must be at least 1")
-    if seed < 0:
-        raise ValidationError("seed must be non-negative")
-    if frames_per_segment < 1:
-        raise ValidationError("frames_per_segment must be at least 1")
-    most_frames = INT64_MAX // max(n_segments, 1)  # so that every frame number fits in int64
-    if frames_per_segment > most_frames:
-        raise ValidationError(f"frames_per_segment must be at most {most_frames} for {n_segments} segments, "
-                              f"got {frames_per_segment}")
 
     rng = np.random.default_rng(seed)
     direction = seeded_unit_vector(seed, dim)

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import inspect
 import json
 import os
@@ -15,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypervad import remote
+from hypervad import cli, remote
 from hypervad.cli import build_parser, main
-from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, StageError, ValidationError
+from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, PipelineError, StageError, ValidationError
 from hypervad.dataio import read_config, read_embeddings, write_embeddings
 from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline, score_video
 from hypervad.prompt_opt import StubScorer
@@ -227,6 +228,22 @@ class TestRunPipeline:
         assert result.prompt_state.loss_history == written.prompt_state.loss_history
         assert not manifest.out_dir.exists()
 
+    def test_report_names_the_scorer_handed_in(self, synth_dir, tmp_path):
+        # the manifest says stub (its default); the report names the scorer that ran
+        manifest = manifest_for(synth_dir, tmp_path / "core", config=PipelineConfig(seed=5, window=2, opt_iters=1))
+        dataset, labels = load_dataset(manifest)
+        with LoopbackScorerServer(StubScorer(32, 8, seed=5)) as server, \
+                remote.RemoteScorer(server.endpoint) as scorer:
+            result = score_video(dataset, labels, manifest, scorer)
+        assert manifest.scorer == "stub" and result.report["toggles"]["scorer"] == "remote"
+
+        class Unnamed:  # a scorer with no name is reported by its class
+            def __init__(self, inner):
+                self.score_batch, self.grad_sum = inner.score_batch, inner.grad_sum
+
+        result = score_video(dataset, labels, manifest, Unnamed(StubScorer(32, 8, seed=5)))
+        assert result.report["toggles"]["scorer"] == "Unnamed"
+
     def test_failed_write_keeps_previous_outputs(self, synth_dir, tmp_path, monkeypatch):
         from hypervad import dataio
 
@@ -369,6 +386,17 @@ class TestRunPipeline:
     def test_modes_must_be_known(self, synth_dir, tmp_path, mode, value, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             manifest_for(synth_dir, tmp_path / "z", **{mode: value})
+
+    def test_every_manifest_issue_is_listed(self, synth_dir, tmp_path):
+        file = tmp_path / "file"
+        file.write_text("x", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            manifest_for(synth_dir, file / "out", endpoint="http://127.0.0.1:1", fusion_mode="flat")
+        assert info.value.issues == [
+            f"output directory {file / 'out'} is unusable: {file} is not a directory",
+            "fusion_mode must be hyperbolic or euclidean, got 'flat'",
+            "an endpoint needs scorer 'remote', got scorer 'stub'",
+        ]
 
     def test_remote_requires_endpoint(self, synth_dir, tmp_path):
         with pytest.raises(ValidationError, match="endpoint"):
@@ -619,6 +647,15 @@ class TestCli:
             assert f"output directory {option[-1]} is unusable: {file} is not a directory" in err
         assert not out.exists()
         assert file.read_text(encoding="utf-8") == "x"
+
+    def test_synth_lists_every_bad_argument(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--out", str(out), "--n-segments", "-1", "--dim", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: n_segments must be non-negative\n"
+            "validation error: dim must be at least 1\n"
+        )
+        assert not out.exists()
 
     def test_empty_audio_and_labels_mean_absent(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -965,6 +1002,25 @@ class TestSynthGenerator:
             gen_synthetic(**{**args, **overrides})
         assert not (tmp_path / "x").exists()
 
+    def test_every_range_issue_is_listed(self, tmp_path):
+        with pytest.raises(ValidationError) as info:
+            gen_synthetic(tmp_path / "x", n_segments=-1, dim=0, seed=-1)
+        assert info.value.issues == [
+            "n_segments must be non-negative", "dim must be at least 1", "seed must be non-negative",
+        ]
+        assert not (tmp_path / "x").exists()
+
+    def test_kind_issues_come_before_range_issues(self, tmp_path):
+        # a range check needs a number of its kind; the out_dir issue is listed either way
+        file = tmp_path / "file"
+        file.write_text("x", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            gen_synthetic(file, n_segments=2.0, dim=0)
+        assert info.value.issues == [
+            "n_segments must be an integer, got 2.0",
+            f"output directory {file} is unusable: {file} is not a directory",
+        ]
+
     @pytest.mark.parametrize("n_segments", [4, 2])
     def test_frame_count_beyond_int64_exits_1(self, tmp_path, n_segments):
         # 4 * 2**62 frames used to crash the interpreter (SIGSEGV) in
@@ -1054,3 +1110,24 @@ class TestSyntheticExperimentScript:
                               timeout=120)
         assert proc.returncode == 2
         assert proc.stderr == "error: stage failed\n"
+
+    @pytest.mark.parametrize("error", [
+        ValidationError(["first issue", "second issue"]), PipelineError("failed"), StageError("score", "failed"),
+        ValueError("failed"), OSError("failed"), MemoryError("failed"),
+    ], ids=lambda error: type(error).__name__)
+    def test_script_and_cli_exit_through_one_mapping(self, monkeypatch, capsys, error):
+        def failing(*args, **kwargs):
+            raise error
+
+        spec = importlib.util.spec_from_file_location("experiment", ROOT / "scripts" / "run_synthetic_experiment.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "run", failing)
+        monkeypatch.setattr(sys, "argv", ["run_synthetic_experiment.py"])
+        script_code = script.main()
+        script_err = capsys.readouterr().err
+        monkeypatch.setattr(cli, "_cmd_eval", failing)
+        cli_code = main(["eval", "--scores", "s.csv", "--labels", "l.csv"])
+        assert (script_code, script_err) == (cli_code, capsys.readouterr().err)
+        assert cli_code == (1 if isinstance(error, ValidationError) else 2)
+        assert script_err.count("\n") == (2 if isinstance(error, ValidationError) else 1)
