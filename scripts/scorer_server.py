@@ -18,21 +18,20 @@ is flushed at once, so a caller that starts the server with --port 0 can
 read the port from a pipe. A real deployment would put an actual
 language model behind the same POST /score contract.
 
-A dimension below 1, a negative seed, a port outside 0-65535, or an
-address the server cannot bind prints one line to stderr and exits 1.
+Errors exit through ``hypervad.cli.exit_status``: a dimension below 1, a
+negative seed or a port outside 0-65535 each print one ``validation error:``
+line to stderr, all of them in one go, and exit 1; so does an address the
+server cannot bind.
 """
 
 import argparse
 import sys
 import time
 
+from hypervad.cli import EXIT_OK, exit_status
+from hypervad.core import ValidationError
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
-
-
-def fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
 
 
 def main() -> int:
@@ -43,19 +42,20 @@ def main() -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8750)
     args = parser.parse_args()
-    for name in ("prompt_dim", "emb_dim"):
-        if getattr(args, name) < 1:
-            return fail(f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}")
+    issues = [f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}"
+              for name in ("prompt_dim", "emb_dim") if getattr(args, name) < 1]
     if args.seed < 0:
-        return fail(f"--seed must be non-negative, got {args.seed}")
+        issues.append(f"--seed must be non-negative, got {args.seed}")
     if not 0 <= args.port <= 65535:
-        return fail(f"--port must lie in 0-65535, got {args.port}")
+        issues.append(f"--port must lie in 0-65535, got {args.port}")
+    if issues:
+        raise ValidationError(issues)
 
     scorer = StubScorer(args.prompt_dim, args.emb_dim, seed=args.seed)
     try:
         server = LoopbackScorerServer(scorer, host=args.host, port=args.port)
     except OSError as exc:
-        return fail(f"cannot serve at {args.host}:{args.port}: {exc}")
+        raise ValidationError(f"cannot serve at {args.host}:{args.port}: {exc}") from exc
     with server:
         # flushed: under a pipe or a file this line is how a caller learns
         # the port of --port 0
@@ -65,8 +65,8 @@ def main() -> int:
                 time.sleep(3600)
         except KeyboardInterrupt:
             print("shutting down")
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_status(main))

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Verbs:
-    validate   check dataset files against every invariant
+    validate   run's checks of its inputs and options, without running a stage
     run        execute the full pipeline and write scores + report
     eval       score a scores CSV against a labels CSV
     synth      generate a synthetic dataset
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .core import PipelineConfig, PipelineError, ValidationError
 from .dataio import read_config
-from .pipeline import RunManifest, eval_only, load_dataset, require_files, run_pipeline
+from .pipeline import RunManifest, eval_only, preflight, require_files, run_pipeline
 from .synth import gen_synthetic
 
 EXIT_OK = 0
@@ -34,19 +34,6 @@ def _optional_path(text: str):
     return Path(text) if text else None
 
 
-def _add_dataset_args(p: argparse.ArgumentParser):
-    p.add_argument("--visual", dest="visual_path", type=Path, required=True,
-                   help="visual embeddings file")
-    p.add_argument("--text", dest="text_path", type=Path, required=True,
-                   help="text (caption) embeddings file")
-    p.add_argument("--captions", dest="captions_path", type=Path, required=True,
-                   help="captions JSONL file")
-    p.add_argument("--audio", dest="audio_path", type=_optional_path,
-                   help="optional audio embeddings file")
-    p.add_argument("--labels", dest="labels_path", type=_optional_path,
-                   help="per-frame labels CSV")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Each option's dest names the parameter it sets in the one API call its
     verb makes. An option left unset is absent from the parsed arguments, so
@@ -55,23 +42,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     unset = argparse.SUPPRESS
 
-    v = sub.add_parser("validate", help="validate dataset files", argument_default=unset)
-    _add_dataset_args(v)
-
-    r = sub.add_parser("run", help="run the scoring pipeline", argument_default=unset)
-    _add_dataset_args(r)
-    r.add_argument("--config", type=_optional_path, help="key=value config file")
-    r.add_argument("--out", dest="out_dir", type=Path, required=True, help="output directory")
-    r.add_argument("--seed", type=int, help="override config seed")
-    r.add_argument("--no-clean", dest="cleaning", action="store_false",
-                   help="disable caption cleaning")
-    r.add_argument("--no-optimize", dest="optimizer", action="store_false",
-                   help="disable prompt optimization")
-    r.add_argument("--no-refine", dest="refinement", action="store_false",
-                   help="disable Mahalanobis refinement")
-    r.add_argument("--fusion", dest="fusion_mode", choices=["hyperbolic", "euclidean"])
-    r.add_argument("--scorer", choices=["stub", "remote"])
-    r.add_argument("--endpoint", help="remote scorer base URL")
+    for verb, summary in (("validate", "check run's inputs and options, then stop before its first stage"),
+                          ("run", "run the scoring pipeline")):
+        p = sub.add_parser(verb, help=summary, argument_default=unset)
+        p.add_argument("--visual", dest="visual_path", type=Path, required=True,
+                       help="visual embeddings file")
+        p.add_argument("--text", dest="text_path", type=Path, required=True,
+                       help="text (caption) embeddings file")
+        p.add_argument("--captions", dest="captions_path", type=Path, required=True,
+                       help="captions JSONL file")
+        p.add_argument("--audio", dest="audio_path", type=_optional_path,
+                       help="optional audio embeddings file")
+        p.add_argument("--labels", dest="labels_path", type=_optional_path,
+                       help="per-frame labels CSV")
+        p.add_argument("--config", type=_optional_path, help="key=value config file")
+        p.add_argument("--out", dest="out_dir", type=Path, required=verb == "run", help="output directory")
+        p.add_argument("--seed", type=int, help="override config seed")
+        p.add_argument("--no-clean", dest="cleaning", action="store_false",
+                       help="disable caption cleaning")
+        p.add_argument("--no-optimize", dest="optimizer", action="store_false",
+                       help="disable prompt optimization")
+        p.add_argument("--no-refine", dest="refinement", action="store_false",
+                       help="disable Mahalanobis refinement")
+        p.add_argument("--fusion", dest="fusion_mode", choices=["hyperbolic", "euclidean"])
+        p.add_argument("--scorer", choices=["stub", "remote"])
+        p.add_argument("--endpoint", help="remote scorer base URL")
 
     e = sub.add_parser("eval", help="evaluate a scores CSV against labels")
     e.add_argument("--scores", dest="scores_path", required=True)
@@ -89,8 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(**paths) -> int:
-    dataset, labels = load_dataset(RunManifest(**paths, out_dir=Path(".")))
+def _manifest(config=None, seed=None, **options) -> RunManifest:
+    """The manifest of ``validate`` and ``run``: the config file's settings,
+    with ``seed`` over them, and every other option by name."""
+    require_files(("config", config))
+    config = read_config(config) if config else PipelineConfig()
+    if seed is not None:
+        config = replace(config, seed=seed)
+    return RunManifest(**options, config=config)
+
+
+def _cmd_validate(**options) -> int:
+    dataset, labels, _ = preflight(_manifest(**options))
     print(
         f"OK: {dataset.n_segments} segments, {dataset.n_frames} frames, "
         f"modalities: {['audio', 'text', 'visual'] if dataset.has_audio else ['text', 'visual']}"
@@ -99,12 +104,8 @@ def _cmd_validate(**paths) -> int:
     return EXIT_OK
 
 
-def _cmd_run(config=None, seed=None, **options) -> int:
-    require_files(("config", config))
-    config = read_config(config) if config else PipelineConfig()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    manifest = RunManifest(**options, config=config)
+def _cmd_run(**options) -> int:
+    manifest = _manifest(**options)
     result = run_pipeline(manifest)
     print(f"wrote {manifest.out_dir}/scores.csv, loss_history.csv, report.json")
     if result.eval_report is not None:

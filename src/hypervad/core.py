@@ -156,7 +156,7 @@ def out_dir_issues(out_dir) -> list:
 class PipelineConfig:
     """The method's settings, with the defaults used throughout.
 
-    ``audio_weight`` is the audio share of a fused segment, the visual
+    ``audio_weight`` is the audio share of a fused segment, the text
     share ``1 - audio_weight``. ``target_mass`` of ``None`` resolves at run
     time to 0.1 times the number of summaries, encoding the prior rarity of
     abnormal events. A setting annotated ``int`` must be exactly an ``int``;

@@ -3,8 +3,8 @@
 Each embedding row is L2-normalized and scaled by the constant
 ``TANGENT_SCALE`` (0.5, not a setting) before the exponential map so tangent
 norms stay well inside tanh's non-saturating range. A segment without audio
-takes the unimodal branch, which is exactly exp_0 of the visual tangent. A
-segment with audio takes the weighted geodesic mean of its visual and audio
+takes the unimodal branch, which is exactly exp_0 of the text tangent. A
+segment with audio takes the weighted geodesic mean of its text and audio
 points, which for two points is the closed form exp_x(w_aud log_x(y)).
 Neither iterates, and both run on the (n, d) arrays of all segments at once.
 """

@@ -1,7 +1,7 @@
-"""End-to-end orchestration: ``run_pipeline`` loads the input files,
-``score_video`` runs the stages clean, fuse, summarize, score, refine,
-expand and evaluate on the loaded video, and the write stage writes scores,
-loss history and a JSON report.
+"""End-to-end orchestration: ``preflight`` loads the input files and fits
+what refinement needs from them, ``score_video`` runs the stages clean,
+fuse, summarize, score, refine, expand and evaluate on the loaded video, and
+the write stage writes scores, loss history and a JSON report.
 
 Stage toggles mirror the component ablation grid: caption cleaning on/off,
 hyperbolic vs euclidean fusion, prompt optimizer on/off, refinement on/off,
@@ -44,7 +44,7 @@ class RunManifest:
     visual_path: Path
     text_path: Path
     captions_path: Path
-    out_dir: Path
+    out_dir: Optional[Path] = None  # None: nothing to write, as for validate
     audio_path: Optional[Path] = None
     labels_path: Optional[Path] = None
     config: PipelineConfig = field(default_factory=PipelineConfig)
@@ -57,7 +57,8 @@ class RunManifest:
 
     def __post_init__(self):
         toggles = {"cleaning": self.cleaning, "optimizer": self.optimizer, "refinement": self.refinement}
-        issues = kind_issues(toggles, bools=toggles) + out_dir_issues(self.out_dir)
+        issues = kind_issues(toggles, bools=toggles)
+        issues += out_dir_issues(self.out_dir) if self.out_dir is not None else []
         paths = {"visual_path": self.visual_path, "text_path": self.text_path,
                  "captions_path": self.captions_path, "audio_path": self.audio_path,
                  "labels_path": self.labels_path}
@@ -84,11 +85,12 @@ class RunManifest:
 
 
 def require_files(*named_paths) -> None:
-    """Raise ValidationError for the first (name, path) pair whose path is
-    set but names no file."""
-    for name, path in named_paths:
-        if path is not None and not Path(path).is_file():
-            raise ValidationError(f"{name} file not found: {path}")
+    """Raise one ValidationError listing every (name, path) pair whose path
+    is set but names no file."""
+    missing = [f"{name} file not found: {path}" for name, path in named_paths
+               if path is not None and not Path(path).is_file()]
+    if missing:
+        raise ValidationError(missing)
 
 
 def load_dataset(manifest: RunManifest):
@@ -117,6 +119,22 @@ def load_dataset(manifest: RunManifest):
                 f"labels cover {labels.size} frames but segments cover {dataset.n_frames}"
             )
     return dataset, labels
+
+
+def preflight(manifest: RunManifest):
+    """Every check of the input files that ``run_pipeline`` makes, before
+    its first stage; writes nothing and opens no scorer. Returns (dataset,
+    labels, stats): the visual statistics refinement weighs neighbours by,
+    or None when it is off or each window's only neighbour is itself."""
+    dataset, labels = load_dataset(manifest)
+    config, stats = manifest.config, None
+    n_windows = -(-dataset.n_segments // config.window)  # len(captions.window_slices(...))
+    if manifest.refinement and min(config.neighbors, n_windows) > 1:
+        try:
+            stats = refine.fit_visual_stats(dataset.visual, config.shrinkage)
+        except ValueError as exc:
+            raise ValidationError(f"visual embeddings {manifest.visual_path}: {exc}") from exc
+    return dataset, labels, stats
 
 
 def _open_scorer(manifest: RunManifest, emb_dim: int):
@@ -150,9 +168,10 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
-    """Run the stages clean to evaluate on a validated dataset with ``scorer``
-    and build the report from the manifest's config and toggles; writes nothing."""
+def score_video(dataset, labels, stats, manifest: RunManifest, scorer) -> RunResult:
+    """Run the stages clean to evaluate on what ``preflight`` returned with
+    ``scorer`` (refining only if ``stats`` is not None) and build the report
+    from the manifest's config and toggles; writes nothing."""
     config = manifest.config
 
     with _stage("clean"):
@@ -185,13 +204,10 @@ def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
         )
 
     with _stage("refine"):
-        # With one neighbour (self) the weighted mean is the score itself.
-        k = min(config.neighbors, summaries.n_windows)
-        if manifest.refinement and k > 1:
-            stats = refine.fit_visual_stats(dataset.visual, config.shrinkage)
+        refined = np.asarray(window_scores, dtype=np.float64)
+        if stats is not None:
+            k = min(config.neighbors, summaries.n_windows)
             refined = refine.refine_scores(window_scores, summaries.embeddings, stats, k)
-        else:
-            refined = np.asarray(window_scores, dtype=np.float64)
 
     with _stage("expand"):
         segment_scores = refined[summaries.segment_to_window]
@@ -251,12 +267,14 @@ def score_video(dataset, labels, manifest: RunManifest, scorer) -> RunResult:
 
 
 def run_pipeline(manifest: RunManifest) -> RunResult:
-    """Load the manifest's files, score them with the configured scorer and
-    write outputs to its output directory. Output files appear only after
+    """Preflight the manifest, score its video with the configured scorer
+    and write outputs to its output directory. Output files appear only after
     every stage succeeded; a stage failure leaves no partial outputs behind."""
-    dataset, labels = load_dataset(manifest)
+    if manifest.out_dir is None:
+        raise ValidationError("run_pipeline needs an out_dir to write to, got None")
+    dataset, labels, stats = preflight(manifest)
     with _open_scorer(manifest, dataset.text.shape[1]) as scorer:
-        result = score_video(dataset, labels, manifest, scorer)
+        result = score_video(dataset, labels, stats, manifest, scorer)
 
     with _stage("write"):
         out_dir = Path(manifest.out_dir)

@@ -50,6 +50,6 @@ def test_stub_run_loads_no_http_transport(tmp_path):
 
 
 def test_scorer_server_imports_load_no_pipeline_module():
-    # the imports of scripts/scorer_server.py and perfbench/scorer_proc.py
+    # the imports of perfbench/scorer_proc.py
     loaded = loaded_by("from hypervad import remote\nfrom hypervad.prompt_opt import StubScorer")
     assert package_modules(loaded) == {"hypervad", "hypervad.core", "hypervad.prompt_opt", "hypervad.remote"}

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypervad import cli, remote
+from hypervad import cli, pipeline, remote
 from hypervad.cli import build_parser, main
 from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, PipelineError, StageError, ValidationError
 from hypervad.dataio import read_config, read_embeddings, write_embeddings
-from hypervad.pipeline import RunManifest, eval_only, load_dataset, run_pipeline, score_video
+from hypervad.pipeline import RunManifest, eval_only, load_dataset, preflight, run_pipeline, score_video
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 from hypervad.synth import gen_synthetic
@@ -133,6 +133,12 @@ class TestRunPipeline:
         for name in ("scores.csv", "loss_history.csv"):
             assert (tmp_path / "long" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
+    def test_run_needs_an_out_dir(self, synth_dir, monkeypatch):
+        # a manifest without one is for preflight alone; run_pipeline stops before loading
+        monkeypatch.setattr(pipeline, "load_dataset", None)
+        with pytest.raises(ValidationError, match="run_pipeline needs an out_dir"):
+            run_pipeline(manifest_for(synth_dir, None))
+
     def test_optimizer_off_scores_from_initial_prompt(self, synth_dir, tmp_path):
         result = run_pipeline(
             manifest_for(synth_dir, tmp_path / "o", optimizer=False, refinement=False)
@@ -212,7 +218,7 @@ class TestRunPipeline:
         manifest = manifest_for(synth_dir, out)
         message = "[score] 'RowScorer' object has no attribute 'score_batch'"
         with pytest.raises(StageError, match=re.escape(message)) as info:
-            score_video(*load_dataset(manifest), manifest, RowScorer())
+            score_video(*preflight(manifest), manifest, RowScorer())
         assert info.value.stage == "score"
         assert isinstance(info.value.__cause__, AttributeError)
         assert not (out / "scores.csv").exists()
@@ -220,9 +226,9 @@ class TestRunPipeline:
     def test_score_video_matches_run_pipeline_and_writes_nothing(self, synth_dir, tmp_path):
         written = run_pipeline(manifest_for(synth_dir, tmp_path / "written"))
         manifest = manifest_for(synth_dir, tmp_path / "core")
-        dataset, labels = load_dataset(manifest)
+        dataset, labels, stats = preflight(manifest)
         scorer = StubScorer(manifest.config.prompt_dim, dataset.text.shape[1], manifest.config.seed)
-        result = score_video(dataset, labels, manifest, scorer)
+        result = score_video(dataset, labels, stats, manifest, scorer)
         assert np.array_equal(result.frame_scores, written.frame_scores)
         assert result.report == written.report
         assert result.prompt_state.loss_history == written.prompt_state.loss_history
@@ -231,17 +237,17 @@ class TestRunPipeline:
     def test_report_names_the_scorer_handed_in(self, synth_dir, tmp_path):
         # the manifest says stub (its default); the report names the scorer that ran
         manifest = manifest_for(synth_dir, tmp_path / "core", config=PipelineConfig(seed=5, window=2, opt_iters=1))
-        dataset, labels = load_dataset(manifest)
+        loaded = preflight(manifest)
         with LoopbackScorerServer(StubScorer(32, 8, seed=5)) as server, \
                 remote.RemoteScorer(server.endpoint) as scorer:
-            result = score_video(dataset, labels, manifest, scorer)
+            result = score_video(*loaded, manifest, scorer)
         assert manifest.scorer == "stub" and result.report["toggles"]["scorer"] == "remote"
 
         class Unnamed:  # a scorer with no name is reported by its class
             def __init__(self, inner):
                 self.score_batch, self.grad_sum = inner.score_batch, inner.grad_sum
 
-        result = score_video(dataset, labels, manifest, Unnamed(StubScorer(32, 8, seed=5)))
+        result = score_video(*loaded, manifest, Unnamed(StubScorer(32, 8, seed=5)))
         assert result.report["toggles"]["scorer"] == "Unnamed"
 
     def test_failed_write_keeps_previous_outputs(self, synth_dir, tmp_path, monkeypatch):
@@ -562,6 +568,70 @@ class TestCli:
         assert main(["run"] + inputs + ["--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("defect, first_line", [
+        # the covariance fit refinement needs: all rows equal, or n <= d with no shrinkage
+        ("equal visual rows", "visual embeddings {visual}: covariance not positive definite even after shrinkage 0.1 "),
+        ("shrinkage 0, n <= d", "visual embeddings {visual}: covariance not positive definite even after shrinkage 0.0 "),
+        ("missing files", "visual embeddings file not found: {missing}"),
+        ("bad config value", "neighbors must be at least 1"),
+        ("unusable --out", "output directory {file}/sub is unusable: {file} is not a directory"),
+    ])
+    def test_validate_is_run_stopped_before_its_first_stage(self, tmp_path, capsys, monkeypatch, defect, first_line):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(pipeline, "score_video", no_stage)
+        data, out, file = tmp_path / "data", tmp_path / "run", tmp_path / "file"
+        main(self._synth_args(data, n=6))  # 6 segments of width 6
+        file.write_text("x", encoding="utf-8")
+        settings = {"shrinkage 0, n <= d": "shrinkage = 0\n", "bad config value": "neighbors = 0\n"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = 1\n" + settings.get(defect, ""), encoding="utf-8")
+        names = dict(visual=data / "visual.emb", missing=tmp_path / "nope.emb", file=file)
+        if defect == "equal visual rows":
+            write_embeddings(names["visual"], np.ones((6, 6)), Modality.VISUAL)
+        if defect == "unusable --out":
+            out = file / "sub"
+        args = ["--visual", str(names["missing"] if defect == "missing files" else names["visual"]),
+                "--text", str(data / "text.emb"), "--captions", str(data / "captions.jsonl"),
+                "--config", str(cfg), "--out", str(out)]
+        capsys.readouterr()
+        outcomes = []
+        for verb in ("validate", "run"):
+            code = main([verb] + args)
+            outcomes.append((code, capsys.readouterr().err.splitlines()[0]))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 1
+        assert outcomes[0][1].startswith("validation error: " + first_line.format(**names))
+        assert not out.exists()
+        assert file.read_text(encoding="utf-8") == "x"
+
+    def test_no_refine_accepts_equal_visual_rows(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        write_embeddings(data / "visual.emb", np.ones((20, 6)), Modality.VISUAL)
+        inputs = ["--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                  "--captions", str(data / "captions.jsonl"), "--no-refine"]
+        assert main(["validate"] + inputs) == 0
+        assert main(["run"] + inputs + ["--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "scores.csv").is_file()
+
+    @pytest.mark.parametrize("verb", ["validate", "run", "eval"])
+    def test_every_missing_file_is_listed(self, tmp_path, capsys, verb):
+        missing = [tmp_path / name for name in ("v.emb", "t.emb", "c.jsonl", "s.csv", "l.csv")]
+        if verb == "eval":
+            args, names = ["--scores", str(missing[3]), "--labels", str(missing[4])], ["scores", "labels"]
+            missing = missing[3:]
+        else:
+            args = ["--visual", str(missing[0]), "--text", str(missing[1]), "--captions", str(missing[2]),
+                    "--labels", str(missing[4])] + (["--out", str(tmp_path / "run")] if verb == "run" else [])
+            names = ["visual embeddings", "text embeddings", "captions", "labels"]
+            missing = missing[:3] + missing[4:]
+        assert main([verb] + args) == 1
+        assert capsys.readouterr().err == "".join(
+            f"validation error: {name} file not found: {path}\n" for name, path in zip(names, missing))
+        assert not (tmp_path / "run").exists()
+
     def test_one_segment_runs_refinement_as_identity(self, tmp_path):
         # k = min(neighbors, 1 window) = 1: refinement must not try to fit
         # a covariance to a single visual row
@@ -723,6 +793,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: [score] ") and "failed after 3 attempts" in err
         assert not out.exists()
+
+    def test_validate_opens_no_scorer(self, tmp_path, capsys, monkeypatch):
+        # the run of test_runtime_error_exit_2_no_outputs, stopped before its first stage
+        def no_scorer(*args, **kwargs):
+            raise AssertionError("a scorer was opened")
+
+        monkeypatch.setattr(pipeline, "_open_scorer", no_scorer)
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        capsys.readouterr()
+        assert main(["validate", "--visual", str(data / "visual.emb"), "--text", str(data / "text.emb"),
+                     "--captions", str(data / "captions.jsonl"), "--scorer", "remote",
+                     "--endpoint", f"http://127.0.0.1:{port}", "--out", str(tmp_path / "run")]) == 0
+        assert capsys.readouterr().out.startswith("OK: 20 segments")
+        assert not (tmp_path / "run").exists()
 
     def test_synth_out_of_memory_exit_2_no_output(self, tmp_path, capsys):
         # 4 * 2**55 int64 labels are 1 EiB, past any address space, so the
@@ -917,7 +1005,7 @@ class TestCliMatchesApi:
     states the defaults that API applies."""
 
     CALLS = {
-        "validate": {f.name for f in fields(RunManifest)},
+        "validate": {f.name for f in fields(RunManifest)} | {"seed"},
         "run": {f.name for f in fields(RunManifest)} | {"seed"},
         "eval": set(inspect.signature(eval_only).parameters),
         "synth": set(inspect.signature(gen_synthetic).parameters),

@@ -1531,6 +1531,12 @@ class TestSocketHygieneMidPipeline:
 
 
 class TestScorerServerScript:
+    def run_script(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        command = [sys.executable, str(ROOT / "scripts" / "scorer_server.py"), "--port", "0", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
+
     @pytest.mark.parametrize("args, message", [
         (("--prompt-dim", "-2"), "--prompt-dim must be at least 1, got -2"),
         (("--prompt-dim", "0"), "--prompt-dim must be at least 1, got 0"),
@@ -1540,13 +1546,30 @@ class TestScorerServerScript:
         (("--port", "-1"), "--port must lie in 0-65535, got -1"),
     ])
     def test_bad_argument_is_one_line_and_exit_1(self, args, message):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        command = [sys.executable, str(ROOT / "scripts" / "scorer_server.py"), "--port", "0", *args]
-        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=30)
+        proc = self.run_script(*args)
         assert proc.returncode == 1
-        assert proc.stderr == f"error: {message}\n"
+        assert proc.stderr == f"validation error: {message}\n"
         assert proc.stdout == ""
+
+    def test_every_bad_argument_is_listed(self):
+        proc = self.run_script("--prompt-dim", "0", "--emb-dim", "0", "--seed", "-1")
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "validation error: --prompt-dim must be at least 1, got 0\n"
+            "validation error: --emb-dim must be at least 1, got 0\n"
+            "validation error: --seed must be non-negative, got -1\n"
+        )
+        assert proc.stdout == ""
+
+    def test_address_in_use_exits_1(self):
+        with socket.socket() as sock:  # a later --port wins
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            port = sock.getsockname()[1]
+            proc = self.run_script("--port", str(port))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"validation error: cannot serve at 127.0.0.1:{port}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
 
     def test_endpoint_line_reaches_a_pipe(self, rng):
         # the line is the only way to learn the port of --port 0; without
