@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from hypervad.core import PipelineConfig  # noqa: E402
+from hypervad.dataio import integer  # noqa: E402
 from hypervad.pipeline import LOSS_FILE, REPORT_FILE, SCORES_FILE, RunManifest, run_pipeline  # noqa: E402
 from hypervad.prompt_opt import StubScorer  # noqa: E402
 from hypervad.remote import LoopbackScorerServer  # noqa: E402
@@ -124,7 +125,7 @@ def leaves(tree: dict, prefix=()):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--seeds", type=integer, nargs="+", default=[0, 1])
     parser.add_argument("--parent", metavar="REV", help="compare with the hashes of git revision REV")
     args = parser.parse_args()
 

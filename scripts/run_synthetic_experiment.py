@@ -3,12 +3,8 @@
 under each ablation toggle, and print an AUC/AP comparison table. A variant
 whose metrics are undefined (single-class labels) prints as undefined with
 its reason; the other variants still run, and the script then exits 3, as
-``hypervad run`` does. Errors exit through ``hypervad.cli.exit_status``.
-
-Usage:
-  python scripts/run_synthetic_experiment.py [--out DIR] [--seed N]
-      [--n-segments N] [--dim D] [--shift S] [--window W]
-"""
+``hypervad run`` does. Errors exit through ``hypervad.cli.exit_status``;
+``--help`` lists the options."""
 
 import argparse
 import sys
@@ -17,6 +13,7 @@ from pathlib import Path
 
 from hypervad.cli import EXIT_OK, EXIT_UNDEFINED_METRICS, exit_status
 from hypervad.core import PipelineConfig
+from hypervad.dataio import integer, real
 from hypervad.pipeline import RunManifest, run_pipeline
 from hypervad.synth import gen_synthetic
 
@@ -31,30 +28,24 @@ VARIANTS = [
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=None, help="working directory (default: temp)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-segments", type=int, default=400)
-    parser.add_argument("--dim", type=int, default=16)
-    parser.add_argument("--shift", type=float, default=6.0)
-    parser.add_argument("--anomaly-fraction", type=float, default=0.1)
-    parser.add_argument("--window", type=int, default=PipelineConfig().window)
-    return exit_status(run, parser.parse_args())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], argument_default=argparse.SUPPRESS)
+    parser.add_argument("--out", help="working directory (default: temp)")
+    parser.add_argument("--seed", type=integer, help="seeds the dataset and the config")
+    parser.add_argument("--n-segments", type=integer)
+    parser.add_argument("--dim", type=integer)
+    parser.add_argument("--shift", type=real)
+    parser.add_argument("--anomaly-fraction", type=real)
+    parser.add_argument("--window", type=integer)
+    return exit_status(run, **vars(parser.parse_args()))
 
 
-def run(args) -> int:
-    """Generate the dataset, run every variant and print the table."""
-    config = PipelineConfig(seed=args.seed, window=args.window)
-    root = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="hypervad_"))
-    data = gen_synthetic(
-        root / "data",
-        n_segments=args.n_segments,
-        dim=args.dim,
-        anomaly_fraction=args.anomaly_fraction,
-        shift=args.shift,
-        seed=args.seed,
-        with_audio=True,
-    )
+def run(out=None, window=None, **synth) -> int:
+    """Generate the dataset from ``gen_synthetic``'s arguments ``synth``, run
+    every variant and print the table; an option left unset takes its callee's default."""
+    settings = {"seed": synth.get("seed"), "window": window}
+    config = PipelineConfig(**{name: value for name, value in settings.items() if value is not None})
+    root = Path(out) if out else Path(tempfile.mkdtemp(prefix="hypervad_"))
+    data = gen_synthetic(root / "data", **synth, with_audio=True)
     oracle = "n/a" if data.oracle_auc is None else f"{data.oracle_auc:.4f}"
     print(f"dataset: {data.n_segments} segments ({data.n_anomalous} anomalous), "
           f"dim {data.dim}, generator oracle AUC {oracle}")

@@ -30,17 +30,18 @@ import time
 
 from hypervad.cli import EXIT_OK, exit_status
 from hypervad.core import ValidationError
+from hypervad.dataio import integer
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--prompt-dim", type=int, default=32)
-    parser.add_argument("--emb-dim", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--prompt-dim", type=integer, default=32)
+    parser.add_argument("--emb-dim", type=integer, default=16)
+    parser.add_argument("--seed", type=integer, default=0)
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8750)
+    parser.add_argument("--port", type=integer, default=8750)
     args = parser.parse_args()
     issues = [f"--{name.replace('_', '-')} must be at least 1, got {getattr(args, name)}"
               for name in ("prompt_dim", "emb_dim") if getattr(args, name) < 1]

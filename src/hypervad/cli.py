@@ -1,13 +1,7 @@
 """Command-line interface.
 
-Verbs:
-    validate   run's checks of its inputs and options, without running a stage
-    run        execute the full pipeline and write scores + report
-    eval       score a scores CSV against a labels CSV
-    synth      generate a synthetic dataset
-
-Exit codes: 0 success, 1 validation error, 2 runtime error, 3 metrics
-undefined (single-class labels).
+Exit codes: 0 success, 1 validation error, 2 runtime error or usage error
+(an option argparse rejects), 3 metrics undefined (single-class labels).
 """
 
 from __future__ import annotations
@@ -15,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .core import PipelineConfig, PipelineError, ValidationError
-from .dataio import read_config
-from .pipeline import RunManifest, eval_only, preflight, require_files, run_pipeline
+from .dataio import integer, read_config, real
+from .pipeline import RunManifest, eval_only, preflight, run_pipeline
 from .synth import gen_synthetic
 
 EXIT_OK = 0
@@ -57,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-frame labels CSV")
         p.add_argument("--config", type=_optional_path, help="key=value config file")
         p.add_argument("--out", dest="out_dir", type=Path, required=verb == "run", help="output directory")
-        p.add_argument("--seed", type=int, help="override config seed")
+        p.add_argument("--seed", type=integer, help="override config seed")
         p.add_argument("--no-clean", dest="cleaning", action="store_false",
                        help="disable caption cleaning")
         p.add_argument("--no-optimize", dest="optimizer", action="store_false",
@@ -74,24 +67,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="generate a synthetic dataset", argument_default=unset)
     s.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    s.add_argument("--n-segments", type=int)
-    s.add_argument("--dim", type=int)
-    s.add_argument("--anomaly-fraction", type=float)
-    s.add_argument("--shift", type=float)
-    s.add_argument("--seed", type=int)
-    s.add_argument("--frames-per-segment", type=int)
+    s.add_argument("--n-segments", type=integer)
+    s.add_argument("--dim", type=integer)
+    s.add_argument("--anomaly-fraction", type=real)
+    s.add_argument("--shift", type=real)
+    s.add_argument("--seed", type=integer)
+    s.add_argument("--frames-per-segment", type=integer)
     s.add_argument("--with-audio", action="store_true")
     return parser
 
 
 def _manifest(config=None, seed=None, **options) -> RunManifest:
     """The manifest of ``validate`` and ``run``: the config file's settings,
-    with ``seed`` over them, and every other option by name."""
-    require_files(("config", config))
-    config = read_config(config) if config else PipelineConfig()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    return RunManifest(**options, config=config)
+    with ``seed`` over them, and every other option by name. One
+    ValidationError lists the issues of the config file and settings, then
+    those of the other options."""
+    overrides = {} if seed is None else {"seed": seed}
+    issues = []
+    try:
+        config = read_config(config, **overrides) if config else PipelineConfig(**overrides)
+    except ValidationError as exc:
+        issues, config = exc.issues, PipelineConfig()
+    try:
+        manifest = RunManifest(**options, config=config)
+    except ValidationError as exc:
+        issues += exc.issues
+    if issues:
+        raise ValidationError(issues)
+    return manifest
 
 
 def _cmd_validate(**options) -> int:

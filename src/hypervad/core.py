@@ -209,7 +209,7 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# The settings annotated int; read_config parses them with int(), the rest with float().
+# The settings annotated int; read_config parses them with dataio.integer, the rest with dataio.real.
 INT_SETTINGS = frozenset(
     name for name, hint in get_type_hints(PipelineConfig).items() if hint is int
 )

@@ -38,6 +38,26 @@ _HEADER = struct.Struct("<4sIBII")
 MODALITY_CODES = {Modality.VISUAL: 0, Modality.AUDIO: 1, Modality.TEXT: 2}
 
 
+def integer(text: str) -> int:
+    """``int(text)`` under the number rule of every file and option: no
+    ``_`` and ASCII only, where ``int("1_0")`` reads 10 and ``int("٣")``
+    reads 3. A ValueError otherwise."""
+    return int(_number_text(text))
+
+
+def real(text: str) -> float:
+    """``float(text)`` under the number rule of :func:`integer`."""
+    return float(_number_text(text))
+
+
+def _number_text(text: str) -> str:
+    if "_" in text:
+        raise ValueError(f"'_' is not allowed in a number, got {text!r}")
+    if not text.isascii():
+        raise ValueError(f"a number must be ASCII, got {text!r}")
+    return text
+
+
 FLOAT32_RANGE = f"float32's range (±{float(np.finfo(np.float32).max):.4g})"
 
 
@@ -135,9 +155,9 @@ def _utf8_text(read):
     ValidationError naming the line of its first byte that does not decode
     (CR, LF and CRLF each end a line)."""
     @functools.wraps(read)
-    def wrapper(path, *args):
+    def wrapper(path, *args, **kwargs):
         try:
-            return read(path, *args)
+            return read(path, *args, **kwargs)
         except UnicodeDecodeError:
             raw = Path(path).read_bytes()  # the reader's error counts from its buffer, not the file
             try:
@@ -239,11 +259,7 @@ def _read_csv_rows(path, column, parse, dtype) -> np.ndarray:
             if len(row) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
             try:
-                if "_" in row[0] or "_" in row[1]:
-                    raise ValueError(f"'_' is not allowed in a number, got {row}")
-                if not (row[0].isascii() and row[1].isascii()):
-                    raise ValueError(f"a number must be ASCII, got {row}")
-                frame, value = int(row[0]), parse(row[1])
+                frame, value = integer(row[0]), parse(row[1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             if frame != len(values):
@@ -256,14 +272,14 @@ def _read_csv_rows(path, column, parse, dtype) -> np.ndarray:
 
 
 def _label(field: str) -> int:
-    label = int(field)
+    label = integer(field)
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label}")
     return label
 
 
 def _score(field: str) -> float:
-    score = float(field)
+    score = real(field)
     if not math.isfinite(score):
         raise ValueError(f"score must be finite, got {field!r}")
     return score
@@ -339,38 +355,45 @@ def write_loss_history(path, loss_history) -> None:
 
 
 _CONFIG_PARSERS = {
-    f.name: int if f.name in INT_SETTINGS else float for f in fields(PipelineConfig)
+    f.name: integer if f.name in INT_SETTINGS else real for f in fields(PipelineConfig)
 }
 
 
 @_utf8_text
-def read_config(path) -> PipelineConfig:
-    """Parse a flat key=value file. Unknown keys are hard errors, catching
-    typos before a long run."""
-    overrides = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in overrides:
-                raise ValidationError(f"{path}:{lineno}: duplicate config key {key!r}")
-            try:
-                if "_" in value:
-                    raise ValueError("'_' is not allowed in a number")
-                if not value.isascii():
-                    raise ValueError(f"a number must be ASCII, got {value!r}")
-                overrides[key] = _CONFIG_PARSERS[key](value)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-    return PipelineConfig(**overrides)
+def read_config(path, **overrides) -> PipelineConfig:
+    """The settings of a flat key=value file, with ``overrides`` over them.
+    One ValidationError lists every issue: a path that names no file, each
+    bad line in order (unknown keys among them, catching typos before a
+    long run), then the settings' own issues."""
+    issues, settings, seen = [], {}, set()
+    if not Path(path).is_file():
+        issues.append(f"config file not found: {path}")
+    else:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not eq:
+                    issues.append(f"{path}:{lineno}: expected key=value, got {line!r}")
+                elif key not in _CONFIG_PARSERS:
+                    issues.append(f"{path}:{lineno}: unknown config key {key!r}")
+                elif key in seen:
+                    issues.append(f"{path}:{lineno}: duplicate config key {key!r}")
+                else:
+                    seen.add(key)
+                    try:
+                        settings[key] = _CONFIG_PARSERS[key](value)
+                    except ValueError as exc:
+                        issues.append(f"{path}:{lineno}: bad value for {key}: {exc}")
+    try:
+        config = PipelineConfig(**{**settings, **overrides})
+    except ValidationError as exc:
+        issues += exc.issues
+    if issues:
+        raise ValidationError(issues)
+    return config
 
 
 def write_config(path, config: PipelineConfig) -> None:

@@ -128,7 +128,7 @@ def preflight(manifest: RunManifest):
     or None when it is off or each window's only neighbour is itself."""
     dataset, labels = load_dataset(manifest)
     config, stats = manifest.config, None
-    n_windows = -(-dataset.n_segments // config.window)  # len(captions.window_slices(...))
+    n_windows = len(cap.window_slices(dataset.n_segments, config.window))
     if manifest.refinement and min(config.neighbors, n_windows) > 1:
         try:
             stats = refine.fit_visual_stats(dataset.visual, config.shrinkage)

@@ -141,13 +141,12 @@ def gen_synthetic(
     write_captions(paths["captions"], segments)
     write_labels(paths["labels"], frame_labels)
 
-    # Upper-bound sanity oracle: distance to the true normal distribution,
-    # expanded to frames exactly like pipeline scores are.
+    # Upper-bound sanity oracle: distance to the true normal distribution.
+    # Its frame-level AUC is the segments' AUC: repeating every segment's
+    # score and label f times scales both 2U and n_pos * n_neg by f^2.
     oracle_auc = None
     if 0 < n_anom < n_segments:
-        seg_distance = np.linalg.norm(visual, axis=1)
-        frame_distance = np.repeat(seg_distance, frames_per_segment)
-        oracle_auc = auc_roc(frame_distance, frame_labels)
+        oracle_auc = auc_roc(np.linalg.norm(visual, axis=1), seg_labels)
 
     meta = {
         "n_segments": n_segments,

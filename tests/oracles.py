@@ -224,8 +224,9 @@ def read_frame_csv_oracle(path, column):
             if len(row) != 2:
                 raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
             try:
-                if not (row[0].isascii() and row[1].isascii()):
-                    raise ValueError(f"a number must be ASCII, got {row}")
+                for field in row:
+                    if not field.isascii():
+                        raise ValueError(f"a number must be ASCII, got {field!r}")
                 frame, value = int(row[0]), parse(row[1])
             except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc

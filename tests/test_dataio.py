@@ -749,7 +749,7 @@ class TestConfigFormat:
         path.write_text(f"window = 2\n{key} = {value}\n", encoding="utf-8")
         with pytest.raises(ValidationError) as excinfo:
             read_config(path)
-        assert excinfo.value.issues == [f"{path}:2: bad value for {key}: '_' is not allowed in a number"]
+        assert excinfo.value.issues == [f"{path}:2: bad value for {key}: '_' is not allowed in a number, got {value!r}"]
 
     def test_bad_value_reports_key(self, tmp_path):
         path = tmp_path / "run.cfg"

@@ -149,6 +149,16 @@ class TestAucRoc:
     def test_perfect_ranking(self):
         assert auc_roc([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2), st.integers(0, 1)),
+                          min_size=2, max_size=40).filter(lambda pairs: len({label for _, label in pairs}) == 2),
+           frames=st.integers(1, 16))
+    def test_repeating_every_segment_keeps_the_auc(self, pairs, frames):
+        # gen_synthetic's oracle is the segments' AUC: f frames a segment
+        # scale 2U and n_pos * n_neg both by f^2, and the division is rounded once
+        scores, labels = map(np.array, zip(*pairs))
+        assert auc_roc(np.repeat(scores, frames), np.repeat(labels, frames)) == auc_roc(scores, labels)
+
     def test_inverted_ranking(self):
         assert auc_roc([0.9, 0.8, 0.2, 0.1], [0, 0, 1, 1]) == 0.0
 

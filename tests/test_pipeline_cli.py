@@ -7,6 +7,7 @@ import re
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -15,11 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hypervad import cli, pipeline, remote
 from hypervad.cli import build_parser, main
-from hypervad.core import INT_SETTINGS, Modality, PipelineConfig, PipelineError, StageError, ValidationError
-from hypervad.dataio import read_config, read_embeddings, write_embeddings
+from hypervad.core import (
+    INT_SETTINGS, Modality, PipelineConfig, PipelineError, SegmentTable, StageError, ValidationError,
+)
+from hypervad.dataio import read_config, read_embeddings, write_captions, write_embeddings, write_labels
 from hypervad.pipeline import RunManifest, eval_only, load_dataset, preflight, run_pipeline, score_video
 from hypervad.prompt_opt import StubScorer
 from hypervad.remote import LoopbackScorerServer
@@ -435,6 +440,39 @@ class TestEvalOnly:
         write_labels(tmp_path / "l.csv", [1, 0, 1])
         with pytest.raises(ValidationError, match="length mismatch"):
             eval_only(tmp_path / "s.csv", tmp_path / "l.csv")
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+DEFECTS = ("constant visual column", "duplicate rows", "zero visual row", "zero text row")
+
+
+@st.composite
+def degenerate_video(draw):
+    """The arrays, labels, settings and flags of a video of at most five
+    segments of one or two frames, width at most three, with degenerate rows
+    and settings."""
+    n, dim = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    values = st.sampled_from([0.0, 1.0, -1.0, 1e-30, FLOAT32_MAX, -FLOAT32_MAX]) | st.floats(-3, 3, width=32)
+
+    def matrix():
+        return np.array(draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=n, max_size=n)),
+                        dtype=np.float64).reshape(n, dim)
+
+    visual, text, audio = matrix(), matrix(), matrix() if draw(st.booleans()) else None
+    defects = draw(st.sets(st.sampled_from(DEFECTS))) if n else set()
+    if "constant visual column" in defects:
+        visual[:, 0] = visual[0, 0]
+    if "duplicate rows" in defects and n > 1:
+        visual[1], text[1] = visual[0], text[0]
+    if "zero visual row" in defects:
+        visual[0] = 0.0
+    if "zero text row" in defects:
+        text[0] = 0.0
+    frames = draw(st.integers(1, 2))
+    labels = np.repeat(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), frames)
+    config = {"window": draw(st.integers(1, n + 2)), "shrinkage": draw(st.sampled_from([0.0, 0.1, 1.0]))}
+    flags = sorted(draw(st.sets(st.sampled_from(["--no-refine", "--no-clean"]))))
+    return frames, visual, text, audio, labels, config, flags
 
 
 class TestCli:
@@ -985,6 +1023,76 @@ class TestCli:
         assert code == 1
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    MISSING_INPUTS = ["--visual", "v.emb", "--text", "t.emb", "--captions", "c.jsonl"]
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_every_option_issue_is_listed(self, tmp_path, capsys, verb):
+        # the config file's bad lines, then the manifest's issues, in one
+        # ValidationError; the input files are not read
+        cfg, file, out = tmp_path / "bad.cfg", tmp_path / "afile", tmp_path / "afile" / "sub"
+        cfg.write_text("seed = 1_0\nbogus = 3\nwindow = x\n", encoding="utf-8")
+        file.write_text("x", encoding="utf-8")
+        args = [verb, *self.MISSING_INPUTS, "--config", str(cfg), "--out", str(out), "--endpoint", "http://x"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"validation error: {cfg}:1: bad value for seed: '_' is not allowed in a number, got '1_0'",
+            f"validation error: {cfg}:2: unknown config key 'bogus'",
+            f"validation error: {cfg}:3: bad value for window: invalid literal for int() with base 10: 'x'",
+            f"validation error: output directory {out} is unusable: {file} is not a directory",
+            "validation error: an endpoint needs scorer 'remote', got scorer 'stub'",
+        ]
+
+    @pytest.mark.parametrize("config, seed, issues", [
+        # a missing file is one issue; the seed's range is still checked
+        (None, "-1", ["config file not found: {cfg}", "seed must be non-negative"]),
+        ("seed = 3\nseed = 4\nwindow = 0\nneighbors 2\n", None, [
+            "{cfg}:2: duplicate config key 'seed'", "{cfg}:4: expected key=value, got 'neighbors 2'",
+            "window must be at least 1"]),
+        # a bad line of one key leaves the other settings' ranges checked
+        ("window = 1.5\nshrinkage = 2\n", "-1", [
+            "{cfg}:1: bad value for window: invalid literal for int() with base 10: '1.5'",
+            "seed must be non-negative", "shrinkage must lie in [0, 1]"]),
+    ])
+    def test_config_lines_and_settings_are_listed_together(self, tmp_path, capsys, config, seed, issues):
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_text(config, encoding="utf-8")
+        args = ["validate", *self.MISSING_INPUTS, "--config", str(cfg)] + (["--seed", seed] if seed else [])
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"validation error: {issue.format(cfg=cfg)}" for issue in issues]
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(video=degenerate_video())
+    def test_validate_decides_what_run_does_on_degenerate_inputs(self, tmp_path, capsys, video):
+        # validate exits 0 and run 0 or 3, or both exit 1 with the same first
+        # line and run writes nothing
+        frames, visual, text, audio, labels, config, flags = video
+        data = Path(tempfile.mkdtemp(dir=tmp_path))
+        rows = [(i, i * frames, (i + 1) * frames - 1, f"caption {i}", None if audio is None else f"audio {i}")
+                for i in range(len(visual))]
+        write_captions(data / "c.jsonl", SegmentTable.from_rows(rows))
+        args = ["--captions", str(data / "c.jsonl"), "--labels", str(data / "l.csv"),
+                "--config", str(data / "run.cfg"), *flags]
+        for option, modality, matrix in (("--visual", Modality.VISUAL, visual), ("--text", Modality.TEXT, text),
+                                         ("--audio", Modality.AUDIO, audio)):
+            if matrix is not None:
+                write_embeddings(data / f"{option[2:]}.emb", matrix, modality)
+                args += [option, str(data / f"{option[2:]}.emb")]
+        write_labels(data / "l.csv", labels)
+        (data / "run.cfg").write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        capsys.readouterr()
+        checked = main(["validate", *args])
+        checked_err = capsys.readouterr().err
+        ran = main(["run", *args, "--out", str(data / "out")])
+        ran_err = capsys.readouterr().err
+        if checked == 0:
+            assert ran in (0, 3), ran_err
+        else:
+            assert (checked, ran) == (1, 1)
+            assert checked_err.splitlines()[0] == ran_err.splitlines()[0]
+            assert not (data / "out").exists()
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         data = tmp_path / "data"
