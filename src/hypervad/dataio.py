@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 import math
+import os
 import struct
 from dataclasses import fields
 from pathlib import Path
@@ -163,14 +165,17 @@ def _utf8_text(read):
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                head = raw[: exc.start]
-                lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-                raise ValidationError(
-                    f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
-                    f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})"
-                ) from exc
+                raise ValidationError(_not_utf8(path, raw, exc)) from exc
             raise  # the file changed between the two reads
     return wrapper
+
+
+def _not_utf8(path, raw: bytes, exc: UnicodeDecodeError) -> str:
+    """The issue of file ``raw``, which ``exc`` failed to decode."""
+    head = raw[: exc.start]
+    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return (f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+            f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})")
 
 
 # The scanner ``json.loads`` runs, without its per-call wrapping: it returns
@@ -359,34 +364,38 @@ _CONFIG_PARSERS = {
 }
 
 
-@_utf8_text
 def read_config(path, **overrides) -> PipelineConfig:
     """The settings of a flat key=value file, with ``overrides`` over them.
-    One ValidationError lists every issue: a path that names no file, each
-    bad line in order (unknown keys among them, catching typos before a
-    long run), then the settings' own issues."""
-    issues, settings, seen = [], {}, set()
+    One ValidationError lists every issue: a path that names no file, a file
+    that is not UTF-8 (then no setting is read from it) or each bad line in
+    order (unknown keys among them, catching typos before a long run), then
+    the settings' own issues."""
+    issues, settings, seen, lines = [], {}, set(), ()
     if not Path(path).is_file():
         issues.append(f"config file not found: {path}")
     else:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = (part.strip() for part in line.partition("="))
-                if not eq:
-                    issues.append(f"{path}:{lineno}: expected key=value, got {line!r}")
-                elif key not in _CONFIG_PARSERS:
-                    issues.append(f"{path}:{lineno}: unknown config key {key!r}")
-                elif key in seen:
-                    issues.append(f"{path}:{lineno}: duplicate config key {key!r}")
-                else:
-                    seen.add(key)
-                    try:
-                        settings[key] = _CONFIG_PARSERS[key](value)
-                    except ValueError as exc:
-                        issues.append(f"{path}:{lineno}: bad value for {key}: {exc}")
+        raw = Path(path).read_bytes()
+        try:
+            lines = io.StringIO(raw.decode("utf-8"), newline=None)  # CR, LF and CRLF each end a line
+        except UnicodeDecodeError as exc:
+            issues.append(_not_utf8(path, raw, exc))
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            issues.append(f"{path}:{lineno}: expected key=value, got {line!r}")
+        elif key not in _CONFIG_PARSERS:
+            issues.append(f"{path}:{lineno}: unknown config key {key!r}")
+        elif key in seen:
+            issues.append(f"{path}:{lineno}: duplicate config key {key!r}")
+        else:
+            seen.add(key)
+            try:
+                settings[key] = _CONFIG_PARSERS[key](value)
+            except ValueError as exc:
+                issues.append(f"{path}:{lineno}: bad value for {key}: {exc}")
     try:
         config = PipelineConfig(**{**settings, **overrides})
     except ValidationError as exc:
@@ -403,6 +412,29 @@ def write_config(path, config: PipelineConfig) -> None:
 
 def write_report(path, report: dict) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_outputs(out_dir, files) -> None:
+    """Write ``files``, each a ``(name, write, *args)`` called as
+    ``write(path, *args)``, into ``out_dir`` as one set. Each is first
+    written to a hidden temporary name there; only after every write has
+    succeeded is the last-named file's old copy removed, the others put in
+    place and then the last one, so a directory that holds the last-named
+    file holds one complete set. Unless the process is killed, no temporary
+    file outlives the call."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged = []
+    try:
+        for name, write, *args in files:
+            staged.append((out_dir / f".{name}.{os.getpid()}.tmp", out_dir / name))
+            write(staged[-1][0], *args)
+        staged[-1][1].unlink(missing_ok=True)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    finally:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def read_report(path) -> dict:

@@ -268,8 +268,8 @@ def score_video(dataset, labels, stats, manifest: RunManifest, scorer) -> RunRes
 
 def run_pipeline(manifest: RunManifest) -> RunResult:
     """Preflight the manifest, score its video with the configured scorer
-    and write outputs to its output directory. Output files appear only after
-    every stage succeeded; a stage failure leaves no partial outputs behind."""
+    and write outputs to its output directory, only after every stage has
+    succeeded and as one set (``dataio.write_outputs``, the report last)."""
     if manifest.out_dir is None:
         raise ValidationError("run_pipeline needs an out_dir to write to, got None")
     dataset, labels, stats = preflight(manifest)
@@ -277,25 +277,11 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
         result = score_video(dataset, labels, stats, manifest, scorer)
 
     with _stage("write"):
-        out_dir = Path(manifest.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # Each file goes to a temp name first; the three replace the old
-        # outputs only after every write succeeded.
-        staged = []
-        try:
-            for name, writer in (
-                (SCORES_FILE, lambda p: dataio.write_scores(p, result.frame_scores)),
-                (LOSS_FILE, lambda p: dataio.write_loss_history(p, result.prompt_state.loss_history)),
-                (REPORT_FILE, lambda p: dataio.write_report(p, result.report)),
-            ):
-                tmp = out_dir / f".{name}.{os.getpid()}.tmp"
-                staged.append((tmp, out_dir / name))
-                writer(tmp)
-            for tmp, path in staged:
-                os.replace(tmp, path)
-        finally:
-            for tmp, _ in staged:
-                tmp.unlink(missing_ok=True)
+        dataio.write_outputs(manifest.out_dir, [
+            (SCORES_FILE, dataio.write_scores, result.frame_scores),
+            (LOSS_FILE, dataio.write_loss_history, result.prompt_state.loss_history),
+            (REPORT_FILE, dataio.write_report, result.report),
+        ])
     return result
 
 

@@ -6,13 +6,16 @@ and response {"score": float}. Non-2xx status, transport failures, malformed
 bodies (empty, not UTF-8, not JSON, not a JSON object), out-of-range scores
 and a reply body over ``MAX_BODY_BYTES`` are all surfaced as TransportError;
 nothing is clamped silently. A refused, dropped, idle-closed or truncated
-exchange, or a reply head that does not parse, is retried ``RETRIES`` times
-first, each on a new connection, and waits at most ``TIMEOUT_S`` per step.
+exchange, or a reply head that does not parse (a Content-Length that is not
+ASCII digits or a chunk size that is not hex digits among them), is retried
+``RETRIES`` times first, each on a new connection, and waits at most
+``TIMEOUT_S`` per step.
 Gradients are central differences with the fixed step ``FD_STEP`` (1e-6),
 costing 2 * prompt_dim requests per summary in every ``grad_sum``. The
 loopback server answers 400 to a prompt or embedding entry that is not a
-JSON number, or not finite as float64, and to a summary_text that is not a
-string; it answers 413 to a body over ``MAX_BODY_BYTES``.
+JSON number, or not finite as float64, to a summary_text that is not a
+string and to a Content-Length that is not ASCII digits; it answers 413 to a
+body over ``MAX_BODY_BYTES``.
 
 The client sends every request over one HTTP/1.1 keep-alive connection,
 opened on first use and closed by ``close()``; a server that closes after
@@ -93,10 +96,20 @@ _MAX_LINE = 65536
 _MAX_HEADERS = 100
 # "HTTP/1.x NNN reason": the minor version and the status.
 _STATUS_LINE = re.compile(rb"HTTP/1\.(\d+) ([1-9]\d\d)(?:[ \t][^\r\n]*)?\r?\n")
+# A chunk's size line: hex digits, then any chunk extensions.
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
 # Characters no endpoint may hold: "?" and "#" start a query or fragment,
 # where "/score" would land; urlsplit drops a tab or newline and strips a
 # leading space, and no other whitespace or control can go in a request line.
 _REJECTED_CHARACTERS = re.compile(r"[?#\s\x00-\x1f\x7f]")
+
+
+def _content_length(value: str) -> int:
+    """A Content-Length value, which RFC 9110 writes as ASCII digits only;
+    ``int`` would also take a sign, "_" and other scripts' digits."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"Content-Length must be ASCII digits, got {value!r}")
+    return int(value)
 
 
 def _read_line(reader) -> bytes:
@@ -297,14 +310,15 @@ class RemoteScorer:
         if headers.get("transfer-encoding", "").lower() == "chunked":
             body = self._read_chunked()
         else:
-            try:
-                length = int(headers["content-length"])
-            except (KeyError, ValueError):
-                length = -1
-            if length < 0:  # the body runs to the end of the connection
+            length = headers.get("content-length")
+            if length is None:  # the body runs to the end of the connection
                 body, closes = self._reader.read(MAX_BODY_BYTES + 1), True
                 self._check_size(len(body))
             else:
+                try:
+                    length = _content_length(length)
+                except ValueError as exc:  # a reply head that does not parse
+                    raise http.client.HTTPException(str(exc)) from exc
                 self._check_size(length)
                 body = self._reader.read(length)
                 if len(body) < length:
@@ -317,12 +331,12 @@ class RemoteScorer:
         chunks, size = [], 0
         while True:
             line = _read_line(self._reader)
-            try:
-                length = int(line.split(b";", 1)[0], 16)
-            except ValueError:  # also the empty line of a closed connection
-                length = -1
-            if length < 0:
+            if not line:  # the connection closed
                 raise http.client.IncompleteRead(b"".join(chunks))
+            match = _CHUNK_SIZE.fullmatch(line)
+            if match is None:
+                raise http.client.HTTPException(f"bad chunk size line {line[:80]!r}")
+            length = int(match[1], 16)
             if length == 0:
                 _read_headers(self._reader)  # the trailer, up to its blank line
                 return b"".join(chunks)
@@ -560,9 +574,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.send_error(404, "unknown path")
             return
         try:
-            length = int(self.headers.get("content-length", "0"))
-            if length < 0:  # rfile.read(-1) would wait for the client to close
-                raise ValueError(f"negative Content-Length {length}")
+            length = _content_length(self.headers.get("content-length", "0"))
             if length > MAX_BODY_BYTES:  # refused before any of it is read
                 self.send_error(413, f"body of {length} bytes, over the {MAX_BODY_BYTES}-byte cap")
                 return

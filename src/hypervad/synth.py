@@ -14,14 +14,14 @@ covariance, so the distance is just the norm).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import INT64_MAX, Modality, SegmentTable, ValidationError, kind_issues, out_dir_issues, seeded_unit_vector
-from .dataio import FLOAT32_RANGE, float32_rows, write_captions, write_embeddings, write_labels
+from .dataio import (FLOAT32_RANGE, float32_rows, write_captions, write_embeddings, write_labels, write_outputs,
+                     write_report)
 from .evaluate import auc_roc
 
 # Correlation between text and visual embeddings of a segment. High enough
@@ -123,24 +123,6 @@ def gen_synthetic(
         audio=audio_captions,
     )
 
-    frame_labels = np.repeat(seg_labels, frames_per_segment)
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "visual": out_dir / "visual.emb",
-        "text": out_dir / "text.emb",
-        "captions": out_dir / "captions.jsonl",
-        "labels": out_dir / "labels.csv",
-        "meta": out_dir / "meta.json",
-    }
-    if with_audio:
-        paths["audio"] = out_dir / "audio.emb"
-    for modality, rows in embeddings.items():
-        write_embeddings(paths[modality.value], rows, modality)
-    write_captions(paths["captions"], segments)
-    write_labels(paths["labels"], frame_labels)
-
     # Upper-bound sanity oracle: distance to the true normal distribution.
     # Its frame-level AUC is the segments' AUC: repeating every segment's
     # score and label f times scales both 2U and n_pos * n_neg by f^2.
@@ -161,7 +143,13 @@ def gen_synthetic(
         "shift_direction": [float(x) for x in direction],
         "oracle_auc": oracle_auc,
     }
-    paths["meta"].write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    files = [(f"{modality.value}.emb", write_embeddings, rows, modality) for modality, rows in embeddings.items()]
+    files += [("captions.jsonl", write_captions, segments),
+              ("labels.csv", write_labels, np.repeat(seg_labels, frames_per_segment)),
+              ("meta.json", write_report, meta)]
+    out_dir = Path(out_dir)
+    write_outputs(out_dir, files)
+    paths = {name.split(".")[0]: out_dir / name for name, *_ in files}
 
     return SynthResult(
         out_dir=out_dir,

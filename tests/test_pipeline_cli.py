@@ -272,6 +272,25 @@ class TestRunPipeline:
         assert sorted(before) == ["loss_history.csv", "report.json", "scores.csv"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_interrupted_replace_leaves_no_report(self, synth_dir, tmp_path, monkeypatch):
+        # the old report.json goes before any output is replaced and the new
+        # one comes last, so a directory that holds it holds one run's outputs
+        out = tmp_path / "twice"
+        run_pipeline(manifest_for(synth_dir, out))
+        replace, calls = os.replace, []
+
+        def fails_second(src, dst):
+            calls.append(Path(dst).name)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fails_second)
+        with pytest.raises(StageError, match="disk full"):
+            run_pipeline(manifest_for(synth_dir, out, refinement=False))
+        assert calls == ["scores.csv", "loss_history.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["loss_history.csv", "scores.csv"]
+
     def test_karcher_failures_reported_by_window(self, synth_dir, tmp_path, monkeypatch):
         # 40 segments in windows of 3: windows 0-12 hold three segments and
         # iterate, window 13 holds one and passes its point through
@@ -1053,11 +1072,15 @@ class TestCli:
         ("window = 1.5\nshrinkage = 2\n", "-1", [
             "{cfg}:1: bad value for window: invalid literal for int() with base 10: '1.5'",
             "seed must be non-negative", "shrinkage must lie in [0, 1]"]),
+        # a file that is not UTF-8 is one issue and gives no settings; the seed's range is still checked
+        ("bogus = 1\n# caf\xe9\n", "-1", [
+            "{cfg}:2: not UTF-8 text: invalid continuation byte (byte 0xe9 at offset 15)",
+            "seed must be non-negative"]),
     ])
     def test_config_lines_and_settings_are_listed_together(self, tmp_path, capsys, config, seed, issues):
         cfg = tmp_path / "run.cfg"
         if config is not None:
-            cfg.write_text(config, encoding="utf-8")
+            cfg.write_bytes(config.encode("latin-1"))  # so "\xe9" is not UTF-8
         args = ["validate", *self.MISSING_INPUTS, "--config", str(cfg)] + (["--seed", seed] if seed else [])
         assert main(args) == 1
         assert capsys.readouterr().err.splitlines() == [
@@ -1232,6 +1255,40 @@ class TestSynthGenerator:
                                f"{(2**63 - 1) // n_segments} for {n_segments} segments, got {2**62}\n")
         assert proc.stdout == ""
         assert not (tmp_path / "x").exists()
+
+    def test_failed_write_keeps_previous_dataset(self, tmp_path, monkeypatch):
+        from hypervad import synth
+
+        out = tmp_path / "d"
+        gen_synthetic(out, 12, 4, 0.25, 2.0, 3, frames_per_segment=2, with_audio=True)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def broken(path, labels):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(synth, "write_labels", broken)
+        with pytest.raises(OSError, match="disk full"):
+            gen_synthetic(out, 12, 4, 0.25, 2.0, 4, frames_per_segment=2, with_audio=True)
+        assert sorted(before) == ["audio.emb", "captions.jsonl", "labels.csv", "meta.json", "text.emb", "visual.emb"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_interrupted_replace_leaves_no_meta(self, tmp_path, monkeypatch):
+        # meta.json is removed before any file is replaced and comes last
+        out = tmp_path / "d"
+        gen_synthetic(out, 12, 4, 0.25, 2.0, 3, frames_per_segment=2)
+        replace, calls = os.replace, []
+
+        def fails_third(src, dst):
+            calls.append(Path(dst).name)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fails_third)
+        with pytest.raises(OSError, match="disk full"):
+            gen_synthetic(out, 12, 4, 0.25, 2.0, 4, frames_per_segment=2)
+        assert calls == ["visual.emb", "text.emb", "captions.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["captions.jsonl", "labels.csv", "text.emb", "visual.emb"]
 
     def test_files_parse_back(self, tmp_path):
         r = gen_synthetic(tmp_path / "d", 12, 4, 0.25, 2.0, 3, frames_per_segment=2, with_audio=True)

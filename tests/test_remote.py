@@ -259,6 +259,21 @@ class TestLoopbackConformance:
                     status_line = reply.readline()
         assert status_line.split()[1] == b"400"
 
+    @pytest.mark.parametrize("length", ["+55", "5_5"], ids=["sign", "underscore"])
+    def test_content_length_of_ascii_digits_only(self, length):
+        # int() reads both as 55, the length of the body that follows
+        body = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
+        assert len(body) == 55
+        request = _raw_post("/score", body).replace(b"Content-Length: 55", b"Content-Length: " + length.encode())
+        with LoopbackScorerServer(StubScorer(2, 2, seed=0)) as server:
+            host, port = server.endpoint.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=5) as sock:
+                sock.sendall(request)
+                with sock.makefile("rb") as reply:
+                    status, _, payload = _read_reply(reply)
+        assert status == 400
+        assert f"Content-Length must be ASCII digits, got {length!r}".encode() in payload
+
     def test_two_requests_on_one_connection(self):
         stub = StubScorer(2, 2, seed=0)
         body = json.dumps({"prompt": [0.1, 0.2], "summary_embedding": [0.3, 0.4]}).encode()
@@ -751,11 +766,26 @@ class TestReplyFraming:
         b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n" + OK_REPLY.split(b"\r\n", 1)[1],
         b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 100 + OK_REPLY.split(b"\r\n", 1)[1],
         b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n{"score": 0.5}\r\n0\r\n\r\n',
+        # int() reads each of these numbers as the body's length
+        b'HTTP/1.1 200 OK\r\nContent-Length: +14\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 200 OK\r\nContent-Length: 1_4\r\n\r\n{"score": 0.5}',
+        b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x1a\r\n{"score": 0.5, "x": "abc"}\r\n0\r\n\r\n',
+        b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+e\r\n{"score": 0.5}\r\n0\r\n\r\n',
+        b'HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0_e\r\n{"score": 0.5}\r\n0\r\n\r\n',
     ], ids=["http2", "not-http", "two-digit-status", "no-status", "no-head", "long-header-line",
-            "101-headers", "bad-chunk-size"])
+            "101-headers", "bad-chunk-size", "content-length-sign", "content-length-underscore",
+            "chunk-size-0x", "chunk-size-sign", "chunk-size-underscore"])
     def test_unreadable_reply_retried_then_transport_error(self, reply):
         with _RawServer(reply) as server, RemoteScorer(server.endpoint) as remote:
             with pytest.raises(TransportError, match="failed after 3 attempts"):
+                remote.score(np.zeros(2), np.zeros(2))
+        assert len(server.heads) == 3 and server.connections == 3
+
+    def test_negative_content_length_retried_then_transport_error(self):
+        # int() reads -14, which once stood for a body that runs to the close
+        reply = b'HTTP/1.1 200 OK\r\nContent-Length: -14\r\n\r\n{"score": 0.5}'
+        with _RawServer(reply, close=True) as server, RemoteScorer(server.endpoint) as remote:
+            with pytest.raises(TransportError, match="failed after 3 attempts: Content-Length must be ASCII"):
                 remote.score(np.zeros(2), np.zeros(2))
         assert len(server.heads) == 3 and server.connections == 3
 
