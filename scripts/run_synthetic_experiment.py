@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Desk-scale experiment: generate a synthetic dataset, run the pipeline
-under each ablation toggle, and print an AUC/AP comparison table. A variant
-whose metrics are undefined (single-class labels) prints as undefined with
-its reason; the other variants still run, and the script then exits 3, as
-``hypervad run`` does. Errors exit through ``hypervad.cli.exit_status``;
-``--help`` lists the options."""
+"""Desk-scale experiment: generate a synthetic dataset, score it under
+each ablation variant in-process (``hypervad.pipeline.ablate``: one load,
+one scorer, nothing written but the dataset), and print an AUC/AP comparison
+table. A variant whose metrics are undefined (single-class labels) prints as
+undefined with its reason; the other variants still print, and the script
+then exits 3, as ``hypervad run`` does. Errors exit through
+``hypervad.cli.exit_status``; ``--help`` lists the options."""
 
 import argparse
 import sys
@@ -14,17 +15,11 @@ from pathlib import Path
 from hypervad.cli import EXIT_OK, EXIT_UNDEFINED_METRICS, exit_status
 from hypervad.core import PipelineConfig
 from hypervad.dataio import integer, real
-from hypervad.pipeline import RunManifest, run_pipeline
+from hypervad.pipeline import ABLATION_VARIANTS, RunManifest, ablate
 from hypervad.synth import gen_synthetic
 
-VARIANTS = [
-    ("full pipeline", {}),
-    ("no caption cleaning", {"cleaning": False}),
-    ("euclidean fusion", {"fusion_mode": "euclidean"}),
-    ("no prompt optimizer", {"optimizer": False}),
-    ("no refinement", {"refinement": False}),
-    ("visual only", {"drop_audio": True}),
-]
+# perfbench/ablation.py loads this script by path and reads this name.
+VARIANTS = ABLATION_VARIANTS
 
 
 def main() -> int:
@@ -40,7 +35,7 @@ def main() -> int:
 
 
 def run(out=None, window=None, **synth) -> int:
-    """Generate the dataset from ``gen_synthetic``'s arguments ``synth``, run
+    """Generate the dataset from ``gen_synthetic``'s arguments ``synth``, score
     every variant and print the table; an option left unset takes its callee's default."""
     settings = {"seed": synth.get("seed"), "window": window}
     config = PipelineConfig(**{name: value for name, value in settings.items() if value is not None})
@@ -51,21 +46,16 @@ def run(out=None, window=None, **synth) -> int:
           f"dim {data.dim}, generator oracle AUC {oracle}")
     print(f"{'variant':<22} {'AUC-ROC':>8} {'AP':>8} {'final loss':>12}")
 
+    manifest = RunManifest(
+        visual_path=data.paths["visual"],
+        text_path=data.paths["text"],
+        captions_path=data.paths["captions"],
+        audio_path=data.paths["audio"],
+        labels_path=data.paths["labels"],
+        config=config,
+    )
     undefined = False
-    for name, overrides in VARIANTS:
-        overrides = dict(overrides)
-        drop_audio = overrides.pop("drop_audio", False)
-        manifest = RunManifest(
-            visual_path=data.paths["visual"],
-            text_path=data.paths["text"],
-            captions_path=data.paths["captions"],
-            audio_path=None if drop_audio else data.paths["audio"],
-            labels_path=data.paths["labels"],
-            out_dir=root / name.replace(" ", "_"),
-            config=config,
-            **overrides,
-        )
-        result = run_pipeline(manifest)
+    for name, result in ablate(manifest):
         metrics = result.eval_report
         loss = f"{result.prompt_state.loss_history[-1]:>12.4f}"
         if metrics.defined:

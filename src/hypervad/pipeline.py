@@ -6,6 +6,7 @@ the write stage writes scores, loss history and a JSON report.
 Stage toggles mirror the component ablation grid: caption cleaning on/off,
 hyperbolic vs euclidean fusion, prompt optimizer on/off, refinement on/off,
 audio present or absent (driven by the manifest), stub vs remote scorer.
+``ablate`` scores one loaded video under each row of that grid.
 """
 
 from __future__ import annotations
@@ -93,9 +94,21 @@ def require_files(*named_paths) -> None:
         raise ValidationError(missing)
 
 
+def _read(issues: list, read, path, *args):
+    """``read(path, *args)``, or None with the issues of its ValidationError
+    added to ``issues``."""
+    try:
+        return read(path, *args)
+    except ValidationError as exc:
+        issues += exc.issues
+        return None
+
+
 def load_dataset(manifest: RunManifest):
     """Fail-fast ingestion: every referenced file must exist and parse, and
-    the assembled dataset must validate, before any stage runs."""
+    the assembled dataset must validate, before any stage runs. One
+    ValidationError lists the missing files, else every file that does not
+    parse (visual, text, audio, captions, labels), else the dataset's issues."""
     require_files(
         ("visual embeddings", manifest.visual_path),
         ("text embeddings", manifest.text_path),
@@ -103,21 +116,22 @@ def load_dataset(manifest: RunManifest):
         ("audio embeddings", manifest.audio_path),
         ("labels", manifest.labels_path),
     )
-    visual = dataio.read_embeddings(manifest.visual_path, Modality.VISUAL)
-    text = dataio.read_embeddings(manifest.text_path, Modality.TEXT)
-    audio = None
+    issues, audio, labels = [], None, None
+    visual = _read(issues, dataio.read_embeddings, manifest.visual_path, Modality.VISUAL)
+    text = _read(issues, dataio.read_embeddings, manifest.text_path, Modality.TEXT)
     if manifest.audio_path is not None:
-        audio = dataio.read_embeddings(manifest.audio_path, Modality.AUDIO)
-    segments = dataio.read_captions(manifest.captions_path)
-    dataset = validate_dataset(segments, visual, text, audio)
-
-    labels = None
+        audio = _read(issues, dataio.read_embeddings, manifest.audio_path, Modality.AUDIO)
+    segments = _read(issues, dataio.read_captions, manifest.captions_path)
     if manifest.labels_path is not None:
-        labels = dataio.read_labels(manifest.labels_path)
-        if labels.size != dataset.n_frames:
-            raise ValidationError(
-                f"labels cover {labels.size} frames but segments cover {dataset.n_frames}"
-            )
+        labels = _read(issues, dataio.read_labels, manifest.labels_path)
+    if issues:
+        raise ValidationError(issues)
+
+    dataset = validate_dataset(segments, visual, text, audio)
+    if labels is not None and labels.size != dataset.n_frames:
+        raise ValidationError(
+            f"labels cover {labels.size} frames but segments cover {dataset.n_frames}"
+        )
     return dataset, labels
 
 
@@ -283,6 +297,35 @@ def run_pipeline(manifest: RunManifest) -> RunResult:
             (REPORT_FILE, dataio.write_report, result.report),
         ])
     return result
+
+
+# The component ablation: each variant's name and the manifest fields it
+# sets; "drop_audio" scores the video without its audio rows.
+ABLATION_VARIANTS = [
+    ("full pipeline", {}),
+    ("no caption cleaning", {"cleaning": False}),
+    ("euclidean fusion", {"fusion_mode": "euclidean"}),
+    ("no prompt optimizer", {"optimizer": False}),
+    ("no refinement", {"refinement": False}),
+    ("visual only", {"drop_audio": True}),
+]
+
+
+def ablate(manifest: RunManifest) -> list:
+    """Score the manifest's video once per ``ABLATION_VARIANTS`` row, each
+    as ``run_pipeline`` would with that row's changes, but from one
+    ``preflight`` and with one scorer; writes nothing. Returns a (name,
+    RunResult) pair per variant."""
+    dataset, labels, stats = preflight(manifest)
+    results = []
+    with _open_scorer(manifest, dataset.text.shape[1]) as scorer:
+        for name, overrides in ABLATION_VARIANTS:
+            overrides = dict(overrides)
+            video = replace(dataset, audio=None) if overrides.pop("drop_audio", False) else dataset
+            variant = replace(manifest, **overrides)
+            refined = stats if variant.refinement else None
+            results.append((name, score_video(video, labels, refined, variant, scorer)))
+    return results
 
 
 def eval_only(scores_path, labels_path) -> EvalReport:

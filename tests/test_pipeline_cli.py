@@ -10,7 +10,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hypervad import cli, pipeline, remote
+from hypervad import cli, dataio, pipeline, remote
 from hypervad.cli import build_parser, main
 from hypervad.core import (
     INT_SETTINGS, Modality, PipelineConfig, PipelineError, SegmentTable, StageError, ValidationError,
@@ -689,6 +689,35 @@ class TestCli:
             f"validation error: {name} file not found: {path}\n" for name, path in zip(names, missing))
         assert not (tmp_path / "run").exists()
 
+    def test_every_bad_input_file_is_listed(self, tmp_path, capsys):
+        # a bad visual magic, a captions line that is not JSON and a label
+        # of 7: one issue per file, in file order, from both verbs
+        data = tmp_path / "data"
+        main(self._synth_args(data))
+        visual, captions, labels = data / "visual.emb", data / "captions.jsonl", data / "labels.csv"
+        visual.write_bytes(b"XXXX" + visual.read_bytes()[4:])
+        lines = captions.read_text(encoding="utf-8").splitlines()
+        lines[2] = "{"
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = labels.read_bytes()
+        assert raw.startswith(b"frame,label\r\n0,0\r\n")
+        labels.write_bytes(raw.replace(b"\r\n0,0\r\n", b"\r\n0,7\r\n", 1))
+        inputs = ["--visual", str(visual), "--text", str(data / "text.emb"), "--captions", str(captions),
+                  "--labels", str(labels)]
+        out = tmp_path / "run"
+        capsys.readouterr()
+        outcomes = []
+        for args in (["validate"] + inputs, ["run"] + inputs + ["--out", str(out)]):
+            outcomes.append((main(args), capsys.readouterr().err.splitlines()))
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 1
+        assert len(err) == 3
+        assert err[0] == f"validation error: {visual}: bad magic b'XXXX', expected b'MMVE'"
+        assert err[1].startswith(f"validation error: {captions}:3: bad caption record: ")
+        assert err[2] == f"validation error: {labels}:2: label must be 0 or 1, got 7"
+        assert not out.exists()
+
     def test_one_segment_runs_refinement_as_identity(self, tmp_path):
         # k = min(neighbors, 1 window) = 1: refinement must not try to fit
         # a covariance to a single visual row
@@ -1303,6 +1332,71 @@ class TestSynthGenerator:
         assert int(labels.sum()) == 3 * 2  # 25% of 12 segments, 2 frames each
 
 
+def run_variants(manifest: RunManifest, out: Path) -> dict:
+    """Each ablation variant's RunResult and output directory from its own
+    ``run_pipeline`` call, as the experiment script once ran them."""
+    runs = {}
+    for name, overrides in pipeline.ABLATION_VARIANTS:
+        overrides = dict(overrides)
+        audio_path = None if overrides.pop("drop_audio", False) else manifest.audio_path
+        variant = replace(manifest, audio_path=audio_path, out_dir=out / name.replace(" ", "_"), **overrides)
+        runs[name] = (run_pipeline(variant), variant.out_dir)
+    return runs
+
+
+class TestAblate:
+    def assert_matches_run_pipeline(self, results, runs, tmp_path):
+        assert [name for name, _ in results] == [name for name, _ in pipeline.ABLATION_VARIANTS]
+        for name, result in results:
+            expected, out_dir = runs[name]
+            written = tmp_path / "ablate" / name.replace(" ", "_")
+            dataio.write_outputs(written, [
+                (pipeline.SCORES_FILE, dataio.write_scores, result.frame_scores),
+                (pipeline.LOSS_FILE, dataio.write_loss_history, result.prompt_state.loss_history),
+                (pipeline.REPORT_FILE, dataio.write_report, result.report),
+            ])
+            for file in (pipeline.SCORES_FILE, pipeline.LOSS_FILE, pipeline.REPORT_FILE):
+                assert (written / file).read_bytes() == (out_dir / file).read_bytes(), (name, file)
+            assert result.eval_report.auc_roc == expected.eval_report.auc_roc
+            assert result.eval_report.average_precision == expected.eval_report.average_precision
+            assert result.prompt_state.loss_history[-1] == expected.prompt_state.loss_history[-1]
+
+    def test_stub_variants_match_run_pipeline_on_the_ablation_input(self, tmp_path, monkeypatch):
+        # the experiment script's defaults, which perfbench/ablation.py runs
+        data = gen_synthetic(tmp_path / "data", with_audio=True)
+        manifest = RunManifest(
+            visual_path=data.paths["visual"], text_path=data.paths["text"],
+            captions_path=data.paths["captions"], audio_path=data.paths["audio"],
+            labels_path=data.paths["labels"],
+        )
+        runs = run_variants(manifest, tmp_path / "runs")
+        preflights = []
+        monkeypatch.setattr(pipeline, "preflight", lambda m: preflights.append(m) or preflight(m))
+        results = pipeline.ablate(manifest)
+        assert preflights == [manifest]
+        self.assert_matches_run_pipeline(results, runs, tmp_path)
+        # the finding ABLATION.md states: three variants share one scores.csv
+        same = {runs[name][0].frame_scores.tobytes() for name in ("full pipeline", "euclidean fusion", "visual only")}
+        assert len(same) == 1
+
+    def test_remote_variants_share_one_connection(self, synth_dir, tmp_path, connection_log):
+        config = PipelineConfig(seed=5, window=2, prompt_dim=2, opt_iters=2)
+        with LoopbackScorerServer(StubScorer(2, 8, seed=5)) as server:
+            manifest = manifest_for(synth_dir, None, config=config, scorer="remote", endpoint=server.endpoint)
+            results = pipeline.ablate(manifest)
+            assert connection_log.all_closed()
+            assert len(connection_log.clients) == 1
+            runs = run_variants(manifest, tmp_path / "runs")
+        assert all(result.report["toggles"]["scorer"] == "remote" for _, result in results)
+        self.assert_matches_run_pipeline(results, runs, tmp_path)
+
+    def test_writes_nothing(self, synth_dir, tmp_path):
+        before = sorted(synth_dir.iterdir())
+        pipeline.ablate(manifest_for(synth_dir, tmp_path / "out"))
+        assert sorted(synth_dir.iterdir()) == before
+        assert not (tmp_path / "out").exists()
+
+
 class TestSyntheticExperimentScript:
     def run_script(self, tmp_path, *args):
         env = dict(os.environ)
@@ -1329,6 +1423,29 @@ class TestSyntheticExperimentScript:
         assert proc.returncode == 0, proc.stderr
         assert not any(" undefined " in line for line in proc.stdout.splitlines())
 
+    def test_leaves_only_the_dataset_under_out(self, tmp_path):
+        proc = self.run_script(tmp_path, "--n-segments", "40")
+        assert proc.returncode == 0, proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    def test_ablation_md_holds_the_table_at_seeds_0_to_4(self, tmp_path, monkeypatch, capsys):
+        # each block is the script's stdout at its defaults, less the last
+        # line, as ABLATION.md's own command writes it below its "## Tables"
+        text = (ROOT / "ABLATION.md").read_bytes().decode("utf-8")
+        marker = "\n## Tables\n"
+        head = text[: text.index(marker) + len(marker)]
+        spec = importlib.util.spec_from_file_location("experiment", ROOT / "scripts" / "run_synthetic_experiment.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        blocks = []
+        for seed in range(5):
+            argv = ["run_synthetic_experiment.py", "--seed", str(seed), "--out", str(tmp_path / str(seed))]
+            monkeypatch.setattr(sys, "argv", argv)
+            assert script.main() == 0
+            table = "".join(capsys.readouterr().out.splitlines(keepends=True)[:-1])
+            blocks.append(f"\n### --seed {seed}\n\n```text\n{table}```\n")
+        assert text == head + "".join(blocks)
+
     @pytest.mark.parametrize("args, issue", [
         (("--window", "0"), "window must be at least 1"),
         (("--dim", "0"), "dim must be at least 1"),
@@ -1344,16 +1461,16 @@ class TestSyntheticExperimentScript:
         "MemoryError('stage failed')",
     ])
     def test_runtime_error_is_one_error_line_and_exit_2(self, tmp_path, error):
-        # the script run as __main__, with run_pipeline raising once the
+        # the script run as __main__, with score_video raising once the
         # dataset is written
         script = ROOT / "scripts" / "run_synthetic_experiment.py"
         code = (
             "import runpy, sys\n"
             "import hypervad.pipeline\n"
             "from hypervad.core import PipelineError\n"
-            "def failing(manifest):\n"
+            "def failing(*args):\n"
             f"    raise {error}\n"
-            "hypervad.pipeline.run_pipeline = failing\n"
+            "hypervad.pipeline.score_video = failing\n"
             f"sys.argv = [{str(script)!r}, '--out', {str(tmp_path)!r}, '--n-segments', '20']\n"
             f"runpy.run_path({str(script)!r}, run_name='__main__')\n"
         )
