@@ -4,8 +4,12 @@ key=value config files, and the JSON run report.
 Embedding container (little-endian): magic "MMVE", version u32 = 1,
 modality u8 (0=visual, 1=audio, 2=text), dim u32, count u32, then
 count * dim float32 values row-major. Values are widened to float64 on
-load; all other formats are UTF-8 text, and a byte that is not UTF-8 is a
-ValidationError naming the file and the line that holds it.
+load; all other formats are UTF-8 text.
+
+Each reader opens its input file once, and two rules hold before it parses
+anything: a path that names no file is the one issue "<what> file not
+found: <path>", and a text file that is not UTF-8 is the one issue naming
+the line of its first bad byte, whatever else is wrong with it.
 
 A captions line is parsed by the C scanner behind ``json.loads``, and its
 values become one row of the SegmentTable after one exact test of their
@@ -20,7 +24,6 @@ file is always read row by row on that path.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -83,10 +86,33 @@ def write_embeddings(path, data: np.ndarray, modality: Modality) -> None:
     Path(path).write_bytes(header + values.tobytes())
 
 
+def _read_input(path, what: str, text: bool = True) -> bytes:
+    """The bytes of input file ``path`` under the module's two rules, the
+    UTF-8 one only for ``text``: the one place an input file is opened."""
+    if not Path(path).is_file():
+        raise ValidationError(f"{what} file not found: {path}")
+    raw = Path(path).read_bytes()
+    if text:
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[: exc.start]
+            lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1  # CR, LF, CRLF
+            raise ValidationError(f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
+                                  f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})") from exc
+    return raw
+
+
+def _lines(raw: bytes, newline=None):
+    """UTF-8 ``raw``'s lines as ``open`` yields them with ``newline``, a
+    buffer at a time: an ``io.StringIO`` would hold 4 bytes per character."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=newline)
+
+
 def read_embeddings(path, modality: Modality) -> np.ndarray:
     """The (count, dim) float64 array of an embedding file whose header
     names ``modality``; any other modality code is a ValidationError."""
-    raw = Path(path).read_bytes()
+    raw = _read_input(path, f"{modality.value} embeddings", text=False)
     if len(raw) < _HEADER.size:
         raise ValidationError(f"{path}: truncated embedding file ({len(raw)} bytes)")
     magic, version, modality_code, dim, count = _HEADER.unpack_from(raw)
@@ -152,38 +178,11 @@ def _caption_row(obj) -> tuple:
     return tuple(row)
 
 
-def _utf8_text(read):
-    """``read(path, ...)``, with a file that is not UTF-8 rejected as a
-    ValidationError naming the line of its first byte that does not decode
-    (CR, LF and CRLF each end a line)."""
-    @functools.wraps(read)
-    def wrapper(path, *args, **kwargs):
-        try:
-            return read(path, *args, **kwargs)
-        except UnicodeDecodeError:
-            raw = Path(path).read_bytes()  # the reader's error counts from its buffer, not the file
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValidationError(_not_utf8(path, raw, exc)) from exc
-            raise  # the file changed between the two reads
-    return wrapper
-
-
-def _not_utf8(path, raw: bytes, exc: UnicodeDecodeError) -> str:
-    """The issue of file ``raw``, which ``exc`` failed to decode."""
-    head = raw[: exc.start]
-    lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return (f"{path}:{lineno}: not UTF-8 text: {exc.reason} "
-            f"(byte 0x{raw[exc.start]:02x} at offset {exc.start})")
-
-
 # The scanner ``json.loads`` runs, without its per-call wrapping: it returns
 # the value that starts at an index and the index just past it.
 _scan_json = json.JSONDecoder().scan_once
 
 
-@_utf8_text
 def read_captions(path) -> SegmentTable:
     """The SegmentTable of a captions file, one row per non-blank line. A
     line that is one JSON object whose ``_CAPTION_FIELDS`` have their exact
@@ -191,27 +190,26 @@ def read_captions(path) -> SegmentTable:
     line goes through ``json.loads`` and ``_caption_row``, which word what
     is wrong with it."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj, stop = _scan_json(line, 0)
-                row = index, start, end, visual, audio = (
-                    obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
-            except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
-                stop = None
-            if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
-                    and type(visual) is str and (audio is None or type(audio) is str)
-                    and _INT64_MIN <= index <= INT64_MAX and _INT64_MIN <= start <= INT64_MAX
-                    and _INT64_MIN <= end <= INT64_MAX):
-                rows.append(row)
-                continue
-            try:
-                rows.append(_caption_row(json.loads(line)))
-            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-                raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
+    for lineno, line in enumerate(_lines(_read_input(path, "captions")), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj, stop = _scan_json(line, 0)
+            row = index, start, end, visual, audio = (
+                obj["index"], obj["frame_start"], obj["frame_end"], obj["visual"], obj.get("audio"))
+        except (StopIteration, ValueError, KeyError, TypeError, RecursionError):
+            stop = None
+        if (stop == len(line) and type(index) is int and type(start) is int and type(end) is int
+                and type(visual) is str and (audio is None or type(audio) is str)
+                and _INT64_MIN <= index <= INT64_MAX and _INT64_MIN <= start <= INT64_MAX
+                and _INT64_MIN <= end <= INT64_MAX):
+            rows.append(row)
+            continue
+        try:
+            rows.append(_caption_row(json.loads(line)))
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise ValidationError(f"{path}:{lineno}: bad caption record: {exc}") from exc
     return SegmentTable.from_rows(rows)
 
 
@@ -248,31 +246,31 @@ def _write_frame_csv(path, header, values) -> None:
         )
 
 
-def _read_csv_rows(path, column, parse, dtype) -> np.ndarray:
-    """The values of any text ``csv.reader`` splits into rows
-    ``frame,<column>``, after an optional header, frames contiguous from 0;
-    the one place that words what is wrong with a row."""
+def _read_csv_rows(path, raw, column, parse, dtype) -> np.ndarray:
+    """The values of any UTF-8 text ``raw`` (the bytes of ``path``) that
+    ``csv.reader`` splits into rows ``frame,<column>``, after an optional
+    header, frames contiguous from 0; the one place that words what is wrong
+    with a row."""
     values = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if lineno == 1 and row[0] == "frame":
-                if row != ["frame", column]:
-                    raise ValidationError(f"{path}:1: expected the header 'frame,{column}', got {row}")
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
-            try:
-                frame, value = integer(row[0]), parse(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            if frame != len(values):
-                raise ValidationError(
-                    f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
-                    f"at position {len(values)}"
-                )
-            values.append(value)
+    for lineno, row in enumerate(csv.reader(_lines(raw, newline="")), start=1):
+        if not row:
+            continue
+        if lineno == 1 and row[0] == "frame":
+            if row != ["frame", column]:
+                raise ValidationError(f"{path}:1: expected the header 'frame,{column}', got {row}")
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 'frame,{column}', got {row}")
+        try:
+            frame, value = integer(row[0]), parse(row[1])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        if frame != len(values):
+            raise ValidationError(
+                f"{path}:{lineno}: frames must be contiguous from 0, got {frame} "
+                f"at position {len(values)}"
+            )
+        values.append(value)
     return np.asarray(values, dtype=dtype)
 
 
@@ -338,21 +336,20 @@ def _fixed_width_labels(raw: bytes):
     return np.frombuffer(b"".join(labels).translate(_LABEL_VALUES), dtype=np.int8).astype(np.int64)
 
 
-@_utf8_text
 def read_labels(path) -> np.ndarray:
     """Labels written by ``write_labels`` are read as fixed-width byte rows;
-    any other text, and every error, goes row by row."""
-    labels = _fixed_width_labels(Path(path).read_bytes())
-    return _read_csv_rows(path, "label", _label, np.int64) if labels is None else labels
+    any other text, and every error, goes row by row over the same bytes."""
+    raw = _read_input(path, "labels")
+    labels = _fixed_width_labels(raw)
+    return _read_csv_rows(path, raw, "label", _label, np.int64) if labels is None else labels
 
 
 def write_scores(path, frame_scores) -> None:
     _write_frame_csv(path, "frame,score", np.asarray(frame_scores, dtype=np.float64))
 
 
-@_utf8_text
 def read_scores(path) -> np.ndarray:
-    return _read_csv_rows(path, "score", _score, np.float64)
+    return _read_csv_rows(path, _read_input(path, "scores"), "score", _score, np.float64)
 
 
 def write_loss_history(path, loss_history) -> None:
@@ -371,14 +368,10 @@ def read_config(path, **overrides) -> PipelineConfig:
     order (unknown keys among them, catching typos before a long run), then
     the settings' own issues."""
     issues, settings, seen, lines = [], {}, set(), ()
-    if not Path(path).is_file():
-        issues.append(f"config file not found: {path}")
-    else:
-        raw = Path(path).read_bytes()
-        try:
-            lines = io.StringIO(raw.decode("utf-8"), newline=None)  # CR, LF and CRLF each end a line
-        except UnicodeDecodeError as exc:
-            issues.append(_not_utf8(path, raw, exc))
+    try:
+        lines = _lines(_read_input(path, "config"))
+    except ValidationError as exc:
+        issues += exc.issues
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):

@@ -85,15 +85,6 @@ class RunManifest:
             raise ValidationError(issues)
 
 
-def require_files(*named_paths) -> None:
-    """Raise one ValidationError listing every (name, path) pair whose path
-    is set but names no file."""
-    missing = [f"{name} file not found: {path}" for name, path in named_paths
-               if path is not None and not Path(path).is_file()]
-    if missing:
-        raise ValidationError(missing)
-
-
 def _read(issues: list, read, path, *args):
     """``read(path, *args)``, or None with the issues of its ValidationError
     added to ``issues``."""
@@ -107,15 +98,8 @@ def _read(issues: list, read, path, *args):
 def load_dataset(manifest: RunManifest):
     """Fail-fast ingestion: every referenced file must exist and parse, and
     the assembled dataset must validate, before any stage runs. One
-    ValidationError lists the missing files, else every file that does not
-    parse (visual, text, audio, captions, labels), else the dataset's issues."""
-    require_files(
-        ("visual embeddings", manifest.visual_path),
-        ("text embeddings", manifest.text_path),
-        ("captions", manifest.captions_path),
-        ("audio embeddings", manifest.audio_path),
-        ("labels", manifest.labels_path),
-    )
+    ValidationError lists every file that is missing or does not parse
+    (visual, text, audio, captions, labels), else the dataset's issues."""
     issues, audio, labels = [], None, None
     visual = _read(issues, dataio.read_embeddings, manifest.visual_path, Modality.VISUAL)
     text = _read(issues, dataio.read_embeddings, manifest.text_path, Modality.TEXT)
@@ -329,10 +313,13 @@ def ablate(manifest: RunManifest) -> list:
 
 
 def eval_only(scores_path, labels_path) -> EvalReport:
-    """Score a written scores CSV against a labels CSV."""
-    require_files(("scores", scores_path), ("labels", labels_path))
-    scores = dataio.read_scores(scores_path)
-    labels = dataio.read_labels(labels_path)
+    """Score a written scores CSV against a labels CSV; one ValidationError
+    lists the issues of both files, scores first."""
+    issues = []
+    scores = _read(issues, dataio.read_scores, scores_path)
+    labels = _read(issues, dataio.read_labels, labels_path)
+    if issues:
+        raise ValidationError(issues)
     if scores.size != labels.size:
         raise ValidationError(
             f"length mismatch: {scores.size} scores vs {labels.size} labels"

@@ -53,7 +53,7 @@ from scipy.stats import rankdata
 
 from hypervad.captions import SummarySet, normalize_rows, row_blocks
 from hypervad.core import ValidationError, finite_real
-from hypervad.dataio import _label, _read_csv_rows, _utf8_text
+from hypervad.dataio import _label, _read_csv_rows, _read_input
 from hypervad.hyperbolic import exp_map, geodesic_point, log_map, project_to_ball
 from hypervad.prompt_opt import PromptState, loss_score_gradient, resolve_target_mass, total_loss
 from hypervad.refine import neighbor_sets
@@ -239,12 +239,11 @@ def read_frame_csv_oracle(path, column):
     return np.asarray(values, dtype=dtype)
 
 
-@_utf8_text
 def read_labels_by_rows(path):
     """The package's labels reader from before it read fixed-width byte
     rows, less the character-block path that then took written files: every
     file goes row by row."""
-    return _read_csv_rows(path, "label", _label, np.int64)
+    return _read_csv_rows(path, _read_input(path, "labels"), "label", _label, np.int64)
 
 
 @dataclass(frozen=True)

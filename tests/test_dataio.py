@@ -1,5 +1,6 @@
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,6 +678,89 @@ class TestNotUtf8Text:
         assert excinfo.value.issues == [
             f"{path}:{line}: not UTF-8 text: {reason} (byte 0x{bad[0]:02x} at offset {offset})"
         ]
+
+
+    @pytest.mark.parametrize("read, head, row", [
+        pytest.param(read_captions, b"{\n", (R0 + "\n").encode(), id="captions"),
+        pytest.param(read_scores, b"frame,value\r\n", b"0,0.5\r\n", id="scores"),
+    ])
+    @pytest.mark.parametrize("offset", [3_364, 16_864])
+    def test_wins_over_an_earlier_bad_line(self, tmp_path, read, head, row, offset):
+        # line 1 is bad too; the issue must not depend on whether the bad
+        # byte lies in the first buffer a text file is decoded in
+        raw = head + row * ((offset - len(head)) // len(row))
+        raw += b"x" * (offset - len(raw)) + b"\xff\n"
+        path = tmp_path / "input.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError) as excinfo:
+            read(path)
+        line = raw.count(b"\n")
+        assert excinfo.value.issues == [
+            f"{path}:{line}: not UTF-8 text: invalid start byte (byte 0xff at offset {offset})"
+        ]
+
+
+class TestInputFiles:
+    """Every reader of an input file: a path that names no file is one
+    issue, and the file is opened once."""
+
+    @staticmethod
+    def written(tmp_path):
+        """A (reader, args, path) triple per reader, each path a written file."""
+        paths = {name: tmp_path / name for name in ("v.emb", "c.jsonl", "l.csv", "l-lf.csv", "s.csv", "r.cfg")}
+        write_embeddings(paths["v.emb"], np.ones((3, 2)), Modality.VISUAL)
+        write_captions(paths["c.jsonl"], SegmentTable.from_rows(make_rows(3)))
+        write_labels(paths["l.csv"], [0, 1, 0])
+        paths["l-lf.csv"].write_bytes(paths["l.csv"].read_bytes().replace(b"\r\n", b"\n"))
+        write_scores(paths["s.csv"], [0.5, 0.25, 0.0])
+        write_config(paths["r.cfg"], PipelineConfig(seed=4))
+        return [(read_embeddings, (Modality.VISUAL,), paths["v.emb"]), (read_captions, (), paths["c.jsonl"]),
+                (read_labels, (), paths["l.csv"]), (read_labels, (), paths["l-lf.csv"]),
+                (read_scores, (), paths["s.csv"]), (read_config, (), paths["r.cfg"])]
+
+    @pytest.mark.parametrize("read, args, what", [
+        (read_embeddings, (Modality.AUDIO,), "audio embeddings"),
+        (read_captions, (), "captions"),
+        (read_labels, (), "labels"),
+        (read_scores, (), "scores"),
+        (read_config, (), "config"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_no_file_is_one_issue(self, tmp_path, read, args, what, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ValidationError) as excinfo:
+            read(path, *args)
+        assert excinfo.value.issues == [f"{what} file not found: {path}"]
+
+    def test_each_reader_opens_its_file_once(self, tmp_path, monkeypatch):
+        # the LF labels copy takes the row reader after the fixed-width
+        # check, and a captions file that is not UTF-8 is worded from the
+        # bytes already read
+        cases = self.written(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes((R0 + "\n").encode() + b"\xff\n")
+        opened = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            opened.append(Path(path))
+            return read_bytes(path)
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+        for read, args, path in cases + [(read_captions, (), bad)]:
+            opened.clear()
+            try:
+                read(path, *args)
+            except ValidationError:
+                assert path == bad
+            assert opened == [path], read.__name__
 
 
 class TestConfigFormat:

@@ -718,6 +718,36 @@ class TestCli:
         assert err[2] == f"validation error: {labels}:2: label must be 0 or 1, got 7"
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["validate", "run", "eval"])
+    def test_a_missing_file_does_not_hide_a_bad_one(self, tmp_path, capsys, verb):
+        # a missing --text with a captions line that is not JSON, or a
+        # scores row 0,x with a missing --labels: both issues, in file order
+        data, out, missing = tmp_path / "data", tmp_path / "run", tmp_path / "nope"
+        main(self._synth_args(data))
+        captions, scores = data / "captions.jsonl", tmp_path / "scores.csv"
+        lines = captions.read_text(encoding="utf-8").splitlines()
+        lines[2] = "{"
+        captions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        scores.write_bytes(b"frame,score\r\n0,x\r\n")
+        if verb == "eval":
+            args = ["eval", "--scores", str(scores), "--labels", str(missing)]
+            first = f"{scores}:2: could not convert string to float: 'x'"
+            second = f"labels file not found: {missing}"
+        else:
+            args = [verb, "--visual", str(data / "visual.emb"), "--text", str(missing),
+                    "--captions", str(captions), "--labels", str(data / "labels.csv")]
+            args += ["--out", str(out)] if verb == "run" else []
+            first, second = f"text embeddings file not found: {missing}", f"{captions}:3: bad caption record: "
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        assert err[0] == f"validation error: {first}"
+        assert err[1].startswith(f"validation error: {second}")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_one_segment_runs_refinement_as_identity(self, tmp_path):
         # k = min(neighbors, 1 window) = 1: refinement must not try to fit
         # a covariance to a single visual row
@@ -1398,11 +1428,15 @@ class TestAblate:
 
 
 class TestSyntheticExperimentScript:
-    def run_script(self, tmp_path, *args):
+    def run_script(self, tmp_path, *args, tmpdir=None):
+        """The script run with ``--out tmp_path``, or with no ``--out`` and
+        ``TMPDIR`` set to ``tmpdir`` when that is given."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        command = [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"),
-                   "--out", str(tmp_path), *args]
+        out = ["--out", str(tmp_path)]
+        if tmpdir is not None:
+            env["TMPDIR"], out = str(tmpdir), []
+        command = [sys.executable, str(ROOT / "scripts" / "run_synthetic_experiment.py"), *out, *args]
         return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
 
     def test_undefined_metrics_print_per_variant_and_exit_3(self, tmp_path):
@@ -1427,6 +1461,18 @@ class TestSyntheticExperimentScript:
         proc = self.run_script(tmp_path, "--n-segments", "40")
         assert proc.returncode == 0, proc.stderr
         assert [p.name for p in tmp_path.iterdir()] == ["data"]
+
+    def test_without_out_leaves_nothing_behind(self, tmp_path):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        proc = self.run_script(None, "--n-segments", "40", tmpdir=tmpdir)
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmpdir.iterdir()) == []
+        *table, last = proc.stdout.splitlines(keepends=True)
+        assert last == "outputs removed (no --out)\n"
+        kept = self.run_script(tmp_path / "out", "--n-segments", "40")
+        assert kept.returncode == 0, kept.stderr
+        assert "".join(table) == "".join(kept.stdout.splitlines(keepends=True)[:-1])
 
     def test_ablation_md_holds_the_table_at_seeds_0_to_4(self, tmp_path, monkeypatch, capsys):
         # each block is the script's stdout at its defaults, less the last
